@@ -5,10 +5,14 @@ Two composable solver building blocks:
 * :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
   condensation of a multi-field system whose leading fields are
   discontinuous.  The condensed (trace) operator is assembled once from
-  the Schur-complement expression ``A_cc - A_ce A_ee^{-1} A_ec``; each
-  application forward-eliminates the residual, solves the condensed
-  system with an inner Krylov method, and recovers the eliminated
-  fields cell by cell (scalar reduction first, then the flux).
+  the Schur-complement expression ``A_cc - A_ce A_ee^{-1} A_ec``; the
+  element tensors, the local inverse ``A_ee^{-1}`` and the elimination
+  operator ``A_ce A_ee^{-1}`` it evaluates are memoized on the stored
+  expression nodes.  Each application then forward-eliminates the
+  residual, solves the condensed system with an inner Krylov method,
+  and recovers the eliminated fields cell by cell as
+  ``A_ee^{-1} (F_e - A_ec lambda)``: gathers and batched products
+  against the stored local values, with no re-assembly.
 
 * :func:`hybridization_setup` / :func:`hybridization_apply` — takes a
   conforming H(div) x L2 mixed system, rebuilds it on the broken flux
@@ -28,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .expressions import AssembledVector, Tensor, assemble_global
+from .expressions import (
+    AssembledVector,
+    Tensor,
+    TensorExpr,
+    assemble_global,
+    constrain_matrix,
+)
 from .forms import (
     EXTERIOR,
     INTERIOR,
@@ -97,7 +107,9 @@ class Stages:
 class CondensedSystem:
     space: MixedSpace
     split: FieldSplit
-    operator: Tensor                 # the full multi-field element operator
+    local_inverse: TensorExpr        # A_ee^{-1}, evaluated at set-up
+    coupling: TensorExpr             # A_ec, evaluated at set-up
+    elimination: TensorExpr          # A_ce A_ee^{-1}, evaluated at set-up
     S: sp.csr_matrix                 # condensed operator, constraints applied
     S_raw: sp.csr_matrix             # before constraints (for lifting)
     bc_dofs: np.ndarray
@@ -132,22 +144,21 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     ne = len(split.eliminate)
     nf = W.n_fields
     A = Tensor(a)
-    S_expr = (A.blocks[ne:nf, ne:nf]
-              - A.blocks[ne:nf, :ne] * A.blocks[:ne, :ne].inv * A.blocks[:ne, ne:nf])
-    S_raw = assemble_global(S_expr)
+    local_inverse = A.blocks[:ne, :ne].inv
+    coupling = A.blocks[:ne, ne:nf]
+    elimination = A.blocks[ne:nf, :ne] * local_inverse
+    # evaluating S memoizes the element tensors and the nodes stored below
+    S_raw = assemble_global(A.blocks[ne:nf, ne:nf] - elimination * coupling)
     bc_dofs = np.array([d for d, _ in (bcs or [])], dtype=int)
     bc_values = np.array([v for _, v in (bcs or [])], dtype=float)
-    if len(bc_dofs):
-        from .expressions import constrain_matrix
-
-        S = constrain_matrix(S_raw, bc_dofs)
-    else:
-        S = S_raw
+    S = constrain_matrix(S_raw, bc_dofs) if len(bc_dofs) else S_raw
     dt = time.perf_counter() - t0
     return CondensedSystem(
         space=W,
         split=split,
-        operator=A,
+        local_inverse=local_inverse,
+        coupling=coupling,
+        elimination=elimination,
         S=S,
         S_raw=S_raw,
         bc_dofs=bc_dofs,
@@ -182,7 +193,6 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     W, split = cs.space, cs.split
     ne = len(split.eliminate)
     nf = W.n_fields
-    A = cs.operator
     stages = Stages(condensation=cs.setup_time)
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (W.ndof_global,):
@@ -190,8 +200,7 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
 
     t0 = time.perf_counter()
     F = AssembledVector((W, residual))
-    E_expr = (F.blocks[ne:nf]
-              - A.blocks[ne:nf, :ne] * A.blocks[:ne, :ne].inv * F.blocks[:ne])
+    E_expr = F.blocks[ne:nf] - cs.elimination * F.blocks[:ne]
     E = _condensed_rhs(cs, assemble_global(E_expr), homogeneous_bcs)
     stages.forward = time.perf_counter() - t0
 
@@ -202,11 +211,9 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     t0 = time.perf_counter()
     condensed_fields = [W.fields[i] for i in range(ne, nf)]
     lam_vec = _as_multifield_vector(condensed_fields, lam)
-    parts = _backsubstitute(A, F, lam_vec, ne)
-    out = np.zeros(W.ndof_global)
-    off = W.offsets
-    for i, part in enumerate(parts):
-        out[off[i]:off[i + 1]] = part
+    x_expr = cs.local_inverse * (F.blocks[:ne] - cs.coupling * lam_vec)
+    out = np.empty(W.ndof_global)
+    out[:cs.condensed_offset] = assemble_global(x_expr)
     out[cs.condensed_offset:] = lam
     stages.backsub = time.perf_counter() - t0
     return out, report, stages
@@ -216,38 +223,6 @@ def _as_multifield_vector(fields, vec):
     if len(fields) == 1:
         return AssembledVector(Function(fields[0], vec))
     return AssembledVector((MixedSpace(tuple(fields)), vec))
-
-
-def _backsubstitute(A: Tensor, F: AssembledVector, lam: AssembledVector,
-                    ne: int) -> list[np.ndarray]:
-    """Cell-wise recovery of the eliminated fields.
-
-    For the two-field elimination the scalar reduction is solved first
-    and the flux recovered from it; a single block solve covers the
-    general case.
-    """
-    nf = len(A.axes[0])
-    if ne == 2:
-        A00, A01, A02 = A.blocks[0, 0], A.blocks[0, 1], A.blocks[0, 2:nf]
-        A10, A11, A12 = A.blocks[1, 0], A.blocks[1, 1], A.blocks[1, 2:nf]
-        F0, F1 = F.blocks[0], F.blocks[1]
-        Sd = A11 - A10 * A00.inv * A01
-        Sl = A12 - A10 * A00.inv * A02
-        p_expr = Sd.solve(F1 - A10 * A00.inv * F0 - Sl * lam, "lu")
-        p_vec = assemble_global(p_expr)
-        p_fn = AssembledVector(Function(A.axes[0][1], p_vec))
-        u_expr = A00.solve(F0 - A01 * p_fn - A02 * lam, "lu")
-        u_vec = assemble_global(u_expr)
-        return [u_vec, p_vec]
-    x_expr = A.blocks[:ne, :ne].solve(
-        F.blocks[:ne] - A.blocks[:ne, ne:nf] * lam, "lu"
-    )
-    x_vec = assemble_global(x_expr)
-    fields = A.axes[0][:ne]
-    if ne == 1:
-        return [x_vec]
-    offs = np.concatenate([[0], np.cumsum([s.ndof_global for s in fields])])
-    return [x_vec[offs[i]:offs[i + 1]] for i in range(ne)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ cells at once, batched over the leading cell axis).  A deliberately
 naive recursive evaluator, :func:`naive_evaluate`, serves as the
 semantics oracle for the compiled plans.
 
+Values that depend only on the mesh are memoized: the first batched
+evaluation of a kernel whose subtree holds no :class:`AssembledVector`
+and no form with coefficient functions stores its value on the
+expression node, and later plans over the same node reuse it.  A
+:class:`Tensor` is thus assembled once, and derived local operators such
+as ``A.blocks[:2, :2].inv`` are factored once.  Memoized values are
+write-once and read-only.
+
 Global assembly scatters evaluated element tensors into scipy CSR
 matrices or numpy vectors through the spaces' cell-to-global maps.
 """
@@ -27,7 +35,9 @@ from .spaces import Function, FunctionSpace, MixedSpace
 
 Axis = tuple[FunctionSpace, ...]
 
-PIVOT_RTOL = 1e-12  # relative pivot threshold declaring a local factorization singular
+# smallest relative pivot (or reciprocal condition number, in the batched
+# kernels) for which a dense factorization is not declared singular
+PIVOT_RTOL = 1e-12
 
 
 def _axis_extent(axis: Axis) -> int:
@@ -42,6 +52,7 @@ class TensorExpr:
     """Base class; subclasses set ``axes`` (tuple of per-axis field lists)."""
 
     axes: tuple[Axis, ...]
+    _value: np.ndarray | None = None  # batched value, memoized by evaluate_all
 
     @property
     def rank(self) -> int:
@@ -280,7 +291,8 @@ class Kernel:
     op: str
     out: int
     ins: tuple[int, ...]
-    payload: object = None  # FormIR / AssembledVector / block ranges / decomposition
+    payload: object = None  # Tensor / AssembledVector / block ranges / decomposition
+    memo: TensorExpr | None = None  # node memoizing the value, if it may be cached
 
 
 @dataclass
@@ -318,6 +330,10 @@ class ExecPlan:
         return "\n".join(lines)
 
 
+_ALGEBRA_OPS = {Add: "add", Mul: "mul", Negate: "neg", Transpose: "transpose",
+                 Inverse: "inverse"}
+
+
 def _structural_key(expr: TensorExpr, child_keys: tuple) -> tuple:
     return expr.key() + child_keys
 
@@ -334,27 +350,24 @@ def compile_expr(expr: TensorExpr) -> ExecPlan:
         if key in seen:
             return seen[key]
         reg = len(kernels)
+        # a value may be memoized when it depends on no mutable coefficients
         if isinstance(node, Tensor):
-            kernels.append(Kernel("assemble", reg, (), node.form))
+            op, payload, cacheable = "assemble", node, not node.form.coefficients
         elif isinstance(node, AssembledVector):
-            kernels.append(Kernel("gather", reg, (), node))
-        elif isinstance(node, Add):
-            kernels.append(Kernel("add", reg, child_regs))
-        elif isinstance(node, Mul):
-            kernels.append(Kernel("mul", reg, child_regs))
-        elif isinstance(node, Negate):
-            kernels.append(Kernel("neg", reg, child_regs))
-        elif isinstance(node, Transpose):
-            kernels.append(Kernel("transpose", reg, child_regs))
-        elif isinstance(node, Inverse):
-            kernels.append(Kernel("inverse", reg, child_regs))
-        elif isinstance(node, Solve):
-            kernels.append(Kernel("solve", reg, child_regs, node.decomposition))
-        elif isinstance(node, Blocks):
-            slices = _block_slices(node.x.axes, node.ranges)
-            kernels.append(Kernel("blocks", reg, child_regs, (node.ranges, slices)))
+            op, payload, cacheable = "gather", node, False
         else:
-            raise TypeError(f"unknown expression node {node!r}")
+            cacheable = all(kernels[c].memo is not None for c in child_regs)
+            if isinstance(node, Solve):
+                op, payload = "solve", node.decomposition
+            elif isinstance(node, Blocks):
+                op = "blocks"
+                payload = (node.ranges, _block_slices(node.x.axes, node.ranges))
+            elif type(node) in _ALGEBRA_OPS:
+                op, payload = _ALGEBRA_OPS[type(node)], None
+            else:
+                raise TypeError(f"unknown expression node {node!r}")
+        kernels.append(Kernel(op, reg, child_regs, payload,
+                              node if cacheable else None))
         shapes[reg] = node.shape
         seen[key] = reg
         return reg
@@ -395,46 +408,68 @@ def _check_symmetric(A: np.ndarray) -> None:
 
 
 def evaluate_all(plan: ExecPlan) -> np.ndarray:
-    """Evaluate the plan for every cell; leading axis is the cell index."""
+    """Evaluate the plan for every cell; leading axis is the cell index.
+
+    A kernel whose value is memoized on its expression node is not run
+    again, nor is any kernel that only it needs.  Values of memoizable
+    kernels are stored read-only on first evaluation.
+    """
+    needed = {plan.output}
+    for k in reversed(plan.kernels):
+        if k.out in needed and (k.memo is None or k.memo._value is None):
+            needed.update(k.ins)
     regs: dict[int, np.ndarray] = {}
     for k in plan.kernels:
-        if k.op == "assemble":
-            regs[k.out] = assemble_form(k.payload)
-        elif k.op == "gather":
-            regs[k.out] = k.payload.cell_gather()
-        elif k.op == "add":
-            regs[k.out] = regs[k.ins[0]] + regs[k.ins[1]]
-        elif k.op == "neg":
-            regs[k.out] = -regs[k.ins[0]]
-        elif k.op == "transpose":
-            regs[k.out] = np.swapaxes(regs[k.ins[0]], 1, 2)
-        elif k.op == "mul":
-            a, b = regs[k.ins[0]], regs[k.ins[1]]
-            if a.ndim == 3 and b.ndim == 3:
-                regs[k.out] = a @ b
-            elif a.ndim == 3 and b.ndim == 2:
-                regs[k.out] = np.einsum("cij,cj->ci", a, b)
-            elif a.ndim == 2 and b.ndim == 3:
-                regs[k.out] = np.einsum("ci,cij->cj", a, b)
-            else:
-                raise ValueError("unsupported contraction ranks")
-        elif k.op == "inverse":
-            regs[k.out] = _batched_inverse(regs[k.ins[0]])
-        elif k.op == "solve":
-            regs[k.out] = _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload)
-        elif k.op == "blocks":
-            regs[k.out] = regs[k.ins[0]][(slice(None),) + k.payload[1]]
-        else:
-            raise AssertionError(k.op)
+        if k.out not in needed:
+            continue
+        if k.memo is not None and k.memo._value is not None:
+            regs[k.out] = k.memo._value
+            continue
+        value = _run_kernel(k, regs)
+        if k.memo is not None:
+            value.flags.writeable = False
+            k.memo._value = value
+        regs[k.out] = value
     return regs[plan.output]
+
+
+def _run_kernel(k: Kernel, regs: dict[int, np.ndarray]) -> np.ndarray:
+    if k.op == "assemble":
+        return assemble_form(k.payload.form)
+    if k.op == "gather":
+        return k.payload.cell_gather()
+    if k.op == "add":
+        return regs[k.ins[0]] + regs[k.ins[1]]
+    if k.op == "neg":
+        return -regs[k.ins[0]]
+    if k.op == "transpose":
+        return np.swapaxes(regs[k.ins[0]], 1, 2)
+    if k.op == "mul":
+        a, b = regs[k.ins[0]], regs[k.ins[1]]
+        if a.ndim == 3 and b.ndim == 3:
+            return a @ b
+        if a.ndim == 3 and b.ndim == 2:
+            return np.einsum("cij,cj->ci", a, b)
+        if a.ndim == 2 and b.ndim == 3:
+            return np.einsum("ci,cij->cj", a, b)
+        raise ValueError("unsupported contraction ranks")
+    if k.op == "inverse":
+        return _batched_inverse(regs[k.ins[0]])
+    if k.op == "solve":
+        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload)
+    if k.op == "blocks":
+        return regs[k.ins[0]][(slice(None),) + k.payload[1]]
+    raise AssertionError(k.op)
 
 
 def _batched_inverse(a: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.inv(a)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         cell = _first_singular(a)
         raise RuntimeError(f"singular local tensor in cell {cell}") from None
+    _check_conditioning(a, inv, "local tensor")
+    return inv
 
 
 def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarray:
@@ -448,15 +483,37 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarr
             cell = _first_singular(a)
             raise RuntimeError(
                 f"cholesky breakdown in local solve (cell {cell})") from None
+        # the pivots of A = L D L^T are the squared diagonal of the factor
+        pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
+        bad = pivots.min(axis=1) < PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
+        if bad.any():
+            raise RuntimeError(f"cholesky pivot breakdown in local solve "
+                               f"(cell {int(np.flatnonzero(bad)[0])})")
         y = np.linalg.solve(chol, rhs)
         x = np.linalg.solve(np.swapaxes(chol, 1, 2), y)
     else:
         try:
             x = np.linalg.solve(a, rhs)
+            inv = np.linalg.inv(a)  # for the conditioning guard only
         except np.linalg.LinAlgError:
             cell = _first_singular(a)
             raise RuntimeError(f"singular local system in cell {cell}") from None
+        _check_conditioning(a, inv, "local system")
     return x[:, :, 0] if vector_rhs else x
+
+
+def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str) -> None:
+    """Raise naming the first cell whose reciprocal 1-norm condition
+    number ``1 / (|A|_1 |A^-1|_1)`` is below ``PIVOT_RTOL``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rcond = 1.0 / (np.abs(a).sum(axis=1).max(axis=1)
+                       * np.abs(inv).sum(axis=1).max(axis=1))
+    bad = ~(rcond >= PIVOT_RTOL)  # also catches NaN
+    if bad.any():
+        cell = int(np.flatnonzero(bad)[0])
+        raise RuntimeError(
+            f"ill-conditioned {what} in cell {cell} "
+            f"(reciprocal condition {rcond[cell]:.1e} < {PIVOT_RTOL:g})")
 
 
 def _first_singular(a: np.ndarray) -> int:
@@ -483,7 +540,7 @@ def evaluate_cell(plan: ExecPlan, cell: int) -> np.ndarray:
     regs: dict[int, np.ndarray] = {}
     for k in plan.kernels:
         if k.op == "assemble":
-            regs[k.out] = assemble_local(k.payload, cell)
+            regs[k.out] = assemble_local(k.payload.form, cell)
         elif k.op == "gather":
             regs[k.out] = k.payload.cell_gather()[cell]
         elif k.op == "add":

@@ -21,9 +21,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-Operator = Union[sp.spmatrix, np.ndarray, "LinearOperator"]
+from .expressions import PIVOT_RTOL, constrain_matrix
 
-PIVOT_RTOL = 1e-12
+Operator = Union[sp.spmatrix, np.ndarray, "LinearOperator"]
 
 
 class LinearOperator:
@@ -275,14 +275,7 @@ def apply_bcs(A: sp.spmatrix, b: np.ndarray, bcs) -> tuple[sp.csr_matrix, np.nda
     xbc[dofs] = values
     out_b = np.asarray(b, dtype=float) - A @ xbc
     out_b[dofs] = values
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    D = sp.diags(keep)
-    out_A = (D @ A @ D).tolil()
-    out_A[dofs, dofs] = 1.0
-    out_A = out_A.tocsr()
-    out_A.sort_indices()
-    return out_A, out_b
+    return constrain_matrix(A, dofs), out_b
 
 
 def bc_lift_vector(n: int, bcs) -> np.ndarray:

@@ -305,6 +305,18 @@ def run_solver_compare(spec: StudySpec) -> list[dict]:
     return rows
 
 
+def _staged_preconditioner(apply, acc: Stages):
+    """Wrap ``apply(r) -> (y, report, stages)`` as a preconditioner that
+    adds each application's stage times to ``acc``."""
+    def pc(r):
+        y, _, st = apply(r)
+        acc.forward += st.forward
+        acc.trace_solve += st.trace_solve
+        acc.backsub += st.backsub
+        return y
+    return pc
+
+
 def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     ms = conforming_mixed_system(mesh, prob, spec.degree)
     A = assemble_global(Tensor(ms.a))
@@ -321,15 +333,10 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
     # outer FGMRES preconditioned by the hybridization factorization
     hm = hybridization_setup(ms.a, neumann_flux=prob.u)
+    inner = _inner_config(spec, hm.cs.S)
     acc = Stages(condensation=hm.cs.setup_time)
-
-    def pc_h(r):
-        y, _, st = hybridization_apply(hm, r, _inner_config(spec, hm.cs.S))
-        acc.forward += st.forward
-        acc.trace_solve += st.trace_solve
-        acc.backsub += st.backsub
-        return y
-
+    pc_h = _staged_preconditioner(
+        lambda r: hybridization_apply(hm, r, inner), acc)
     cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
                        preconditioner=pc_h)
     xh, rep = krylov_solve(Ab, bb, cfg, x0=x0)
@@ -347,16 +354,10 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     A3 = assemble_global(Tensor(hs.a))
     b3 = assemble_global(Tensor(hs.rhs))
     A3b, b3b = apply_bcs(A3, b3, gbcs)
+    inner3 = _inner_config(spec, cs.S)
     acc3 = Stages(condensation=cs.setup_time)
-
-    def pc_s(r):
-        y, _, st = scpc_apply(cs, r, _inner_config(spec, cs.S),
-                              homogeneous_bcs=True)
-        acc3.forward += st.forward
-        acc3.trace_solve += st.trace_solve
-        acc3.backsub += st.backsub
-        return y
-
+    pc_s = _staged_preconditioner(
+        lambda r: scpc_apply(cs, r, inner3, homogeneous_bcs=True), acc3)
     cfg3 = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
                         preconditioner=pc_s)
     x3, rep3 = krylov_solve(A3b, b3b, cfg3)
@@ -391,16 +392,10 @@ def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
                  residual=0.0, max_diff_vs_direct=0.0,
                  **_stage_columns(Stages(trace_solve=t_direct), spec.serial))]
 
+    inner = _inner_config(spec, cs.S)
     acc = Stages(condensation=cs.setup_time)
-
-    def pc(r):
-        y, _, st = scpc_apply(cs, r, _inner_config(spec, cs.S),
-                              homogeneous_bcs=True)
-        acc.forward += st.forward
-        acc.trace_solve += st.trace_solve
-        acc.backsub += st.backsub
-        return y
-
+    pc = _staged_preconditioner(
+        lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True), acc)
     cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
                        preconditioner=pc)
     x, rep = krylov_solve(Ab, bb, cfg, x0=x0)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hybridfem import expressions
 from hybridfem import DIRICHLET, NEUMANN, build_unit_square, mark_boundary
 from hybridfem.condensation import (
     FieldSplit,
@@ -10,6 +13,7 @@ from hybridfem.condensation import (
     scpc_setup,
 )
 from hybridfem.expressions import Tensor, assemble_global
+from hybridfem.forms import ScalarField
 from hybridfem.problems import (
     conforming_mixed_system,
     hybridized_mixed_system,
@@ -265,3 +269,37 @@ def test_manufactured_solution_accuracy():
                                    np.array([1 / 3, 1 / 3]))
     err = np.abs(p - PROB.p(cent[:, 0], cent[:, 1]))
     assert err.max() < 0.05
+
+
+def test_hybridization_apply_reuses_setup_tensors(monkeypatch):
+    """Set-up assembles the operator once; an application assembles no form."""
+    ms = conforming_mixed_system(build_unit_square(4), PROB, 2)
+    hm = hybridization_setup(ms.a)
+    inner = exact_inner(hm.cs.S)
+    calls = []
+    real = expressions.assemble_form
+    monkeypatch.setattr(expressions, "assemble_form",
+                        lambda form: calls.append(form) or real(form))
+    r = np.random.default_rng(11).standard_normal(hm.conforming.ndof_global)
+    x, rep, _ = hybridization_apply(hm, r, inner)
+    assert calls == []
+    assert rep.converged
+    A = assemble_global(Tensor(ms.a))
+    assert np.linalg.norm(A @ x - r) <= 1e-9 * np.linalg.norm(r)
+
+
+def test_ldgh_singular_local_solver_raises_at_setup():
+    """Without a reaction term, LDG-H at tau = 1e-15 leaves the top scalar
+    modes of each cell uncontrolled: the local solver is singular up to
+    round-off, and set-up names the first such cell instead of
+    returning a meaningless solution.  At tau = 1 set-up succeeds."""
+    prob = dataclasses.replace(PROB, c=ScalarField.constant(0.0))
+    mesh = build_unit_square(8)
+    ls = ldgh_system(mesh, prob, 1, 1e-15)
+    with pytest.raises(RuntimeError, match="ill-conditioned local tensor in cell 0 "):
+        scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    ls = ldgh_system(mesh, prob, 1, 1.0)
+    cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    rhs = assemble_global(Tensor(ls.rhs))
+    _, rep, _ = scpc_apply(cs, rhs, exact_inner(cs.S))
+    assert rep.converged

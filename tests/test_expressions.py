@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridfem import expressions
 from hybridfem import (
     DG,
     RT,
@@ -16,6 +17,7 @@ from hybridfem.expressions import (
     Tensor,
     assemble_global,
     compile_expr,
+    evaluate_all,
     evaluate_cell,
     naive_evaluate,
 )
@@ -25,9 +27,11 @@ from hybridfem.forms import (
     FormIR,
     IntegralTerm,
     ScalarField,
+    coef,
     div,
     dot,
     fld,
+    grad,
     jump,
     test as tfn,
     trial,
@@ -287,3 +291,90 @@ def test_constrained_global_matrix():
         row[d] = 1.0
         np.testing.assert_allclose(dense[d], row, atol=1e-15)
         np.testing.assert_allclose(dense[:, d], row, atol=1e-15)
+
+
+def count_assembly(monkeypatch) -> list:
+    """Record every batched form assembly made by the expressions module."""
+    calls = []
+    real = expressions.assemble_form
+
+    def counting(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(expressions, "assemble_form", counting)
+    return calls
+
+
+def test_memoized_plan_matches_naive_oracle(monkeypatch):
+    """A plan re-evaluated from memoized local values equals the oracle."""
+    calls = count_assembly(monkeypatch)
+    mesh, W, a, f = three_field_system(n=4, k=2)
+    A = Tensor(a)
+    Aee_inv = A.blocks[:2, :2].inv
+    S = A.blocks[2, 2] - A.blocks[2, :2] * Aee_inv * A.blocks[:2, 2]
+    first = evaluate_all(compile_expr(S))
+    assert len(calls) == 1
+    rng = np.random.default_rng(5)
+    r = Function(W.fields[2], rng.standard_normal(W.fields[2].ndof_global))
+    x = Aee_inv * (Tensor(f).blocks[:2] - A.blocks[:2, 2] * AssembledVector(r))
+    again = evaluate_all(compile_expr(S))
+    xs = evaluate_all(compile_expr(x))
+    assert len(calls) == 2  # only the right-hand side form is new
+    assert again is first
+    for c in rng.integers(0, mesh.n_cells, 12):
+        for expr, vals in ((S, again), (x, xs)):
+            want = naive_evaluate(expr, int(c))
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(vals[c] - want).max() < 1e-12 * scale
+
+
+def test_memoized_values_are_read_only():
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(1))
+    vals = evaluate_all(compile_expr(Tensor(mass(V)).inv))
+    with pytest.raises(ValueError):
+        vals[0, 0, 0] = 1.0
+
+
+def test_coefficient_forms_are_reassembled(monkeypatch):
+    """A form with a coefficient function is not memoized: a changed
+    coefficient gives new element tensors and new global values."""
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(1))
+    w = Function(V, np.ones(V.ndof_global))
+    weighted = Tensor(FormIR(V, V, [
+        IntegralTerm(CELL, dot(coef(w), dot(tfn(), trial())))
+    ]))
+    M = Tensor(mass(V))
+    expr = M.inv * weighted
+    calls = count_assembly(monkeypatch)
+    before = assemble_global(expr).toarray()
+    np.testing.assert_allclose(before, np.eye(V.ndof_global), atol=1e-12)
+    w.coeffs[:] = 3.0
+    after = assemble_global(expr).toarray()
+    np.testing.assert_allclose(after, 3.0 * np.eye(V.ndof_global), atol=1e-12)
+    # the mass matrix and its inverse were kept, the weighted form was not
+    assert [form is weighted.form for form in calls] == [False, True, True]
+
+
+def test_batched_inverse_names_first_ill_conditioned_cell():
+    """A local tensor that is singular in exact arithmetic but not in
+    floating point is rejected by the batched kernels, naming its cell."""
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(2))
+    # the DG(2) stiffness matrix is singular (constants); the mass term
+    # makes it invertible on the cells left of x = 1/2 only
+    left = ScalarField(lambda x, y: np.where(x < 0.5, 1.0, 0.0), degree=0)
+    a = FormIR(V, V, [
+        IntegralTerm(CELL, dot(grad(tfn()), grad(trial()))),
+        IntegralTerm(CELL, dot(fld(left), dot(tfn(), trial()))),
+    ])
+    centroids = mesh.vertex_coords[mesh.cell_vertices].mean(axis=1)
+    first_bad = int(np.flatnonzero(centroids[:, 0] > 0.5)[0])
+    assert first_bad > 0
+    with pytest.raises(RuntimeError, match=f"ill-conditioned local tensor in cell {first_bad} "):
+        evaluate_all(compile_expr(Tensor(a).inv))
+    b = AssembledVector(Function(V, np.ones(V.ndof_global)))
+    with pytest.raises(RuntimeError, match=f"ill-conditioned local system in cell {first_bad} "):
+        evaluate_all(compile_expr(Tensor(a).solve(b)))

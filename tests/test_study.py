@@ -1,6 +1,7 @@
 import pytest
 
-from hybridfem import DG, build_unit_square, create_space, interpolate
+from hybridfem import DG, build_unit_square, create_space, expressions, interpolate
+from hybridfem.problems import manufactured
 from hybridfem.study import (
     COMPARE_COLUMNS,
     CONVERGE_COLUMNS,
@@ -8,6 +9,7 @@ from hybridfem.study import (
     l2_error,
     run_convergence,
     run_solver_compare,
+    solve_hybridizable,
     write_csv,
 )
 
@@ -112,3 +114,25 @@ def test_serial_mode_deterministic(tmp_path):
     write_csv(str(p1), run_convergence(spec), CONVERGE_COLUMNS)
     write_csv(str(p2), run_convergence(spec), CONVERGE_COLUMNS)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_mixed_hybrid_solve_assembles_each_form_once(monkeypatch):
+    """The three-field operator, its right-hand side and the two
+    post-processing forms: four batched assemblies per solve."""
+    calls = []
+    real = expressions.assemble_form
+    monkeypatch.setattr(expressions, "assemble_form",
+                        lambda form: calls.append(form) or real(form))
+    res = solve_hybridizable(build_unit_square(4), manufactured("sinsin"),
+                             StudySpec(method="mixed-hybrid", degree=1))
+    assert res.report.converged
+    assert len(calls) == 4
+    assert len({id(f) for f in calls}) == 4
+
+
+def test_ldgh_tau_one_error_unchanged():
+    """LDG-H at tau = 1 keeps the error it had before the local
+    conditioning guard and the single block recovery."""
+    rows = run_convergence(StudySpec(method="ldgh", degree=1, tau=1.0, sizes=(4, 8)))
+    assert rows[-1]["converged"] == 1
+    assert rows[-1]["err_p"] == pytest.approx(0.01245605824867103, rel=1e-9)
