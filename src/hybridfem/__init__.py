@@ -7,7 +7,15 @@ condensation, hybridization of H(div) x L2 mixed methods, LDG-H, local
 recovery, and superconvergent post-processing.
 """
 
-from .mesh import DIRICHLET, NEUMANN, Mesh, build_unit_square, cell_geometry, mark_boundary
+from .mesh import (
+    DIRICHLET,
+    NEUMANN,
+    Mesh,
+    build_jittered_square,
+    build_unit_square,
+    cell_geometry,
+    mark_boundary,
+)
 from .spaces import (
     CG,
     DG,
@@ -62,6 +70,7 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "Mesh",
+    "build_jittered_square",
     "build_unit_square",
     "cell_geometry",
     "mark_boundary",

@@ -342,39 +342,40 @@ def compile_expr(expr: TensorExpr) -> ExecPlan:
     """Lower an expression to a plan; identical subtrees are computed once."""
     kernels: list[Kernel] = []
     shapes: dict[int, tuple[int, ...]] = {}
-    seen: dict[tuple, int] = {}
+    out = _lower(expr, kernels, shapes, {})
+    return ExecPlan(kernels, out, shapes, _expr_mesh(expr), expr)
 
-    def visit(node: TensorExpr) -> int:
-        child_regs = tuple(visit(c) for c in node.children())
-        key = _structural_key(node, child_regs)
-        if key in seen:
-            return seen[key]
-        reg = len(kernels)
-        # a value may be memoized when it depends on no mutable coefficients
-        if isinstance(node, Tensor):
-            op, payload, cacheable = "assemble", node, not node.form.coefficients
-        elif isinstance(node, AssembledVector):
-            op, payload, cacheable = "gather", node, False
+
+def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) -> int:
+    # a module-level recursion: a recursive closure would form a reference
+    # cycle holding the kernels, and the values memoized on their nodes,
+    # until the cyclic garbage collector happens to run
+    child_regs = tuple(_lower(c, kernels, shapes, seen) for c in node.children())
+    key = _structural_key(node, child_regs)
+    if key in seen:
+        return seen[key]
+    reg = len(kernels)
+    # a value may be memoized when it depends on no mutable coefficients
+    if isinstance(node, Tensor):
+        op, payload, cacheable = "assemble", node, not node.form.coefficients
+    elif isinstance(node, AssembledVector):
+        op, payload, cacheable = "gather", node, False
+    else:
+        cacheable = all(kernels[c].memo is not None for c in child_regs)
+        if isinstance(node, Solve):
+            op, payload = "solve", node.decomposition
+        elif isinstance(node, Blocks):
+            op = "blocks"
+            payload = (node.ranges, _block_slices(node.x.axes, node.ranges))
+        elif type(node) in _ALGEBRA_OPS:
+            op, payload = _ALGEBRA_OPS[type(node)], None
         else:
-            cacheable = all(kernels[c].memo is not None for c in child_regs)
-            if isinstance(node, Solve):
-                op, payload = "solve", node.decomposition
-            elif isinstance(node, Blocks):
-                op = "blocks"
-                payload = (node.ranges, _block_slices(node.x.axes, node.ranges))
-            elif type(node) in _ALGEBRA_OPS:
-                op, payload = _ALGEBRA_OPS[type(node)], None
-            else:
-                raise TypeError(f"unknown expression node {node!r}")
-        kernels.append(Kernel(op, reg, child_regs, payload,
-                              node if cacheable else None))
-        shapes[reg] = node.shape
-        seen[key] = reg
-        return reg
-
-    out = visit(expr)
-    mesh = _expr_mesh(expr)
-    return ExecPlan(kernels, out, shapes, mesh, expr)
+            raise TypeError(f"unknown expression node {node!r}")
+    kernels.append(Kernel(op, reg, child_regs, payload,
+                          node if cacheable else None))
+    shapes[reg] = node.shape
+    seen[key] = reg
+    return reg
 
 
 def _expr_mesh(expr: TensorExpr):
@@ -657,9 +658,7 @@ def constrain_matrix(A: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
     n = A.shape[0]
     keep = np.ones(n)
     keep[dofs] = 0.0
-    D = sp.diags(keep)
-    out = (D @ A @ D).tolil()
-    out[dofs, dofs] = 1.0
-    out = out.tocsr()
+    out = (sp.diags(keep) @ A @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+    out.eliminate_zeros()
     out.sort_indices()
     return out

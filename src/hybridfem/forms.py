@@ -15,12 +15,15 @@ cell's outward normal.  Summing both sides reproduces the facet jump.
 Two assembly routes are provided: :func:`assemble_form` evaluates all
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
-oracle.
+oracle.  Within :func:`assemble_form`, bilinear terms with constant data
+are contracted from reference tensors; all other terms are integrated
+point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -41,18 +44,20 @@ class ScalarField:
     """Analytic scalar coefficient with a polynomial degree surrogate.
 
     ``degree`` feeds quadrature selection; smooth non-polynomial data
-    should keep the default.
+    should keep the default.  ``value`` is set only by :meth:`constant`;
+    ``fld`` turns such a field into a :class:`Const` integrand node.
     """
 
     fn: Callable
     degree: int = 6
     name: str = ""
+    value: float | None = None
 
     @staticmethod
     def constant(value: float, name: str = "") -> "ScalarField":
         v = float(value)
         return ScalarField(lambda x, y: np.full(np.shape(x), v), degree=0,
-                           name=name or repr(v))
+                           name=name or repr(v), value=v)
 
     def __call__(self, x, y):
         return np.asarray(self.fn(x, y), dtype=float)
@@ -99,6 +104,13 @@ class Coef(Expr):
 @dataclass(frozen=True)
 class Fld(Expr):
     sf: ScalarField
+
+
+@dataclass(frozen=True)
+class Const(Expr):
+    """A constant scalar coefficient."""
+
+    value: float
 
 
 @dataclass(frozen=True)
@@ -171,8 +183,8 @@ def coef(fn: Function) -> Coef:
     return Coef(fn)
 
 
-def fld(sf: ScalarField) -> Fld:
-    return Fld(sf)
+def fld(sf: ScalarField) -> Fld | Const:
+    return Fld(sf) if sf.value is None else Const(sf.value)
 
 
 def vfld(fn: Callable, degree: int = 6) -> VFld:
@@ -323,6 +335,8 @@ def _node_degree(node: Expr, form: FormIR) -> int:
         return node.fn.space.family.poly_degree
     if isinstance(node, Fld):
         return node.sf.degree
+    if isinstance(node, Const):
+        return 0
     if isinstance(node, VFld):
         return node.degree
     if isinstance(node, Normal):
@@ -360,16 +374,19 @@ class _CellCtx:
     """Quadrature data for a batch of cells on cell interiors."""
 
     def __init__(self, mesh: Mesh, rule):
-        geo = mesh.geometry()
         self.mesh = mesh
         self.cells = np.arange(mesh.n_cells)
         self.nq = len(rule.weights)
         self.rule = rule
-        self.geo = geo
-        self.phys = geo.origins[:, None, :] + np.einsum(
-            "cij,qj->cqi", geo.jacobians, rule.points
-        )
-        self.scale = geo.det_j  # integration measure factor
+        self.geo = mesh.geometry()
+        self.scale = self.geo.det_j  # integration measure factor
+
+    @cached_property
+    def phys(self) -> np.ndarray:
+        return self.geo.physical_points(self.rule.points)
+
+    def ref_basis(self, space: FunctionSpace, deriv: str):
+        return _ref_basis(space, deriv, self.rule.points, self.geo, self.cells)
 
     def basis(self, space: FunctionSpace, deriv: str) -> tuple[np.ndarray, bool]:
         """Return (values, is_vector); values (nc|1, nq, nd[, 2])."""
@@ -380,7 +397,7 @@ class _CellCtx:
             if deriv == "value":
                 return el.tabulate(self.rule.points)[None], False
             ref = el.tabulate_grad(self.rule.points)  # (nq, nd, 2)
-            phys = np.einsum("cij,qnj->cqni", geo.inv_jt, ref)
+            phys = np.einsum("cij,qnj->cqni", geo.inv_jt, ref, optimize=True)
             return phys, True
         if fam.kind == "VectorDG":
             sval = el.tabulate(self.rule.points)
@@ -392,14 +409,14 @@ class _CellCtx:
                 return vals, True
             if deriv == "div":
                 sgrad = el.tabulate_grad(self.rule.points)  # (nq, ns, 2)
-                phys = np.einsum("cij,qnj->cqni", geo.inv_jt, sgrad)
+                phys = np.einsum("cij,qnj->cqni", geo.inv_jt, sgrad, optimize=True)
                 out = np.concatenate([phys[..., 0], phys[..., 1]], axis=2)
                 return out, False
         if fam.kind == "RT":
             signs = space.cell_signs
             if deriv == "value":
                 ref = el.tabulate(self.rule.points)  # (nq, nd, 2)
-                piola = np.einsum("cij,qnj->cqni", geo.jacobians, ref)
+                piola = np.einsum("cij,qnj->cqni", geo.jacobians, ref, optimize=True)
                 piola /= geo.det_j[:, None, None, None]
                 return piola * signs[:, None, :, None], True
             if deriv == "div":
@@ -431,13 +448,27 @@ class _FacetCtx:
         self.rule = rule
         self.geo = geo
         self.ref_pts = reference.edge_points(local_edge, rule.points)
-        jac = geo.jacobians[cells]
-        self.phys = geo.origins[cells, None, :] + np.einsum(
-            "cij,qj->cqi", jac, self.ref_pts
-        )
         self.scale = geo.edge_lengths[cells, local_edge]
         self.normals = geo.edge_normals[cells, local_edge]  # (ncs, 2)
         self.dir_match = geo.dir_match[cells, local_edge]
+
+    @cached_property
+    def phys(self) -> np.ndarray:
+        return self.geo.physical_points(self.ref_pts, self.cells)
+
+    def ref_basis(self, space: FunctionSpace, deriv: str):
+        if space.family.kind != "Trace":
+            return _ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
+        # component 0 is the forward, component 1 the reversed tabulation;
+        # the map selects one of them per cell by facet direction
+        per = space.family.degree + 1
+        el = space.element()
+        ref = np.zeros((self.nq, 3 * per, 2))
+        block = slice(self.local_edge * per, (self.local_edge + 1) * per)
+        ref[:, block, 0] = el.tabulate(self.rule.points)
+        ref[:, block, 1] = el.tabulate(1.0 - self.rule.points)
+        g = np.stack([self.dir_match, ~self.dir_match], axis=-1).astype(float)
+        return ref, g[:, None, :], None
 
     def basis(self, space: FunctionSpace, deriv: str) -> tuple[np.ndarray, bool]:
         fam = space.family
@@ -448,7 +479,7 @@ class _FacetCtx:
             if deriv == "value":
                 return el.tabulate(self.ref_pts)[None], False
             ref = el.tabulate_grad(self.ref_pts)
-            return np.einsum("cij,qnj->cqni", geo.inv_jt[cells], ref), True
+            return np.einsum("cij,qnj->cqni", geo.inv_jt[cells], ref, optimize=True), True
         if fam.kind == "VectorDG" and deriv == "value":
             sval = el.tabulate(self.ref_pts)
             nq, ns = sval.shape
@@ -458,7 +489,7 @@ class _FacetCtx:
             return vals, True
         if fam.kind == "RT" and deriv == "value":
             ref = el.tabulate(self.ref_pts)
-            piola = np.einsum("cij,qnj->cqni", geo.jacobians[cells], ref)
+            piola = np.einsum("cij,qnj->cqni", geo.jacobians[cells], ref, optimize=True)
             piola /= geo.det_j[cells, None, None, None]
             return piola * space.cell_signs[cells][:, None, :, None], True
         if fam.kind == "Trace" and deriv == "value":
@@ -481,6 +512,47 @@ class _FacetCtx:
 
     def local_coeffs(self, fn: Function) -> np.ndarray:
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
+
+
+def _ref_basis(space: FunctionSpace, deriv: str, pts: np.ndarray, geo,
+               cells: np.ndarray):
+    """Reference form of an argument basis on affine cells.
+
+    Returns ``(ref, g, signs)`` with the physical basis
+    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``:
+    ``ref`` (nq, nd, nr) is tabulated on the reference cell, ``g``
+    (ncs|1, ncomp, nr) is constant per cell, ``signs`` is None for
+    unsigned families.
+    """
+    fam = space.family
+    el = space.element()
+    if fam.kind in ("DG", "CG"):
+        if deriv == "value":
+            return el.tabulate(pts)[..., None], np.ones((1, 1, 1)), None
+        return el.tabulate_grad(pts), geo.inv_jt[cells], None
+    if fam.kind == "VectorDG":
+        if deriv == "value":
+            return _componentwise(el.tabulate(pts)[..., None]), np.eye(2)[None], None
+        # reference component (a, j): derivative along j of component a
+        ref = _componentwise(el.tabulate_grad(pts))
+        return ref, geo.inv_jt[cells].reshape(-1, 1, 4), None
+    if fam.kind == "RT":
+        signs = space.cell_signs[cells]
+        det = geo.det_j[cells]
+        if deriv == "value":
+            return el.tabulate(pts), geo.jacobians[cells] / det[:, None, None], signs
+        return el.tabulate_div(pts)[..., None], (1.0 / det)[:, None, None], signs
+    raise ValueError(f"unsupported reference tabulation {fam.kind}/{deriv}")
+
+
+def _componentwise(v: np.ndarray) -> np.ndarray:
+    """Vector DG tabulation (nq, 2 ns, 2 m) from a scalar one (nq, ns, m):
+    basis block a carries component a."""
+    nq, ns, m = v.shape
+    out = np.zeros((nq, 2, ns, 2, m))
+    out[:, 0, :, 0] = v
+    out[:, 1, :, 1] = v
+    return out.reshape(nq, 2 * ns, 2 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +579,8 @@ def _eval_expr(node: Expr, ctx, form: FormIR):
         return out[:, :, None, None], False
     if isinstance(node, Fld):
         return ctx.eval_field(node.sf)[:, :, None, None], False
+    if isinstance(node, Const):
+        return np.full((1, ctx.nq, 1, 1), node.value), False
     if isinstance(node, VFld):
         vals = np.asarray(node.fn(ctx.phys[..., 0], ctx.phys[..., 1]), dtype=float)
         return vals[:, :, None, None, :], True
@@ -551,6 +625,69 @@ def _integrate(arr: np.ndarray, ctx) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# reference-tensor evaluation (Kirby & Logg 2006, "A compiler for
+# variational forms")
+#
+# On affine cells a bilinear term built only from arguments, facet
+# normals, constants and scalar factors has the element tensor
+#   K[c, i, j] = s[c] sum_rs G[c, r, s] A0[r, s, i, j]
+# (times the test and trial cell signs), with the reference tensor
+#   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s]
+# and the per-cell factor G built from the argument maps of _ref_basis.
+# Factors are carried as (g, refs): g shaped (ncs|1, ncomp, rt, rs) with
+# extent-1 axes for an absent role, refs maps a role to (ref, signs).
+
+_REFERENCE_NODES = (Arg, Const, Normal, Dot, Scale)
+
+
+def _is_reference_form(term: IntegralTerm, form: FormIR) -> bool:
+    """Whether a term's element tensors are computed from reference tensors."""
+    nodes = _collect(term.integrand, Expr)
+    return form.rank == 2 and all(isinstance(n, _REFERENCE_NODES) for n in nodes)
+
+
+def _ref_factor(node: Expr, ctx, form: FormIR):
+    if isinstance(node, Arg):
+        fields = form.test_fields if node.role == "test" else form.trial_fields
+        ref, g, signs = ctx.ref_basis(fields[node.field], node.deriv)
+        g = g[:, :, :, None] if node.role == "test" else g[:, :, None, :]
+        return g, {node.role: (ref, signs)}
+    if isinstance(node, Const):
+        return np.full((1, 1, 1, 1), node.value), {}
+    if isinstance(node, Normal):
+        return ctx.normal()[:, :, None, None], {}
+    if isinstance(node, Dot):
+        a, a_refs = _ref_factor(node.a, ctx, form)
+        b, b_refs = _ref_factor(node.b, ctx, form)
+        if a.shape[1] != b.shape[1]:
+            raise ValueError("dot requires operands of equal rank")
+        shared = a_refs.keys() & b_refs.keys()
+        if shared:
+            raise ValueError(f"integrand is nonlinear in the {shared.pop()} argument")
+        return (a * b).sum(axis=1, keepdims=True), {**a_refs, **b_refs}
+    if isinstance(node, Scale):
+        g, refs = _ref_factor(node.x, ctx, form)
+        return node.c * g, refs
+    raise TypeError(f"integrand node {node!r} has no reference form")
+
+
+def _reference_tensor(term: IntegralTerm, ctx, form: FormIR) -> np.ndarray:
+    g, refs = _ref_factor(term.integrand, ctx, form)
+    if g.shape[1] != 1:
+        raise ValueError("integrand must be scalar-valued")
+    (r_t, s_t), (r_u, s_u) = refs["test"], refs["trial"]
+    a0 = np.einsum("q,qir,qjs->rsij", ctx.rule.weights, r_t, r_u)
+    ncs, (rt, rs) = len(ctx.cells), g.shape[2:]
+    gk = g[:, 0].reshape(-1, rt * rs) * ctx.scale[:, None]
+    local = (gk @ a0.reshape(rt * rs, -1)).reshape(ncs, r_t.shape[1], r_u.shape[1])
+    if s_t is not None:
+        local *= s_t[:, :, None]
+    if s_u is not None:
+        local *= s_u[:, None, :]
+    return local
+
+
+# ---------------------------------------------------------------------------
 # assembly drivers
 
 
@@ -566,7 +703,12 @@ def _facet_selections(mesh: Mesh, term: IntegralTerm, local_edge: int) -> np.nda
 
 
 def assemble_form(form: FormIR) -> np.ndarray:
-    """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,)."""
+    """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,).
+
+    Bilinear terms built only from arguments, facet normals, constants
+    and scalar factors are contracted from reference tensors; all other
+    terms are integrated point by point.
+    """
     mesh = form.mesh
     nc = mesh.n_cells
     t_off = _local_offsets(form.test_fields)
@@ -578,24 +720,21 @@ def assemble_form(form: FormIR) -> np.ndarray:
         exact = _term_exactness(term, form)
         ti, tj = form.term_blocks(term)
         if term.domain == CELL:
-            ctx = _CellCtx(mesh, reference.triangle_quadrature(exact))
-            arr, is_vec = _eval_expr(term.integrand, ctx, form)
-            if is_vec:
-                raise ValueError("integrand must be scalar-valued")
-            local = _integrate(_bcast_cells(arr, nc), ctx)
-            _scatter_block(out, local, ctx.cells, ti, tj, t_off, u_off)
+            ctxs = [_CellCtx(mesh, reference.triangle_quadrature(exact))]
         else:
             rule = reference.edge_quadrature(exact)
-            for loc in range(3):
-                cells = _facet_selections(mesh, term, loc)
-                if len(cells) == 0:
-                    continue
-                ctx = _FacetCtx(mesh, cells, loc, rule)
+            ctxs = [_FacetCtx(mesh, cells, loc, rule) for loc in range(3)
+                    if len(cells := _facet_selections(mesh, term, loc))]
+        by_reference = _is_reference_form(term, form)
+        for ctx in ctxs:
+            if by_reference:
+                local = _reference_tensor(term, ctx, form)
+            else:
                 arr, is_vec = _eval_expr(term.integrand, ctx, form)
                 if is_vec:
                     raise ValueError("integrand must be scalar-valued")
-                local = _integrate(_bcast_cells(arr, len(cells)), ctx)
-                _scatter_block(out, local, cells, ti, tj, t_off, u_off)
+                local = _integrate(_bcast_cells(arr, len(ctx.cells)), ctx)
+            _scatter_block(out, local, ctx.cells, ti, tj, t_off, u_off)
 
     if form.rank == 2:
         return out
@@ -702,6 +841,8 @@ def _eval_point(node, ctx, form, c, q) -> np.ndarray:
         return out[None, None, :]
     if isinstance(node, Fld):
         return np.array(ctx.eval_field(node.sf)[c, q]).reshape(1, 1, 1)
+    if isinstance(node, Const):
+        return np.full((1, 1, 1), node.value)
     if isinstance(node, VFld):
         x, y = ctx.phys[c, q]
         return np.asarray(node.fn(np.array(x), np.array(y)), dtype=float)[None, None, :]

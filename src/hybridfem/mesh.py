@@ -1,4 +1,5 @@
-"""Structured triangulations of the unit square with full facet topology.
+"""Structured and jittered triangulations of the unit square with full
+facet topology.
 
 Cells are counterclockwise vertex triples.  Local edge ``l`` of a cell is
 the edge opposite local vertex ``l``, traversed counterclockwise, i.e.
@@ -103,6 +104,11 @@ class MeshGeometry:
     edge_lengths: np.ndarray   # (n_cells, 3)
     dir_match: np.ndarray      # (n_cells, 3) bool: ccw traversal == global direction
 
+    def physical_points(self, ref_pts: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """Images (ncs, nq, 2) of reference points under the cells' affine maps."""
+        return self.origins[cells, None, :] + np.einsum(
+            "cij,qj->cqi", self.jacobians[cells], ref_pts, optimize=True)
+
 
 def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     coords = mesh.vertex_coords[mesh.cell_vertices]  # (nc, 3, 2)
@@ -143,56 +149,75 @@ def build_unit_square(n: int) -> Mesh:
     grid = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(grid, grid, indexing="xy")
     coords = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cell_vertices = np.asarray(cells, dtype=np.int64)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    cell_vertices = np.stack([lower, upper], axis=1).reshape(-1, 3)
     return _mesh_from_cells(coords, cell_vertices)
 
 
-def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
-    facet_index: dict[tuple[int, int], int] = {}
-    facet_vertices: list[tuple[int, int]] = []
-    facet_cells: list[list[int]] = []
-    facet_local: list[list[int]] = []
-    n_cells = len(cell_vertices)
-    cell_facets = np.empty((n_cells, 3), dtype=np.int64)
-    for c in range(n_cells):
-        for loc, (a, b) in enumerate(EDGE_VERTICES):
-            key = tuple(sorted((int(cell_vertices[c, a]), int(cell_vertices[c, b]))))
-            f = facet_index.get(key)
-            if f is None:
-                f = len(facet_vertices)
-                facet_index[key] = f
-                facet_vertices.append(key)
-                facet_cells.append([c, -1])
-                facet_local.append([loc, -1])
-            else:
-                if facet_cells[f][1] != -1:
-                    raise ValueError(f"facet {key} incident to more than two cells")
-                facet_cells[f][1] = c
-                facet_local[f][1] = loc
-            cell_facets[c, loc] = f
+def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
+    """The mesh of :func:`build_unit_square` with interior vertices moved.
 
-    facet_cells_arr = np.asarray(facet_cells, dtype=np.int64)
-    facet_local_arr = np.asarray(facet_local, dtype=np.int64)
-    kind = np.where(facet_cells_arr[:, 1] >= 0, "interior", "exterior")
+    Each interior vertex moves by up to ``amplitude`` grid spacings in
+    each coordinate, drawn uniformly from ``seed``; boundary vertices stay.
+    An amplitude below 1/4 cannot move a vertex across the line through
+    its opposite edge, so every cell keeps its positive orientation.
+    """
+    if not 0.0 <= amplitude < 0.25:
+        raise ValueError(f"jitter amplitude must lie in [0, 0.25), got {amplitude}")
+    mesh = build_unit_square(n)
+    j, i = np.divmod(np.arange(mesh.n_vertices), n + 1)
+    interior = (i > 0) & (i < n) & (j > 0) & (j < n)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-amplitude / n, amplitude / n, size=(int(interior.sum()), 2))
+    coords = mesh.vertex_coords.copy()
+    coords[interior] += shift
+    return _mesh_from_cells(coords, mesh.cell_vertices)
+
+
+def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
+    """Facet topology of a triangulation.
+
+    Facets are numbered in order of first appearance over (cell, local
+    edge); the first cell to reach a facet is its "+" side.
+    """
+    cell_vertices = np.asarray(cell_vertices, dtype=np.int64)
+    n_cells = len(cell_vertices)
+    ends = cell_vertices[:, EDGE_VERTICES]  # (n_cells, 3, 2)
+    lo = ends.min(axis=2).ravel()
+    hi = ends.max(axis=2).ravel()
+    key = lo * (int(cell_vertices.max()) + 1) + hi
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        e = first[np.argmax(counts > 2)]
+        raise ValueError(f"facet {(int(lo[e]), int(hi[e]))} incident to more than two cells")
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    occ_facet = number[inverse.ravel()]  # facet of each (cell, local edge)
+    first_occ = first[order]
+    second_occ = np.setdiff1d(np.arange(3 * n_cells), first_occ, assume_unique=True)
+
+    n_facets = len(first_occ)
+    facet_cells = np.full((n_facets, 2), -1, dtype=np.int64)
+    facet_local = np.full((n_facets, 2), -1, dtype=np.int64)
+    facet_cells[:, 0], facet_local[:, 0] = np.divmod(first_occ, 3)
+    f2 = occ_facet[second_occ]
+    facet_cells[f2, 1], facet_local[f2, 1] = np.divmod(second_occ, 3)
+    kind = np.where(facet_cells[:, 1] >= 0, "interior", "exterior")
     label = np.where(kind == "exterior", DIRICHLET, "")
     return Mesh(
         vertex_coords=np.asarray(coords, dtype=float),
         cell_vertices=cell_vertices,
-        facet_vertices=np.asarray(facet_vertices, dtype=np.int64),
-        facet_cells=facet_cells_arr,
-        facet_local_index=facet_local_arr,
-        cell_facets=cell_facets,
+        facet_vertices=np.column_stack([lo[first_occ], hi[first_occ]]),
+        facet_cells=facet_cells,
+        facet_local_index=facet_local,
+        cell_facets=occ_facet.reshape(n_cells, 3),
         facet_kind=kind.astype(object),
         exterior_label=label.astype(object),
     )

@@ -154,16 +154,12 @@ class HybridizableSystem:
         return self.space.fields[2]
 
 
-def _facet_coupling_terms(tau_field: ScalarField | None):
+def _facet_coupling_terms():
     """Jump couplings of the flux/trace pair on non-Dirichlet facets."""
-    domains = [(INTERIOR, None), (EXTERIOR, NEUMANN)]
     terms = []
-    for dom, label in domains:
+    for dom, label in [(INTERIOR, None), (EXTERIOR, NEUMANN)]:
         terms.append(IntegralTerm(dom, dot(jump(test(0)), trial(2)), label))
         terms.append(IntegralTerm(dom, -dot(test(2), jump(trial(0))), label))
-        if tau_field is not None:
-            terms.append(IntegralTerm(dom, -dot(fld(tau_field), dot(test(2), trial(1))), label))
-            terms.append(IntegralTerm(dom, dot(fld(tau_field), dot(test(2), trial(2))), label))
     return terms
 
 
@@ -179,7 +175,7 @@ def hybridized_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
         IntegralTerm(CELL, -dot(div(test(0)), trial(1))),
         IntegralTerm(CELL, dot(test(1), div(trial(0)))),
         IntegralTerm(CELL, dot(fld(prob.c), dot(test(1), trial(1)))),
-        *_facet_coupling_terms(None),
+        *_facet_coupling_terms(),
     ])
     rhs = FormIR(W, None, [
         IntegralTerm(CELL, dot(test(1), fld(prob.f))),

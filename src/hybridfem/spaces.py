@@ -332,14 +332,14 @@ def interpolate(space: FunctionSpace, fn: Callable) -> Function:
     mesh = space.mesh
     if kind in ("DG", "CG"):
         el = reference.scalar_element(space.family.degree)
-        pts = _physical_points(mesh, el.nodes)  # (nc, nd, 2)
+        pts = mesh.geometry().physical_points(el.nodes)  # (nc, nd, 2)
         vals = _eval_scalar(fn, pts)
         coeffs = np.zeros(space.ndof_global)
         coeffs[space.cell_dofs] = vals
         return Function(space, coeffs)
     if kind == "VectorDG":
         el = reference.scalar_element(space.family.degree)
-        pts = _physical_points(mesh, el.nodes)
+        pts = mesh.geometry().physical_points(el.nodes)
         vals = _eval_vector(fn, pts)  # (nc, ns, 2)
         coeffs = np.zeros(space.ndof_global)
         ns = el.n_dofs
@@ -357,11 +357,6 @@ def interpolate(space: FunctionSpace, fn: Callable) -> Function:
     if kind == "RT":
         return _interpolate_rt(space, fn)
     raise AssertionError
-
-
-def _physical_points(mesh: Mesh, ref_pts: np.ndarray) -> np.ndarray:
-    geo = mesh.geometry()
-    return geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians, ref_pts)
 
 
 def _eval_scalar(fn, pts: np.ndarray) -> np.ndarray:
@@ -413,7 +408,7 @@ def _interpolate_rt(space: FunctionSpace, fn: Callable) -> Function:
     if el.n_interior_dofs:
         # interior dofs are reference moments of the Piola pull-back
         rule = reference.triangle_quadrature(min(2 * k + 6, reference.MAX_EXACTNESS))
-        pts = _physical_points(mesh, rule.points)
+        pts = mesh.geometry().physical_points(rule.points)
         vals = _eval_vector(fn, pts)  # (nc, nq, 2)
         jinv = np.linalg.inv(geo.jacobians)
         pulled = geo.det_j[:, None, None] * np.einsum("cij,cqj->cqi", jinv, vals)
@@ -474,11 +469,10 @@ def eval_function(fn: Function, ref_points: np.ndarray) -> np.ndarray:
         vy = np.einsum("qn,cn->cq", sval, local[:, ns:])
         return np.stack([vx, vy], axis=-1)
     if kind == "RT":
-        ref = el.tabulate(ref_points)
-        piola = np.einsum("cij,qnj->cqni", geo.jacobians, ref)
-        piola /= geo.det_j[:, None, None, None]
-        piola *= space.cell_signs[:, None, :, None]
-        return np.einsum("cqni,cn->cqi", piola, local)
+        # contract coefficients first, then apply the Piola map J / det J
+        ref = np.tensordot(local * space.cell_signs, el.tabulate(ref_points), axes=(1, 1))
+        phys = ref @ np.swapaxes(geo.jacobians, 1, 2)
+        return phys / geo.det_j[:, None, None]
     raise ValueError(f"pointwise evaluation unsupported for {kind}")
 
 

@@ -100,8 +100,7 @@ def l2_error(fn: Function, exact, exactness: int = 10) -> float:
     mesh = fn.space.mesh
     rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
     geo = mesh.geometry()
-    pts = geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians,
-                                              rule.points)
+    pts = geo.physical_points(rule.points)
     want = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
     got = eval_function(fn, rule.points)
     diff2 = (got - want) ** 2
@@ -114,8 +113,7 @@ def l2_error_div(fn: Function, exact_div, exactness: int = 10) -> float:
     mesh = fn.space.mesh
     rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
     geo = mesh.geometry()
-    pts = geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians,
-                                              rule.points)
+    pts = geo.physical_points(rule.points)
     want = np.asarray(exact_div(pts[..., 0], pts[..., 1]), dtype=float)
     got = eval_function_div(fn, rule.points)
     return float(np.sqrt(np.sum(rule.weights * (got - want) ** 2

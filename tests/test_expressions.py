@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -335,6 +338,27 @@ def test_memoized_values_are_read_only():
     vals = evaluate_all(compile_expr(Tensor(mass(V)).inv))
     with pytest.raises(ValueError):
         vals[0, 0, 0] = 1.0
+
+
+def test_compiled_plan_is_freed_without_cycle_collection():
+    """A dropped plan and the memoized values its expression nodes hold
+    are released by reference counting, not at the next cyclic GC run."""
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(1))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        expr = Tensor(mass(V)).inv
+        plan = compile_expr(expr)
+        evaluate_all(plan)
+        kernel = weakref.ref(plan.kernels[0])
+        node = weakref.ref(expr)
+        del plan, expr
+        assert kernel() is None
+        assert node() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_coefficient_forms_are_reassembled(monkeypatch):

@@ -7,19 +7,26 @@ from hybridfem import (
     Trace,
     VectorDG,
     CG,
+    DIRICHLET,
+    NEUMANN,
     Function,
     MixedSpace,
     break_space,
+    build_jittered_square,
     build_unit_square,
     create_space,
+    mark_boundary,
 )
 from hybridfem.forms import (
     CELL,
     EXTERIOR,
     INTERIOR,
+    Const,
+    Fld,
     FormIR,
     IntegralTerm,
     ScalarField,
+    _is_reference_form,
     assemble_form,
     assemble_local,
     coef,
@@ -31,6 +38,13 @@ from hybridfem.forms import (
     jump,
     test as tfn,
     trial,
+)
+from hybridfem.problems import (
+    conforming_mixed_system,
+    hybridized_mixed_system,
+    ldgh_system,
+    manufactured,
+    primal_cg_system,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -207,3 +221,66 @@ def test_term_validation():
         IntegralTerm(CELL, tfn(), label="dirichlet")
     with pytest.raises(ValueError):
         FormIR(V, V, [IntegralTerm(CELL, dot(div(tfn()), trial()))])
+
+
+def _general_meshes():
+    jittered = build_jittered_square(3, 0.2, seed=5)
+    left_neumann = mark_boundary(
+        jittered, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
+    return {"structured": build_unit_square(3), "jittered": jittered,
+            "jittered-neumann-left": left_neumann}
+
+
+def _operators(mesh):
+    prob = manufactured("sinsin")
+    for k in (1, 2, 3):
+        yield f"mixed-hybrid-{k}", hybridized_mixed_system(mesh, prob, k).a
+        yield f"mixed-{k}", conforming_mixed_system(mesh, prob, k).a
+        yield f"cg-{k}", primal_cg_system(mesh, prob, k).a
+    for k in (1, 2):
+        yield f"ldgh-{k}", ldgh_system(mesh, prob, k).a
+    W = MixedSpace((create_space(mesh, DG(2)), create_space(mesh, DG(0))))
+    yield "scalar-pp", FormIR(W, W, [
+        IntegralTerm(CELL, dot(grad(tfn(0)), grad(trial(0)))),
+        IntegralTerm(CELL, dot(tfn(0), trial(1))),
+        IntegralTerm(CELL, dot(tfn(1), trial(0))),
+    ])
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
+    """Every constant-coefficient operator takes the reference-tensor path
+    and agrees with the single-cell quadrature oracle on every cell."""
+    mesh = _general_meshes()[mesh_name]
+    if mesh_name == "jittered-neumann-left":
+        assert len(mesh.facets_with_label(NEUMANN)) == 3
+    for name, form in _operators(mesh):
+        assert all(_is_reference_form(t, form) for t in form.terms), name
+        batched = assemble_form(form)
+        for c in range(mesh.n_cells):
+            local = assemble_local(form, c)
+            err = np.abs(batched[c] - local).max() / np.abs(local).max()
+            assert err <= 1e-12, (name, c, err)
+
+
+def test_nonconstant_degree_zero_field_takes_quadrature_path():
+    """Constancy is a node type, not a degree: a piecewise field with
+    degree 0 stays a point-evaluated field."""
+    mesh = build_jittered_square(4, 0.2, seed=6)
+    V = create_space(mesh, DG(1))
+    left = ScalarField(lambda x, y: np.where(x < 0.5, 1.0, 0.0), degree=0)
+    assert isinstance(fld(left), Fld)
+    assert fld(ScalarField.constant(2.5)) == Const(2.5)
+    weighted = FormIR(V, V, [IntegralTerm(CELL, dot(fld(left), dot(tfn(), trial())))])
+    assert not _is_reference_form(weighted.terms[0], weighted)
+    batched = assemble_form(weighted)
+    for c in range(mesh.n_cells):
+        np.testing.assert_allclose(batched[c], assemble_local(weighted, c), atol=1e-15)
+    xs = mesh.vertex_coords[mesh.cell_vertices][:, :, 0]
+    right, left_cells = xs.min(axis=1) > 0.5, xs.max(axis=1) < 0.5
+    assert right.any() and left_cells.any()
+    assert np.abs(batched[right]).max() == 0.0
+    assert batched[left_cells].min() > 0.0
+    # linear forms stay on the quadrature path even with constant data
+    rhs = FormIR(V, None, [IntegralTerm(CELL, dot(tfn(), fld(ScalarField.constant(2.0))))])
+    assert not _is_reference_form(rhs.terms[0], rhs)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hybridfem import DIRICHLET, NEUMANN, build_unit_square, cell_geometry, mark_boundary
+from hybridfem import (
+    DIRICHLET,
+    NEUMANN,
+    build_jittered_square,
+    build_unit_square,
+    cell_geometry,
+    mark_boundary,
+)
+from hybridfem.mesh import EDGE_VERTICES, _mesh_from_cells
 
 
 def test_single_square_counts():
@@ -137,3 +145,58 @@ def test_mark_boundary_invalid_label():
     mesh = build_unit_square(1)
     with pytest.raises(ValueError):
         mark_boundary(mesh, lambda x, y: "weird")
+
+
+def _facet_numbering_loop(cell_vertices):
+    """Per-cell, per-edge dictionary numbering: the reference for the
+    vectorized facet topology."""
+    index, verts, cells, local = {}, [], [], []
+    cell_facets = np.empty((len(cell_vertices), 3), dtype=np.int64)
+    for c, tri in enumerate(cell_vertices):
+        for loc, (a, b) in enumerate(EDGE_VERTICES):
+            key = tuple(sorted((int(tri[a]), int(tri[b]))))
+            f = index.setdefault(key, len(verts))
+            if f == len(verts):
+                verts.append(key)
+                cells.append([c, -1])
+                local.append([loc, -1])
+            elif cells[f][1] != -1:
+                raise ValueError(f"facet {key} incident to more than two cells")
+            else:
+                cells[f][1], local[f][1] = c, loc
+            cell_facets[c, loc] = f
+    return np.array(verts), np.array(cells), np.array(local), cell_facets
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square(1), build_unit_square(5),
+                                  build_jittered_square(6, 0.2, seed=1)])
+def test_facet_numbering_matches_loop_oracle(mesh):
+    verts, cells, local, cell_facets = _facet_numbering_loop(mesh.cell_vertices)
+    np.testing.assert_array_equal(mesh.facet_vertices, verts)
+    np.testing.assert_array_equal(mesh.facet_cells, cells)
+    np.testing.assert_array_equal(mesh.facet_local_index, local)
+    np.testing.assert_array_equal(mesh.cell_facets, cell_facets)
+
+
+def test_non_manifold_facet_rejected():
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.2, 0.8]])
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    for build in (_facet_numbering_loop, lambda cv: _mesh_from_cells(coords, cv)):
+        with pytest.raises(ValueError, match=r"facet \(0, 1\) incident to more than two cells"):
+            build(cells)
+
+
+def test_jittered_square_moves_interior_vertices_only():
+    base = build_unit_square(5)
+    mesh = build_jittered_square(5, 0.24, seed=3)
+    np.testing.assert_array_equal(mesh.cell_vertices, base.cell_vertices)
+    moved = np.any(mesh.vertex_coords != base.vertex_coords, axis=1)
+    on_boundary = np.any((base.vertex_coords == 0.0) | (base.vertex_coords == 1.0), axis=1)
+    np.testing.assert_array_equal(moved, ~on_boundary)
+    assert np.abs(mesh.vertex_coords - base.vertex_coords).max() <= 0.24 / 5
+    assert mesh.geometry().det_j.min() > 0.0
+    assert np.isclose(mesh.geometry().det_j.sum() / 2.0, 1.0)
+    np.testing.assert_array_equal(
+        build_jittered_square(5, 0.24, seed=3).vertex_coords, mesh.vertex_coords)
+    with pytest.raises(ValueError):
+        build_jittered_square(5, 0.25, seed=3)

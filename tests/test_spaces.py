@@ -10,6 +10,7 @@ from hybridfem import (
     Function,
     break_space,
     broken_transfer,
+    build_jittered_square,
     build_unit_square,
     create_space,
     inject_broken,
@@ -18,7 +19,7 @@ from hybridfem import (
     tabulate,
     transfer_residual,
 )
-from hybridfem.spaces import global_edge_moments, project_onto_facets
+from hybridfem.spaces import eval_function, global_edge_moments, project_onto_facets
 
 
 def facet_side_normal_values(fn, cells, local_edge, t_local):
@@ -289,3 +290,23 @@ def test_global_edge_moments_match_interpolation():
     facets = np.arange(mesh.n_facets)
     moments = global_edge_moments(U, facets, exact)
     np.testing.assert_allclose(fn.coeffs[U.facet_dofs], moments, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rt_point_values_on_jittered_mesh(k):
+    """Piola-mapped values of an interpolated RT field reproduce it."""
+    mesh = build_jittered_square(4, 0.2, seed=2)
+    U = create_space(mesh, RT(k))
+
+    def exact(x, y):
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = 1.0 + 0.5 * x
+        out[..., 1] = -0.25 + 0.5 * y  # a + b x lies in RT(1)
+        return out
+
+    fn = interpolate(U, exact)
+    geo = mesh.geometry()
+    pts = np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0]])
+    phys = geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians, pts)
+    np.testing.assert_allclose(eval_function(fn, pts),
+                               exact(phys[..., 0], phys[..., 1]), atol=1e-12)
