@@ -371,19 +371,19 @@ def _term_exactness(term: IntegralTerm, form: FormIR) -> int:
 # batched evaluation contexts
 
 class _CellCtx:
-    """Quadrature data for a batch of cells on cell interiors."""
+    """Quadrature data on cell interiors, for all cells or the given ones."""
 
-    def __init__(self, mesh: Mesh, rule):
+    def __init__(self, mesh: Mesh, rule, cells: np.ndarray | None = None):
         self.mesh = mesh
-        self.cells = np.arange(mesh.n_cells)
+        self.cells = np.arange(mesh.n_cells) if cells is None else cells
         self.nq = len(rule.weights)
         self.rule = rule
         self.geo = mesh.geometry()
-        self.scale = self.geo.det_j  # integration measure factor
+        self.scale = self.geo.det_j[self.cells]  # integration measure factor
 
     @cached_property
     def phys(self) -> np.ndarray:
-        return self.geo.physical_points(self.rule.points)
+        return self.geo.physical_points(self.rule.points, self.cells)
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
         return _ref_basis(space, deriv, self.rule.points, self.geo, self.cells)
@@ -393,11 +393,12 @@ class _CellCtx:
         fam = space.family
         el = space.element()
         geo = self.geo
+        cells = self.cells
         if fam.kind in ("DG", "CG"):
             if deriv == "value":
                 return el.tabulate(self.rule.points)[None], False
             ref = el.tabulate_grad(self.rule.points)  # (nq, nd, 2)
-            phys = np.einsum("cij,qnj->cqni", geo.inv_jt, ref, optimize=True)
+            phys = np.einsum("cij,qnj->cqni", geo.inv_jt[cells], ref, optimize=True)
             return phys, True
         if fam.kind == "VectorDG":
             sval = el.tabulate(self.rule.points)
@@ -409,19 +410,19 @@ class _CellCtx:
                 return vals, True
             if deriv == "div":
                 sgrad = el.tabulate_grad(self.rule.points)  # (nq, ns, 2)
-                phys = np.einsum("cij,qnj->cqni", geo.inv_jt, sgrad, optimize=True)
+                phys = np.einsum("cij,qnj->cqni", geo.inv_jt[cells], sgrad, optimize=True)
                 out = np.concatenate([phys[..., 0], phys[..., 1]], axis=2)
                 return out, False
         if fam.kind == "RT":
-            signs = space.cell_signs
+            signs = space.cell_signs[cells]
             if deriv == "value":
                 ref = el.tabulate(self.rule.points)  # (nq, nd, 2)
-                piola = np.einsum("cij,qnj->cqni", geo.jacobians, ref, optimize=True)
-                piola /= geo.det_j[:, None, None, None]
+                piola = np.einsum("cij,qnj->cqni", geo.jacobians[cells], ref, optimize=True)
+                piola /= geo.det_j[cells, None, None, None]
                 return piola * signs[:, None, :, None], True
             if deriv == "div":
                 ref = el.tabulate_div(self.rule.points)  # (nq, nd)
-                out = ref[None] / geo.det_j[:, None, None]
+                out = ref[None] / geo.det_j[cells, None, None]
                 return out * signs[:, None, :], False
         raise ValueError(f"unsupported tabulation {fam.kind}/{deriv} on cells")
 
@@ -433,7 +434,7 @@ class _CellCtx:
 
     def local_coeffs(self, fn: Function) -> np.ndarray:
         # basis values are sign-corrected, so the gather is plain indexing
-        return fn.coeffs[fn.space.cell_dofs]
+        return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
 
 class _FacetCtx:
@@ -754,7 +755,10 @@ def _scatter_block(out, local, cells, ti, tj, t_off, u_off):
     r1 = t_off[ti + 1] if ti >= 0 else 1
     c0 = u_off[tj] if tj >= 0 else 0
     c1 = u_off[tj + 1] if tj >= 0 else 1
-    out[cells, r0:r1, c0:c1] += local
+    # cells are sorted and distinct, so a term over every cell adds
+    # through a view instead of a fancy-indexed gather and scatter
+    rows = slice(None) if len(cells) == len(out) else cells
+    out[rows, r0:r1, c0:c1] += local
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +783,8 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
         ti, tj = form.term_blocks(term)
         if term.domain == CELL:
             rule = reference.triangle_quadrature(exact)
-            ctx = _CellCtx(mesh, rule)
-            acc = _local_term(term, form, ctx, cell_pos=cell)
+            ctx = _CellCtx(mesh, rule, np.array([cell]))
+            acc = _local_term(term, form, ctx, cell_pos=0)
             scale = mesh.geometry().det_j[cell]
         else:
             rule = reference.edge_quadrature(exact)

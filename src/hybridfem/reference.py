@@ -1,9 +1,12 @@
 """Reference elements and quadrature on the unit triangle and unit edge.
 
-Basis polynomials are constructed once per (family, degree) in exact
-rational arithmetic (sympy) and cached as monomial coefficient arrays;
-numeric tabulation is then plain floating-point polynomial evaluation.
-The reference triangle has vertices (0,0), (1,0), (0,1).
+Basis polynomials are constructed once per (family, degree) in float64,
+as in FIAT: the inverse of a monomial Vandermonde matrix at the nodes
+(Lagrange) or of the dual matrix of the degrees of freedom (Raviart-
+Thomas), cached as monomial coefficient arrays.  The tests check the
+coefficients against an exact rational construction.  Tabulation is
+plain floating-point polynomial evaluation.  The reference triangle has
+vertices (0,0), (1,0), (0,1).
 
 Raviart-Thomas degrees of freedom are edge moments against shifted
 Legendre polynomials plus interior moments against [P_{k-2}]^2.  Shifted
@@ -15,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
-import sympy as sp
 
 MAX_EXACTNESS = 12
-
-_x, _y, _t = sp.symbols("x y t")
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +112,6 @@ def _check_inside_triangle(points: np.ndarray, tol: float = 1e-12) -> None:
 
 # reference triangle vertices and ccw edge parameterizations
 TRI_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_TRI_VERTICES_SYM = (
-    (sp.Integer(0), sp.Integer(0)),
-    (sp.Integer(1), sp.Integer(0)),
-    (sp.Integer(0), sp.Integer(1)),
-)
 
 
 def edge_points(local_edge: int, t: np.ndarray) -> np.ndarray:
@@ -130,12 +126,9 @@ def edge_points(local_edge: int, t: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _shifted_legendre_coeffs(degree: int) -> np.ndarray:
     """Coefficient matrix of shifted Legendre P~_0..P~_degree in powers of t."""
-    coeffs = np.zeros((degree + 1, degree + 1))
-    for j in range(degree + 1):
-        poly = sp.Poly(sp.legendre(j, 2 * _t - 1), _t)
-        for mono, c in zip(poly.monoms(), poly.coeffs()):
-            coeffs[mono[0], j] = float(c)
-    return coeffs
+    # t^m in P_j(2t - 1) has the integer coefficient (-1)^(j+m) C(j, m) C(j+m, m)
+    return np.array([[(-1) ** (j + m) * comb(j, m) * comb(j + m, m)
+                      for j in range(degree + 1)] for m in range(degree + 1)], dtype=float)
 
 
 def shifted_legendre(degree: int, t: np.ndarray) -> np.ndarray:
@@ -192,34 +185,14 @@ def _lagrange_nodes(degree: int) -> tuple[np.ndarray, int, int, int]:
     return np.asarray(nodes), 3, degree - 1, n_int
 
 
-def _lagrange_nodes_exact(degree: int):
-    from .mesh import EDGE_VERTICES
-
-    if degree == 0:
-        return [(sp.Rational(1, 3), sp.Rational(1, 3))]
-    verts = _TRI_VERTICES_SYM
-    nodes = list(verts)
-    for a, b in EDGE_VERTICES:
-        for m in range(1, degree):
-            t = sp.Rational(m, degree)
-            nodes.append((verts[a][0] * (1 - t) + verts[b][0] * t,
-                          verts[a][1] * (1 - t) + verts[b][1] * t))
-    for j in range(1, degree):
-        for i in range(1, degree - j):
-            nodes.append((sp.Rational(i, degree), sp.Rational(j, degree)))
-    return nodes
-
-
 @lru_cache(maxsize=None)
 def scalar_element(degree: int) -> ScalarElement:
     if not 0 <= degree <= 5:
         raise ValueError(f"unsupported Lagrange degree {degree}")
     nodes, nv, ne, ni = _lagrange_nodes(degree)
     exps = monomial_exponents(degree)
-    exact_nodes = _lagrange_nodes_exact(degree)
-    vand = sp.Matrix([[px**i * py**j for (i, j) in exps] for (px, py) in exact_nodes])
     # coeffs[a, i] with sum_a coeffs[a, i] * mono_a(node_n) = delta_{ni}
-    coeffs = np.array(vand.inv().tolist(), dtype=float)
+    coeffs = np.linalg.inv(_eval_monomials(exps, nodes))
     return ScalarElement(degree, nodes, coeffs, exps, nv, ne, ni)
 
 
@@ -264,21 +237,20 @@ class RTElement:
         return dx @ self.coeffs[:, :, 0] + dy @ self.coeffs[:, :, 1]
 
 
-def _rt_candidate_basis(k: int):
-    """Symbolic spanning set of [P_{k-1}]^2 + x~ * homogeneous P_{k-1}."""
-    cands = []
-    for i, j in monomial_exponents(k - 1):
-        cands.append((_x**i * _y**j, sp.Integer(0)))
-    for i, j in monomial_exponents(k - 1):
-        cands.append((sp.Integer(0), _x**i * _y**j))
+def _rt_candidates(k: int) -> np.ndarray:
+    """Spanning set of [P_{k-1}]^2 + x * homogeneous P_{k-1}, as
+    coefficients (n_mono(k), nd, 2) in the degree-k monomials."""
+    index = {e: a for a, e in enumerate(monomial_exponents(k))}
+    low = monomial_exponents(k - 1)
+    cands = np.zeros((len(index), k * (k + 2), 2))
+    for c, e in enumerate(low):
+        cands[index[e], c, 0] = 1.0
+        cands[index[e], len(low) + c, 1] = 1.0
     for i in range(k):
-        m = _x**i * _y ** (k - 1 - i)
-        cands.append((_x * m, _y * m))
+        c = 2 * len(low) + i
+        cands[index[(i + 1, k - 1 - i)], c, 0] = 1.0
+        cands[index[(i, k - i)], c, 1] = 1.0
     return cands
-
-
-def _tri_integral(expr):
-    return sp.integrate(sp.integrate(expr, (_x, 0, 1 - _y)), (_y, 0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -288,50 +260,31 @@ def rt_element(degree: int) -> RTElement:
     if not 1 <= degree <= 3:
         raise ValueError(f"unsupported Raviart-Thomas degree {degree}")
     k = degree
-    cands = _rt_candidate_basis(k)
-    nd = k * (k + 2)
-    assert len(cands) == nd
-
-    legendre = [sp.expand(sp.legendre(j, 2 * _t - 1)) for j in range(k)]
-    rows = []
-    # edge moments against shifted Legendre, ccw parameter, outward scaled normal
-    for a, b in EDGE_VERTICES:
-        (ax, ay), (bx, by) = _TRI_VERTICES_SYM[a], _TRI_VERTICES_SYM[b]
-        tx, ty = bx - ax, by - ay
-        nx, ny = ty, -tx  # rotate tangent by -90 degrees: outward for ccw cells
-        px, py = ax + _t * tx, ay + _t * ty
-        for j in range(k):
-            row = []
-            for vx, vy in cands:
-                vn = vx.subs({_x: px, _y: py}) * nx + vy.subs({_x: px, _y: py}) * ny
-                row.append(sp.integrate(sp.expand(vn * legendre[j]), (_t, 0, 1)))
-            rows.append(row)
-    # interior moments against [P_{k-2}]^2
-    interior_exps = monomial_exponents(k - 2) if k >= 2 else ()
-    for i, j in interior_exps:
-        for comp in (0, 1):
-            row = []
-            for vx, vy in cands:
-                v = vx if comp == 0 else vy
-                row.append(_tri_integral(v * _x**i * _y**j))
-            rows.append(row)
-
-    dual = sp.Matrix(rows)
-    alpha = dual.inv()  # basis_j = sum_c alpha[c, j] * cand_c
-
     exps = monomial_exponents(k)
-    index = {e: a for a, e in enumerate(exps)}
-    coeffs = np.zeros((len(exps), nd, 2))
-    for cidx, (vx, vy) in enumerate(cands):
-        for comp, v in enumerate((vx, vy)):
-            poly = sp.Poly(v, _x, _y)
-            if poly.is_zero:
-                continue
-            for mono, c in zip(poly.monoms(), poly.coeffs()):
-                a = index[mono]
-                for jdof in range(nd):
-                    coeffs[a, jdof, comp] += float(c) * float(alpha[cidx, jdof])
-    return RTElement(k, coeffs, exps)
+    cands = _rt_candidates(k)
+    nd = k * (k + 2)
+
+    # both rules are exact for the moment integrands (degree 2k-1 on
+    # edges, 2k-2 in the interior)
+    rows = []
+    edge = edge_quadrature(2 * k)
+    leg = shifted_legendre(k - 1, edge.points)
+    # edge moments against shifted Legendre, ccw parameter, outward scaled
+    # normal (the tangent rotated by -90 degrees)
+    for loc, (a, b) in enumerate(EDGE_VERTICES):
+        tx, ty = TRI_VERTICES[b] - TRI_VERTICES[a]
+        mono = _eval_monomials(exps, edge_points(loc, edge.points))
+        flux = np.einsum("qa,acd,d->qc", mono, cands, [ty, -tx])
+        rows.append(np.einsum("q,qj,qc->jc", edge.weights, leg, flux))
+    # interior moments against [P_{k-2}]^2
+    if k >= 2:
+        cell = triangle_quadrature(2 * k)
+        vals = np.einsum("qa,acd->qcd", _eval_monomials(exps, cell.points), cands)
+        test = _eval_monomials(monomial_exponents(k - 2), cell.points)
+        rows.append(np.einsum("q,qm,qcd->mdc", cell.weights, test, vals).reshape(-1, nd))
+
+    alpha = np.linalg.inv(np.concatenate(rows))  # basis_j = sum_c alpha[c, j] * cand_c
+    return RTElement(k, np.einsum("acd,cj->ajd", cands, alpha), exps)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +313,6 @@ class LineElement:
 def line_element(degree: int) -> LineElement:
     if not 0 <= degree <= 4:
         raise ValueError(f"unsupported trace degree {degree}")
-    if degree == 0:
-        exact = [sp.Rational(1, 2)]
-    else:
-        exact = [sp.Rational(m, degree) for m in range(degree + 1)]
-    vand = sp.Matrix([[t**a for a in range(degree + 1)] for t in exact])
-    coeffs = np.array(vand.inv().tolist(), dtype=float)
-    return LineElement(degree, np.array([float(t) for t in exact]), coeffs)
+    nodes = np.array([0.5]) if degree == 0 else np.arange(degree + 1) / degree
+    coeffs = np.linalg.inv(nodes[:, None] ** np.arange(degree + 1))
+    return LineElement(degree, nodes, coeffs)

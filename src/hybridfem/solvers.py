@@ -6,7 +6,8 @@ deterministic iteration reports are needed, and runs are serial.
 Sparse direct solves and dense factorizations are delegated to scipy.
 
 Convergence is declared on the true relative residual of the solved
-system; non-convergence is reported, not raised.
+system; non-convergence is reported, not raised, with the reason the
+iteration stopped.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class SolveReport:
     iterations: int
     residual: float  # final true relative residual
     converged: bool
+    reason: str = "converged"  # converged | maxiter | indefinite | breakdown
     setup_time: float = 0.0
     solve_time: float = 0.0
 
@@ -128,12 +130,14 @@ def krylov_solve(A: Operator, b: np.ndarray, cfg: KrylovConfig,
         raise ValueError("right-hand side does not match the operator")
     t0 = time.perf_counter()
     if cfg.method == "cg":
-        x, its, res = _cg(matvec, b, cfg, x0)
+        x, its, res, stop = _cg(matvec, b, cfg, x0)
     else:
-        x, its, res = _fgmres(matvec, b, cfg, x0)
+        x, its, res, stop = _fgmres(matvec, b, cfg, x0)
     dt = time.perf_counter() - t0
     tol = max(cfg.rtol, cfg.atol / max(np.linalg.norm(b), 1e-300))
-    report = SolveReport(cfg.method, its, res, res <= tol, solve_time=dt)
+    converged = bool(res <= tol)
+    report = SolveReport(cfg.method, its, res, converged,
+                         "converged" if converged else stop, solve_time=dt)
     return x, report
 
 
@@ -142,55 +146,59 @@ def _true_relres(matvec, b, x, bnorm):
 
 
 def _cg(matvec, b, cfg, x0):
+    """Preconditioned CG; returns (x, iterations, residual, stop reason)."""
     n = len(b)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     M = cfg.preconditioner or (lambda v: v)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
+        return np.zeros(n), 0, 0.0, "converged"
     r = b - matvec(x)
     z = M(r)
     p = z.copy()
     rz = r @ z
     res = np.linalg.norm(r) / bnorm
     if res <= cfg.rtol:
-        return x, 0, res
+        return x, 0, res, "converged"
     for it in range(1, cfg.maxiter + 1):
         Ap = matvec(p)
         denom = p @ Ap
         if denom <= 0.0:
             # loss of positive definiteness; report current state
-            return x, it - 1, res
+            return x, it - 1, res, "indefinite"
         alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
         res = np.linalg.norm(r) / bnorm
         if res <= cfg.rtol:
-            return x, it, res
+            return x, it, res, "converged"
         z = M(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, cfg.maxiter, res
+    return x, cfg.maxiter, res, "maxiter"
 
 
 def _fgmres(matvec, b, cfg, x0):
     """Right-preconditioned flexible GMRES with restarts.
 
     The monitored residual is the true residual of the original system,
-    so convergence reports need no un-preconditioning.
+    so convergence reports need no un-preconditioning.  A breakdown (no
+    new Krylov direction) ends the iteration after its least-squares
+    update; returns (x, iterations, residual, stop reason).
     """
     n = len(b)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     M = cfg.preconditioner or (lambda v: v)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
+        return np.zeros(n), 0, 0.0, "converged"
     total_its = 0
     res = _true_relres(matvec, b, x, bnorm)
     if res <= cfg.rtol:
-        return x, 0, res
+        return x, 0, res, "converged"
     m = cfg.restart
+    breakdown = False
     while total_its < cfg.maxiter:
         r = b - matvec(x)
         beta = np.linalg.norm(r)
@@ -212,7 +220,8 @@ def _fgmres(matvec, b, cfg, x0):
                 H[i, j] = w @ V[i]
                 w -= H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] > 1e-14 * beta:
+            breakdown = H[j + 1, j] <= 1e-14 * beta
+            if not breakdown:
                 V[j + 1] = w / H[j + 1, j]
             # apply stored Givens rotations, then a new one
             for i in range(j):
@@ -220,6 +229,11 @@ def _fgmres(matvec, b, cfg, x0):
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
                 H[i, j] = h0
             denom = np.hypot(H[j, j], H[j + 1, j])
+            if denom <= 1e-14 * np.linalg.norm(H[: j + 2, j]):
+                # A Z[j] lies in the span of the earlier directions: drop it
+                breakdown = True
+                j -= 1
+                break
             cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
             H[j, j] = denom
             H[j + 1, j] = 0.0
@@ -227,16 +241,17 @@ def _fgmres(matvec, b, cfg, x0):
             g[j] = cs[j] * g[j]
             total_its += 1
             res_est = abs(g[j + 1]) / bnorm
-            if res_est <= cfg.rtol:
+            if res_est <= cfg.rtol or breakdown:
                 break
-        if j < 0:
+        if j >= 0:
+            y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1])
+            x = x + Z[: j + 1].T @ y
+            res = _true_relres(matvec, b, x, bnorm)
+        if res <= cfg.rtol or breakdown or j < 0:
             break
-        y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1])
-        x = x + Z[: j + 1].T @ y
-        res = _true_relres(matvec, b, x, bnorm)
-        if res <= cfg.rtol or total_its >= cfg.maxiter:
-            break
-    return x, total_its, res
+    if res <= cfg.rtol:
+        return x, total_its, res, "converged"
+    return x, total_its, res, "breakdown" if breakdown else "maxiter"
 
 
 # ---------------------------------------------------------------------------

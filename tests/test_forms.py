@@ -17,6 +17,7 @@ from hybridfem import (
     create_space,
     mark_boundary,
 )
+from hybridfem import forms
 from hybridfem.forms import (
     CELL,
     EXTERIOR,
@@ -224,10 +225,10 @@ def test_term_validation():
 
 
 def _general_meshes():
-    jittered = build_jittered_square(3, 0.2, seed=5)
+    jittered = build_jittered_square(4, 0.2, seed=5)
     left_neumann = mark_boundary(
         jittered, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
-    return {"structured": build_unit_square(3), "jittered": jittered,
+    return {"structured": build_unit_square(4), "jittered": jittered,
             "jittered-neumann-left": left_neumann}
 
 
@@ -253,7 +254,7 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
     and agrees with the single-cell quadrature oracle on every cell."""
     mesh = _general_meshes()[mesh_name]
     if mesh_name == "jittered-neumann-left":
-        assert len(mesh.facets_with_label(NEUMANN)) == 3
+        assert len(mesh.facets_with_label(NEUMANN)) == 4
     for name, form in _operators(mesh):
         assert all(_is_reference_form(t, form) for t in form.terms), name
         batched = assemble_form(form)
@@ -261,6 +262,27 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
             local = assemble_local(form, c)
             err = np.abs(batched[c] - local).max() / np.abs(local).max()
             assert err <= 1e-12, (name, c, err)
+
+
+def test_full_cell_scatter_is_bit_identical_to_indexed_scatter(monkeypatch):
+    """Terms over every cell add their blocks through a basic slice; the
+    element tensors equal those of a fancy-indexed gather and scatter."""
+    mesh = mark_boundary(build_jittered_square(4, 0.2, seed=5),
+                         lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
+    prob = manufactured("expsin")
+    systems = [hybridized_mixed_system(mesh, prob, 2), ldgh_system(mesh, prob, 1),
+               primal_cg_system(mesh, prob, 2)]
+    forms_ = [f for s in systems for f in (s.a, s.rhs)]
+    sliced = [assemble_form(f) for f in forms_]
+
+    def indexed_scatter(out, local, cells, ti, tj, t_off, u_off):
+        r0, r1 = (t_off[ti], t_off[ti + 1]) if ti >= 0 else (0, 1)
+        c0, c1 = (u_off[tj], u_off[tj + 1]) if tj >= 0 else (0, 1)
+        out[cells, r0:r1, c0:c1] += local
+
+    monkeypatch.setattr(forms, "_scatter_block", indexed_scatter)
+    for f, expected in zip(forms_, sliced):
+        np.testing.assert_array_equal(assemble_form(f), expected)
 
 
 def test_nonconstant_degree_zero_field_takes_quadrature_path():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import exact_oracle
 from hybridfem import DIRICHLET, NEUMANN, build_unit_square, mark_boundary
 from hybridfem.problems import (
     cg_boundary_dofs,
@@ -28,6 +29,19 @@ def test_forcing_consistent_with_solution(name):
     ) / h**2
     f_fd = -lap + prob.p(x, y)
     np.testing.assert_allclose(prob.f(x, y), f_fd, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["sinsin", "expsin"])
+def test_closed_form_fields_match_symbolic_derivation(name):
+    prob = manufactured(name)
+    exact = exact_oracle.manufactured_fields(name)
+    rng = np.random.default_rng(4)
+    x, y = rng.random(1000), rng.random(1000)
+    fields = {"p": prob.p, "u": prob.u, "div_u": prob.div_u, "f": prob.f, "p0": prob.p0}
+    for key, fn in fields.items():
+        got, want = fn(x, y), exact[key](x, y)
+        assert got.shape == want.shape, key
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), key
 
 
 def test_sinsin_forcing_closed_form():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import exact_oracle
 from hybridfem import quadrature
 from hybridfem.reference import (
+    _shifted_legendre_coeffs,
     edge_points,
     edge_quadrature,
     line_element,
@@ -13,6 +15,32 @@ from hybridfem.reference import (
     shifted_legendre,
     triangle_quadrature,
 )
+
+
+def assert_relative(actual, exact, rtol):
+    assert actual.shape == exact.shape
+    assert np.abs(actual - exact).max() <= rtol * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_scalar_element_matches_exact_oracle(degree):
+    assert_relative(scalar_element(degree).coeffs, exact_oracle.scalar_coeffs(degree), 1e-13)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_line_element_matches_exact_oracle(degree):
+    assert_relative(line_element(degree).coeffs, exact_oracle.line_coeffs(degree), 1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rt_element_matches_exact_oracle(k):
+    assert_relative(rt_element(k).coeffs, exact_oracle.rt_coeffs(k), 1e-13)
+
+
+def test_shifted_legendre_coefficients_are_exact():
+    for degree in range(6):
+        np.testing.assert_array_equal(_shifted_legendre_coeffs(degree),
+                                      exact_oracle.shifted_legendre_coeffs(degree))
 
 
 def exact_triangle_monomial(a: int, b: int) -> float:

@@ -51,7 +51,7 @@ def test_identity_converges_in_one_iteration(method):
     b = np.arange(1.0, 6.0)
     x, rep = krylov_solve(sp.eye(5).tocsr(), b, KrylovConfig(method=method))
     np.testing.assert_allclose(x, b, atol=1e-12)
-    assert rep.converged
+    assert rep.converged and rep.reason == "converged"
     assert rep.iterations == 1
 
 
@@ -106,7 +106,28 @@ def test_nonconvergence_reported_not_raised():
     b = np.ones(50)
     x, rep = krylov_solve(A, b, KrylovConfig(method="cg", rtol=1e-14, maxiter=2))
     assert not rep.converged
+    assert rep.reason == "maxiter"
     assert rep.iterations == 2
+
+
+def test_cg_reports_indefinite_operator():
+    A = sp.diags([1.0, -2.0, 3.0]).tocsr()
+    x, rep = krylov_solve(A, np.ones(3), KrylovConfig(method="cg"))
+    assert rep.reason == "indefinite"
+    assert rep.converged is False
+    assert rep.csv_row().keys() == {"method", "iterations", "residual", "converged"}
+
+
+@pytest.mark.parametrize("method", ["gmres", "fgmres"])
+def test_gmres_reports_breakdown_on_singular_operator(method):
+    """b has a component outside the range of A: the Krylov space becomes
+    invariant before the residual reaches the tolerance."""
+    A = sp.diags([1.0, 2.0, 0.0, 3.0]).tocsr()
+    x, rep = krylov_solve(A, np.ones(4), KrylovConfig(method=method))
+    assert rep.reason == "breakdown"
+    assert rep.converged is False
+    np.testing.assert_allclose(x[[0, 1, 3]], [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
+    assert abs(rep.residual - 0.5) < 1e-12
 
 
 def test_gmres_restart_on_nonsymmetric():

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hybridfem
 from hybridfem import DG, build_unit_square, create_space, expressions, interpolate
 from hybridfem.problems import manufactured
 from hybridfem.study import (
@@ -12,6 +17,22 @@ from hybridfem.study import (
     solve_hybridizable,
     write_csv,
 )
+
+
+def test_runtime_loads_no_sympy():
+    """sympy is a test dependency only: importing the library and running
+    a convergence study must not load it."""
+    code = ("import sys\n"
+            "import hybridfem\n"
+            "from hybridfem.study import StudySpec, run_convergence\n"
+            "run_convergence(StudySpec(sizes=(2, 4)))\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hybridfem.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spec_validation():
