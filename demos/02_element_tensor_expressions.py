@@ -2,15 +2,15 @@
 
 Element tensors of finite element forms are composed with dense linear
 algebra (add, multiply, invert, solve, transpose, block extraction) and
-compiled into a per-cell kernel plan.  The compiled plan deduplicates
-common subexpressions; a naive recursive evaluator provides the
-reference semantics.
+compiled into a kernel plan that is evaluated for all cells at once.
+The compiled plan deduplicates common subexpressions; a naive recursive
+evaluator provides the reference semantics.
 """
 
 import numpy as np
 
 from hybridfem import DG, RT, Trace, MixedSpace, break_space, build_unit_square, create_space
-from hybridfem.expressions import Tensor, compile_expr, evaluate_cell, naive_evaluate
+from hybridfem.expressions import Tensor, compile_expr, evaluate_all, naive_evaluate
 from hybridfem.forms import CELL, INTERIOR, FormIR, IntegralTerm, div, dot, jump, test, trial
 
 mesh = build_unit_square(2)
@@ -41,15 +41,15 @@ print(plan.describe())
 n_inverts = sum(1 for k in plan.kernels if k.op == "inverse")
 print(f"\ninverse kernels in the plan: {n_inverts} (subexpressions shared)")
 
-# compiled evaluation agrees with naive recursion
+# batched evaluation (leading axis: cell) agrees with naive recursion
+S_all = evaluate_all(plan)
 for c in (0, 3, 7):
-    got = evaluate_cell(plan, c)
     want = naive_evaluate(S, c)
-    print(f"cell {c}: compiled vs naive max diff = {np.abs(got - want).max():.2e}")
+    print(f"cell {c}: compiled vs naive max diff = {np.abs(S_all[c] - want).max():.2e}")
 
 # algebraic identities hold cell-wise
 Aee = A.blocks[:2, :2]
 ident = Aee.inv * Aee
-val = evaluate_cell(compile_expr(ident), 0)
+val = evaluate_all(compile_expr(ident))[0]
 print(f"\nA_ee^-1 A_ee deviation from identity (cell 0): "
       f"{np.abs(val - np.eye(val.shape[0])).max():.2e}")

@@ -44,14 +44,12 @@ from .expressions import (
     assemble_global,
     compile_expr,
     evaluate_all,
-    evaluate_cell,
     naive_evaluate,
 )
 from .solvers import (
     KrylovConfig,
     SolveReport,
     apply_bcs,
-    dense_factor_solve,
     krylov_solve,
     sparse_direct_solve,
 )
@@ -63,7 +61,7 @@ from .condensation import (
     scpc_setup,
 )
 from .postprocess import flux_pp, scalar_pp
-from .problems import manufactured
+from .problems import hybridize, manufactured
 from .study import StudySpec, l2_error, run_convergence, run_solver_compare
 
 __all__ = [

@@ -15,9 +15,10 @@ Two composable solver building blocks:
   against the stored local values, with no re-assembly.
 
 * :func:`hybridization_setup` / :func:`hybridization_apply` — takes a
-  conforming H(div) x L2 mixed system, rebuilds it on the broken flux
-  space augmented with facet multipliers enforcing normal continuity,
-  and wraps the static condensation path with the conforming/broken
+  conforming H(div) x L2 mixed form, hybridizes it with
+  :func:`~hybridfem.problems.hybridize` (broken flux space, facet
+  multipliers enforcing normal continuity), condenses the result, and
+  wraps the static condensation path with the conforming/broken
   residual transfer and the facet-averaging projection back to H(div).
 
 Both applications report per-stage timings (condensation, forward
@@ -39,26 +40,15 @@ from .expressions import (
     assemble_global,
     constrain_matrix,
 )
-from .forms import (
-    EXTERIOR,
-    INTERIOR,
-    FormIR,
-    IntegralTerm,
-    dot,
-    jump,
-    test,
-    trial,
-)
-from .mesh import DIRICHLET, NEUMANN
-from .solvers import KrylovConfig, SolveReport, krylov_solve
+from .forms import FormIR
+from .mesh import NEUMANN
+from .problems import HybridizableSystem, hybridize
+from .solvers import KrylovConfig, SolveReport, krylov_solve, lift_bcs
 from .spaces import (
     BrokenTransfer,
     Function,
     MixedSpace,
-    Trace,
-    break_space,
     broken_transfer,
-    create_space,
     project_div,
     transfer_residual,
 )
@@ -170,14 +160,10 @@ def scpc_setup(a: FormIR, split: FieldSplit,
 
 def _condensed_rhs(cs: CondensedSystem, E: np.ndarray,
                    homogeneous: bool) -> np.ndarray:
-    values = np.zeros_like(cs.bc_values) if homogeneous else cs.bc_values
     if len(cs.bc_dofs) == 0:
         return E
-    lift = np.zeros(len(E))
-    lift[cs.bc_dofs] = values
-    out = E - cs.S_raw @ lift
-    out[cs.bc_dofs] = values
-    return out
+    values = np.zeros_like(cs.bc_values) if homogeneous else cs.bc_values
+    return lift_bcs(cs.S_raw, E, cs.bc_dofs, values)
 
 
 def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
@@ -232,55 +218,31 @@ def _as_multifield_vector(fields, vec):
 @dataclass
 class HybridizedMixed:
     conforming: MixedSpace           # (RT conforming, DG)
-    hybrid: MixedSpace               # (broken RT, DG, Trace)
+    system: HybridizableSystem       # (broken RT, DG, Trace), from hybridize
     transfer: BrokenTransfer
     cs: CondensedSystem
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
 
 
-def hybridization_setup(a_mixed: FormIR, neumann_flux=None) -> HybridizedMixed:
-    """Hybridize a conforming H(div) x L2 bilinear form.
+def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
+                        neumann_flux=None) -> HybridizedMixed:
+    """Hybridize a conforming H(div) x L2 bilinear form and condense it.
 
-    The flux space is broken, trace multipliers of matching degree are
-    introduced on the facets, and jump couplings enforce normal
-    continuity on interior facets and the flux condition on Neumann
-    facets.  ``neumann_flux`` is an optional vector callable giving the
-    exact flux on the Neumann boundary; its surface integrals against
-    the trace tests form the transmission right-hand side used in
-    full-solve mode.
+    :func:`~hybridfem.problems.hybridize` builds the three-field system
+    from the arguments; its trace field is condensed with the Dirichlet
+    trace constraints.  With ``neumann_flux`` (the exact flux on the
+    Neumann boundary) the trace block of the system's right-hand side is
+    kept as the transmission data used in full-solve mode.
     """
-    fields = a_mixed.test_fields
-    if (a_mixed.rank != 2 or len(fields) != 2
-            or fields[0].family.kind != "RT" or fields[0].broken
-            or fields[1].family.kind != "DG"):
-        raise ValueError(
-            "hybridization expects a conforming RT x DG bilinear form")
-    U, P = fields
-    mesh = U.mesh
-    Ud = break_space(U)
-    bt = broken_transfer(U, Ud)
-    M = create_space(mesh, Trace(U.family.degree - 1))
-    W = MixedSpace((Ud, P, M))
-
-    terms = [IntegralTerm(t.domain, t.integrand, t.label) for t in a_mixed.terms]
-    for dom, label in ((INTERIOR, None), (EXTERIOR, NEUMANN)):
-        terms.append(IntegralTerm(dom, dot(jump(test(0)), trial(2)), label))
-        terms.append(IntegralTerm(dom, -dot(test(2), jump(trial(0))), label))
-    a_hat = FormIR(W, W, terms)
-
-    bcs = [(int(d), 0.0) for d in
-           np.sort(M.facet_dofs[mesh.facets_with_label(DIRICHLET)].ravel())]
-    cs = scpc_setup(a_hat, FieldSplit((0, 1), (2,)), bcs)
-
-    trace_data = np.zeros(M.ndof_global)
-    if neumann_flux is not None and len(mesh.facets_with_label(NEUMANN)):
-        from .forms import Normal, vfld
-
-        data_form = FormIR(M, None, [IntegralTerm(
-            EXTERIOR, -dot(test(), dot(vfld(neumann_flux), Normal())), NEUMANN
-        )])
-        trace_data = assemble_global(Tensor(data_form))
-    return HybridizedMixed(MixedSpace((U, P)), W, bt, cs, trace_data)
+    hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
+    U = a_mixed.test_fields[0]
+    bt = broken_transfer(U, hs.flux_space)
+    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    trace_data = np.zeros(hs.trace_space.ndof_global)
+    if neumann_flux is not None and len(U.mesh.facets_with_label(NEUMANN)):
+        trace_data = hs.space.split(assemble_global(Tensor(hs.rhs)))[2]
+    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs, bt, cs,
+                           trace_data)
 
 
 def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,
@@ -296,7 +258,7 @@ def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,
     the stored trace constraint values, turning the application into a
     full solve from the problem's natural right-hand side.
     """
-    Wc, W = hm.conforming, hm.hybrid
+    Wc, W = hm.conforming, hm.system.space
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (Wc.ndof_global,):
         raise ValueError("residual does not match the conforming mixed space")

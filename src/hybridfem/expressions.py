@@ -4,8 +4,8 @@ Expressions compose terminal tensors (forms and coefficient vectors)
 with dense linear algebra: addition, contraction, negation, transpose,
 inverse, factorized solve, and sub-block extraction.  :func:`compile_expr`
 lowers an expression to an :class:`ExecPlan`, a deduplicated kernel
-sequence over virtual registers that is evaluated per cell (or for all
-cells at once, batched over the leading cell axis).  A deliberately
+sequence over virtual registers that :func:`evaluate_all` runs for all
+cells at once, batched over the leading cell axis.  A deliberately
 naive recursive evaluator, :func:`naive_evaluate`, serves as the
 semantics oracle for the compiled plans.
 
@@ -536,48 +536,6 @@ def _min_relative_pivot(a: np.ndarray) -> float:
     return float(diag.min() / scale)
 
 
-def evaluate_cell(plan: ExecPlan, cell: int) -> np.ndarray:
-    """Evaluate the plan on one cell using pivot-checked dense kernels."""
-    regs: dict[int, np.ndarray] = {}
-    for k in plan.kernels:
-        if k.op == "assemble":
-            regs[k.out] = assemble_local(k.payload.form, cell)
-        elif k.op == "gather":
-            regs[k.out] = k.payload.cell_gather()[cell]
-        elif k.op == "add":
-            regs[k.out] = regs[k.ins[0]] + regs[k.ins[1]]
-        elif k.op == "neg":
-            regs[k.out] = -regs[k.ins[0]]
-        elif k.op == "transpose":
-            regs[k.out] = regs[k.ins[0]].T
-        elif k.op == "mul":
-            regs[k.out] = regs[k.ins[0]] @ regs[k.ins[1]]
-        elif k.op == "inverse":
-            a = regs[k.ins[0]]
-            if _min_relative_pivot(a) < PIVOT_RTOL:
-                raise RuntimeError(f"singular local tensor in cell {cell}")
-            regs[k.out] = np.linalg.inv(a)
-        elif k.op == "solve":
-            a, b = regs[k.ins[0]], regs[k.ins[1]]
-            if k.payload == "cholesky":
-                _check_symmetric(a)
-                try:
-                    cho = scipy.linalg.cho_factor(a)
-                except scipy.linalg.LinAlgError:
-                    raise RuntimeError(
-                        f"cholesky breakdown in local solve (cell {cell})") from None
-                regs[k.out] = scipy.linalg.cho_solve(cho, b)
-            else:
-                if _min_relative_pivot(a) < PIVOT_RTOL:
-                    raise RuntimeError(f"singular local system in cell {cell}")
-                regs[k.out] = np.linalg.solve(a, b)
-        elif k.op == "blocks":
-            regs[k.out] = regs[k.ins[0]][k.payload[1]]
-        else:
-            raise AssertionError(k.op)
-    return regs[plan.output]
-
-
 def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:
     """Recursive tree-walking evaluation; the oracle for compiled plans."""
     if isinstance(expr, Tensor):
@@ -611,13 +569,8 @@ def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:
 # global assembly
 
 
-def assemble_global(expr: TensorExpr, bcs=None):
-    """Gather per-cell expression values into a CSR matrix or vector.
-
-    ``bcs`` is a list of (dof, value) pairs on the row space: constrained
-    matrix rows and columns are zeroed with a unit diagonal; constrained
-    vector entries are overwritten with the boundary value.
-    """
+def assemble_global(expr: TensorExpr):
+    """Gather per-cell expression values into a CSR matrix or vector."""
     plan = compile_expr(expr)
     vals = evaluate_all(plan)
     if expr.rank == 2:
@@ -631,17 +584,12 @@ def assemble_global(expr: TensorExpr, bcs=None):
         A = sp.coo_matrix((vals.ravel(), (i, j)), shape=(nrow, ncol)).tocsr()
         A.sum_duplicates()
         A.sort_indices()
-        if bcs:
-            A = constrain_matrix(A, np.asarray([d for d, _ in bcs], dtype=int))
         return A
     if expr.rank == 1:
         rows = _global_maps(expr.axes[0])
         n = sum(s.ndof_global for s in expr.axes[0])
         out = np.zeros(n)
         np.add.at(out, rows.ravel(), vals.ravel())
-        if bcs:
-            for d, v in bcs:
-                out[d] = v
         return out
     raise ValueError("global assembly requires a rank-1 or rank-2 expression")
 

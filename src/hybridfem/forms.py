@@ -818,9 +818,18 @@ def _local_term(term, form, ctx, cell_pos: int) -> np.ndarray:
     Point values are uniformly shaped (nt, ntr, ncomp) with extent-1
     axes where a role or the component is absent.
     """
+    tab: dict = {}
+
+    def basis(space, deriv):
+        # ctx.basis tabulates the whole rule: once per context, not per point
+        key = (id(space), deriv)
+        if key not in tab:
+            tab[key] = ctx.basis(space, deriv)
+        return tab[key]
+
     acc = None
     for q in range(ctx.nq):
-        val = _eval_point(term.integrand, ctx, form, cell_pos, q)
+        val = _eval_point(term.integrand, ctx, basis, form, cell_pos, q)
         if val.shape[-1] != 1:
             raise ValueError("integrand must be scalar-valued")
         contrib = ctx.rule.weights[q] * val[:, :, 0]
@@ -828,16 +837,16 @@ def _local_term(term, form, ctx, cell_pos: int) -> np.ndarray:
     return acc
 
 
-def _eval_point(node, ctx, form, c, q) -> np.ndarray:
+def _eval_point(node, ctx, basis, form, c, q) -> np.ndarray:
     if isinstance(node, Arg):
         fields = form.test_fields if node.role == "test" else form.trial_fields
-        vals, is_vec = ctx.basis(fields[node.field], node.deriv)
+        vals, is_vec = basis(fields[node.field], node.deriv)
         v = vals[c if vals.shape[0] > 1 else 0, q]  # (nd,) or (nd, 2)
         if not is_vec:
             v = v[:, None]
         return v[:, None, :] if node.role == "test" else v[None, :, :]
     if isinstance(node, Coef):
-        vals, is_vec = ctx.basis(node.fn.space, "value")
+        vals, is_vec = basis(node.fn.space, "value")
         v = vals[c if vals.shape[0] > 1 else 0, q]
         local = ctx.local_coeffs(node.fn)[c]
         out = np.tensordot(local, v, axes=(0, 0))  # scalar or (2,)
@@ -853,15 +862,15 @@ def _eval_point(node, ctx, form, c, q) -> np.ndarray:
     if isinstance(node, Normal):
         return ctx.normal()[c][None, None, :]
     if isinstance(node, Dot):
-        a = _eval_point(node.a, ctx, form, c, q)
-        b = _eval_point(node.b, ctx, form, c, q)
+        a = _eval_point(node.a, ctx, basis, form, c, q)
+        b = _eval_point(node.b, ctx, basis, form, c, q)
         if a.shape[-1] != b.shape[-1]:
             raise ValueError("dot requires operands of equal rank")
         return (a * b).sum(axis=-1, keepdims=True)
     if isinstance(node, Sum):
-        a = _eval_point(node.a, ctx, form, c, q)
-        b = _eval_point(node.b, ctx, form, c, q)
+        a = _eval_point(node.a, ctx, basis, form, c, q)
+        b = _eval_point(node.b, ctx, basis, form, c, q)
         return a + b
     if isinstance(node, Scale):
-        return node.c * _eval_point(node.x, ctx, form, c, q)
+        return node.c * _eval_point(node.x, ctx, basis, form, c, q)
     raise TypeError(f"unknown integrand node {node!r}")

@@ -10,7 +10,10 @@ against symbolic differentiation.
 
 Form builders return the three-field hybridizable systems (hybridized
 mixed and LDG-H), the conforming two-field mixed system, and the primal
-continuous Galerkin system.
+continuous Galerkin system.  :func:`hybridize` is the one transform from
+a conforming RT x DG form to its hybridized three-field form; the
+hybridized mixed system is that transform applied to the conforming
+system, and the hybridization preconditioner builds on it too.
 """
 
 from __future__ import annotations
@@ -175,37 +178,50 @@ class HybridizableSystem:
         return self.space.fields[2]
 
 
-def _facet_coupling_terms():
-    """Jump couplings of the flux/trace pair on non-Dirichlet facets."""
-    terms = []
+def hybridize(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
+              neumann_flux=None) -> HybridizableSystem:
+    """Hybridize a conforming RT(k) x DG(k-1) mixed form.
+
+    The flux space is broken and Trace(k-1) multipliers are added on the
+    facets.  Jump couplings enforce normal continuity on interior facets
+    and the flux condition on Neumann facets; the traces on Dirichlet
+    facets are constrained to zero.  The right-hand side holds the terms
+    of ``rhs_mixed`` (if given) and, for a vector callable
+    ``neumann_flux`` giving the exact flux, its normal component against
+    the trace tests on the Neumann facets.
+    """
+    fields = a_mixed.test_fields
+    if (a_mixed.rank != 2 or len(fields) != 2
+            or fields[0].family.kind != "RT" or fields[0].broken
+            or fields[1].family.kind != "DG"):
+        raise ValueError(
+            "hybridization expects a conforming RT x DG bilinear form")
+    U, P = fields
+    mesh = U.mesh
+    M = create_space(mesh, Trace(U.family.degree - 1))
+    W = MixedSpace((break_space(U), P, M))
+    terms = list(a_mixed.terms)
     for dom, label in [(INTERIOR, None), (EXTERIOR, NEUMANN)]:
         terms.append(IntegralTerm(dom, dot(jump(test(0)), trial(2)), label))
         terms.append(IntegralTerm(dom, -dot(test(2), jump(trial(0))), label))
-    return terms
+    rhs_terms = list(rhs_mixed.terms) if rhs_mixed is not None else []
+    if neumann_flux is not None:
+        flux = dot(vfld(neumann_flux, FIELD_DEGREE), Normal())
+        rhs_terms.append(
+            IntegralTerm(EXTERIOR, -dot(test(2), flux), NEUMANN))
+    bcs = [(int(d), 0.0) for d in
+           np.sort(M.facet_dofs[mesh.facets_with_label(DIRICHLET)].ravel())]
+    return HybridizableSystem("mixed-hybrid", U.family.degree, W,
+                              FormIR(W, W, terms), FormIR(W, None, rhs_terms),
+                              bcs)
 
 
 def hybridized_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
                             degree: int) -> HybridizableSystem:
-    """Hybridized RT(k) x DG(k-1) x Trace(k-1) system."""
-    U = break_space(create_space(mesh, RT(degree)))
-    P = create_space(mesh, DG(degree - 1))
-    M = create_space(mesh, Trace(degree - 1))
-    W = MixedSpace((U, P, M))
-    a = FormIR(W, W, [
-        IntegralTerm(CELL, dot(fld(prob.mu), dot(test(0), trial(0)))),
-        IntegralTerm(CELL, -dot(div(test(0)), trial(1))),
-        IntegralTerm(CELL, dot(test(1), div(trial(0)))),
-        IntegralTerm(CELL, dot(fld(prob.c), dot(test(1), trial(1)))),
-        *_facet_coupling_terms(),
-    ])
-    rhs = FormIR(W, None, [
-        IntegralTerm(CELL, dot(test(1), fld(prob.f))),
-        IntegralTerm(EXTERIOR, -dot(jump(test(0)), fld(prob.p0)), DIRICHLET),
-        IntegralTerm(EXTERIOR, -dot(test(2), prob.flux_expr()), NEUMANN),
-    ])
-    bcs = [(int(d), 0.0) for d in
-           np.sort(M.facet_dofs[mesh.facets_with_label(DIRICHLET)].ravel())]
-    return HybridizableSystem("mixed-hybrid", degree, W, a, rhs, bcs)
+    """Hybridized RT(k) x DG(k-1) x Trace(k-1) system: the conforming
+    mixed system with its exact flux as Neumann data, hybridized."""
+    ms = conforming_mixed_system(mesh, prob, degree)
+    return hybridize(ms.a, ms.rhs, prob.u)
 
 
 def ldgh_system(mesh: Mesh, prob: ManufacturedProblem, degree: int,
@@ -256,16 +272,6 @@ def ldgh_system(mesh: Mesh, prob: ManufacturedProblem, degree: int,
                 bcs.append((int(d), float(vals[row, j])))
     bcs.sort()
     return HybridizableSystem("ldgh", degree, W, a, rhs, bcs, tau=tau)
-
-
-def model_problem_forms(mesh: Mesh, prob: ManufacturedProblem, method: str,
-                        degree: int, tau: float = 1.0) -> HybridizableSystem:
-    """Three-field operator and right-hand side for the chosen method."""
-    if method == "mixed-hybrid":
-        return hybridized_mixed_system(mesh, prob, degree)
-    if method == "ldgh":
-        return ldgh_system(mesh, prob, degree, tau)
-    raise ValueError(f"unsupported method {method!r}")
 
 
 @dataclass

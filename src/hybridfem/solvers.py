@@ -1,9 +1,9 @@
-"""Dense factorizations and global Krylov solvers.
+"""Global Krylov solvers, the sparse direct oracle and boundary conditions.
 
 CG, GMRES, and flexible GMRES are implemented here directly: flexible
 preconditioning (inner Krylov solves inside the preconditioner) and
 deterministic iteration reports are needed, and runs are serial.
-Sparse direct solves and dense factorizations are delegated to scipy.
+Sparse direct solves are delegated to scipy.
 
 Convergence is declared on the true relative residual of the solved
 system; non-convergence is reported, not raised, with the reason the
@@ -13,37 +13,15 @@ iteration stopped.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .expressions import PIVOT_RTOL, constrain_matrix
-
-Operator = Union[sp.spmatrix, np.ndarray, "LinearOperator"]
-
-
-class LinearOperator:
-    """Minimal matrix-free operator: a shape and a matvec."""
-
-    def __init__(self, shape: tuple[int, int], matvec: Callable[[np.ndarray], np.ndarray]):
-        self.shape = shape
-        self._matvec = matvec
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._matvec(x)
-
-
-def _as_matvec(A: Operator) -> tuple[Callable, tuple[int, int]]:
-    if isinstance(A, LinearOperator):
-        return A._matvec, A.shape
-    if sp.issparse(A) or isinstance(A, np.ndarray):
-        return (lambda x: A @ x), A.shape
-    raise TypeError(f"unsupported operator type {type(A)!r}")
+from .expressions import constrain_matrix
 
 
 @dataclass
@@ -84,49 +62,20 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# dense factorized solves
-
-
-def dense_factor_solve(A: np.ndarray, B: np.ndarray, kind: str = "lu") -> np.ndarray:
-    """Solve A X = B by LU or Cholesky with an explicit pivot guard."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("dense solve requires a square matrix")
-    if kind == "cholesky":
-        scale = np.abs(A).max()
-        if scale and np.abs(A - A.T).max() > 1e-10 * scale:
-            raise ValueError("cholesky requires a symmetric matrix")
-        try:
-            c = scipy.linalg.cho_factor(A)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"cholesky factorization failed: {exc}") from None
-        return scipy.linalg.cho_solve(c, B)
-    if kind != "lu":
-        raise ValueError(f"unknown factorization kind {kind!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * max(np.abs(A).max(), 1e-300):
-        raise RuntimeError("pivot breakdown: matrix is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), B)
-
-
-# ---------------------------------------------------------------------------
 # Krylov methods
 
 
-def krylov_solve(A: Operator, b: np.ndarray, cfg: KrylovConfig,
+def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
                  x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Iterate to a true relative residual below ``cfg.rtol``.
 
-    Returns the approximate solution together with a report;
-    non-convergence is recorded in the report rather than raised.
+    ``A`` is any operator with a ``shape`` and ``A @ x`` (a sparse or
+    dense matrix).  Returns the approximate solution together with a
+    report; non-convergence is recorded in the report rather than raised.
     """
-    matvec, shape = _as_matvec(A)
+    matvec = lambda x: A @ x
     b = np.asarray(b, dtype=float)
-    if b.shape != (shape[0],):
+    if b.shape != (A.shape[0],):
         raise ValueError("right-hand side does not match the operator")
     t0 = time.perf_counter()
     if cfg.method == "cg":
@@ -285,12 +234,18 @@ def apply_bcs(A: sp.spmatrix, b: np.ndarray, bcs) -> tuple[sp.csr_matrix, np.nda
         return A.tocsr(), np.asarray(b, dtype=float).copy()
     dofs = np.asarray([d for d, _ in bcs], dtype=int)
     values = np.asarray([v for _, v in bcs], dtype=float)
-    n = A.shape[0]
-    xbc = np.zeros(n)
-    xbc[dofs] = values
-    out_b = np.asarray(b, dtype=float) - A @ xbc
-    out_b[dofs] = values
-    return constrain_matrix(A, dofs), out_b
+    return constrain_matrix(A, dofs), lift_bcs(A, b, dofs, values)
+
+
+def lift_bcs(A: sp.spmatrix, b: np.ndarray, dofs: np.ndarray,
+             values: np.ndarray) -> np.ndarray:
+    """Lift known values off the free equations of ``b`` and place them
+    on the constrained ones."""
+    lift = np.zeros(A.shape[0])
+    lift[dofs] = values
+    out = np.asarray(b, dtype=float) - A @ lift
+    out[dofs] = values
+    return out
 
 
 def bc_lift_vector(n: int, bcs) -> np.ndarray:

@@ -20,8 +20,8 @@ from hybridfem.expressions import (
     Tensor,
     assemble_global,
     compile_expr,
+    constrain_matrix,
     evaluate_all,
-    evaluate_cell,
     naive_evaluate,
 )
 from hybridfem.forms import (
@@ -71,7 +71,7 @@ def test_inverse_of_dg0_mass():
     expr = Tensor(mass(V)).inv
     plan = compile_expr(expr)
     assert len(plan.kernels) == 2
-    np.testing.assert_allclose(evaluate_cell(plan, 0), [[2.0]], atol=1e-13)
+    np.testing.assert_allclose(evaluate_all(plan)[0], [[2.0]], atol=1e-13)
 
 
 def test_cse_shared_subtree():
@@ -82,7 +82,7 @@ def test_cse_shared_subtree():
     ops = [k.op for k in plan.kernels]
     assert ops == ["assemble", "mul"]
     np.testing.assert_allclose(
-        evaluate_cell(plan, 1), naive_evaluate(A * A, 1), atol=1e-14
+        evaluate_all(plan)[1], naive_evaluate(A * A, 1), atol=1e-14
     )
 
 
@@ -90,9 +90,9 @@ def test_inverse_times_self_is_identity():
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(2))
     A = Tensor(mass(V))
-    plan = compile_expr(A.inv * A)
+    vals = evaluate_all(compile_expr(A.inv * A))
     for c in range(mesh.n_cells):
-        np.testing.assert_allclose(evaluate_cell(plan, c), np.eye(6), atol=1e-13)
+        np.testing.assert_allclose(vals[c], np.eye(6), atol=1e-13)
 
 
 def test_transpose_of_product():
@@ -102,29 +102,26 @@ def test_transpose_of_product():
     C = A.blocks[1, 2]
     left = (B * C).T
     right = C.T * B.T
+    got, want = evaluate_all(compile_expr(left)), evaluate_all(compile_expr(right))
     rng = np.random.default_rng(2)
     for c in rng.integers(0, mesh.n_cells, 4):
-        np.testing.assert_allclose(
-            evaluate_cell(compile_expr(left), int(c)),
-            evaluate_cell(compile_expr(right), int(c)),
-            atol=1e-13,
-        )
+        np.testing.assert_allclose(got[c], want[c], atol=1e-13)
 
 
 def test_blocks_match_submatrix():
     mesh, W, a, _ = three_field_system()
     A = Tensor(a)
-    full_plan = compile_expr(A)
+    full = evaluate_all(compile_expr(A))
     off = W.local_offsets
     rng = np.random.default_rng(0)
-    for c in rng.integers(0, mesh.n_cells, 3):
-        full = evaluate_cell(full_plan, int(c))
-        for i in range(3):
-            for j in range(3):
-                block = evaluate_cell(compile_expr(A.blocks[i, j]), int(c))
+    cells = rng.integers(0, mesh.n_cells, 3)
+    for i in range(3):
+        for j in range(3):
+            block = evaluate_all(compile_expr(A.blocks[i, j]))
+            for c in cells:
                 np.testing.assert_allclose(
-                    block, full[off[i]:off[i + 1], off[j]:off[j + 1]], atol=1e-14
-                )
+                    block[c], full[c, off[i]:off[i + 1], off[j]:off[j + 1]],
+                    atol=1e-14)
 
 
 def test_schur_expression_matches_naive_oracle():
@@ -136,12 +133,11 @@ def test_schur_expression_matches_naive_oracle():
     E = F.blocks[2] - A.blocks[2, :2] * A.blocks[:2, :2].inv * F.blocks[:2]
     rng = np.random.default_rng(42)
     for expr in (S, E):
-        plan = compile_expr(expr)
+        vals = evaluate_all(compile_expr(expr))
         for c in rng.integers(0, mesh.n_cells, 20):
-            got = evaluate_cell(plan, int(c))
             want = naive_evaluate(expr, int(c))
             scale = max(np.abs(want).max(), 1.0)
-            assert np.abs(got - want).max() < 1e-12 * scale
+            assert np.abs(vals[c] - want).max() < 1e-12 * scale
 
 
 def test_solve_matches_inverse_multiply():
@@ -152,10 +148,10 @@ def test_solve_matches_inverse_multiply():
     rhs = F.blocks[:2]
     s1 = Aee.solve(rhs, decomposition="lu")
     s2 = Aee.inv * rhs
+    v1 = evaluate_all(compile_expr(s1))
+    v2 = evaluate_all(compile_expr(s2))
     for c in (0, 3, 5):
-        v1 = evaluate_cell(compile_expr(s1), c)
-        v2 = evaluate_cell(compile_expr(s2), c)
-        np.testing.assert_allclose(v1, v2, atol=1e-10)
+        np.testing.assert_allclose(v1[c], v2[c], atol=1e-10)
 
 
 def test_cholesky_solve_and_symmetry_guard():
@@ -165,14 +161,14 @@ def test_cholesky_solve_and_symmetry_guard():
     b = Function(V, np.arange(V.ndof_global, dtype=float))
     good = A.solve(AssembledVector(b), decomposition="cholesky")
     np.testing.assert_allclose(
-        evaluate_cell(compile_expr(good), 0), naive_evaluate(good, 0), atol=1e-12
+        evaluate_all(compile_expr(good))[0], naive_evaluate(good, 0), atol=1e-12
     )
     # asymmetric operand rejected
     mesh2, W, a, _ = three_field_system()
     Aee = Tensor(a).blocks[:2, :2]
     bad = Aee.solve(Tensor(a).blocks[:2, 2], decomposition="cholesky")
     with pytest.raises(ValueError):
-        evaluate_cell(compile_expr(bad), 0)
+        evaluate_all(compile_expr(bad))
 
 
 def test_assembled_vector_contraction():
@@ -181,10 +177,9 @@ def test_assembled_vector_contraction():
     rng = np.random.default_rng(8)
     u = Function(V, rng.standard_normal(V.ndof_global))
     expr = Tensor(mass(V)) * AssembledVector(u)
+    vals = evaluate_all(compile_expr(expr))
     for c in (0, 5):
-        np.testing.assert_allclose(
-            evaluate_cell(compile_expr(expr), c), naive_evaluate(expr, c), atol=1e-14
-        )
+        np.testing.assert_allclose(vals[c], naive_evaluate(expr, c), atol=1e-14)
 
 
 def test_shape_errors():
@@ -209,7 +204,7 @@ def test_singular_local_solve_reports_cell():
     ])
     expr = Tensor(degenerate).inv
     with pytest.raises(RuntimeError, match="cell 0"):
-        evaluate_cell(compile_expr(expr), 0)
+        evaluate_all(compile_expr(expr))
 
 
 def test_global_dg0_mass_diagonal():
@@ -287,7 +282,7 @@ def test_constrained_global_matrix():
     S = A.blocks[2, 2] - A.blocks[2, :2] * A.blocks[:2, :2].inv * A.blocks[:2, 2]
     M = W.fields[2]
     bc_dofs = sorted(M.facet_dofs[mesh.exterior_facets].ravel())
-    Smat = assemble_global(S, bcs=[(d, 0.0) for d in bc_dofs])
+    Smat = constrain_matrix(assemble_global(S), bc_dofs)
     dense = Smat.toarray()
     for d in bc_dofs:
         row = np.zeros(5)

@@ -3,15 +3,29 @@ import pytest
 
 import exact_oracle
 from hybridfem import DIRICHLET, NEUMANN, build_unit_square, mark_boundary
+from hybridfem.expressions import Tensor, assemble_global
+from hybridfem.forms import (
+    CELL,
+    EXTERIOR,
+    INTERIOR,
+    FormIR,
+    IntegralTerm,
+    div,
+    dot,
+    fld,
+    jump,
+    test as tfn,
+    trial,
+)
 from hybridfem.problems import (
     cg_boundary_dofs,
     conforming_mixed_system,
     hybridized_mixed_system,
     ldgh_system,
     manufactured,
-    model_problem_forms,
     primal_cg_system,
 )
+from hybridfem.spaces import DG, RT, MixedSpace, Trace, break_space, create_space
 
 
 @pytest.mark.parametrize("name", ["sinsin", "expsin"])
@@ -110,13 +124,43 @@ def test_neumann_flux_bcs_match_exact_flux():
         assert abs(v - exact.coeffs[d]) < 1e-12
 
 
-def test_model_problem_forms_dispatch():
-    mesh = build_unit_square(2)
+@pytest.mark.parametrize("k", [1, 2])
+def test_hybridized_mixed_system_matches_three_field_form(k):
+    """hybridize(conforming system) assembles bit for bit to the
+    hand-written hybridized RT(k) x DG(k-1) x Trace(k-1) form."""
+    mesh = mark_boundary(
+        build_unit_square(4), lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET
+    )
     prob = manufactured("sinsin")
-    assert model_problem_forms(mesh, prob, "mixed-hybrid", 1).method == "mixed-hybrid"
-    assert model_problem_forms(mesh, prob, "ldgh", 1, tau=2.0).tau == 2.0
-    with pytest.raises(ValueError):
-        model_problem_forms(mesh, prob, "primal", 1)
+    U = break_space(create_space(mesh, RT(k)))
+    P = create_space(mesh, DG(k - 1))
+    M = create_space(mesh, Trace(k - 1))
+    W = MixedSpace((U, P, M))
+    a = FormIR(W, W, [
+        IntegralTerm(CELL, dot(fld(prob.mu), dot(tfn(0), trial(0)))),
+        IntegralTerm(CELL, -dot(div(tfn(0)), trial(1))),
+        IntegralTerm(CELL, dot(tfn(1), div(trial(0)))),
+        IntegralTerm(CELL, dot(fld(prob.c), dot(tfn(1), trial(1)))),
+        IntegralTerm(INTERIOR, dot(jump(tfn(0)), trial(2))),
+        IntegralTerm(INTERIOR, -dot(tfn(2), jump(trial(0)))),
+        IntegralTerm(EXTERIOR, dot(jump(tfn(0)), trial(2)), NEUMANN),
+        IntegralTerm(EXTERIOR, -dot(tfn(2), jump(trial(0))), NEUMANN),
+    ])
+    rhs = FormIR(W, None, [
+        IntegralTerm(CELL, dot(tfn(1), fld(prob.f))),
+        IntegralTerm(EXTERIOR, -dot(jump(tfn(0)), fld(prob.p0)), DIRICHLET),
+        IntegralTerm(EXTERIOR, -dot(tfn(2), prob.flux_expr()), NEUMANN),
+    ])
+    dirichlet = M.facet_dofs[mesh.facets_with_label(DIRICHLET)].ravel()
+
+    hs = hybridized_mixed_system(mesh, prob, k)
+    want, got = assemble_global(Tensor(a)), assemble_global(Tensor(hs.a))
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    np.testing.assert_array_equal(assemble_global(Tensor(hs.rhs)),
+                                  assemble_global(Tensor(rhs)))
+    assert hs.trace_bcs == [(int(d), 0.0) for d in np.sort(dirichlet)]
+    assert len(mesh.facets_with_label(NEUMANN)) == 4
 
 
 def test_cg_boundary_dofs():

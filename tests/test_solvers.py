@@ -4,9 +4,7 @@ import scipy.sparse as sp
 
 from hybridfem.solvers import (
     KrylovConfig,
-    LinearOperator,
     apply_bcs,
-    dense_factor_solve,
     exact_preconditioner,
     jacobi_preconditioner,
     krylov_solve,
@@ -18,32 +16,6 @@ def random_spd(n, seed=0):
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((n, n))
     return Q @ Q.T + n * np.eye(n)
-
-
-def test_identity_solve():
-    b = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_allclose(dense_factor_solve(np.eye(3), b), b)
-
-
-def test_dense_lu_vs_inverse_oracle():
-    A = random_spd(5, seed=3)
-    B = np.random.default_rng(4).standard_normal((5, 2))
-    X = dense_factor_solve(A, B, kind="lu")
-    np.testing.assert_allclose(X, np.linalg.inv(A) @ B, atol=1e-10)
-    Xc = dense_factor_solve(A, B, kind="cholesky")
-    np.testing.assert_allclose(Xc, X, atol=1e-10)
-
-
-def test_singular_matrix_pivot_breakdown():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-    with pytest.raises(RuntimeError):
-        dense_factor_solve(A, np.ones(2))
-
-
-def test_cholesky_requires_symmetry():
-    A = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ValueError):
-        dense_factor_solve(A, np.ones(2), kind="cholesky")
 
 
 @pytest.mark.parametrize("method", ["cg", "gmres", "fgmres"])
@@ -141,15 +113,6 @@ def test_gmres_restart_on_nonsymmetric():
     assert rep.converged
     assert rep.iterations > 10  # at least one restart happened
     np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-6)
-
-
-def test_matrix_free_operator():
-    A = random_spd(20, seed=17)
-    op = LinearOperator((20, 20), lambda v: A @ v)
-    b = np.ones(20)
-    x, rep = krylov_solve(op, b, KrylovConfig(method="cg", rtol=1e-10, maxiter=200))
-    assert rep.converged
-    np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-7)
 
 
 def test_initial_guess_respected():
