@@ -32,7 +32,6 @@ from .spaces import (
     inject_broken,
     interpolate,
     project_div,
-    tabulate,
     transfer_residual,
     zero_function,
 )
@@ -87,8 +86,37 @@ __all__ = [
     "inject_broken",
     "interpolate",
     "project_div",
-    "tabulate",
     "transfer_residual",
     "zero_function",
     "quadrature",
+    "FormIR",
+    "IntegralTerm",
+    "ScalarField",
+    "assemble_form",
+    "assemble_local",
+    "estimate_degree",
+    "AssembledVector",
+    "Tensor",
+    "assemble_global",
+    "compile_expr",
+    "evaluate_all",
+    "naive_evaluate",
+    "KrylovConfig",
+    "SolveReport",
+    "apply_bcs",
+    "krylov_solve",
+    "sparse_direct_solve",
+    "FieldSplit",
+    "hybridization_apply",
+    "hybridization_setup",
+    "scpc_apply",
+    "scpc_setup",
+    "flux_pp",
+    "scalar_pp",
+    "hybridize",
+    "manufactured",
+    "StudySpec",
+    "l2_error",
+    "run_convergence",
+    "run_solver_compare",
 ]

@@ -97,6 +97,7 @@ class Stages:
 class CondensedSystem:
     space: MixedSpace
     split: FieldSplit
+    operator: Tensor                 # the full system, element tensors memoized
     local_inverse: TensorExpr        # A_ee^{-1}, evaluated at set-up
     coupling: TensorExpr             # A_ec, evaluated at set-up
     elimination: TensorExpr          # A_ce A_ee^{-1}, evaluated at set-up
@@ -146,6 +147,7 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     return CondensedSystem(
         space=W,
         split=split,
+        operator=A,
         local_inverse=local_inverse,
         coupling=coupling,
         elimination=elimination,

@@ -17,7 +17,10 @@ cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
 oracle.  Within :func:`assemble_form`, bilinear terms with constant data
 are contracted from reference tensors; all other terms are integrated
-point by point.
+point by point.  Both batched paths take every basis from
+:func:`~hybridfem.spaces.ref_basis` (coefficients through
+:func:`~hybridfem.spaces.contract`); the oracle holds the only physical
+tabulation of its own, so it checks both.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import reference
 from .mesh import DIRICHLET, NEUMANN, Mesh
-from .spaces import Function, FunctionSpace, MixedSpace
+from .spaces import Function, FunctionSpace, MixedSpace, contract, ref_basis
 
 QUADRATURE_MARGIN = 2  # safety margin added to estimated integrand degree
 
@@ -329,10 +332,10 @@ def _contains_normal(node: Expr) -> bool:
 def _node_degree(node: Expr, form: FormIR) -> int:
     if isinstance(node, Arg):
         fields = form.test_fields if node.role == "test" else form.trial_fields
-        deg = fields[node.field].family.poly_degree
+        deg = fields[node.field].family.degree
         return max(deg - 1, 0) if node.deriv in ("grad", "div") else deg
     if isinstance(node, Coef):
-        return node.fn.space.family.poly_degree
+        return node.fn.space.family.degree
     if isinstance(node, Fld):
         return node.sf.degree
     if isinstance(node, Const):
@@ -379,6 +382,7 @@ class _CellCtx:
         self.nq = len(rule.weights)
         self.rule = rule
         self.geo = mesh.geometry()
+        self.ref_pts = rule.points
         self.scale = self.geo.det_j[self.cells]  # integration measure factor
 
     @cached_property
@@ -386,45 +390,7 @@ class _CellCtx:
         return self.geo.physical_points(self.rule.points, self.cells)
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
-        return _ref_basis(space, deriv, self.rule.points, self.geo, self.cells)
-
-    def basis(self, space: FunctionSpace, deriv: str) -> tuple[np.ndarray, bool]:
-        """Return (values, is_vector); values (nc|1, nq, nd[, 2])."""
-        fam = space.family
-        el = space.element()
-        geo = self.geo
-        cells = self.cells
-        if fam.kind in ("DG", "CG"):
-            if deriv == "value":
-                return el.tabulate(self.rule.points)[None], False
-            ref = el.tabulate_grad(self.rule.points)  # (nq, nd, 2)
-            phys = np.einsum("cij,qnj->cqni", geo.inv_jt[cells], ref, optimize=True)
-            return phys, True
-        if fam.kind == "VectorDG":
-            sval = el.tabulate(self.rule.points)
-            nq, ns = sval.shape
-            if deriv == "value":
-                vals = np.zeros((1, nq, 2 * ns, 2))
-                vals[0, :, :ns, 0] = sval
-                vals[0, :, ns:, 1] = sval
-                return vals, True
-            if deriv == "div":
-                sgrad = el.tabulate_grad(self.rule.points)  # (nq, ns, 2)
-                phys = np.einsum("cij,qnj->cqni", geo.inv_jt[cells], sgrad, optimize=True)
-                out = np.concatenate([phys[..., 0], phys[..., 1]], axis=2)
-                return out, False
-        if fam.kind == "RT":
-            signs = space.cell_signs[cells]
-            if deriv == "value":
-                ref = el.tabulate(self.rule.points)  # (nq, nd, 2)
-                piola = np.einsum("cij,qnj->cqni", geo.jacobians[cells], ref, optimize=True)
-                piola /= geo.det_j[cells, None, None, None]
-                return piola * signs[:, None, :, None], True
-            if deriv == "div":
-                ref = el.tabulate_div(self.rule.points)  # (nq, nd)
-                out = ref[None] / geo.det_j[cells, None, None]
-                return out * signs[:, None, :], False
-        raise ValueError(f"unsupported tabulation {fam.kind}/{deriv} on cells")
+        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
 
     def eval_field(self, sf: ScalarField) -> np.ndarray:
         return sf(self.phys[..., 0], self.phys[..., 1])
@@ -459,7 +425,7 @@ class _FacetCtx:
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
         if space.family.kind != "Trace":
-            return _ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
+            return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
         # component 0 is the forward, component 1 the reversed tabulation;
         # the map selects one of them per cell by facet direction
         per = space.family.degree + 1
@@ -471,40 +437,6 @@ class _FacetCtx:
         g = np.stack([self.dir_match, ~self.dir_match], axis=-1).astype(float)
         return ref, g[:, None, :], None
 
-    def basis(self, space: FunctionSpace, deriv: str) -> tuple[np.ndarray, bool]:
-        fam = space.family
-        el = space.element()
-        geo = self.geo
-        cells = self.cells
-        if fam.kind in ("DG", "CG"):
-            if deriv == "value":
-                return el.tabulate(self.ref_pts)[None], False
-            ref = el.tabulate_grad(self.ref_pts)
-            return np.einsum("cij,qnj->cqni", geo.inv_jt[cells], ref, optimize=True), True
-        if fam.kind == "VectorDG" and deriv == "value":
-            sval = el.tabulate(self.ref_pts)
-            nq, ns = sval.shape
-            vals = np.zeros((1, nq, 2 * ns, 2))
-            vals[0, :, :ns, 0] = sval
-            vals[0, :, ns:, 1] = sval
-            return vals, True
-        if fam.kind == "RT" and deriv == "value":
-            ref = el.tabulate(self.ref_pts)
-            piola = np.einsum("cij,qnj->cqni", geo.jacobians[cells], ref, optimize=True)
-            piola /= geo.det_j[cells, None, None, None]
-            return piola * space.cell_signs[cells][:, None, :, None], True
-        if fam.kind == "Trace" and deriv == "value":
-            per = fam.degree + 1
-            fwd = el.tabulate(self.rule.points)        # (nq, per)
-            rev = el.tabulate(1.0 - self.rule.points)  # reversed parameter
-            vals = np.zeros((len(cells), self.nq, 3 * per))
-            sel = self.dir_match
-            block = slice(self.local_edge * per, (self.local_edge + 1) * per)
-            vals[sel, :, block] = fwd
-            vals[~sel, :, block] = rev
-            return vals, False
-        raise ValueError(f"unsupported tabulation {fam.kind}/{deriv} on facets")
-
     def eval_field(self, sf: ScalarField) -> np.ndarray:
         return sf(self.phys[..., 0], self.phys[..., 1])
 
@@ -513,47 +445,6 @@ class _FacetCtx:
 
     def local_coeffs(self, fn: Function) -> np.ndarray:
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
-
-
-def _ref_basis(space: FunctionSpace, deriv: str, pts: np.ndarray, geo,
-               cells: np.ndarray):
-    """Reference form of an argument basis on affine cells.
-
-    Returns ``(ref, g, signs)`` with the physical basis
-    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``:
-    ``ref`` (nq, nd, nr) is tabulated on the reference cell, ``g``
-    (ncs|1, ncomp, nr) is constant per cell, ``signs`` is None for
-    unsigned families.
-    """
-    fam = space.family
-    el = space.element()
-    if fam.kind in ("DG", "CG"):
-        if deriv == "value":
-            return el.tabulate(pts)[..., None], np.ones((1, 1, 1)), None
-        return el.tabulate_grad(pts), geo.inv_jt[cells], None
-    if fam.kind == "VectorDG":
-        if deriv == "value":
-            return _componentwise(el.tabulate(pts)[..., None]), np.eye(2)[None], None
-        # reference component (a, j): derivative along j of component a
-        ref = _componentwise(el.tabulate_grad(pts))
-        return ref, geo.inv_jt[cells].reshape(-1, 1, 4), None
-    if fam.kind == "RT":
-        signs = space.cell_signs[cells]
-        det = geo.det_j[cells]
-        if deriv == "value":
-            return el.tabulate(pts), geo.jacobians[cells] / det[:, None, None], signs
-        return el.tabulate_div(pts)[..., None], (1.0 / det)[:, None, None], signs
-    raise ValueError(f"unsupported reference tabulation {fam.kind}/{deriv}")
-
-
-def _componentwise(v: np.ndarray) -> np.ndarray:
-    """Vector DG tabulation (nq, 2 ns, 2 m) from a scalar one (nq, ns, m):
-    basis block a carries component a."""
-    nq, ns, m = v.shape
-    out = np.zeros((nq, 2, ns, 2, m))
-    out[:, 0, :, 0] = v
-    out[:, 1, :, 1] = v
-    return out.reshape(nq, 2 * ns, 2 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +457,18 @@ def _componentwise(v: np.ndarray) -> np.ndarray:
 def _eval_expr(node: Expr, ctx, form: FormIR):
     if isinstance(node, Arg):
         fields = form.test_fields if node.role == "test" else form.trial_fields
-        vals, is_vec = ctx.basis(fields[node.field], node.deriv)
+        ref, g, signs = ctx.ref_basis(fields[node.field], node.deriv)
+        vals = np.einsum("cdr,qir->cqid", g, ref, optimize=True)  # (nc|1, nq, nd, ncomp)
+        if signs is not None:
+            vals = vals * signs[:, None, :, None]
+        vals, is_vec = _squeeze_scalar(vals)
         if node.role == "test":
             return vals[:, :, :, None, ...], is_vec
         return vals[:, :, None, :, ...], is_vec
     if isinstance(node, Coef):
-        vals, is_vec = ctx.basis(node.fn.space, "value")
-        local = ctx.local_coeffs(node.fn)  # (nc, nd)
-        if is_vec:
-            out = np.einsum("cqnd,cn->cqd", _bcast_cells(vals, local.shape[0]), local)
-            return out[:, :, None, None, :], True
-        out = np.einsum("cqn,cn->cq", _bcast_cells(vals, local.shape[0]), local)
-        return out[:, :, None, None], False
+        vals = contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(node.fn))
+        vals, is_vec = _squeeze_scalar(vals)
+        return vals[:, :, None, None, ...], is_vec
     if isinstance(node, Fld):
         return ctx.eval_field(node.sf)[:, :, None, None], False
     if isinstance(node, Const):
@@ -609,6 +500,13 @@ def _eval_expr(node: Expr, ctx, form: FormIR):
     raise TypeError(f"unknown integrand node {node!r}")
 
 
+def _squeeze_scalar(vals: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Drop the component axis of scalar values; report whether vector."""
+    if vals.shape[-1] == 2:
+        return vals, True
+    return vals[..., 0], False
+
+
 def _bcast_cells(vals: np.ndarray, nc: int) -> np.ndarray:
     return np.broadcast_to(vals, (nc,) + vals.shape[1:])
 
@@ -634,7 +532,7 @@ def _integrate(arr: np.ndarray, ctx) -> np.ndarray:
 #   K[c, i, j] = s[c] sum_rs G[c, r, s] A0[r, s, i, j]
 # (times the test and trial cell signs), with the reference tensor
 #   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s]
-# and the per-cell factor G built from the argument maps of _ref_basis.
+# and the per-cell factor G built from the argument maps of ref_basis.
 # Factors are carried as (g, refs): g shaped (ncs|1, ncomp, rt, rs) with
 # extent-1 axes for an absent role, refs maps a role to (ref, signs).
 
@@ -784,7 +682,7 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
         if term.domain == CELL:
             rule = reference.triangle_quadrature(exact)
             ctx = _CellCtx(mesh, rule, np.array([cell]))
-            acc = _local_term(term, form, ctx, cell_pos=0)
+            acc = _local_term(term, form, ctx)
             scale = mesh.geometry().det_j[cell]
         else:
             rule = reference.edge_quadrature(exact)
@@ -794,7 +692,7 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
                 if cell not in cells:
                     continue
                 ctx = _FacetCtx(mesh, np.array([cell]), loc, rule)
-                part = _local_term(term, form, ctx, cell_pos=0)
+                part = _local_term(term, form, ctx)
                 part *= mesh.geometry().edge_lengths[cell, loc]
                 acc = part if acc is None else acc + part
             scale = 1.0
@@ -812,8 +710,9 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
     return out[0, 0]
 
 
-def _local_term(term, form, ctx, cell_pos: int) -> np.ndarray:
-    """Quadrature-point loop for one cell; returns the unscaled block.
+def _local_term(term, form, ctx) -> np.ndarray:
+    """Quadrature-point loop for the context's one cell; returns the
+    unscaled block.
 
     Point values are uniformly shaped (nt, ntr, ncomp) with extent-1
     axes where a role or the component is absent.
@@ -821,15 +720,15 @@ def _local_term(term, form, ctx, cell_pos: int) -> np.ndarray:
     tab: dict = {}
 
     def basis(space, deriv):
-        # ctx.basis tabulates the whole rule: once per context, not per point
+        # tabulates the whole rule: once per context, not per point
         key = (id(space), deriv)
         if key not in tab:
-            tab[key] = ctx.basis(space, deriv)
+            tab[key] = _cell_basis(space, deriv, ctx)
         return tab[key]
 
     acc = None
     for q in range(ctx.nq):
-        val = _eval_point(term.integrand, ctx, basis, form, cell_pos, q)
+        val = _eval_point(term.integrand, ctx, basis, form, q)
         if val.shape[-1] != 1:
             raise ValueError("integrand must be scalar-valued")
         contrib = ctx.rule.weights[q] * val[:, :, 0]
@@ -837,40 +736,74 @@ def _local_term(term, form, ctx, cell_pos: int) -> np.ndarray:
     return acc
 
 
-def _eval_point(node, ctx, basis, form, c, q) -> np.ndarray:
+def _cell_basis(space: FunctionSpace, deriv: str, ctx) -> tuple[np.ndarray, bool]:
+    """Physical basis of the context's one cell at its points, written
+    out per family without :func:`~hybridfem.spaces.ref_basis`.
+
+    Returns (values, is_vector) with values (nq, nd) or (nq, nd, 2).
+    """
+    fam, el = space.family, space.element()
+    c, geo, pts = ctx.cells[0], ctx.geo, ctx.ref_pts
+    if fam.kind in ("DG", "CG") and deriv == "value":
+        return el.tabulate(pts), False
+    if fam.kind in ("DG", "CG") and deriv == "grad":
+        return el.tabulate_grad(pts) @ geo.inv_jt[c].T, True
+    if fam.kind == "VectorDG" and deriv == "value":
+        sval = el.tabulate(pts)
+        zero = np.zeros_like(sval)
+        return np.concatenate([np.stack([sval, zero], axis=-1),
+                               np.stack([zero, sval], axis=-1)], axis=1), True
+    if fam.kind == "VectorDG" and deriv == "div":
+        grads = el.tabulate_grad(pts) @ geo.inv_jt[c].T  # (nq, ns, 2)
+        return np.concatenate([grads[..., 0], grads[..., 1]], axis=1), False
+    if fam.kind == "RT" and deriv == "value":
+        piola = el.tabulate(pts) @ geo.jacobians[c].T / geo.det_j[c]
+        return piola * space.cell_signs[c][:, None], True
+    if fam.kind == "RT" and deriv == "div":
+        return el.tabulate_div(pts) / geo.det_j[c] * space.cell_signs[c], False
+    if fam.kind == "Trace" and deriv == "value" and isinstance(ctx, _FacetCtx):
+        # the trace parameter runs along the facet's global direction
+        t = ctx.rule.points if ctx.dir_match[0] else 1.0 - ctx.rule.points
+        per = fam.degree + 1
+        vals = np.zeros((ctx.nq, 3 * per))
+        vals[:, ctx.local_edge * per:(ctx.local_edge + 1) * per] = el.tabulate(t)
+        return vals, False
+    raise ValueError(f"unsupported tabulation {fam.kind}/{deriv}")
+
+
+def _eval_point(node, ctx, basis, form, q) -> np.ndarray:
     if isinstance(node, Arg):
         fields = form.test_fields if node.role == "test" else form.trial_fields
         vals, is_vec = basis(fields[node.field], node.deriv)
-        v = vals[c if vals.shape[0] > 1 else 0, q]  # (nd,) or (nd, 2)
+        v = vals[q]  # (nd,) or (nd, 2)
         if not is_vec:
             v = v[:, None]
         return v[:, None, :] if node.role == "test" else v[None, :, :]
     if isinstance(node, Coef):
         vals, is_vec = basis(node.fn.space, "value")
-        v = vals[c if vals.shape[0] > 1 else 0, q]
-        local = ctx.local_coeffs(node.fn)[c]
-        out = np.tensordot(local, v, axes=(0, 0))  # scalar or (2,)
+        local = ctx.local_coeffs(node.fn)[0]
+        out = np.tensordot(local, vals[q], axes=(0, 0))  # scalar or (2,)
         out = np.atleast_1d(out)
         return out[None, None, :]
     if isinstance(node, Fld):
-        return np.array(ctx.eval_field(node.sf)[c, q]).reshape(1, 1, 1)
+        return np.array(ctx.eval_field(node.sf)[0, q]).reshape(1, 1, 1)
     if isinstance(node, Const):
         return np.full((1, 1, 1), node.value)
     if isinstance(node, VFld):
-        x, y = ctx.phys[c, q]
+        x, y = ctx.phys[0, q]
         return np.asarray(node.fn(np.array(x), np.array(y)), dtype=float)[None, None, :]
     if isinstance(node, Normal):
-        return ctx.normal()[c][None, None, :]
+        return ctx.normal()[0][None, None, :]
     if isinstance(node, Dot):
-        a = _eval_point(node.a, ctx, basis, form, c, q)
-        b = _eval_point(node.b, ctx, basis, form, c, q)
+        a = _eval_point(node.a, ctx, basis, form, q)
+        b = _eval_point(node.b, ctx, basis, form, q)
         if a.shape[-1] != b.shape[-1]:
             raise ValueError("dot requires operands of equal rank")
         return (a * b).sum(axis=-1, keepdims=True)
     if isinstance(node, Sum):
-        a = _eval_point(node.a, ctx, basis, form, c, q)
-        b = _eval_point(node.b, ctx, basis, form, c, q)
+        a = _eval_point(node.a, ctx, basis, form, q)
+        b = _eval_point(node.b, ctx, basis, form, q)
         return a + b
     if isinstance(node, Scale):
-        return node.c * _eval_point(node.x, ctx, basis, form, c, q)
+        return node.c * _eval_point(node.x, ctx, basis, form, q)
     raise TypeError(f"unknown integrand node {node!r}")

@@ -35,7 +35,16 @@ from .forms import (
     test,
     trial,
 )
-from .spaces import DG, RT, Function, MixedSpace, break_space, create_space
+from .spaces import (
+    DG,
+    RT,
+    Function,
+    MixedSpace,
+    break_space,
+    create_space,
+    eval_function,
+    rt_interior_moments,
+)
 
 
 def scalar_pp(u_h: Function, p_h: Function, mu: ScalarField,
@@ -83,33 +92,27 @@ def flux_pp(u_h: Function, p_h: Function, lam_h: Function,
     mesh = u_h.space.mesh
     geo = mesh.geometry()
     target = break_space(create_space(mesh, RT(k + 1)))
-    el_u = u_h.space.element()
-    el_p = p_h.space.element()
-    el_m = lam_h.space.element()
     nq_rule = reference.edge_quadrature(min(2 * k + 6, reference.MAX_EXACTNESS))
     tg = nq_rule.points
     w = nq_rule.weights
     leg = reference.shifted_legendre(k, tg)          # (nq, k+1)
-    lam_t = el_m.tabulate(tg)                        # (nq, k+1), global parameter
+    lam_t = lam_h.space.element().tabulate(tg)       # (nq, k+1), global parameter
 
     nf = mesh.n_facets
     per = k + 1
     facet_moments = np.zeros((nf, per))
     counts = np.zeros(nf)
-    u_local = u_h.coeffs[u_h.space.cell_dofs]        # (nc, ndu)
-    p_local = p_h.coeffs[p_h.space.cell_dofs]
     for loc in range(3):
         f = mesh.cell_facets[:, loc]
         match = geo.dir_match[:, loc]
         sign = np.where(match, 1.0, -1.0)
+        # evaluate each side at the points in the facet's global direction
         pts_f = reference.edge_points(loc, tg)
         pts_r = reference.edge_points(loc, 1.0 - tg)
-        u_f, u_r = _vectordg_values(el_u, pts_f), _vectordg_values(el_u, pts_r)
-        p_f, p_r = el_p.tabulate(pts_f), el_p.tabulate(pts_r)
-        ub = np.where(match[:, None, None, None], u_f[None], u_r[None])
-        pb = np.where(match[:, None, None], p_f[None], p_r[None])
-        u_vals = np.einsum("cqnd,cn->cqd", ub, u_local)
-        p_vals = np.einsum("cqn,cn->cq", pb, p_local)
+        u_vals = np.where(match[:, None, None], eval_function(u_h, pts_f),
+                          eval_function(u_h, pts_r))
+        p_vals = np.where(match[:, None], eval_function(p_h, pts_f),
+                          eval_function(p_h, pts_r))
         lam_vals = lam_t @ lam_h.coeffs[lam_h.space.facet_dofs[f]].T  # (nq, nc)
         n_out = geo.edge_normals[np.arange(mesh.n_cells), loc]
         u_n = np.einsum("cqd,cd->cq", u_vals, n_out)
@@ -125,31 +128,8 @@ def flux_pp(u_h: Function, p_h: Function, lam_h: Function,
     for loc in range(3):
         f = mesh.cell_facets[:, loc]
         coeffs[target.cell_dofs[:, loc * kk:(loc + 1) * kk]] = facet_moments[f]
-
-    n_int = kk * (kk - 1)
-    if n_int:
+    if kk > 1:
         rule = reference.triangle_quadrature(min(2 * k + 6, reference.MAX_EXACTNESS))
-        pts = rule.points
-        ub = _vectordg_values(el_u, pts)             # (nq, ndu, 2)
-        u_vals = np.einsum("qnd,cn->cqd", ub, u_local)
-        jinv = np.linalg.inv(geo.jacobians)
-        pulled = geo.det_j[:, None, None] * np.einsum("cij,cqj->cqi", jinv, u_vals)
-        exps = reference.monomial_exponents(kk - 2)
-        x, y = pts[:, 0], pts[:, 1]
-        idx = 3 * kk
-        for i, j in exps:
-            mono = x**i * y**j
-            for comp in (0, 1):
-                m = np.einsum("q,cq->c", rule.weights * mono, pulled[:, :, comp])
-                coeffs[target.cell_dofs[:, idx]] = m
-                idx += 1
+        coeffs[target.cell_dofs[:, 3 * kk:]] = rt_interior_moments(
+            geo, rule, eval_function(u_h, rule.points), kk)
     return Function(target, coeffs)
-
-
-def _vectordg_values(el, pts: np.ndarray) -> np.ndarray:
-    sval = el.tabulate(pts)
-    nq, ns = sval.shape
-    out = np.zeros((nq, 2 * ns, 2))
-    out[:, :ns, 0] = sval
-    out[:, ns:, 1] = sval
-    return out

@@ -148,9 +148,6 @@ class ScalarElement:
     nodes: np.ndarray          # (nd, 2)
     coeffs: np.ndarray         # (n_mono, nd): basis_i = sum_a coeffs[a,i] * mono_a
     exponents: tuple[tuple[int, int], ...]
-    n_vertex_dofs: int         # 3 for degree >= 1, else 0
-    n_edge_dofs: int           # per edge
-    n_interior_dofs: int
 
     @property
     def n_dofs(self) -> int:
@@ -167,33 +164,31 @@ class ScalarElement:
         return np.stack([gx, gy], axis=-1)  # (nq, nd, 2)
 
 
-def _lagrange_nodes(degree: int) -> tuple[np.ndarray, int, int, int]:
+def _lagrange_nodes(degree: int) -> np.ndarray:
     from .mesh import EDGE_VERTICES
 
     if degree == 0:
-        return np.array([[1.0 / 3.0, 1.0 / 3.0]]), 0, 0, 1
+        return np.array([[1.0 / 3.0, 1.0 / 3.0]])
     nodes = [TRI_VERTICES[i] for i in range(3)]
     for a, b in EDGE_VERTICES:
         for m in range(1, degree):
             t = m / degree
             nodes.append(TRI_VERTICES[a] * (1 - t) + TRI_VERTICES[b] * t)
-    n_int = 0
     for j in range(1, degree):
         for i in range(1, degree - j):
             nodes.append(np.array([i / degree, j / degree]))
-            n_int += 1
-    return np.asarray(nodes), 3, degree - 1, n_int
+    return np.asarray(nodes)
 
 
 @lru_cache(maxsize=None)
 def scalar_element(degree: int) -> ScalarElement:
     if not 0 <= degree <= 5:
         raise ValueError(f"unsupported Lagrange degree {degree}")
-    nodes, nv, ne, ni = _lagrange_nodes(degree)
+    nodes = _lagrange_nodes(degree)
     exps = monomial_exponents(degree)
     # coeffs[a, i] with sum_a coeffs[a, i] * mono_a(node_n) = delta_{ni}
     coeffs = np.linalg.inv(_eval_monomials(exps, nodes))
-    return ScalarElement(degree, nodes, coeffs, exps, nv, ne, ni)
+    return ScalarElement(degree, nodes, coeffs, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +211,6 @@ class RTElement:
     @property
     def n_dofs(self) -> int:
         return self.degree * (self.degree + 2)
-
-    @property
-    def n_edge_dofs(self) -> int:
-        return self.degree
 
     @property
     def n_interior_dofs(self) -> int:

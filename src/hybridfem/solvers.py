@@ -12,7 +12,6 @@ iteration stopped.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,8 +48,6 @@ class SolveReport:
     residual: float  # final true relative residual
     converged: bool
     reason: str = "converged"  # converged | maxiter | indefinite | breakdown
-    setup_time: float = 0.0
-    solve_time: float = 0.0
 
     def csv_row(self) -> dict:
         return {
@@ -77,16 +74,14 @@ def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
     b = np.asarray(b, dtype=float)
     if b.shape != (A.shape[0],):
         raise ValueError("right-hand side does not match the operator")
-    t0 = time.perf_counter()
     if cfg.method == "cg":
         x, its, res, stop = _cg(matvec, b, cfg, x0)
     else:
         x, its, res, stop = _fgmres(matvec, b, cfg, x0)
-    dt = time.perf_counter() - t0
     tol = max(cfg.rtol, cfg.atol / max(np.linalg.norm(b), 1e-300))
     converged = bool(res <= tol)
     report = SolveReport(cfg.method, its, res, converged,
-                         "converged" if converged else stop, solve_time=dt)
+                         "converged" if converged else stop)
     return x, report
 
 

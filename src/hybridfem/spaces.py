@@ -11,6 +11,11 @@ A conforming RT space can be "broken" into its cell-wise discontinuous
 twin with :func:`break_space`; broken dofs keep the global orientation
 convention of the parent so that a conforming function injects into the
 broken space by plain index copying.
+
+:func:`ref_basis` is the one batched statement of each family's
+reference-to-physical map; :func:`contract` applies it to per-cell
+coefficients, and :func:`eval_function` / :func:`eval_function_div`
+are that contraction at given reference points.
 """
 
 from __future__ import annotations
@@ -59,10 +64,6 @@ class ElementFamily:
     @property
     def is_vector(self) -> bool:
         return self.kind in ("RT", "VectorDG")
-
-    @property
-    def poly_degree(self) -> int:
-        return self.degree
 
 
 def RT(k: int) -> ElementFamily:
@@ -151,15 +152,9 @@ class MixedSpace:
             [s.cell_dofs + off[i] for i, s in enumerate(self.fields)], axis=1
         )
 
-    def cell_signs(self) -> np.ndarray:
-        return np.concatenate([s.cell_signs for s in self.fields], axis=1)
-
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
         off = self.offsets
         return [vec[off[i]:off[i + 1]] for i in range(self.n_fields)]
-
-    def combine(self, parts) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
 
 @dataclass
@@ -173,15 +168,6 @@ class Function:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (self.space.ndof_global,):
             raise ValueError("coefficient length does not match space dimension")
-
-    def cell_coeffs(self) -> np.ndarray:
-        """Per-cell coefficients in the signed (globally oriented) frame.
-
-        Assembly tabulates sign-corrected basis functions, so gathering is
-        plain indexing; ``cell_signs`` converts to the raw reference frame
-        when needed.
-        """
-        return self.coeffs[self.space.cell_dofs]
 
 
 def zero_function(space: FunctionSpace) -> Function:
@@ -279,45 +265,6 @@ def break_space(space: FunctionSpace) -> FunctionSpace:
 
 
 # ---------------------------------------------------------------------------
-# tabulation (reference values; geometric transforms applied by assembly)
-
-
-@dataclass(frozen=True)
-class TabulatedBasis:
-    values: np.ndarray
-    grads: np.ndarray | None = None
-    divs: np.ndarray | None = None
-
-
-def tabulate(family: ElementFamily, points: np.ndarray) -> TabulatedBasis:
-    """Reference basis values (and gradients / divergences) at ``points``."""
-    points = np.asarray(points, dtype=float)
-    if family.kind in ("DG", "CG"):
-        el = reference.scalar_element(family.degree)
-        return TabulatedBasis(el.tabulate(points), grads=el.tabulate_grad(points))
-    if family.kind == "VectorDG":
-        el = reference.scalar_element(family.degree)
-        sval = el.tabulate(points)
-        sgrad = el.tabulate_grad(points)
-        nq, ns = sval.shape
-        vals = np.zeros((nq, 2 * ns, 2))
-        vals[:, :ns, 0] = sval
-        vals[:, ns:, 1] = sval
-        # componentwise divergence: reference gradients, mapped downstream
-        grads = np.zeros((nq, 2 * ns, 2, 2))
-        grads[:, :ns, 0, :] = sgrad
-        grads[:, ns:, 1, :] = sgrad
-        return TabulatedBasis(vals, grads=grads)
-    if family.kind == "RT":
-        el = reference.rt_element(family.degree)
-        return TabulatedBasis(el.tabulate(points), divs=el.tabulate_div(points))
-    if family.kind == "Trace":
-        el = reference.line_element(family.degree)
-        return TabulatedBasis(el.tabulate(points))
-    raise AssertionError
-
-
-# ---------------------------------------------------------------------------
 # interpolation and facet projections
 
 
@@ -393,7 +340,6 @@ def global_edge_moments(space: FunctionSpace, facets: np.ndarray, fn: Callable,
 def _interpolate_rt(space: FunctionSpace, fn: Callable) -> Function:
     mesh, geo = space.mesh, space.mesh.geometry()
     k = space.family.degree
-    el = reference.rt_element(k)
     coeffs = np.zeros(space.ndof_global)
 
     facets = np.arange(mesh.n_facets)
@@ -405,23 +351,26 @@ def _interpolate_rt(space: FunctionSpace, fn: Callable) -> Function:
     else:
         coeffs[space.facet_dofs] = moments
 
-    if el.n_interior_dofs:
-        # interior dofs are reference moments of the Piola pull-back
+    if k > 1:  # interior dofs
         rule = reference.triangle_quadrature(min(2 * k + 6, reference.MAX_EXACTNESS))
-        pts = mesh.geometry().physical_points(rule.points)
-        vals = _eval_vector(fn, pts)  # (nc, nq, 2)
-        jinv = np.linalg.inv(geo.jacobians)
-        pulled = geo.det_j[:, None, None] * np.einsum("cij,cqj->cqi", jinv, vals)
-        exps = reference.monomial_exponents(k - 2)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        idx = 3 * k
-        for i, j in exps:
-            mono = x**i * y**j
-            for comp in (0, 1):
-                m = np.einsum("q,cq->c", rule.weights * mono, pulled[:, :, comp])
-                coeffs[space.cell_dofs[:, idx]] = m
-                idx += 1
+        vals = _eval_vector(fn, geo.physical_points(rule.points))  # (nc, nq, 2)
+        coeffs[space.cell_dofs[:, 3 * k:]] = rt_interior_moments(geo, rule, vals, k)
     return Function(space, coeffs)
+
+
+def rt_interior_moments(geo, rule, vals: np.ndarray, k: int) -> np.ndarray:
+    """Interior dofs of RT(k) in every cell from vector values (nc, nq, 2)
+    at the points of ``rule``: reference moments of the Piola pull-back
+    against ``[P_{k-2}]^2``, in dof order, shaped (nc, k (k - 1))."""
+    jinv = np.linalg.inv(geo.jacobians)
+    pulled = geo.det_j[:, None, None] * np.einsum("cij,cqj->cqi", jinv, vals)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    moments = []
+    for i, j in reference.monomial_exponents(k - 2):
+        mono = x**i * y**j
+        for comp in (0, 1):
+            moments.append(np.einsum("q,cq->c", rule.weights * mono, pulled[:, :, comp]))
+    return np.stack(moments, axis=1)
 
 
 def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
@@ -445,7 +394,66 @@ def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation on reference points, batched over cells
+# batched basis maps on affine cells, and pointwise evaluation
+
+_DERIVATIVES = {"DG": ("value", "grad"), "CG": ("value", "grad"),
+                "VectorDG": ("value", "div"), "RT": ("value", "div")}
+
+
+def ref_basis(space: FunctionSpace, deriv: str, pts: np.ndarray, geo, cells):
+    """A family's basis at reference points ``pts`` as a reference
+    tabulation and a map that is constant per cell.
+
+    Returns ``(ref, g, signs)`` with the physical basis
+    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``:
+    ``ref`` (nq, nd, nr) is tabulated on the reference cell, ``g``
+    (ncs|1, ncomp, nr) holds the per-cell map of ``cells`` (``ncomp`` is
+    2 for vector values, 1 for scalars), ``signs`` is None for unsigned
+    families.  Trace bases are mapped by the facet contexts of
+    :mod:`hybridfem.forms`.
+    """
+    fam = space.family
+    if deriv not in _DERIVATIVES.get(fam.kind, ()):
+        raise ValueError(f"no batched {deriv!r} map for {fam.kind} spaces")
+    el = space.element()
+    if fam.kind in ("DG", "CG"):
+        if deriv == "value":
+            return el.tabulate(pts)[..., None], np.ones((1, 1, 1)), None
+        return el.tabulate_grad(pts), geo.inv_jt[cells], None
+    if fam.kind == "VectorDG":
+        if deriv == "value":
+            return _componentwise(el.tabulate(pts)[..., None]), np.eye(2)[None], None
+        # reference component (a, j): derivative along j of component a
+        ref = _componentwise(el.tabulate_grad(pts))
+        return ref, geo.inv_jt[cells].reshape(-1, 1, 4), None
+    signs = space.cell_signs[cells]
+    det = geo.det_j[cells]
+    if deriv == "value":
+        return el.tabulate(pts), geo.jacobians[cells] / det[:, None, None], signs
+    return el.tabulate_div(pts)[..., None], (1.0 / det)[:, None, None], signs
+
+
+def _componentwise(v: np.ndarray) -> np.ndarray:
+    """Vector DG tabulation (nq, 2 ns, 2 m) from a scalar one (nq, ns, m):
+    basis block a carries component a."""
+    nq, ns, m = v.shape
+    out = np.zeros((nq, 2, ns, 2, m))
+    out[:, 0, :, 0] = v
+    out[:, 1, :, 1] = v
+    return out.reshape(nq, 2 * ns, 2 * m)
+
+
+def contract(basis, local: np.ndarray) -> np.ndarray:
+    """Values ``sum_i local[c, i] phi[c, q, i, :]`` of a :func:`ref_basis`
+    map for per-cell coefficients ``local`` (nc, nd), shaped
+    (nc, nq, ncomp).  The coefficients are contracted with the reference
+    tabulation first, so the per-cell map applies to nq values, not to
+    nq * nd basis functions."""
+    ref, g, signs = basis
+    if signs is not None:
+        local = local * signs
+    ref_vals = np.einsum("ci,qir->cqr", local, ref, optimize=True)
+    return np.einsum("cdr,cqr->cqd", g, ref_vals, optimize=True)
 
 
 def eval_function(fn: Function, ref_points: np.ndarray) -> np.ndarray:
@@ -454,47 +462,19 @@ def eval_function(fn: Function, ref_points: np.ndarray) -> np.ndarray:
     Returns (n_cells, n_points) for scalar families and
     (n_cells, n_points, 2) for vector families.
     """
-    space = fn.space
-    geo = space.mesh.geometry()
-    el = space.element()
-    local = fn.coeffs[space.cell_dofs]
-    kind = space.family.kind
-    if kind in ("DG", "CG"):
-        basis = el.tabulate(ref_points)
-        return np.einsum("qn,cn->cq", basis, local)
-    if kind == "VectorDG":
-        sval = el.tabulate(ref_points)
-        ns = sval.shape[1]
-        vx = np.einsum("qn,cn->cq", sval, local[:, :ns])
-        vy = np.einsum("qn,cn->cq", sval, local[:, ns:])
-        return np.stack([vx, vy], axis=-1)
-    if kind == "RT":
-        # contract coefficients first, then apply the Piola map J / det J
-        ref = np.tensordot(local * space.cell_signs, el.tabulate(ref_points), axes=(1, 1))
-        phys = ref @ np.swapaxes(geo.jacobians, 1, 2)
-        return phys / geo.det_j[:, None, None]
-    raise ValueError(f"pointwise evaluation unsupported for {kind}")
+    vals = _contract_all(fn, "value", ref_points)
+    return vals if fn.space.family.is_vector else vals[..., 0]
 
 
 def eval_function_div(fn: Function, ref_points: np.ndarray) -> np.ndarray:
     """Divergence values at reference points in every cell."""
+    return _contract_all(fn, "div", ref_points)[..., 0]
+
+
+def _contract_all(fn: Function, deriv: str, ref_points: np.ndarray) -> np.ndarray:
     space = fn.space
-    geo = space.mesh.geometry()
-    el = space.element()
-    local = fn.coeffs[space.cell_dofs]
-    kind = space.family.kind
-    if kind == "RT":
-        ref = el.tabulate_div(ref_points)
-        div = ref[None] / geo.det_j[:, None, None] * space.cell_signs[:, None, :]
-        return np.einsum("cqn,cn->cq", div, local)
-    if kind == "VectorDG":
-        sgrad = el.tabulate_grad(ref_points)  # (nq, ns, 2)
-        phys = np.einsum("cij,qnj->cqni", geo.inv_jt, sgrad)
-        ns = sgrad.shape[1]
-        dx = np.einsum("cqn,cn->cq", phys[..., 0], local[:, :ns])
-        dy = np.einsum("cqn,cn->cq", phys[..., 1], local[:, ns:])
-        return dx + dy
-    raise ValueError(f"divergence evaluation unsupported for {kind}")
+    basis = ref_basis(space, deriv, ref_points, space.mesh.geometry(), slice(None))
+    return contract(basis, fn.coeffs[space.cell_dofs])
 
 
 # ---------------------------------------------------------------------------

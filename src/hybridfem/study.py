@@ -348,7 +348,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     hs = hm.system
     off = int(hs.space.offsets[2])
     gbcs = [(d + off, v) for d, v in hs.trace_bcs]
-    A3 = assemble_global(Tensor(hs.a))
+    A3 = assemble_global(hm.cs.operator)
     b3 = assemble_global(Tensor(hs.rhs))
     A3b, b3b = apply_bcs(A3, b3, gbcs)
     acc3 = Stages(condensation=hm.cs.setup_time)
@@ -373,7 +373,7 @@ def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
     cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
     off = int(ls.space.offsets[2])
     gbcs = [(d + off, v) for d, v in ls.trace_bcs]
-    A = assemble_global(Tensor(ls.a))
+    A = assemble_global(cs.operator)
     b = assemble_global(Tensor(ls.rhs))
     Ab, bb = apply_bcs(A, b, gbcs)
     x0 = bc_lift_vector(len(bb), gbcs)

@@ -264,6 +264,59 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
             assert err <= 1e-12, (name, c, err)
 
 
+def _quadrature_forms(mesh):
+    prob = manufactured("sinsin")
+    for k in (1, 2, 3):
+        yield f"mixed-hybrid-{k}", hybridized_mixed_system(mesh, prob, k).rhs
+        yield f"mixed-{k}", conforming_mixed_system(mesh, prob, k).rhs
+        yield f"cg-{k}", primal_cg_system(mesh, prob, k).rhs
+    for k in (1, 2):
+        yield f"ldgh-{k}", ldgh_system(mesh, prob, k).rhs
+    rng = np.random.default_rng(21)
+    U, P = create_space(mesh, RT(2)), create_space(mesh, DG(2))
+    Q, M = create_space(mesh, VectorDG(1)), create_space(mesh, Trace(1))
+    u_rt, p, u_dg, lam = (Function(S, rng.standard_normal(S.ndof_global))
+                          for S in (U, P, Q, M))
+    w = fld(ScalarField(lambda x, y: 1.0 + 0.5 * x * y - 0.25 * y * y, degree=2))
+    W = MixedSpace((U, P, Q, M))
+    yield "coef", FormIR(W, None, [
+        IntegralTerm(CELL, dot(w, dot(tfn(0), coef(u_dg)))),
+        IntegralTerm(CELL, dot(div(tfn(0)), dot(w, coef(p)))),
+        IntegralTerm(CELL, dot(w, dot(grad(tfn(1)), coef(u_rt)))),
+        IntegralTerm(CELL, dot(tfn(1), dot(w, coef(p)))),
+        IntegralTerm(CELL, dot(div(tfn(2)), dot(w, coef(p)))),
+        IntegralTerm(CELL, dot(w, dot(tfn(2), coef(u_rt)))),
+        IntegralTerm(INTERIOR, dot(tfn(3), jump(coef(u_rt)))),
+        IntegralTerm(INTERIOR, dot(jump(tfn(0)), dot(w, coef(lam)))),
+        IntegralTerm(INTERIOR, dot(div(tfn(2)), coef(lam))),
+        IntegralTerm(INTERIOR, dot(w, dot(jump(grad(tfn(1))), coef(p)))),
+        IntegralTerm(EXTERIOR, dot(tfn(1), dot(w, coef(lam)))),
+        IntegralTerm(EXTERIOR, dot(tfn(3), jump(coef(u_dg))), NEUMANN),
+    ])
+    yield "weighted-operator", FormIR(W, W, [
+        IntegralTerm(CELL, dot(w, dot(tfn(0), trial(0)))),
+        IntegralTerm(CELL, dot(w, dot(grad(tfn(1)), grad(trial(1))))),
+        IntegralTerm(CELL, dot(w, dot(div(tfn(2)), trial(1)))),
+        IntegralTerm(INTERIOR, dot(w, dot(tfn(3), jump(trial(0))))),
+        IntegralTerm(EXTERIOR, dot(w, dot(tfn(3), trial(3)))),
+    ])
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_quadrature_path_matches_oracle_on_general_meshes(mesh_name):
+    """Every right-hand side and every coefficient or weighted form takes
+    the quadrature path (bases and coefficients through ``ref_basis``)
+    and agrees with the single-cell oracle on every cell."""
+    mesh = _general_meshes()[mesh_name]
+    for name, form in _quadrature_forms(mesh):
+        assert not any(_is_reference_form(t, form) for t in form.terms), name
+        batched = assemble_form(form)
+        for c in range(mesh.n_cells):
+            local = assemble_local(form, c)
+            err = np.abs(batched[c] - local).max() / np.abs(local).max()
+            assert err <= 1e-12, (name, c, err)
+
+
 def test_full_cell_scatter_is_bit_identical_to_indexed_scatter(monkeypatch):
     """Terms over every cell add their blocks through a basic slice; the
     element tensors equal those of a fancy-indexed gather and scatter."""

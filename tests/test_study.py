@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -149,6 +150,30 @@ def test_mixed_hybrid_solve_assembles_each_form_once(monkeypatch):
     assert res.report.converged
     assert len(calls) == 4
     assert len({id(f) for f in calls}) == 4
+
+
+@pytest.mark.parametrize("method,degree,n_forms", [("mixed-hybrid", 2, 8),
+                                                    ("ldgh", 1, 4)])
+def test_solver_compare_assembles_each_form_once(monkeypatch, method, degree, n_forms):
+    """Per mesh, the direct system, its right-hand side and (for the mixed
+    method) the hybridized system's: the outer matrices reuse the element
+    tensors that condensation memoized."""
+    calls = []
+    real = expressions.assemble_form
+    monkeypatch.setattr(expressions, "assemble_form",
+                        lambda form: calls.append(form) or real(form))
+    rows = run_solver_compare(StudySpec(method=method, degree=degree, sizes=(4, 8),
+                                        serial=True))
+    assert all(r["converged"] == 1 for r in rows)
+    assert len({id(f) for f in calls}) == n_forms
+    assert len(calls) == n_forms
+
+
+def test_package_all_lists_every_public_name():
+    public = {name for name, value in vars(hybridfem).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(hybridfem.__all__) == len(set(hybridfem.__all__))
+    assert set(hybridfem.__all__) == public
 
 
 def test_ldgh_tau_one_error_unchanged():
