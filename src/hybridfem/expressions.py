@@ -31,7 +31,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .forms import FormIR, assemble_form, assemble_local
-from .spaces import Function, FunctionSpace, MixedSpace
+from .spaces import Function, FunctionSpace, MixedSpace, local_offsets
 
 Axis = tuple[FunctionSpace, ...]
 
@@ -42,10 +42,6 @@ PIVOT_RTOL = 1e-12
 
 def _axis_extent(axis: Axis) -> int:
     return sum(s.local_dim for s in axis)
-
-
-def _axis_offsets(axis: Axis) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum([s.local_dim for s in axis])]).astype(int)
 
 
 class TensorExpr:
@@ -397,7 +393,7 @@ def _expr_mesh(expr: TensorExpr):
 def _block_slices(expr_axes, ranges):
     out = []
     for (lo, hi), axis in zip(ranges, expr_axes):
-        off = _axis_offsets(axis)
+        off = local_offsets(axis)
         out.append(slice(off[lo], off[hi]))
     return tuple(out)
 

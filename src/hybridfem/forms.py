@@ -12,12 +12,14 @@ contributes the restriction of the integrand to its own side, with
 ``jump`` of a vector argument meaning the normal component against the
 cell's outward normal.  Summing both sides reproduces the facet jump.
 
-Two assembly routes are provided: :func:`assemble_form` evaluates all
+Two assembly routes are provided: :func:`assemble_form` evaluates many
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
 oracle.  Within :func:`assemble_form`, bilinear terms with constant data
-are contracted from reference tensors; all other terms are integrated
-point by point.  Both batched paths take every basis from
+are contracted from reference tensors over all cells; all other terms
+are integrated point by point in cell blocks of at most
+:data:`~hybridfem.spaces.BLOCK_POINTS` quadrature points, so their
+temporaries stay cache-sized.  Both batched paths take every basis from
 :func:`~hybridfem.spaces.ref_basis` (coefficients through
 :func:`~hybridfem.spaces.contract`); the oracle holds the only physical
 tabulation of its own, so it checks both.
@@ -33,7 +35,8 @@ import numpy as np
 
 from . import reference
 from .mesh import DIRICHLET, NEUMANN, Mesh
-from .spaces import Function, FunctionSpace, MixedSpace, contract, ref_basis
+from .spaces import (Function, FunctionSpace, MixedSpace, cell_blocks, contract,
+                     local_offsets, ref_basis)
 
 QUADRATURE_MARGIN = 2  # safety margin added to estimated integrand degree
 
@@ -374,11 +377,10 @@ def _term_exactness(term: IntegralTerm, form: FormIR) -> int:
 # batched evaluation contexts
 
 class _CellCtx:
-    """Quadrature data on cell interiors, for all cells or the given ones."""
+    """Quadrature data on the interiors of the given cells (slice or indices)."""
 
-    def __init__(self, mesh: Mesh, rule, cells: np.ndarray | None = None):
-        self.mesh = mesh
-        self.cells = np.arange(mesh.n_cells) if cells is None else cells
+    def __init__(self, mesh: Mesh, rule, cells):
+        self.cells = cells
         self.nq = len(rule.weights)
         self.rule = rule
         self.geo = mesh.geometry()
@@ -408,7 +410,6 @@ class _FacetCtx:
 
     def __init__(self, mesh: Mesh, cells: np.ndarray, local_edge: int, rule):
         geo = mesh.geometry()
-        self.mesh = mesh
         self.cells = cells
         self.local_edge = local_edge
         self.nq = len(rule.weights)
@@ -576,7 +577,7 @@ def _reference_tensor(term: IntegralTerm, ctx, form: FormIR) -> np.ndarray:
         raise ValueError("integrand must be scalar-valued")
     (r_t, s_t), (r_u, s_u) = refs["test"], refs["trial"]
     a0 = np.einsum("q,qir,qjs->rsij", ctx.rule.weights, r_t, r_u)
-    ncs, (rt, rs) = len(ctx.cells), g.shape[2:]
+    ncs, (rt, rs) = len(ctx.scale), g.shape[2:]
     gk = g[:, 0].reshape(-1, rt * rs) * ctx.scale[:, None]
     local = (gk @ a0.reshape(rt * rs, -1)).reshape(ncs, r_t.shape[1], r_u.shape[1])
     if s_t is not None:
@@ -590,49 +591,55 @@ def _reference_tensor(term: IntegralTerm, ctx, form: FormIR) -> np.ndarray:
 # assembly drivers
 
 
-def _facet_selections(mesh: Mesh, term: IntegralTerm, local_edge: int) -> np.ndarray:
-    facets = mesh.cell_facets[:, local_edge]
-    kind = mesh.facet_kind[facets]
-    if term.domain == INTERIOR:
-        return np.flatnonzero(kind == "interior")
-    sel = kind == "exterior"
+def _facet_selections(mesh: Mesh, term: IntegralTerm) -> list[np.ndarray]:
+    """Cells whose local edge l lies in the term's facet set, for l = 0, 1, 2."""
+    exterior = mesh.facet_cells[:, 1] < 0
+    chosen = ~exterior if term.domain == INTERIOR else exterior
     if term.label is not None:
-        sel &= mesh.exterior_label[facets] == term.label
-    return np.flatnonzero(sel)
+        chosen &= mesh.exterior_label == term.label
+    return [np.flatnonzero(chosen[mesh.cell_facets[:, loc]]) for loc in range(3)]
+
+
+def _contexts(mesh: Mesh, term: IntegralTerm, rule, blocked: bool):
+    """The term's evaluation contexts: all cells (or all cells of one
+    local edge) at once, or in :func:`~hybridfem.spaces.cell_blocks`."""
+    if term.domain == CELL:
+        parts = [(None, slice(0, mesh.n_cells))]
+    else:
+        parts = [(loc, cells) for loc, cells in enumerate(_facet_selections(mesh, term))
+                 if len(cells)]
+    for loc, cells in parts:
+        for blk in cell_blocks(cells, len(rule.weights)) if blocked else [cells]:
+            yield _CellCtx(mesh, rule, blk) if loc is None else _FacetCtx(mesh, blk, loc, rule)
 
 
 def assemble_form(form: FormIR) -> np.ndarray:
     """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,).
 
     Bilinear terms built only from arguments, facet normals, constants
-    and scalar factors are contracted from reference tensors; all other
-    terms are integrated point by point.
+    and scalar factors are contracted from reference tensors over all
+    cells at once; all other terms are integrated point by point, one
+    cell block at a time.
     """
     mesh = form.mesh
-    nc = mesh.n_cells
-    t_off = _local_offsets(form.test_fields)
-    u_off = _local_offsets(form.trial_fields)
-    nt, ntr = t_off[-1], u_off[-1]
-    out = np.zeros((nc, max(nt, 1), max(ntr, 1)))
+    t_off = local_offsets(form.test_fields)
+    u_off = local_offsets(form.trial_fields)
+    out = np.zeros((mesh.n_cells, max(t_off[-1], 1), max(u_off[-1], 1)))
 
     for term in form.terms:
         exact = _term_exactness(term, form)
         ti, tj = form.term_blocks(term)
-        if term.domain == CELL:
-            ctxs = [_CellCtx(mesh, reference.triangle_quadrature(exact))]
-        else:
-            rule = reference.edge_quadrature(exact)
-            ctxs = [_FacetCtx(mesh, cells, loc, rule) for loc in range(3)
-                    if len(cells := _facet_selections(mesh, term, loc))]
         by_reference = _is_reference_form(term, form)
-        for ctx in ctxs:
+        rule = (reference.triangle_quadrature(exact) if term.domain == CELL
+                else reference.edge_quadrature(exact))
+        for ctx in _contexts(mesh, term, rule, blocked=not by_reference):
             if by_reference:
                 local = _reference_tensor(term, ctx, form)
             else:
                 arr, is_vec = _eval_expr(term.integrand, ctx, form)
                 if is_vec:
                     raise ValueError("integrand must be scalar-valued")
-                local = _integrate(_bcast_cells(arr, len(ctx.cells)), ctx)
+                local = _integrate(_bcast_cells(arr, len(ctx.scale)), ctx)
             _scatter_block(out, local, ctx.cells, ti, tj, t_off, u_off)
 
     if form.rank == 2:
@@ -642,21 +649,14 @@ def assemble_form(form: FormIR) -> np.ndarray:
     return out[:, 0, 0]
 
 
-def _local_offsets(fields) -> np.ndarray:
-    if not fields:
-        return np.array([0])
-    return np.concatenate([[0], np.cumsum([s.local_dim for s in fields])]).astype(int)
-
-
 def _scatter_block(out, local, cells, ti, tj, t_off, u_off):
     r0 = t_off[ti] if ti >= 0 else 0
     r1 = t_off[ti + 1] if ti >= 0 else 1
     c0 = u_off[tj] if tj >= 0 else 0
     c1 = u_off[tj + 1] if tj >= 0 else 1
-    # cells are sorted and distinct, so a term over every cell adds
-    # through a view instead of a fancy-indexed gather and scatter
-    rows = slice(None) if len(cells) == len(out) else cells
-    out[rows, r0:r1, c0:c1] += local
+    # cell terms come as slices and add through a view; facet cells are
+    # sorted and distinct, so the fancy-indexed add is safe
+    out[cells, r0:r1, c0:c1] += local
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +672,8 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
     mesh = form.mesh
     if not 0 <= cell < mesh.n_cells:
         raise IndexError(f"cell index {cell} out of range")
-    t_off = _local_offsets(form.test_fields)
-    u_off = _local_offsets(form.trial_fields)
+    t_off = local_offsets(form.test_fields)
+    u_off = local_offsets(form.trial_fields)
     out = np.zeros((max(t_off[-1], 1), max(u_off[-1], 1)))
 
     for term in form.terms:
@@ -687,8 +687,7 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
         else:
             rule = reference.edge_quadrature(exact)
             acc = None
-            for loc in range(3):
-                cells = _facet_selections(mesh, term, loc)
+            for loc, cells in enumerate(_facet_selections(mesh, term)):
                 if cell not in cells:
                     continue
                 ctx = _FacetCtx(mesh, np.array([cell]), loc, rule)

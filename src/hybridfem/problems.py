@@ -87,8 +87,9 @@ def _sinsin_grad(x, y):
     return np.pi * np.stack(np.broadcast_arrays(cx * sy, sx * cy), axis=-1)
 
 
-def _sinsin_lap(x, y):
-    return -2.0 * np.pi**2 * _sinsin(x, y)
+def _sinsin_with_lap(x, y):
+    p = _sinsin(x, y)
+    return p, -2.0 * np.pi**2 * p
 
 
 def _expsin(x, y):
@@ -99,16 +100,17 @@ def _expsin_grad(x, y):
     return _expsin(x, y)[..., None] * _sinsin_grad(x, y)
 
 
-def _expsin_lap(x, y):
+def _expsin_with_lap(x, y):
     s = _sinsin(x, y)
     grad_s = _sinsin_grad(x, y)
-    return np.exp(s) * ((grad_s**2).sum(axis=-1) - 2.0 * np.pi**2 * s)
+    p = np.exp(s)
+    return p, p * ((grad_s**2).sum(axis=-1) - 2.0 * np.pi**2 * s)
 
 
-# name -> (p, grad p, Laplacian of p)
+# name -> (p, grad p, (p, Laplacian of p) from one evaluation of p)
 _SOLUTIONS = {
-    "sinsin": (_sinsin, _sinsin_grad, _sinsin_lap),
-    "expsin": (_expsin, _expsin_grad, _expsin_lap),
+    "sinsin": (_sinsin, _sinsin_grad, _sinsin_with_lap),
+    "expsin": (_expsin, _expsin_grad, _expsin_with_lap),
 }
 
 
@@ -119,16 +121,17 @@ def manufactured(name: str = "sinsin") -> ManufacturedProblem:
     """
     if name not in _SOLUTIONS:
         raise ValueError(f"unknown manufactured problem {name!r}")
-    p, grad_p, lap_p = _SOLUTIONS[name]
+    p, grad_p, p_with_lap = _SOLUTIONS[name]
 
     def u(x, y):
         return -grad_p(x, y)
 
     def div_u(x, y):
-        return -lap_p(x, y)
+        return -p_with_lap(x, y)[1]
 
     def f(x, y):
-        return div_u(x, y) + p(x, y)
+        p_xy, lap = p_with_lap(x, y)
+        return p_xy - lap
 
     one = ScalarField.constant(1.0, name="1")
     return ManufacturedProblem(

@@ -49,14 +49,6 @@ class SolveReport:
     converged: bool
     reason: str = "converged"  # converged | maxiter | indefinite | breakdown
 
-    def csv_row(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": int(self.converged),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Krylov methods

@@ -142,10 +142,6 @@ class MixedSpace:
     def local_dim(self) -> int:
         return sum(s.local_dim for s in self.fields)
 
-    @property
-    def local_offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum([s.local_dim for s in self.fields])])
-
     def cell_dofs_global(self) -> np.ndarray:
         off = self.offsets
         return np.concatenate(
@@ -172,6 +168,11 @@ class Function:
 
 def zero_function(space: FunctionSpace) -> Function:
     return Function(space, np.zeros(space.ndof_global))
+
+
+def local_offsets(fields) -> np.ndarray:
+    """Start of each field's block in a cell's local dofs, then the total."""
+    return np.concatenate([[0], np.cumsum([s.local_dim for s in fields])]).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +396,22 @@ def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
 
 # ---------------------------------------------------------------------------
 # batched basis maps on affine cells, and pointwise evaluation
+
+BLOCK_POINTS = 2**16  # quadrature points per evaluation block
+
+
+def cell_blocks(cells, nq: int):
+    """Consecutive blocks of ``cells`` with at most ``BLOCK_POINTS``
+    points at ``nq`` points per cell, made lazily so that each block's
+    arrays are freed before the next block is built.  ``cells`` is a
+    slice with explicit bounds (blocks are slices) or an array of cell
+    indices (blocks are chunks of it)."""
+    step = max(1, BLOCK_POINTS // nq)
+    if isinstance(cells, slice):
+        return (slice(s, min(s + step, cells.stop))
+                for s in range(cells.start, cells.stop, step))
+    return (cells[s:s + step] for s in range(0, len(cells), step))
+
 
 _DERIVATIVES = {"DG": ("value", "grad"), "CG": ("value", "grad"),
                 "VectorDG": ("value", "div"), "RT": ("value", "div")}

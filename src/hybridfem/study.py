@@ -47,7 +47,7 @@ from .solvers import (
     make_preconditioner,
     sparse_direct_solve,
 )
-from .spaces import Function, eval_function, eval_function_div, project_div
+from .spaces import Function, cell_blocks, contract, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
 
@@ -97,27 +97,30 @@ class StudySpec:
 
 def l2_error(fn: Function, exact, exactness: int = 10) -> float:
     """L2 norm of (fn - exact); ``exact`` maps coordinates to values."""
-    mesh = fn.space.mesh
-    rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
-    geo = mesh.geometry()
-    pts = geo.physical_points(rule.points)
-    want = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-    got = eval_function(fn, rule.points)
-    diff2 = (got - want) ** 2
-    if diff2.ndim == 3:
-        diff2 = diff2.sum(axis=-1)
-    return float(np.sqrt(np.sum(rule.weights * diff2 * geo.det_j[:, None])))
+    return _l2_norm(fn, "value", exact, exactness)
 
 
 def l2_error_div(fn: Function, exact_div, exactness: int = 10) -> float:
-    mesh = fn.space.mesh
+    return _l2_norm(fn, "div", exact_div, exactness)
+
+
+def _l2_norm(fn: Function, deriv: str, exact, exactness: int) -> float:
+    """L2 norm of the ``deriv`` values of ``fn`` minus ``exact``, summed
+    over cell blocks."""
+    space = fn.space
+    geo = space.mesh.geometry()
     rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
-    geo = mesh.geometry()
-    pts = geo.physical_points(rule.points)
-    want = np.asarray(exact_div(pts[..., 0], pts[..., 1]), dtype=float)
-    got = eval_function_div(fn, rule.points)
-    return float(np.sqrt(np.sum(rule.weights * (got - want) ** 2
-                                * geo.det_j[:, None])))
+    total = 0.0
+    for blk in cell_blocks(slice(0, space.mesh.n_cells), len(rule.weights)):
+        pts = geo.physical_points(rule.points, blk)
+        want = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
+        got = contract(ref_basis(space, deriv, rule.points, geo, blk),
+                       fn.coeffs[space.cell_dofs[blk]])  # (ncs, nq, ncomp)
+        if got.shape[-1] == 1:
+            want = want[..., None]
+        diff2 = ((got - want) ** 2).sum(axis=-1)
+        total += np.sum(rule.weights * diff2 * geo.det_j[blk, None])
+    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from hybridfem.forms import (
     test as tfn,
     trial,
 )
+from hybridfem.spaces import local_offsets
 
 
 def mass(V):
@@ -112,7 +113,7 @@ def test_blocks_match_submatrix():
     mesh, W, a, _ = three_field_system()
     A = Tensor(a)
     full = evaluate_all(compile_expr(A))
-    off = W.local_offsets
+    off = local_offsets(W.fields)
     rng = np.random.default_rng(0)
     cells = rng.integers(0, mesh.n_cells, 3)
     for i in range(3):

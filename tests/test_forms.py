@@ -17,7 +17,7 @@ from hybridfem import (
     create_space,
     mark_boundary,
 )
-from hybridfem import forms
+from hybridfem import forms, spaces
 from hybridfem.forms import (
     CELL,
     EXTERIOR,
@@ -318,8 +318,8 @@ def test_quadrature_path_matches_oracle_on_general_meshes(mesh_name):
 
 
 def test_full_cell_scatter_is_bit_identical_to_indexed_scatter(monkeypatch):
-    """Terms over every cell add their blocks through a basic slice; the
-    element tensors equal those of a fancy-indexed gather and scatter."""
+    """Cell terms add their blocks through a basic slice; the element
+    tensors equal those of a fancy-indexed gather and scatter."""
     mesh = mark_boundary(build_jittered_square(4, 0.2, seed=5),
                          lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
     prob = manufactured("expsin")
@@ -331,11 +331,92 @@ def test_full_cell_scatter_is_bit_identical_to_indexed_scatter(monkeypatch):
     def indexed_scatter(out, local, cells, ti, tj, t_off, u_off):
         r0, r1 = (t_off[ti], t_off[ti + 1]) if ti >= 0 else (0, 1)
         c0, c1 = (u_off[tj], u_off[tj + 1]) if tj >= 0 else (0, 1)
-        out[cells, r0:r1, c0:c1] += local
+        out[np.arange(len(out))[cells], r0:r1, c0:c1] += local
 
     monkeypatch.setattr(forms, "_scatter_block", indexed_scatter)
     for f, expected in zip(forms_, sliced):
         np.testing.assert_array_equal(assemble_form(f), expected)
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_facet_selections_match_string_labels(mesh_name):
+    """Facets chosen from the cell adjacency and one label mask per term
+    are those the facet kind and label strings name."""
+    mesh = _general_meshes()[mesh_name]
+    n_neumann = 0
+    for domain, label in [(INTERIOR, None), (EXTERIOR, None),
+                          (EXTERIOR, DIRICHLET), (EXTERIOR, NEUMANN)]:
+        got = forms._facet_selections(mesh, IntegralTerm(domain, Const(1.0), label))
+        kind = "interior" if domain == INTERIOR else "exterior"
+        for loc in range(3):
+            facets = mesh.cell_facets[:, loc]
+            want = mesh.facet_kind[facets] == kind
+            if label is not None:
+                want &= mesh.exterior_label[facets] == label
+            np.testing.assert_array_equal(got[loc], np.flatnonzero(want))
+            n_neumann += len(got[loc]) if label == NEUMANN else 0
+    assert (n_neumann > 0) == (mesh_name == "jittered-neumann-left")
+
+
+def _pp_rhs(mesh, k):
+    """The right-hand side of ``postprocess.scalar_pp`` for random data."""
+    rng = np.random.default_rng(8)
+    U, P = create_space(mesh, RT(k)), create_space(mesh, DG(k - 1))
+    u_h, p_h = (Function(S, rng.standard_normal(S.ndof_global)) for S in (U, P))
+    W = MixedSpace((create_space(mesh, DG(k + 1)), create_space(mesh, DG(0))))
+    return FormIR(W, None, [
+        IntegralTerm(CELL, -dot(fld(ONE), dot(grad(tfn(0)), coef(u_h)))),
+        IntegralTerm(CELL, dot(tfn(1), coef(p_h))),
+    ])
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_cell_block_ends_match_oracle(mesh_name, monkeypatch):
+    """Quadrature-path terms are evaluated one cell block at a time; the
+    first and last cell of every block agree with the single-cell oracle."""
+    jittered = build_jittered_square(48, 0.2, seed=5)
+    mesh = {"structured": build_unit_square(48), "jittered": jittered,
+            "jittered-neumann-left": mark_boundary(
+                jittered, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)}[mesh_name]
+    prob = manufactured("sinsin")
+    blocks, is_cell_block = [], []
+    scatter = forms._scatter_block
+
+    def recording_scatter(out, local, cells, *rest):
+        blocks.append(np.arange(len(out))[cells])
+        is_cell_block.append(isinstance(cells, slice))
+        scatter(out, local, cells, *rest)
+
+    monkeypatch.setattr(forms, "_scatter_block", recording_scatter)
+    for name, form in [("cg-1", primal_cg_system(mesh, prob, 1).rhs),
+                       ("mixed-hybrid-1", hybridized_mixed_system(mesh, prob, 1).rhs),
+                       ("scalar-pp-2", _pp_rhs(mesh, 2))]:
+        blocks.clear()
+        is_cell_block.clear()
+        batched = assemble_form(form)
+        # some cell term spans two blocks or more, and each cell term's
+        # blocks cover every cell once
+        n_cell_terms = sum(t.domain == CELL for t in form.terms)
+        assert sum(is_cell_block) > n_cell_terms, name
+        covered = np.concatenate([b for b, cell in zip(blocks, is_cell_block) if cell])
+        assert (np.bincount(covered, minlength=mesh.n_cells) == n_cell_terms).all(), name
+        for c in sorted({int(b[i]) for b in blocks for i in (0, -1)}):
+            local = assemble_local(form, c)
+            err = np.abs(batched[c] - local).max() / np.abs(local).max()
+            assert err <= 1e-12, (name, c, err)
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_element_tensors_do_not_depend_on_block_size(mesh_name, monkeypatch):
+    """Blocking changes no cell's arithmetic: with blocks of a cell or
+    two, and facet selections cut into several chunks, every
+    quadrature-path tensor is bit-identical to one block per term."""
+    mesh = _general_meshes()[mesh_name]
+    named = list(_quadrature_forms(mesh))
+    whole = [assemble_form(form) for _, form in named]
+    monkeypatch.setattr(spaces, "BLOCK_POINTS", 64)
+    for (name, form), expected in zip(named, whole):
+        np.testing.assert_array_equal(assemble_form(form), expected, err_msg=name)
 
 
 def test_nonconstant_degree_zero_field_takes_quadrature_path():

@@ -87,7 +87,6 @@ def test_cg_reports_indefinite_operator():
     x, rep = krylov_solve(A, np.ones(3), KrylovConfig(method="cg"))
     assert rep.reason == "indefinite"
     assert rep.converged is False
-    assert rep.csv_row().keys() == {"method", "iterations", "residual", "converged"}
 
 
 @pytest.mark.parametrize("method", ["gmres", "fgmres"])

@@ -1,18 +1,34 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 import hybridfem
-from hybridfem import DG, build_unit_square, create_space, expressions, interpolate
-from hybridfem.problems import manufactured
+from hybridfem import (
+    DG,
+    RT,
+    Function,
+    build_jittered_square,
+    build_unit_square,
+    create_space,
+    expressions,
+    interpolate,
+    reference,
+    spaces,
+)
+from hybridfem.forms import assemble_form
+from hybridfem.problems import manufactured, primal_cg_system
+from hybridfem.spaces import eval_function, eval_function_div
 from hybridfem.study import (
     COMPARE_COLUMNS,
     CONVERGE_COLUMNS,
     StudySpec,
     l2_error,
+    l2_error_div,
     run_convergence,
     run_solver_compare,
     solve_hybridizable,
@@ -53,6 +69,56 @@ def test_l2_error_oracle():
     # constant offset: ||c||_L2(unit square) = |c|
     off = l2_error(fn, lambda x, y: 2.0 + x + y * x)
     assert abs(off - 1.0) < 1e-12
+
+
+def test_blocked_l2_errors_match_single_pass():
+    """The error norms, summed over cell blocks, equal one pass over all
+    cells at once."""
+    mesh = build_jittered_square(48, 0.2, seed=5)
+    prob = manufactured("expsin")
+    rng = np.random.default_rng(4)
+    rule = reference.triangle_quadrature(10)
+    assert mesh.n_cells * len(rule.weights) > 2 * spaces.BLOCK_POINTS
+    geo = mesh.geometry()
+    pts = geo.physical_points(rule.points)
+    x, y = pts[..., 0], pts[..., 1]
+
+    def single_pass(diff2):
+        return np.sqrt(np.sum(rule.weights * diff2 * geo.det_j[:, None]))
+
+    p = Function(create_space(mesh, DG(2)), rng.standard_normal(6 * mesh.n_cells))
+    U = create_space(mesh, RT(2))
+    u = Function(U, rng.standard_normal(U.ndof_global))
+    cases = [
+        (l2_error(p, prob.p), (eval_function(p, rule.points) - prob.p(x, y)) ** 2),
+        (l2_error(u, prob.u),
+         ((eval_function(u, rule.points) - prob.u(x, y)) ** 2).sum(axis=-1)),
+        (l2_error_div(u, prob.div_u),
+         (eval_function_div(u, rule.points) - prob.div_u(x, y)) ** 2),
+    ]
+    for got, diff2 in cases:
+        assert got == pytest.approx(single_pass(diff2), rel=1e-13)
+
+
+def test_rhs_and_error_memory_is_bounded_by_blocks():
+    """At n=128 the right-hand side and the error norm hold one cell
+    block of quadrature data at a time, not the whole mesh."""
+    mesh = build_unit_square(128)
+    prob = manufactured("sinsin")
+    ps = primal_cg_system(mesh, prob, 1)
+    p = interpolate(ps.space, prob.p)
+    runs = (lambda: assemble_form(ps.rhs), lambda: l2_error(p, prob.p))
+    for run in runs:
+        run()  # geometry and tabulation caches fill on the first call
+    peaks = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 12.0 and peaks[1] <= 8.0, peaks
 
 
 def test_convergence_rows_schema_and_rates():
