@@ -16,8 +16,8 @@ Two assembly routes are provided: :func:`assemble_form` evaluates many
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
 oracle.  Within :func:`assemble_form`, bilinear terms with constant data
-are contracted from reference tensors over all cells; all other terms
-are integrated point by point in cell blocks of at most
+are contracted from reference tensors in one product per form; the other
+terms are integrated point by point in cell blocks of at most
 :data:`~hybridfem.spaces.BLOCK_POINTS` quadrature points, so their
 temporaries stay cache-sized.  Both batched paths take every basis from
 :func:`~hybridfem.spaces.ref_basis` (coefficients through
@@ -376,53 +376,48 @@ def _term_exactness(term: IntegralTerm, form: FormIR) -> int:
 # ---------------------------------------------------------------------------
 # batched evaluation contexts
 
-class _CellCtx:
-    """Quadrature data on the interiors of the given cells (slice or indices)."""
+class _Ctx:
+    """Point data shared by the cell and facet contexts."""
 
-    def __init__(self, mesh: Mesh, rule, cells):
-        self.cells = cells
-        self.nq = len(rule.weights)
-        self.rule = rule
-        self.geo = mesh.geometry()
-        self.ref_pts = rule.points
-        self.scale = self.geo.det_j[self.cells]  # integration measure factor
+    def __init__(self, mesh: Mesh, rule, cells, ref_pts: np.ndarray):
+        self.cells, self.rule, self.nq = cells, rule, len(rule.weights)
+        self.geo, self.ref_pts = mesh.geometry(), ref_pts
 
     @cached_property
     def phys(self) -> np.ndarray:
-        return self.geo.physical_points(self.rule.points, self.cells)
-
-    def ref_basis(self, space: FunctionSpace, deriv: str):
-        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
+        return self.geo.physical_points(self.ref_pts, self.cells)
 
     def eval_field(self, sf: ScalarField) -> np.ndarray:
         return sf(self.phys[..., 0], self.phys[..., 1])
-
-    def normal(self):
-        raise ValueError("facet normal is undefined on cell interiors")
 
     def local_coeffs(self, fn: Function) -> np.ndarray:
         # basis values are sign-corrected, so the gather is plain indexing
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
 
-class _FacetCtx:
+class _CellCtx(_Ctx):
+    """Quadrature data on the interiors of the given cells (slice or indices)."""
+
+    def __init__(self, mesh: Mesh, rule, cells):
+        super().__init__(mesh, rule, cells, rule.points)
+        self.scale = self.geo.det_j[cells]  # integration measure factor
+
+    def ref_basis(self, space: FunctionSpace, deriv: str):
+        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
+
+    def normal(self):
+        raise ValueError("facet normal is undefined on cell interiors")
+
+
+class _FacetCtx(_Ctx):
     """Quadrature data for one local edge over a batch of cells."""
 
     def __init__(self, mesh: Mesh, cells: np.ndarray, local_edge: int, rule):
-        geo = mesh.geometry()
-        self.cells = cells
+        super().__init__(mesh, rule, cells, reference.edge_points(local_edge, rule.points))
         self.local_edge = local_edge
-        self.nq = len(rule.weights)
-        self.rule = rule
-        self.geo = geo
-        self.ref_pts = reference.edge_points(local_edge, rule.points)
-        self.scale = geo.edge_lengths[cells, local_edge]
-        self.normals = geo.edge_normals[cells, local_edge]  # (ncs, 2)
-        self.dir_match = geo.dir_match[cells, local_edge]
-
-    @cached_property
-    def phys(self) -> np.ndarray:
-        return self.geo.physical_points(self.ref_pts, self.cells)
+        self.scale = self.geo.edge_lengths[cells, local_edge]
+        self.normals = self.geo.edge_normals[cells, local_edge]  # (ncs, 2)
+        self.dir_match = self.geo.dir_match[cells, local_edge]
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
         if space.family.kind != "Trace":
@@ -438,14 +433,8 @@ class _FacetCtx:
         g = np.stack([self.dir_match, ~self.dir_match], axis=-1).astype(float)
         return ref, g[:, None, :], None
 
-    def eval_field(self, sf: ScalarField) -> np.ndarray:
-        return sf(self.phys[..., 0], self.phys[..., 1])
-
     def normal(self) -> np.ndarray:
         return self.normals
-
-    def local_coeffs(self, fn: Function) -> np.ndarray:
-        return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +560,6 @@ def _ref_factor(node: Expr, ctx, form: FormIR):
     raise TypeError(f"integrand node {node!r} has no reference form")
 
 
-def _reference_tensor(term: IntegralTerm, ctx, form: FormIR) -> np.ndarray:
-    g, refs = _ref_factor(term.integrand, ctx, form)
-    if g.shape[1] != 1:
-        raise ValueError("integrand must be scalar-valued")
-    (r_t, s_t), (r_u, s_u) = refs["test"], refs["trial"]
-    a0 = np.einsum("q,qir,qjs->rsij", ctx.rule.weights, r_t, r_u)
-    ncs, (rt, rs) = len(ctx.scale), g.shape[2:]
-    gk = g[:, 0].reshape(-1, rt * rs) * ctx.scale[:, None]
-    local = (gk @ a0.reshape(rt * rs, -1)).reshape(ncs, r_t.shape[1], r_u.shape[1])
-    if s_t is not None:
-        local *= s_t[:, :, None]
-    if s_u is not None:
-        local *= s_u[:, None, :]
-    return local
-
-
 # ---------------------------------------------------------------------------
 # assembly drivers
 
@@ -613,33 +586,34 @@ def _contexts(mesh: Mesh, term: IntegralTerm, rule, blocked: bool):
             yield _CellCtx(mesh, rule, blk) if loc is None else _FacetCtx(mesh, blk, loc, rule)
 
 
+def _term_rule(term: IntegralTerm, form: FormIR):
+    exact = _term_exactness(term, form)
+    return (reference.triangle_quadrature(exact) if term.domain == CELL
+            else reference.edge_quadrature(exact))
+
+
 def assemble_form(form: FormIR) -> np.ndarray:
     """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,).
 
     Bilinear terms built only from arguments, facet normals, constants
-    and scalar factors are contracted from reference tensors over all
-    cells at once; all other terms are integrated point by point, one
-    cell block at a time.
+    and scalar factors are contracted from reference tensors in one
+    matrix product over all cells; all other terms are then integrated
+    point by point, one cell block at a time.
     """
     mesh = form.mesh
     t_off = local_offsets(form.test_fields)
     u_off = local_offsets(form.trial_fields)
-    out = np.zeros((mesh.n_cells, max(t_off[-1], 1), max(u_off[-1], 1)))
+    by_reference = [_is_reference_form(term, form) for term in form.terms]
+    out = _reference_product(form, [t for t, r in zip(form.terms, by_reference) if r],
+                             t_off, u_off)
 
-    for term in form.terms:
-        exact = _term_exactness(term, form)
+    for term in (t for t, r in zip(form.terms, by_reference) if not r):
         ti, tj = form.term_blocks(term)
-        by_reference = _is_reference_form(term, form)
-        rule = (reference.triangle_quadrature(exact) if term.domain == CELL
-                else reference.edge_quadrature(exact))
-        for ctx in _contexts(mesh, term, rule, blocked=not by_reference):
-            if by_reference:
-                local = _reference_tensor(term, ctx, form)
-            else:
-                arr, is_vec = _eval_expr(term.integrand, ctx, form)
-                if is_vec:
-                    raise ValueError("integrand must be scalar-valued")
-                local = _integrate(_bcast_cells(arr, len(ctx.scale)), ctx)
+        for ctx in _contexts(mesh, term, _term_rule(term, form), blocked=True):
+            arr, is_vec = _eval_expr(term.integrand, ctx, form)
+            if is_vec:
+                raise ValueError("integrand must be scalar-valued")
+            local = _integrate(_bcast_cells(arr, len(ctx.scale)), ctx)
             _scatter_block(out, local, ctx.cells, ti, tj, t_off, u_off)
 
     if form.rank == 2:
@@ -649,11 +623,48 @@ def assemble_form(form: FormIR) -> np.ndarray:
     return out[:, 0, 0]
 
 
+def _reference_product(form: FormIR, terms: list, t_off, u_off) -> np.ndarray:
+    """Reference-path element tensors of ``terms`` as one product
+    ``(G @ A0).reshape(nc, NT, NTR)``.  Each term and local edge adds its
+    columns ``s_K g`` to ``G`` (zero for cells outside a facet term's
+    selection) and its ``A0`` rows, placed in the term's block of the
+    flattened local layout.  Orientation signs belong to a field, so they
+    are applied once, after the product, to the signed fields only.  With
+    no terms (every linear form) it is the zeros the quadrature path fills."""
+    nc, shape = form.mesh.n_cells, (max(t_off[-1], 1), max(u_off[-1], 1))
+    pieces, signed_t, signed_u = [], set(), set()
+    for term in terms:
+        ti, tj = form.term_blocks(term)
+        for ctx in _contexts(form.mesh, term, _term_rule(term, form), blocked=False):
+            g, refs = _ref_factor(term.integrand, ctx, form)
+            if g.shape[1] != 1:
+                raise ValueError("integrand must be scalar-valued")
+            (r_t, s_t), (r_u, s_u) = refs["test"], refs["trial"]
+            if s_t is not None:
+                signed_t.add(ti)
+            if s_u is not None:
+                signed_u.add(tj)
+            a0 = np.einsum("q,qir,qjs->rsij", ctx.rule.weights, r_t, r_u)
+            gk = g[:, 0].reshape(-1, a0.shape[0] * a0.shape[1]) * ctx.scale[:, None]
+            pieces.append((ctx.cells, gk, a0.reshape(gk.shape[1], *a0.shape[2:]), ti, tj))
+    K = sum(gk.shape[1] for _, gk, *_ in pieces)
+    G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)
+    k = 0
+    for cells, gk, a0, ti, tj in pieces:
+        G[cells, k:k + gk.shape[1]] = gk
+        A0[k:k + gk.shape[1], t_off[ti]:t_off[ti + 1], u_off[tj]:u_off[tj + 1]] = a0
+        k += gk.shape[1]
+    out = (G @ A0.reshape(K, shape[0] * shape[1])).reshape((nc,) + shape)
+    for ti in signed_t:
+        out[:, t_off[ti]:t_off[ti + 1]] *= form.test_fields[ti].cell_signs[:, :, None]
+    for tj in signed_u:
+        out[:, :, u_off[tj]:u_off[tj + 1]] *= form.trial_fields[tj].cell_signs[:, None, :]
+    return out
+
+
 def _scatter_block(out, local, cells, ti, tj, t_off, u_off):
-    r0 = t_off[ti] if ti >= 0 else 0
-    r1 = t_off[ti + 1] if ti >= 0 else 1
-    c0 = u_off[tj] if tj >= 0 else 0
-    c1 = u_off[tj + 1] if tj >= 0 else 1
+    r0, r1 = (t_off[ti], t_off[ti + 1]) if ti >= 0 else (0, 1)
+    c0, c1 = (u_off[tj], u_off[tj + 1]) if tj >= 0 else (0, 1)
     # cell terms come as slices and add through a view; facet cells are
     # sorted and distinct, so the fancy-indexed add is safe
     out[cells, r0:r1, c0:c1] += local

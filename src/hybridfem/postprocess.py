@@ -3,7 +3,8 @@
 ``scalar_pp`` solves, in every cell, a stiffness system of one degree
 higher with Lagrange multipliers enforcing that the result keeps the
 moments of the computed scalar up to the multiplier degree; the gradient
-is matched against the computed flux.  This raises the scalar
+is matched against the computed flux, its data entering as a bilinear
+form acting on their gathered coefficients.  This raises the scalar
 convergence rate by one order for hybridized mixed and (tau = O(1))
 LDG-H solutions.
 
@@ -22,13 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .expressions import Tensor, assemble_global
+from .expressions import AssembledVector, Tensor, assemble_global
 from .forms import (
     CELL,
     FormIR,
     IntegralTerm,
     ScalarField,
-    coef,
     dot,
     fld,
     grad,
@@ -68,12 +68,20 @@ def scalar_pp(u_h: Function, p_h: Function, mu: ScalarField,
         IntegralTerm(CELL, dot(test(0), trial(1))),
         IntegralTerm(CELL, dot(test(1), trial(0))),
     ])
-    rhs = FormIR(W, None, [
-        IntegralTerm(CELL, -dot(fld(mu), dot(grad(test(0)), coef(u_h)))),
-        IntegralTerm(CELL, dot(test(1), coef(p_h))),
-    ])
-    expr = Tensor(a).solve(Tensor(rhs), "lu").blocks[0]
+    expr = Tensor(a).solve(_data_action(W, u_h, p_h, mu), "lu").blocks[0]
     return Function(V_star, assemble_global(expr))
+
+
+def _data_action(W: MixedSpace, u_h: Function, p_h: Function, mu: ScalarField):
+    """The local right-hand side ``-mu grad v . u_h + q p_h`` as Slate
+    writes it: a bilinear data form times the gathered coefficients,
+    ``Tensor(b) * AssembledVector((data, (u_h, p_h)))``."""
+    data = MixedSpace((u_h.space, p_h.space))
+    b = FormIR(W, data, [
+        IntegralTerm(CELL, -dot(fld(mu), dot(grad(test(0)), trial(0)))),
+        IntegralTerm(CELL, dot(test(1), trial(1))),
+    ])
+    return Tensor(b) * AssembledVector((data, np.concatenate([u_h.coeffs, p_h.coeffs])))
 
 
 def flux_pp(u_h: Function, p_h: Function, lam_h: Function,

@@ -14,8 +14,8 @@ broken space by plain index copying.
 
 :func:`ref_basis` is the one batched statement of each family's
 reference-to-physical map; :func:`contract` applies it to per-cell
-coefficients, and :func:`eval_function` / :func:`eval_function_div`
-are that contraction at given reference points.
+coefficients, and :func:`eval_function` is that contraction at given
+reference points.
 """
 
 from __future__ import annotations
@@ -479,19 +479,10 @@ def eval_function(fn: Function, ref_points: np.ndarray) -> np.ndarray:
     Returns (n_cells, n_points) for scalar families and
     (n_cells, n_points, 2) for vector families.
     """
-    vals = _contract_all(fn, "value", ref_points)
-    return vals if fn.space.family.is_vector else vals[..., 0]
-
-
-def eval_function_div(fn: Function, ref_points: np.ndarray) -> np.ndarray:
-    """Divergence values at reference points in every cell."""
-    return _contract_all(fn, "div", ref_points)[..., 0]
-
-
-def _contract_all(fn: Function, deriv: str, ref_points: np.ndarray) -> np.ndarray:
     space = fn.space
-    basis = ref_basis(space, deriv, ref_points, space.mesh.geometry(), slice(None))
-    return contract(basis, fn.coeffs[space.cell_dofs])
+    basis = ref_basis(space, "value", ref_points, space.mesh.geometry(), slice(None))
+    vals = contract(basis, fn.coeffs[space.cell_dofs])
+    return vals if space.family.is_vector else vals[..., 0]
 
 
 # ---------------------------------------------------------------------------

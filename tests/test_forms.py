@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,51 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
             local = assemble_local(form, c)
             err = np.abs(batched[c] - local).max() / np.abs(local).max()
             assert err <= 1e-12, (name, c, err)
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_one_product_assembly_matches_oracle(mesh_name):
+    """All reference-path terms of a form are contracted in one product:
+    two terms sharing a block, a non-constant term added to that block on
+    the quadrature path afterwards, interior and Neumann facet terms over
+    signed RT, DG and trace fields; every cell matches the oracle."""
+    mesh = _general_meshes()[mesh_name]
+    W = MixedSpace((create_space(mesh, RT(2)), create_space(mesh, DG(1)),
+                    create_space(mesh, Trace(1))))
+    w = fld(ScalarField(lambda x, y: 1.0 + 0.5 * x * y - 0.25 * y * y, degree=2))
+    form = FormIR(W, W, [
+        IntegralTerm(CELL, dot(tfn(0), trial(0))),
+        IntegralTerm(CELL, 0.5 * dot(div(tfn(0)), div(trial(0)))),
+        IntegralTerm(CELL, dot(w, dot(tfn(0), trial(0)))),
+        IntegralTerm(CELL, -dot(div(tfn(0)), trial(1))),
+        IntegralTerm(CELL, dot(grad(tfn(1)), trial(0))),
+        IntegralTerm(INTERIOR, dot(jump(tfn(0)), trial(2))),
+        IntegralTerm(INTERIOR, dot(tfn(2), jump(trial(0)))),
+        IntegralTerm(EXTERIOR, dot(tfn(2), dot(Const(2.0), trial(2))), NEUMANN),
+        IntegralTerm(EXTERIOR, dot(jump(tfn(0)), jump(trial(0)))),
+    ])
+    on_reference = [_is_reference_form(t, form) for t in form.terms]
+    assert on_reference == [True, True, False] + [True] * 6
+    batched = assemble_form(form)
+    for c in range(mesh.n_cells):
+        local = assemble_local(form, c)
+        err = np.abs(batched[c] - local).max() / np.abs(local).max()
+        assert err <= 1e-12, (c, err)
+
+
+def test_reference_product_allocates_little_beyond_its_output():
+    """The CG(1) operator (stiffness plus mass) at n=128 holds no sign
+    arrays for its unsigned space and no per-term element tensors: the
+    assembly peaks at under 2.5 times the size of its output."""
+    form = primal_cg_system(build_unit_square(128), manufactured("sinsin"), 1).a
+    out = assemble_form(form)  # geometry and tabulation caches fill here
+    tracemalloc.start()
+    try:
+        assemble_form(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes, (peak, out.nbytes)
 
 
 def _quadrature_forms(mesh):

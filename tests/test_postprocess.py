@@ -3,32 +3,40 @@ import pytest
 
 from hybridfem import (
     DG,
+    RT,
     Trace,
     VectorDG,
     Function,
+    MixedSpace,
+    build_jittered_square,
     build_unit_square,
     create_space,
     interpolate,
     zero_function,
 )
 from hybridfem.condensation import FieldSplit, scpc_apply, scpc_setup
-from hybridfem.expressions import Tensor, assemble_global
+from hybridfem.expressions import (Tensor, assemble_global, compile_expr, evaluate_all,
+                                  naive_evaluate)
 from hybridfem.forms import (
     CELL,
     FormIR,
     IntegralTerm,
     ScalarField,
+    _is_reference_form,
+    assemble_form,
     coef,
     dot,
     fld,
+    grad,
     test as tfn,
     trial,
 )
-from hybridfem.postprocess import flux_pp, scalar_pp
+from hybridfem.postprocess import _data_action, flux_pp, scalar_pp
 from hybridfem.problems import ldgh_system, manufactured
 from hybridfem.reference import edge_points, edge_quadrature, triangle_quadrature
 from hybridfem.solvers import KrylovConfig, exact_preconditioner
-from hybridfem.spaces import eval_function, eval_function_div
+from hybridfem.spaces import eval_function
+from hybridfem.study import l2_error_div
 
 ONE = ScalarField.constant(1.0)
 
@@ -100,6 +108,39 @@ def test_scalar_pp_mean_preservation():
     a = assemble_global(Tensor(means))
     b = assemble_global(Tensor(means_star))
     assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("flux", ["RT", "VectorDG"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_scalar_pp_data_action_equals_coefficient_form(mesh_name, flux, k):
+    """The post-processing right-hand side, a bilinear data form acting on
+    the gathered coefficients of (u_h, p_h), equals the linear form with
+    ``coef(u_h)`` and ``coef(p_h)`` it replaces, and the single-cell
+    oracle, for constant (reference path) and non-constant (quadrature
+    path) ``mu``."""
+    mesh = build_unit_square(8) if mesh_name == "structured" else \
+        build_jittered_square(8, 0.2, seed=7)
+    U = create_space(mesh, RT(k) if flux == "RT" else VectorDG(k))
+    P = create_space(mesh, DG(k - 1 if flux == "RT" else k))
+    rng = np.random.default_rng(k)
+    u_h, p_h = (Function(S, rng.standard_normal(S.ndof_global)) for S in (U, P))
+    W = MixedSpace((create_space(mesh, DG(P.family.degree + 1)), create_space(mesh, DG(0))))
+    for mu, constant in [(ScalarField.constant(1.0), True),
+                         (ScalarField(lambda x, y: 1.0 + 0.5 * x * y, degree=2), False)]:
+        action = _data_action(W, u_h, p_h, mu)
+        assert [_is_reference_form(t, action.a.form) for t in action.a.form.terms] == \
+            [constant, True]
+        got = evaluate_all(compile_expr(action))
+        want = assemble_form(FormIR(W, None, [
+            IntegralTerm(CELL, -dot(fld(mu), dot(grad(tfn(0)), coef(u_h)))),
+            IntegralTerm(CELL, dot(tfn(1), coef(p_h))),
+        ]))
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= 1e-12, (constant, err.max())
+        for c in (0, mesh.n_cells - 1):  # the single-cell oracle as well
+            oracle = naive_evaluate(action, c)
+            assert np.abs(got[c] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_scalar_pp_multiplier_degree_validation():
@@ -189,11 +230,6 @@ def test_flux_pp_divergence_accuracy():
     prob = manufactured("sinsin")
     _, u_h, p_h, lam_h = solve_ldgh(mesh, prob, 1)
     u_star = flux_pp(u_h, p_h, lam_h, tau=1.0)
-    rule = triangle_quadrature(8)
-    geo = mesh.geometry()
-    pts = geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians, rule.points)
-    exact = prob.div_u(pts[..., 0], pts[..., 1])
-    got = eval_function_div(u_star, rule.points)
-    err = np.sqrt(np.sum(rule.weights * (got - exact) ** 2 * geo.det_j[:, None]))
+    err = l2_error_div(u_star, prob.div_u, exactness=8)
     # the acceptance suite measures the k+1 rate; here a coarse bound suffices
     assert err < 0.15
