@@ -15,11 +15,14 @@ cell's outward normal.  Summing both sides reproduces the facet jump.
 Two assembly routes are provided: :func:`assemble_form` evaluates many
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
-oracle.  Within :func:`assemble_form`, bilinear terms with constant data
-are contracted from reference tensors in one product per form; the other
-terms are integrated point by point in cell blocks of at most
+oracle.  :func:`assemble_form` walks every integrand into monomials, a
+per-cell factor times reference tabulations of the arguments, and sums
+over quadrature points in one of two places: for monomials without
+coefficients or fields the sum goes into reference tensors, contracted
+for all terms in one product per form; the others keep the point index
+and are contracted in cell blocks of at most
 :data:`~hybridfem.spaces.BLOCK_POINTS` quadrature points, so their
-temporaries stay cache-sized.  Both batched paths take every basis from
+temporaries stay cache-sized.  The walk takes every basis from
 :func:`~hybridfem.spaces.ref_basis` (coefficients through
 :func:`~hybridfem.spaces.contract`); the oracle holds the only physical
 tabulation of its own, so it checks both.
@@ -297,7 +300,7 @@ class FormIR:
             raise ValueError("each term must reference exactly one test field")
         if self.rank == 2 and len(roles["trial"]) != 1:
             raise ValueError("each term must reference exactly one trial field")
-        if term.domain == CELL and _contains_normal(term.integrand):
+        if term.domain == CELL and _collect(term.integrand, Normal):
             raise ValueError("facet normals appear in facet terms only")
 
     def term_blocks(self, term: IntegralTerm) -> tuple[int, int]:
@@ -322,10 +325,6 @@ def _collect(node: Expr, kind) -> list:
         elif isinstance(n, Scale):
             stack.append(n.x)
     return out
-
-
-def _contains_normal(node: Expr) -> bool:
-    return bool(_collect(node, Normal))
 
 
 # ---------------------------------------------------------------------------
@@ -438,126 +437,76 @@ class _FacetCtx(_Ctx):
 
 
 # ---------------------------------------------------------------------------
-# batched integrand evaluation
+# batched integrand walk (Kirby & Logg 2006, "A compiler for variational
+# forms"; Ølgaard & Wells 2010, "Optimizations for quadrature
+# representations of finite element tensors")
 #
-# Arrays are shaped (ncells, nq, n_test, n_trial) with a trailing
-# component axis for vector quantities; absent axes have extent 1.
+# An integrand is walked into a list of monomials (g, refs): g shaped
+# (ncs|1, nq|1, ncomp, rt, rs) is the per-cell factor built from the
+# argument maps of ref_basis, per point where a coefficient or field
+# enters; refs maps each argument role present to (ref, signs).  Extent-1
+# axes stand for an absent cell, point or role dependence.  On affine
+# cells a monomial's element tensor is
+#   K[c, i, j] = s[c] sum_q w_q sum_rs g[c, q, r, s] R_test[q, i, r] R_trial[q, j, s]
+# (times the test and trial cell signs), which is summed over q in one of
+# two places.  A point-independent g leaves the sum to the reference tensor
+#   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s],
+# so K = G @ A0 with G[c, (r, s)] = s[c] g[c, r, s].  A point-dependent g
+# keeps q in both, G[c, (q, r, s)] = w_q s[c] g[c, q, r, s] and
+# A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].
+
+_POINT_NODES = (Coef, Fld, VFld)
 
 
-def _eval_expr(node: Expr, ctx, form: FormIR):
+def _point_dependent(term: IntegralTerm) -> bool:
+    """Whether a term has monomials that vary over the quadrature points."""
+    return bool(_collect(term.integrand, _POINT_NODES))
+
+
+def _monomials(node: Expr, ctx, form: FormIR, points: bool) -> list:
+    """The monomials of ``node`` on ``ctx``; with ``points`` False the
+    coefficients and fields are left out, and so is every monomial
+    holding one."""
+    if isinstance(node, _POINT_NODES) and not points:
+        return []
     if isinstance(node, Arg):
         fields = form.test_fields if node.role == "test" else form.trial_fields
         ref, g, signs = ctx.ref_basis(fields[node.field], node.deriv)
-        vals = np.einsum("cdr,qir->cqid", g, ref, optimize=True)  # (nc|1, nq, nd, ncomp)
-        if signs is not None:
-            vals = vals * signs[:, None, :, None]
-        vals, is_vec = _squeeze_scalar(vals)
-        if node.role == "test":
-            return vals[:, :, :, None, ...], is_vec
-        return vals[:, :, None, :, ...], is_vec
+        g = g[:, None, :, :, None] if node.role == "test" else g[:, None, :, None, :]
+        return [(g, {node.role: (ref, signs)})]
     if isinstance(node, Coef):
         vals = contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(node.fn))
-        vals, is_vec = _squeeze_scalar(vals)
-        return vals[:, :, None, None, ...], is_vec
+        return [(vals[..., None, None], {})]
     if isinstance(node, Fld):
-        return ctx.eval_field(node.sf)[:, :, None, None], False
-    if isinstance(node, Const):
-        return np.full((1, ctx.nq, 1, 1), node.value), False
+        return [(ctx.eval_field(node.sf)[:, :, None, None, None], {})]
     if isinstance(node, VFld):
         vals = np.asarray(node.fn(ctx.phys[..., 0], ctx.phys[..., 1]), dtype=float)
-        return vals[:, :, None, None, :], True
-    if isinstance(node, Normal):
-        n = ctx.normal()
-        return n[:, None, None, None, :], True
-    if isinstance(node, Dot):
-        a, av = _eval_expr(node.a, ctx, form)
-        b, bv = _eval_expr(node.b, ctx, form)
-        if av != bv:
-            raise ValueError("dot requires operands of equal rank")
-        _check_bilinear(a, b)
-        if av:
-            return (a * b).sum(axis=-1), False
-        return a * b, False
-    if isinstance(node, Sum):
-        a, av = _eval_expr(node.a, ctx, form)
-        b, bv = _eval_expr(node.b, ctx, form)
-        if av != bv:
-            raise ValueError("sum requires operands of equal rank")
-        return a + b, av
-    if isinstance(node, Scale):
-        a, av = _eval_expr(node.x, ctx, form)
-        return node.c * a, av
-    raise TypeError(f"unknown integrand node {node!r}")
-
-
-def _squeeze_scalar(vals: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Drop the component axis of scalar values; report whether vector."""
-    if vals.shape[-1] == 2:
-        return vals, True
-    return vals[..., 0], False
-
-
-def _bcast_cells(vals: np.ndarray, nc: int) -> np.ndarray:
-    return np.broadcast_to(vals, (nc,) + vals.shape[1:])
-
-
-def _check_bilinear(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[2] > 1 and b.shape[2] > 1:
-        raise ValueError("integrand is nonlinear in the test argument")
-    if a.shape[3] > 1 and b.shape[3] > 1:
-        raise ValueError("integrand is nonlinear in the trial argument")
-
-
-def _integrate(arr: np.ndarray, ctx) -> np.ndarray:
-    return np.einsum("q,cqij->cij", ctx.rule.weights,
-                     arr * ctx.scale[:, None, None, None])
-
-
-# ---------------------------------------------------------------------------
-# reference-tensor evaluation (Kirby & Logg 2006, "A compiler for
-# variational forms")
-#
-# On affine cells a bilinear term built only from arguments, facet
-# normals, constants and scalar factors has the element tensor
-#   K[c, i, j] = s[c] sum_rs G[c, r, s] A0[r, s, i, j]
-# (times the test and trial cell signs), with the reference tensor
-#   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s]
-# and the per-cell factor G built from the argument maps of ref_basis.
-# Factors are carried as (g, refs): g shaped (ncs|1, ncomp, rt, rs) with
-# extent-1 axes for an absent role, refs maps a role to (ref, signs).
-
-_REFERENCE_NODES = (Arg, Const, Normal, Dot, Scale)
-
-
-def _is_reference_form(term: IntegralTerm, form: FormIR) -> bool:
-    """Whether a term's element tensors are computed from reference tensors."""
-    nodes = _collect(term.integrand, Expr)
-    return form.rank == 2 and all(isinstance(n, _REFERENCE_NODES) for n in nodes)
-
-
-def _ref_factor(node: Expr, ctx, form: FormIR):
-    if isinstance(node, Arg):
-        fields = form.test_fields if node.role == "test" else form.trial_fields
-        ref, g, signs = ctx.ref_basis(fields[node.field], node.deriv)
-        g = g[:, :, :, None] if node.role == "test" else g[:, :, None, :]
-        return g, {node.role: (ref, signs)}
+        return [(vals[..., None, None], {})]
     if isinstance(node, Const):
-        return np.full((1, 1, 1, 1), node.value), {}
+        return [(np.full((1, 1, 1, 1, 1), node.value), {})]
     if isinstance(node, Normal):
-        return ctx.normal()[:, :, None, None], {}
+        return [(ctx.normal()[:, None, :, None, None], {})]
     if isinstance(node, Dot):
-        a, a_refs = _ref_factor(node.a, ctx, form)
-        b, b_refs = _ref_factor(node.b, ctx, form)
-        if a.shape[1] != b.shape[1]:
-            raise ValueError("dot requires operands of equal rank")
-        shared = a_refs.keys() & b_refs.keys()
-        if shared:
-            raise ValueError(f"integrand is nonlinear in the {shared.pop()} argument")
-        return (a * b).sum(axis=1, keepdims=True), {**a_refs, **b_refs}
+        a = _monomials(node.a, ctx, form, points)
+        b = _monomials(node.b, ctx, form, points) if a else []
+        out = []
+        for ga, a_refs in a:
+            for gb, b_refs in b:
+                if ga.shape[2] != gb.shape[2]:
+                    raise ValueError("dot requires operands of equal rank")
+                shared = a_refs.keys() & b_refs.keys()
+                if shared:
+                    raise ValueError(f"integrand is nonlinear in the {shared.pop()} argument")
+                out.append(((ga * gb).sum(axis=2, keepdims=True), {**a_refs, **b_refs}))
+        return out
+    if isinstance(node, Sum):
+        out = _monomials(node.a, ctx, form, points) + _monomials(node.b, ctx, form, points)
+        if len({g.shape[2] for g, _ in out}) > 1:
+            raise ValueError("sum requires operands of equal rank")
+        return out
     if isinstance(node, Scale):
-        g, refs = _ref_factor(node.x, ctx, form)
-        return node.c * g, refs
-    raise TypeError(f"integrand node {node!r} has no reference form")
+        return [(node.c * g, refs) for g, refs in _monomials(node.x, ctx, form, points)]
+    raise TypeError(f"unknown integrand node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,79 +544,93 @@ def _term_rule(term: IntegralTerm, form: FormIR):
 def assemble_form(form: FormIR) -> np.ndarray:
     """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,).
 
-    Bilinear terms built only from arguments, facet normals, constants
-    and scalar factors are contracted from reference tensors in one
-    matrix product over all cells; all other terms are then integrated
-    point by point, one cell block at a time.
+    The point-independent monomials of all terms are contracted in one
+    matrix product over all cells; the point-dependent ones are then
+    added one cell block at a time.  Orientation signs belong to a
+    field, so they are applied once, at the end, to the signed fields.
     """
-    mesh = form.mesh
     t_off = local_offsets(form.test_fields)
     u_off = local_offsets(form.trial_fields)
-    by_reference = [_is_reference_form(term, form) for term in form.terms]
-    out = _reference_product(form, [t for t, r in zip(form.terms, by_reference) if r],
-                             t_off, u_off)
+    signed: set = set()
+    out = _reference_product(form, t_off, u_off, signed)
 
-    for term in (t for t, r in zip(form.terms, by_reference) if not r):
-        ti, tj = form.term_blocks(term)
-        for ctx in _contexts(mesh, term, _term_rule(term, form), blocked=True):
-            arr, is_vec = _eval_expr(term.integrand, ctx, form)
-            if is_vec:
-                raise ValueError("integrand must be scalar-valued")
-            local = _integrate(_bcast_cells(arr, len(ctx.scale)), ctx)
-            _scatter_block(out, local, ctx.cells, ti, tj, t_off, u_off)
+    for term in filter(_point_dependent, form.terms):
+        for ctx in _contexts(form.mesh, term, _term_rule(term, form), blocked=True):
+            gs, a0s = _factors(term, ctx, form, True, signed)
+            local = np.einsum("cp,pij->cij", np.concatenate(gs, axis=1), np.concatenate(a0s))
+            _scatter_block(out, local, ctx.cells, *form.term_blocks(term), t_off, u_off)
 
-    if form.rank == 2:
-        return out
-    if form.rank == 1:
-        return out[:, :, 0]
-    return out[:, 0, 0]
+    for role, f in signed:
+        if role == "test":
+            out[:, t_off[f]:t_off[f + 1]] *= form.test_fields[f].cell_signs[:, :, None]
+        else:
+            out[:, :, u_off[f]:u_off[f + 1]] *= form.trial_fields[f].cell_signs[:, None, :]
+    return out.reshape(out.shape[:1 + form.rank])
 
 
-def _reference_product(form: FormIR, terms: list, t_off, u_off) -> np.ndarray:
-    """Reference-path element tensors of ``terms`` as one product
-    ``(G @ A0).reshape(nc, NT, NTR)``.  Each term and local edge adds its
-    columns ``s_K g`` to ``G`` (zero for cells outside a facet term's
-    selection) and its ``A0`` rows, placed in the term's block of the
-    flattened local layout.  Orientation signs belong to a field, so they
-    are applied once, after the product, to the signed fields only.  With
-    no terms (every linear form) it is the zeros the quadrature path fills."""
+def _reference_product(form: FormIR, t_off, u_off, signed: set) -> np.ndarray:
+    """Unsigned element tensors of the point-independent monomials of all
+    terms as one product ``(G @ A0).reshape(nc, NT, NTR)``.  Each monomial
+    of a term and local edge adds its columns ``s_K g`` to ``G`` (zero for
+    cells outside a facet term's selection) and its ``A0`` rows, placed in
+    the term's block of the flattened local layout."""
     nc, shape = form.mesh.n_cells, (max(t_off[-1], 1), max(u_off[-1], 1))
-    pieces, signed_t, signed_u = [], set(), set()
-    for term in terms:
-        ti, tj = form.term_blocks(term)
+    pieces = []
+    for term in form.terms:
         for ctx in _contexts(form.mesh, term, _term_rule(term, form), blocked=False):
-            g, refs = _ref_factor(term.integrand, ctx, form)
-            if g.shape[1] != 1:
-                raise ValueError("integrand must be scalar-valued")
-            (r_t, s_t), (r_u, s_u) = refs["test"], refs["trial"]
-            if s_t is not None:
-                signed_t.add(ti)
-            if s_u is not None:
-                signed_u.add(tj)
-            a0 = np.einsum("q,qir,qjs->rsij", ctx.rule.weights, r_t, r_u)
-            gk = g[:, 0].reshape(-1, a0.shape[0] * a0.shape[1]) * ctx.scale[:, None]
-            pieces.append((ctx.cells, gk, a0.reshape(gk.shape[1], *a0.shape[2:]), ti, tj))
-    K = sum(gk.shape[1] for _, gk, *_ in pieces)
+            pieces += [(ctx.cells, gk, a0, form.term_blocks(term))
+                       for gk, a0 in zip(*_factors(term, ctx, form, False, signed))]
+    K = sum(gk.shape[1] for _, gk, _, _ in pieces)
     G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)
     k = 0
-    for cells, gk, a0, ti, tj in pieces:
+    for cells, gk, a0, (ti, tj) in pieces:
         G[cells, k:k + gk.shape[1]] = gk
-        A0[k:k + gk.shape[1], t_off[ti]:t_off[ti + 1], u_off[tj]:u_off[tj + 1]] = a0
+        A0[(slice(k, k + gk.shape[1]),) + _block(ti, tj, t_off, u_off)] = a0
         k += gk.shape[1]
-    out = (G @ A0.reshape(K, shape[0] * shape[1])).reshape((nc,) + shape)
-    for ti in signed_t:
-        out[:, t_off[ti]:t_off[ti + 1]] *= form.test_fields[ti].cell_signs[:, :, None]
-    for tj in signed_u:
-        out[:, :, u_off[tj]:u_off[tj + 1]] *= form.trial_fields[tj].cell_signs[:, None, :]
-    return out
+    return (G @ A0.reshape(K, shape[0] * shape[1])).reshape((nc,) + shape)
+
+
+def _factors(term: IntegralTerm, ctx, form: FormIR, points: bool, signed: set):
+    """Lists of ``G`` columns (ncs, p) and ``A0`` rows (p, ni, nj), one
+    entry per monomial of a term on ``ctx`` that is point-independent,
+    or with ``points`` point-dependent (every rule has two points or
+    more, so the point axis tells them apart).  An absent role gets a
+    constant tabulation; the signed fields are added to ``signed``."""
+    ti, tj = form.term_blocks(term)
+    w, gs, a0s = ctx.rule.weights, [], []
+    for g, refs in _monomials(term.integrand, ctx, form, points):
+        if g.shape[2] != 1:
+            raise ValueError("integrand must be scalar-valued")
+        if (g.shape[1] > 1) != points:
+            continue
+        tables = []
+        for role, f, fields in (("test", ti, form.test_fields), ("trial", tj, form.trial_fields)):
+            n = fields[f].local_dim if f >= 0 else 1
+            ref, signs = refs[role] if role in refs else (np.ones((ctx.nq, n, 1)), None)
+            if signs is not None:
+                signed.add((role, f))
+            tables.append(ref)
+        if points:
+            a0 = np.einsum("qir,qjs->qrsij", *tables)
+            g = g[:, :, 0] * (w * ctx.scale[:, None])[:, :, None, None]
+        else:
+            a0 = np.einsum("q,qir,qjs->rsij", w, *tables)
+            g = g[:, 0, 0] * ctx.scale[:, None, None]
+        gs.append(g.reshape(len(ctx.scale), -1))
+        a0s.append(a0.reshape(-1, *a0.shape[-2:]))
+    return gs, a0s
+
+
+def _block(ti, tj, t_off, u_off) -> tuple[slice, slice]:
+    """A term's rows and columns in the flattened local layout."""
+    return (slice(t_off[ti], t_off[ti + 1]) if ti >= 0 else slice(0, 1),
+            slice(u_off[tj], u_off[tj + 1]) if tj >= 0 else slice(0, 1))
 
 
 def _scatter_block(out, local, cells, ti, tj, t_off, u_off):
-    r0, r1 = (t_off[ti], t_off[ti + 1]) if ti >= 0 else (0, 1)
-    c0, c1 = (u_off[tj], u_off[tj + 1]) if tj >= 0 else (0, 1)
     # cell terms come as slices and add through a view; facet cells are
     # sorted and distinct, so the fancy-indexed add is safe
-    out[cells, r0:r1, c0:c1] += local
+    out[(cells,) + _block(ti, tj, t_off, u_off)] += local
 
 
 # ---------------------------------------------------------------------------

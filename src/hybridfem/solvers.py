@@ -27,7 +27,6 @@ from .expressions import constrain_matrix
 class KrylovConfig:
     method: str = "cg"  # "cg" | "gmres" | "fgmres"
     rtol: float = 1e-8
-    atol: float = 0.0
     maxiter: int = 2000
     restart: int = 50
     preconditioner: Callable[[np.ndarray], np.ndarray] | None = None
@@ -70,8 +69,7 @@ def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
         x, its, res, stop = _cg(matvec, b, cfg, x0)
     else:
         x, its, res, stop = _fgmres(matvec, b, cfg, x0)
-    tol = max(cfg.rtol, cfg.atol / max(np.linalg.norm(b), 1e-300))
-    converged = bool(res <= tol)
+    converged = bool(res <= cfg.rtol)
     report = SolveReport(cfg.method, its, res, converged,
                          "converged" if converged else stop)
     return x, report

@@ -306,16 +306,47 @@ def run_solver_compare(spec: StudySpec) -> list[dict]:
     return rows
 
 
-def _staged_preconditioner(apply, acc: Stages):
-    """Wrap ``apply(r) -> (y, report, stages)`` as a preconditioner that
-    adds each application's stage times to ``acc``."""
+def _direct_row(A, b, spec, base) -> tuple[np.ndarray, dict]:
+    """The sparse direct solve of a constrained system and its row."""
+    t0 = time.perf_counter()
+    x = sparse_direct_solve(A, b)
+    stages = Stages(trace_solve=time.perf_counter() - t0)
+    return x, dict(base, path="direct", dofs=len(b), iterations=0, converged=1,
+                   residual=0.0, max_diff_vs_direct=0.0,
+                   **_stage_columns(stages, spec.serial))
+
+
+def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndarray, dict]:
+    """Outer flexible GMRES on ``A x = b`` preconditioned by ``apply(r) ->
+    (y, report, stages)``, whose stage times are added to ``acc``; returns
+    the solution and its row, whose ``max_diff_vs_direct`` the caller
+    fills in."""
     def pc(r):
         y, _, st = apply(r)
         acc.forward += st.forward
         acc.trace_solve += st.trace_solve
         acc.backsub += st.backsub
         return y
-    return pc
+
+    cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter, preconditioner=pc)
+    x, rep = krylov_solve(A, b, cfg, x0=x0)
+    return x, dict(base, path=path, dofs=len(b), iterations=rep.iterations,
+                   converged=int(rep.converged), residual=rep.residual,
+                   **_stage_columns(acc, spec.serial))
+
+
+def _scpc_pc(cs, system: HybridizableSystem, inner: KrylovConfig, spec, base):
+    """Outer FGMRES on the three-field ``system`` condensed by ``cs``, its
+    trace BCs shifted to global dofs and lifted into the initial guess,
+    preconditioned by static condensation.  Returns the constrained
+    operator and right-hand side, the solution and its row."""
+    off = int(system.space.offsets[2])
+    gbcs = [(d + off, v) for d, v in system.trace_bcs]
+    A, b = apply_bcs(assemble_global(cs.operator), assemble_global(Tensor(system.rhs)), gbcs)
+    x, row = _fgmres_row(A, b, bc_lift_vector(len(b), gbcs),
+                         lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
+                         Stages(condensation=cs.setup_time), spec, base, "scpc-pc")
+    return A, b, x, row
 
 
 def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
@@ -323,84 +354,34 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     A = assemble_global(Tensor(ms.a))
     b = assemble_global(Tensor(ms.rhs))
     Ab, bb = apply_bcs(A, b, ms.flux_bcs)
-    x0 = bc_lift_vector(len(bb), ms.flux_bcs)
-
-    t0 = time.perf_counter()
-    x_direct = sparse_direct_solve(Ab, bb)
-    t_direct = time.perf_counter() - t0
-    rows = [dict(base, path="direct", dofs=len(bb), iterations=0, converged=1,
-                 residual=0.0, max_diff_vs_direct=0.0,
-                 **_stage_columns(Stages(trace_solve=t_direct), spec.serial))]
+    x_direct, direct = _direct_row(Ab, bb, spec, base)
 
     # outer FGMRES preconditioned by the hybridization factorization
     hm = hybridization_setup(ms.a, ms.rhs, neumann_flux=prob.u)
     inner = _inner_config(spec, hm.cs.S)
-    acc = Stages(condensation=hm.cs.setup_time)
-    pc_h = _staged_preconditioner(
-        lambda r: hybridization_apply(hm, r, inner), acc)
-    cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
-                       preconditioner=pc_h)
-    xh, rep = krylov_solve(Ab, bb, cfg, x0=x0)
-    rows.append(dict(base, path="hybridization-pc", dofs=len(bb),
-                     iterations=rep.iterations, converged=int(rep.converged),
-                     residual=rep.residual,
-                     max_diff_vs_direct=float(np.abs(xh - x_direct).max()),
-                     **_stage_columns(acc, spec.serial)))
+    xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
+                             lambda r: hybridization_apply(hm, r, inner),
+                             Stages(condensation=hm.cs.setup_time), spec, base,
+                             "hybridization-pc")
+    hybrid["max_diff_vs_direct"] = float(np.abs(xh - x_direct).max())
 
     # outer FGMRES on the same hybridized three-field system with SCPC
     hs = hm.system
-    off = int(hs.space.offsets[2])
-    gbcs = [(d + off, v) for d, v in hs.trace_bcs]
-    A3 = assemble_global(hm.cs.operator)
-    b3 = assemble_global(Tensor(hs.rhs))
-    A3b, b3b = apply_bcs(A3, b3, gbcs)
-    acc3 = Stages(condensation=hm.cs.setup_time)
-    pc_s = _staged_preconditioner(
-        lambda r: scpc_apply(hm.cs, r, inner, homogeneous_bcs=True), acc3)
-    cfg3 = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
-                        preconditioner=pc_s)
-    x3, rep3 = krylov_solve(A3b, b3b, cfg3)
+    _, _, x3, scpc = _scpc_pc(hm.cs, hs, inner, spec, base)
     u3, p3, _ = hs.space.split(x3)
     u_conf = project_div(hm.transfer, Function(hs.flux_space, u3))
-    x3_mixed = np.concatenate([u_conf.coeffs, p3])
-    rows.append(dict(base, path="scpc-pc", dofs=len(b3b),
-                     iterations=rep3.iterations, converged=int(rep3.converged),
-                     residual=rep3.residual,
-                     max_diff_vs_direct=float(np.abs(x3_mixed - x_direct).max()),
-                     **_stage_columns(acc3, spec.serial)))
-    return rows
+    scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u_conf.coeffs, p3])
+                                              - x_direct).max())
+    return [direct, hybrid, scpc]
 
 
 def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
     ls = ldgh_system(mesh, prob, spec.degree, spec.tau)
     cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
-    off = int(ls.space.offsets[2])
-    gbcs = [(d + off, v) for d, v in ls.trace_bcs]
-    A = assemble_global(cs.operator)
-    b = assemble_global(Tensor(ls.rhs))
-    Ab, bb = apply_bcs(A, b, gbcs)
-    x0 = bc_lift_vector(len(bb), gbcs)
-
-    t0 = time.perf_counter()
-    x_direct = sparse_direct_solve(Ab, bb)
-    t_direct = time.perf_counter() - t0
-    rows = [dict(base, path="direct", dofs=len(bb), iterations=0, converged=1,
-                 residual=0.0, max_diff_vs_direct=0.0,
-                 **_stage_columns(Stages(trace_solve=t_direct), spec.serial))]
-
-    inner = _inner_config(spec, cs.S)
-    acc = Stages(condensation=cs.setup_time)
-    pc = _staged_preconditioner(
-        lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True), acc)
-    cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter,
-                       preconditioner=pc)
-    x, rep = krylov_solve(Ab, bb, cfg, x0=x0)
-    rows.append(dict(base, path="scpc-pc", dofs=len(bb),
-                     iterations=rep.iterations, converged=int(rep.converged),
-                     residual=rep.residual,
-                     max_diff_vs_direct=float(np.abs(x - x_direct).max()),
-                     **_stage_columns(acc, spec.serial)))
-    return rows
+    A, b, x, scpc = _scpc_pc(cs, ls, _inner_config(spec, cs.S), spec, base)
+    x_direct, direct = _direct_row(A, b, spec, base)
+    scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
+    return [direct, scpc]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from hybridfem.forms import (
     FormIR,
     IntegralTerm,
     ScalarField,
-    _is_reference_form,
+    _point_dependent,
     assemble_form,
     assemble_local,
     coef,
@@ -252,13 +252,14 @@ def _operators(mesh):
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
 def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
-    """Every constant-coefficient operator takes the reference-tensor path
-    and agrees with the single-cell quadrature oracle on every cell."""
+    """Every constant-coefficient operator is point-independent, so it is
+    contracted from reference tensors, and agrees with the single-cell
+    quadrature oracle on every cell."""
     mesh = _general_meshes()[mesh_name]
     if mesh_name == "jittered-neumann-left":
         assert len(mesh.facets_with_label(NEUMANN)) == 4
     for name, form in _operators(mesh):
-        assert all(_is_reference_form(t, form) for t in form.terms), name
+        assert not any(_point_dependent(t) for t in form.terms), name
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -268,9 +269,9 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
 def test_one_product_assembly_matches_oracle(mesh_name):
-    """All reference-path terms of a form are contracted in one product:
-    two terms sharing a block, a non-constant term added to that block on
-    the quadrature path afterwards, interior and Neumann facet terms over
+    """All point-independent terms of a form are contracted in one product:
+    two terms sharing a block, a non-constant term added to that block
+    point by point afterwards, interior and Neumann facet terms over
     signed RT, DG and trace fields; every cell matches the oracle."""
     mesh = _general_meshes()[mesh_name]
     W = MixedSpace((create_space(mesh, RT(2)), create_space(mesh, DG(1)),
@@ -287,8 +288,7 @@ def test_one_product_assembly_matches_oracle(mesh_name):
         IntegralTerm(EXTERIOR, dot(tfn(2), dot(Const(2.0), trial(2))), NEUMANN),
         IntegralTerm(EXTERIOR, dot(jump(tfn(0)), jump(trial(0)))),
     ])
-    on_reference = [_is_reference_form(t, form) for t in form.terms]
-    assert on_reference == [True, True, False] + [True] * 6
+    assert [_point_dependent(t) for t in form.terms] == [False, False, True] + [False] * 6
     batched = assemble_form(form)
     for c in range(mesh.n_cells):
         local = assemble_local(form, c)
@@ -351,12 +351,44 @@ def _quadrature_forms(mesh):
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
 def test_quadrature_path_matches_oracle_on_general_meshes(mesh_name):
-    """Every right-hand side and every coefficient or weighted form takes
-    the quadrature path (bases and coefficients through ``ref_basis``)
-    and agrees with the single-cell oracle on every cell."""
+    """Every right-hand side and every coefficient or weighted form is
+    point-dependent (bases and coefficients through ``ref_basis``) and
+    agrees with the single-cell oracle on every cell."""
     mesh = _general_meshes()[mesh_name]
     for name, form in _quadrature_forms(mesh):
-        assert not any(_is_reference_form(t, form) for t in form.terms), name
+        assert all(_point_dependent(t) for t in form.terms), name
+        batched = assemble_form(form)
+        for c in range(mesh.n_cells):
+            local = assemble_local(form, c)
+            err = np.abs(batched[c] - local).max() / np.abs(local).max()
+            assert err <= 1e-12, (name, c, err)
+
+
+def _sum_forms(mesh):
+    V, U = create_space(mesh, CG(2)), create_space(mesh, RT(2))
+    w = fld(ScalarField(lambda x, y: 1.0 + 0.5 * x * y - 0.25 * y * y, degree=2))
+    mass, stiffness = dot(tfn(), trial()), dot(grad(tfn()), grad(trial()))
+    yield "values-plus-gradients", FormIR(V, V, [IntegralTerm(CELL, mass + stiffness)])
+    yield "weighted-mass-minus-stiffness", FormIR(V, V, [
+        IntegralTerm(CELL, dot(w, mass) - 0.5 * stiffness)])
+    yield "field-plus-constant-data", FormIR(V, None, [
+        IntegralTerm(CELL, dot(tfn(), w + Const(2.0)))])
+    yield "rt-jump-sum", FormIR(U, U, [
+        IntegralTerm(INTERIOR, dot(jump(tfn()), jump(trial())) - 0.5 * dot(tfn(), trial()))])
+    W = MixedSpace((U, create_space(mesh, DG(1))))
+    yield "constant-linear", FormIR(W, None, [
+        IntegralTerm(CELL, dot(tfn(1), Const(3.0) - Const(1.0))),
+        IntegralTerm(EXTERIOR, dot(jump(tfn(0)), Const(1.5)) + dot(div(tfn(0)), Const(0.5))),
+    ])
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_sum_integrands_match_oracle_on_general_meshes(mesh_name):
+    """Sums are walked into monomials: point-independent ones join the
+    one product, point-dependent ones the cell blocks, and a term may
+    hold both; every cell matches the single-cell oracle."""
+    mesh = _general_meshes()[mesh_name]
+    for name, form in _sum_forms(mesh):
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -457,7 +489,7 @@ def test_cell_block_ends_match_oracle(mesh_name, monkeypatch):
 def test_element_tensors_do_not_depend_on_block_size(mesh_name, monkeypatch):
     """Blocking changes no cell's arithmetic: with blocks of a cell or
     two, and facet selections cut into several chunks, every
-    quadrature-path tensor is bit-identical to one block per term."""
+    point-dependent tensor is bit-identical to one block per term."""
     mesh = _general_meshes()[mesh_name]
     named = list(_quadrature_forms(mesh))
     whole = [assemble_form(form) for _, form in named]
@@ -475,7 +507,7 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert isinstance(fld(left), Fld)
     assert fld(ScalarField.constant(2.5)) == Const(2.5)
     weighted = FormIR(V, V, [IntegralTerm(CELL, dot(fld(left), dot(tfn(), trial())))])
-    assert not _is_reference_form(weighted.terms[0], weighted)
+    assert _point_dependent(weighted.terms[0])
     batched = assemble_form(weighted)
     for c in range(mesh.n_cells):
         np.testing.assert_allclose(batched[c], assemble_local(weighted, c), atol=1e-15)
@@ -484,6 +516,6 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert right.any() and left_cells.any()
     assert np.abs(batched[right]).max() == 0.0
     assert batched[left_cells].min() > 0.0
-    # linear forms stay on the quadrature path even with constant data
+    # a linear form with constant data joins the one product
     rhs = FormIR(V, None, [IntegralTerm(CELL, dot(tfn(), fld(ScalarField.constant(2.0))))])
-    assert not _is_reference_form(rhs.terms[0], rhs)
+    assert not _point_dependent(rhs.terms[0])

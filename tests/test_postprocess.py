@@ -22,7 +22,7 @@ from hybridfem.forms import (
     FormIR,
     IntegralTerm,
     ScalarField,
-    _is_reference_form,
+    _point_dependent,
     assemble_form,
     coef,
     dot,
@@ -117,8 +117,8 @@ def test_scalar_pp_data_action_equals_coefficient_form(mesh_name, flux, k):
     """The post-processing right-hand side, a bilinear data form acting on
     the gathered coefficients of (u_h, p_h), equals the linear form with
     ``coef(u_h)`` and ``coef(p_h)`` it replaces, and the single-cell
-    oracle, for constant (reference path) and non-constant (quadrature
-    path) ``mu``."""
+    oracle, for constant (point-independent) and non-constant
+    (point-dependent) ``mu``."""
     mesh = build_unit_square(8) if mesh_name == "structured" else \
         build_jittered_square(8, 0.2, seed=7)
     U = create_space(mesh, RT(k) if flux == "RT" else VectorDG(k))
@@ -129,8 +129,7 @@ def test_scalar_pp_data_action_equals_coefficient_form(mesh_name, flux, k):
     for mu, constant in [(ScalarField.constant(1.0), True),
                          (ScalarField(lambda x, y: 1.0 + 0.5 * x * y, degree=2), False)]:
         action = _data_action(W, u_h, p_h, mu)
-        assert [_is_reference_form(t, action.a.form) for t in action.a.form.terms] == \
-            [constant, True]
+        assert [_point_dependent(t) for t in action.a.form.terms] == [not constant, False]
         got = evaluate_all(compile_expr(action))
         want = assemble_form(FormIR(W, None, [
             IntegralTerm(CELL, -dot(fld(mu), dot(grad(tfn(0)), coef(u_h)))),
