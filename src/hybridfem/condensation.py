@@ -4,15 +4,19 @@ Two composable solver building blocks:
 
 * :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
   condensation of a multi-field system whose leading fields are
-  discontinuous.  The condensed (trace) operator is assembled once from
-  the Schur-complement expression ``A_cc - A_ce A_ee^{-1} A_ec``; the
-  element tensors, the local inverse ``A_ee^{-1}`` and the elimination
-  operator ``A_ce A_ee^{-1}`` it evaluates are memoized on the stored
-  expression nodes.  Each application then forward-eliminates the
-  residual, solves the condensed system with an inner Krylov method,
-  and recovers the eliminated fields cell by cell as
-  ``A_ee^{-1} (F_e - A_ec lambda)``: gathers and batched products
-  against the stored local values, with no re-assembly.
+  discontinuous.  Set-up assembles the condensed (trace) operator once
+  from the Schur-complement expression ``A_cc - A_ce A_ee^{-1} A_ec``
+  and keeps the per-cell values of the elimination operator
+  ``A_ce A_ee^{-1}``, the coupling ``A_ec`` and the local inverse
+  ``A_ee^{-1}`` (memoized while ``S`` is evaluated), together with each
+  cell's eliminated-field global dofs and condensed-field dofs.  An
+  application compiles and assembles nothing: it forward-eliminates
+  the residual as ``r_c - sum_cells A_ce A_ee^{-1} r_e`` (one
+  scatter-add, in which the condensed-field residual enters once),
+  solves the condensed system with an inner Krylov method, and
+  recovers the eliminated fields cell by cell as
+  ``A_ee^{-1} (r_e - A_ec lambda)``, written straight into their own
+  dofs.
 
 * :func:`hybridization_setup` / :func:`hybridization_apply` — takes a
   conforming H(div) x L2 mixed form, hybridizes it with
@@ -34,11 +38,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expressions import (
-    AssembledVector,
     Tensor,
-    TensorExpr,
     assemble_global,
+    compile_expr,
     constrain_matrix,
+    evaluate_all,
 )
 from .forms import FormIR
 from .mesh import NEUMANN
@@ -98,9 +102,11 @@ class CondensedSystem:
     space: MixedSpace
     split: FieldSplit
     operator: Tensor                 # the full system, element tensors memoized
-    local_inverse: TensorExpr        # A_ee^{-1}, evaluated at set-up
-    coupling: TensorExpr             # A_ec, evaluated at set-up
-    elimination: TensorExpr          # A_ce A_ee^{-1}, evaluated at set-up
+    local_inverse: np.ndarray        # A_ee^{-1} per cell
+    coupling: np.ndarray             # A_ec per cell
+    elimination: np.ndarray          # A_ce A_ee^{-1} per cell
+    e_dofs: np.ndarray               # eliminated-field global dofs per cell
+    c_dofs: np.ndarray               # condensed-field dofs per cell, from 0
     S: sp.csr_matrix                 # condensed operator, constraints applied
     S_raw: sp.csr_matrix             # before constraints (for lifting)
     bc_dofs: np.ndarray
@@ -138,8 +144,11 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     local_inverse = A.blocks[:ne, :ne].inv
     coupling = A.blocks[:ne, ne:nf]
     elimination = A.blocks[ne:nf, :ne] * local_inverse
-    # evaluating S memoizes the element tensors and the nodes stored below
+    # evaluating S memoizes the element tensors and the local values read
+    # below (a form with coefficient functions is evaluated again instead)
     S_raw = assemble_global(A.blocks[ne:nf, ne:nf] - elimination * coupling)
+    cell_dofs = W.cell_dofs_global()
+    n_elim = sum(W.fields[i].local_dim for i in split.eliminate)
     bc_dofs = np.array([d for d, _ in (bcs or [])], dtype=int)
     bc_values = np.array([v for _, v in (bcs or [])], dtype=float)
     S = constrain_matrix(S_raw, bc_dofs) if len(bc_dofs) else S_raw
@@ -148,9 +157,11 @@ def scpc_setup(a: FormIR, split: FieldSplit,
         space=W,
         split=split,
         operator=A,
-        local_inverse=local_inverse,
-        coupling=coupling,
-        elimination=elimination,
+        local_inverse=evaluate_all(compile_expr(local_inverse)),
+        coupling=evaluate_all(compile_expr(coupling)),
+        elimination=evaluate_all(compile_expr(elimination)),
+        e_dofs=np.ascontiguousarray(cell_dofs[:, :n_elim]),
+        c_dofs=cell_dofs[:, n_elim:] - W.offsets[ne],
         S=S,
         S_raw=S_raw,
         bc_dofs=bc_dofs,
@@ -160,14 +171,6 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     )
 
 
-def _condensed_rhs(cs: CondensedSystem, E: np.ndarray,
-                   homogeneous: bool) -> np.ndarray:
-    if len(cs.bc_dofs) == 0:
-        return E
-    values = np.zeros_like(cs.bc_values) if homogeneous else cs.bc_values
-    return lift_bcs(cs.S_raw, E, cs.bc_dofs, values)
-
-
 def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
                homogeneous_bcs: bool = False
                ) -> tuple[np.ndarray, SolveReport, Stages]:
@@ -175,21 +178,25 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
 
     Forward-eliminates the eliminated-field residual into the condensed
     right-hand side, solves the condensed system, and reconstructs the
-    eliminated fields cell-wise.  With ``homogeneous_bcs`` the stored
-    constraint values are replaced by zero (residual-correction mode).
+    eliminated fields cell-wise from the values kept at set-up.  With
+    ``homogeneous_bcs`` the stored constraint values are replaced by
+    zero (residual-correction mode).
     """
-    W, split = cs.space, cs.split
-    ne = len(split.eliminate)
-    nf = W.n_fields
+    W = cs.space
     stages = Stages(condensation=cs.setup_time)
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (W.ndof_global,):
         raise ValueError("residual does not match the mixed space")
 
     t0 = time.perf_counter()
-    F = AssembledVector((W, residual))
-    E_expr = F.blocks[ne:nf] - cs.elimination * F.blocks[:ne]
-    E = _condensed_rhs(cs, assemble_global(E_expr), homogeneous_bcs)
+    r_e = residual[cs.e_dofs]
+    r_c = residual[cs.condensed_offset:]
+    eliminated = np.einsum("cij,cj->ci", cs.elimination, r_e)
+    E = r_c - np.bincount(cs.c_dofs.ravel(), eliminated.ravel(), minlength=len(r_c))
+    if homogeneous_bcs:
+        E[cs.bc_dofs] = 0.0
+    elif len(cs.bc_dofs):
+        E = lift_bcs(cs.S_raw, E, cs.bc_dofs, cs.bc_values)
     stages.forward = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -197,20 +204,12 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     stages.trace_solve = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    condensed_fields = [W.fields[i] for i in range(ne, nf)]
-    lam_vec = _as_multifield_vector(condensed_fields, lam)
-    x_expr = cs.local_inverse * (F.blocks[:ne] - cs.coupling * lam_vec)
     out = np.empty(W.ndof_global)
-    out[:cs.condensed_offset] = assemble_global(x_expr)
+    coupled = np.einsum("cij,cj->ci", cs.coupling, lam[cs.c_dofs])
+    out[cs.e_dofs] = np.einsum("cij,cj->ci", cs.local_inverse, r_e - coupled)
     out[cs.condensed_offset:] = lam
     stages.backsub = time.perf_counter() - t0
     return out, report, stages
-
-
-def _as_multifield_vector(fields, vec):
-    if len(fields) == 1:
-        return AssembledVector(Function(fields[0], vec))
-    return AssembledVector((MixedSpace(tuple(fields)), vec))
 
 
 # ---------------------------------------------------------------------------

@@ -584,9 +584,7 @@ def assemble_global(expr: TensorExpr):
     if expr.rank == 1:
         rows = _global_maps(expr.axes[0])
         n = sum(s.ndof_global for s in expr.axes[0])
-        out = np.zeros(n)
-        np.add.at(out, rows.ravel(), vals.ravel())
-        return out
+        return np.bincount(rows.ravel(), vals.ravel(), minlength=n)
     raise ValueError("global assembly requires a rank-1 or rank-2 expression")
 
 

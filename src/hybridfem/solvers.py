@@ -75,10 +75,6 @@ def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
     return x, report
 
 
-def _true_relres(matvec, b, x, bnorm):
-    return np.linalg.norm(b - matvec(x)) / bnorm
-
-
 def _cg(matvec, b, cfg, x0):
     """Preconditioned CG; returns (x, iterations, residual, stop reason)."""
     n = len(b)
@@ -87,7 +83,7 @@ def _cg(matvec, b, cfg, x0):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0, "converged"
-    r = b - matvec(x)
+    r = b.copy() if x0 is None else b - matvec(x)
     z = M(r)
     p = z.copy()
     rz = r @ z
@@ -128,13 +124,13 @@ def _fgmres(matvec, b, cfg, x0):
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0, "converged"
     total_its = 0
-    res = _true_relres(matvec, b, x, bnorm)
+    r = b.copy() if x0 is None else b - matvec(x)
+    res = np.linalg.norm(r) / bnorm
     if res <= cfg.rtol:
         return x, 0, res, "converged"
     m = cfg.restart
     breakdown = False
     while total_its < cfg.maxiter:
-        r = b - matvec(x)
         beta = np.linalg.norm(r)
         V = np.zeros((m + 1, n))
         Z = np.zeros((m, n))
@@ -180,7 +176,8 @@ def _fgmres(matvec, b, cfg, x0):
         if j >= 0:
             y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1])
             x = x + Z[: j + 1].T @ y
-            res = _true_relres(matvec, b, x, bnorm)
+            r = b - matvec(x)
+            res = np.linalg.norm(r) / bnorm
         if res <= cfg.rtol or breakdown or j < 0:
             break
     if res <= cfg.rtol:

@@ -525,8 +525,8 @@ def project_div(bt: BrokenTransfer, fn: Function) -> Function:
     """Facet-averaging projection from the broken space back to H(div)."""
     if fn.space is not bt.broken:
         raise ValueError("function does not live on the transfer's broken space")
-    acc = np.zeros(bt.conforming.ndof_global)
-    np.add.at(acc, bt.conforming_of_broken, fn.coeffs)
+    acc = np.bincount(bt.conforming_of_broken, fn.coeffs,
+                      minlength=bt.conforming.ndof_global)
     return Function(bt.conforming, acc / bt.incidence)
 
 

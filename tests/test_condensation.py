@@ -3,8 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridfem import expressions
-from hybridfem import DIRICHLET, NEUMANN, build_unit_square, mark_boundary
+from hybridfem import condensation, expressions
+from hybridfem import (
+    DIRICHLET,
+    NEUMANN,
+    build_jittered_square,
+    build_unit_square,
+    mark_boundary,
+)
 from hybridfem.condensation import (
     FieldSplit,
     hybridization_apply,
@@ -145,6 +151,34 @@ def test_backsubstitution_satisfies_eliminated_rows():
     assert np.abs(resid).max() < 1e-9 * max(np.abs(r).max(), 1.0)
 
 
+@pytest.mark.parametrize("method", ["mixed-hybrid", "ldgh"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
+def test_scpc_apply_inverts_constrained_system_for_any_residual(method, degree, mesh_kind):
+    """With an exact inner solve, an application inverts the constrained
+    three-field operator for a residual with interior trace entries:
+    each condensed-field residual entry enters the condensed right-hand
+    side once, not once per adjacent cell."""
+    if mesh_kind == "jittered":
+        mesh = build_jittered_square(4, 0.2, 3)
+    else:
+        mesh = build_unit_square(4)
+    if method == "mixed-hybrid":
+        hs = hybridized_mixed_system(mesh, PROB, degree)
+    else:
+        hs = ldgh_system(mesh, PROB, degree, tau=1.0)
+    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    off = int(hs.space.offsets[2])
+    gbcs = [(d + off, 0.0) for d, _ in hs.trace_bcs]
+    r = np.random.default_rng(12).standard_normal(hs.space.ndof_global)
+    r[[d for d, _ in gbcs]] = 0.0
+    x, rep, _ = scpc_apply(cs, r, exact_inner(cs.S), homogeneous_bcs=True)
+    Ab, bb = apply_bcs(assemble_global(Tensor(hs.a)), r, gbcs)
+    xd = sparse_direct_solve(Ab, bb)
+    assert rep.converged
+    assert np.linalg.norm(x - xd) <= 1e-12 * np.linalg.norm(xd)
+
+
 def test_scpc_one_iteration_outer():
     """Exact inner solves make SCPC an exact inverse: one outer iteration."""
     mesh = build_unit_square(3)
@@ -272,14 +306,22 @@ def test_manufactured_solution_accuracy():
 
 
 def test_hybridization_apply_reuses_setup_tensors(monkeypatch):
-    """Set-up assembles the operator once; an application assembles no form."""
+    """Set-up assembles the operator once; an application assembles no
+    form and compiles, evaluates and globally assembles no expression."""
     ms = conforming_mixed_system(build_unit_square(4), PROB, 2)
     hm = hybridization_setup(ms.a)
     inner = exact_inner(hm.cs.S)
     calls = []
-    real = expressions.assemble_form
-    monkeypatch.setattr(expressions, "assemble_form",
-                        lambda form: calls.append(form) or real(form))
+
+    def record(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    record(expressions, "assemble_form")
+    for module in (expressions, condensation):
+        for name in ("compile_expr", "evaluate_all", "assemble_global"):
+            record(module, name)
     r = np.random.default_rng(11).standard_normal(hm.conforming.ndof_global)
     x, rep, _ = hybridization_apply(hm, r, inner)
     assert calls == []
