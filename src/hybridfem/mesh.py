@@ -115,8 +115,9 @@ def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     origins = coords[:, 0, :]
     jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=-1)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    if np.any(det <= 0.0):
-        raise ValueError("mesh contains non-positively oriented cells")
+    bad = np.flatnonzero(det <= 0.0)
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
     inv = np.empty_like(jac)
     inv[:, 0, 0] = jac[:, 1, 1]
     inv[:, 0, 1] = -jac[:, 0, 1]
@@ -135,6 +136,10 @@ def _compute_geometry(mesh: Mesh) -> MeshGeometry:
         start = mesh.cell_vertices[:, a]
         end = mesh.cell_vertices[:, b]
         dir_match[:, loc] = start < end
+    quality = det / lengths.max(axis=1) ** 2  # sqrt(3)/2 for an equilateral cell
+    bad = np.flatnonzero(quality < 1e-10)
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} is degenerate (det J / h^2 = {quality[bad[0]]:.3g})")
     return MeshGeometry(origins, jac, det, inv_jt, normals, lengths, dir_match)
 
 

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import DIRICHLET, NEUMANN, Mesh
+from .reference import scalar_element
 from .spaces import (
     CG,
     DG,
@@ -334,11 +335,13 @@ def primal_cg_system(mesh: Mesh, prob: ManufacturedProblem,
         IntegralTerm(CELL, dot(test(), fld(prob.f))),
         IntegralTerm(EXTERIOR, -dot(test(), prob.flux_expr()), NEUMANN),
     ])
-    dofs = cg_boundary_dofs(V, mesh.facets_with_label(DIRICHLET))
-    from .spaces import interpolate
-
-    vals = interpolate(V, prob.p0.fn).coeffs
-    bcs = sorted((int(d), float(vals[d])) for d in dofs)
+    facets = mesh.facets_with_label(DIRICHLET)
+    # interpolate p0 only on the cells that own a Dirichlet facet
+    cells = mesh.facet_cells[facets, 0]
+    pts = mesh.geometry().physical_points(scalar_element(degree).nodes, cells)
+    vals = np.zeros(V.ndof_global)
+    vals[V.cell_dofs[cells]] = prob.p0(pts[..., 0], pts[..., 1])
+    bcs = [(int(d), float(vals[d])) for d in cg_boundary_dofs(V, facets)]
     return PrimalSystem(degree, V, a, rhs, bcs)
 
 
@@ -346,11 +349,7 @@ def cg_boundary_dofs(V: FunctionSpace, facets: np.ndarray) -> np.ndarray:
     """Global CG dofs supported on the given facets (vertex + edge dofs)."""
     if V.family.kind != "CG":
         raise ValueError("boundary dof lookup requires a CG space")
-    mesh = V.mesh
     k = V.family.degree
-    nv = mesh.n_vertices
-    out: set[int] = set()
-    for f in facets:
-        out.update(int(v) for v in mesh.facet_vertices[f])
-        out.update(range(nv + int(f) * (k - 1), nv + int(f) * (k - 1) + (k - 1)))
-    return np.array(sorted(out), dtype=int)
+    facets = np.asarray(facets, dtype=np.int64)
+    edge = V.mesh.n_vertices + facets[:, None] * (k - 1) + np.arange(k - 1)
+    return np.union1d(V.mesh.facet_vertices[facets], edge)

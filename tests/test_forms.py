@@ -453,8 +453,8 @@ def _pp_rhs(mesh, k):
 def test_cell_block_ends_match_oracle(mesh_name, monkeypatch):
     """Quadrature-path terms are evaluated one cell block at a time; the
     first and last cell of every block agree with the single-cell oracle."""
-    jittered = build_jittered_square(48, 0.2, seed=5)
-    mesh = {"structured": build_unit_square(48), "jittered": jittered,
+    jittered = build_jittered_square(64, 0.2, seed=5)
+    mesh = {"structured": build_unit_square(64), "jittered": jittered,
             "jittered-neumann-left": mark_boundary(
                 jittered, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)}[mesh_name]
     prob = manufactured("sinsin")

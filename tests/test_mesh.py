@@ -186,6 +186,19 @@ def test_non_manifold_facet_rejected():
             build(cells)
 
 
+@pytest.mark.parametrize("apex, second, message", [
+    # clockwise second cell
+    ((1.0, 1.0), [1, 2, 3], r"mesh cell 1 is not positively oriented"),
+    # sliver: the apex lies 1e-12 off the shared edge, det J / h^2 = 1e-12
+    ((0.5 + 1e-12, 0.5 + 1e-12), [1, 3, 2], r"mesh cell 1 is degenerate"),
+])
+def test_bad_cell_rejected_by_index(apex, second, message):
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], apex])
+    cells = [[0, 1, 2], second]
+    with pytest.raises(ValueError, match=message):
+        _mesh_from_cells(coords, cells).geometry()
+
+
 def test_jittered_square_moves_interior_vertices_only():
     base = build_unit_square(5)
     mesh = build_jittered_square(5, 0.24, seed=3)

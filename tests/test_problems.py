@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import exact_oracle
-from hybridfem import DIRICHLET, NEUMANN, build_unit_square, mark_boundary
+from hybridfem import DIRICHLET, NEUMANN, build_jittered_square, build_unit_square, mark_boundary
 from hybridfem.expressions import Tensor, assemble_global
 from hybridfem.forms import (
     CELL,
@@ -10,6 +12,7 @@ from hybridfem.forms import (
     INTERIOR,
     FormIR,
     IntegralTerm,
+    ScalarField,
     div,
     dot,
     fld,
@@ -25,7 +28,7 @@ from hybridfem.problems import (
     manufactured,
     primal_cg_system,
 )
-from hybridfem.spaces import DG, RT, MixedSpace, Trace, break_space, create_space
+from hybridfem.spaces import DG, RT, MixedSpace, Trace, break_space, create_space, interpolate
 
 
 @pytest.mark.parametrize("name", ["sinsin", "expsin"])
@@ -171,3 +174,28 @@ def test_cg_boundary_dofs():
     # 8 boundary vertices + 2 dofs per boundary facet
     assert len(boundary) == 8 + 2 * len(mesh.exterior_facets)
     assert len(ps.dirichlet_bcs) == len(boundary)
+
+
+def _left_neumann(x, y):
+    return NEUMANN if x < 1e-12 else DIRICHLET
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("mesh", [
+    build_unit_square(5),
+    build_jittered_square(5, 0.2, seed=2),
+    mark_boundary(build_jittered_square(5, 0.2, seed=4), _left_neumann),
+], ids=["structured", "jittered", "jittered-left-neumann"])
+def test_cg_dirichlet_values_match_full_interpolation(mesh, degree):
+    # boundary data bounded away from zero, so a relative check is meaningful
+    prob = replace(manufactured("expsin"),
+                   p0=ScalarField(lambda x, y: np.exp(x) * (2.0 + np.cos(3.0 * y))))
+    ps = primal_cg_system(mesh, prob, degree)
+    facets = mesh.facets_with_label(DIRICHLET)
+    k, nv = degree, mesh.n_vertices
+    want = sorted({int(v) for f in facets for v in mesh.facet_vertices[f]}
+                  | {nv + int(f) * (k - 1) + j for f in facets for j in range(k - 1)})
+    np.testing.assert_array_equal(cg_boundary_dofs(ps.space, facets), want)
+    full = interpolate(ps.space, prob.p0.fn).coeffs
+    assert [d for d, _ in ps.dirichlet_bcs] == want
+    np.testing.assert_allclose([v for _, v in ps.dirichlet_bcs], full[want], rtol=1e-14, atol=0.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,7 +57,27 @@ def test_triangle_quadrature_exactness(exactness):
     for a in range(exactness + 1):
         for b in range(exactness + 1 - a):
             val = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
-            assert abs(val - exact_triangle_monomial(a, b)) < 1e-13
+            exact = exact_triangle_monomial(a, b)
+            assert abs(val - exact) <= 1e-14 * exact, (a, b)
+
+
+# points per tabulated rule, by requested exactness 0..12
+TRIANGLE_RULE_POINTS = (1, 1, 3, 6, 6, 7, 12, 15, 16, 19, 25, 28, 33)
+
+
+@pytest.mark.parametrize("exactness", range(0, 13))
+def test_triangle_quadrature_symmetric_interior(exactness):
+    rule = triangle_quadrature(exactness)
+    assert len(rule.weights) == TRIANGLE_RULE_POINTS[exactness]
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
+    assert bary.min() > 0.0
+    # every vertex permutation maps each point onto a point of equal weight
+    for perm in itertools.permutations(range(3)):
+        dist = np.linalg.norm(bary[:, None, :] - bary[None, :, perm], axis=-1)
+        image = dist.argmin(axis=0)
+        assert dist.min(axis=0).max() < 1e-15
+        np.testing.assert_array_equal(np.sort(image), np.arange(len(bary)))
+        np.testing.assert_array_equal(rule.weights[image], rule.weights)
 
 
 def test_triangle_quadrature_x2y2():

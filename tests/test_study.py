@@ -74,7 +74,7 @@ def test_l2_error_oracle():
 def test_blocked_l2_errors_match_single_pass():
     """The error norms, summed over cell blocks, equal one pass over all
     cells at once."""
-    mesh = build_jittered_square(48, 0.2, seed=5)
+    mesh = build_jittered_square(64, 0.2, seed=5)
     prob = manufactured("expsin")
     rng = np.random.default_rng(4)
     rule = reference.triangle_quadrature(10)
