@@ -4,19 +4,20 @@ Two composable solver building blocks:
 
 * :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
   condensation of a multi-field system whose leading fields are
-  discontinuous.  Set-up assembles the condensed (trace) operator once
-  from the Schur-complement expression ``A_cc - A_ce A_ee^{-1} A_ec``
-  and keeps the per-cell values of the elimination operator
-  ``A_ce A_ee^{-1}``, the coupling ``A_ec`` and the local inverse
-  ``A_ee^{-1}`` (memoized while ``S`` is evaluated), together with each
-  cell's eliminated-field global dofs and condensed-field dofs.  An
-  application compiles and assembles nothing: it forward-eliminates
-  the residual as ``r_c - sum_cells A_ce A_ee^{-1} r_e`` (one
-  scatter-add, in which the condensed-field residual enters once),
-  solves the condensed system with an inner Krylov method, and
-  recovers the eliminated fields cell by cell as
-  ``A_ee^{-1} (r_e - A_ec lambda)``, written straight into their own
-  dofs.
+  discontinuous.  Set-up evaluates the element tensors once, coefficient
+  data included, and assembles the condensed (trace) operator from the
+  Schur complement ``A_cc - A_ce A_ee^{-1} A_ec``.  It keeps the
+  elimination operator ``A_ce A_ee^{-1}``, the coupling ``A_ec`` and the
+  local inverse ``A_ee^{-1}`` (memoized while ``S`` is evaluated) as
+  block-diagonal sparse matrices, one block per cell, and the
+  eliminated-field global dofs and condensed-field dofs as flat maps in
+  the same cell-major order.  An application compiles and assembles
+  nothing: it forward-eliminates as
+  ``r_c - bincount(c_dofs, elimination @ r_e)`` (so each condensed-field
+  residual entry enters once), solves the condensed system with an
+  inner Krylov method, and recovers the eliminated fields as
+  ``local_inverse @ (r_e - coupling @ lambda[c_dofs])``, written
+  straight into their own dofs.
 
 * :func:`hybridization_setup` / :func:`hybridization_apply` — takes a
   conforming H(div) x L2 mixed form, hybridizes it with
@@ -39,6 +40,7 @@ import scipy.sparse as sp
 
 from .expressions import (
     Tensor,
+    TensorExpr,
     assemble_global,
     compile_expr,
     constrain_matrix,
@@ -102,11 +104,12 @@ class CondensedSystem:
     space: MixedSpace
     split: FieldSplit
     operator: Tensor                 # the full system, element tensors memoized
-    local_inverse: np.ndarray        # A_ee^{-1} per cell
-    coupling: np.ndarray             # A_ec per cell
-    elimination: np.ndarray          # A_ce A_ee^{-1} per cell
-    e_dofs: np.ndarray               # eliminated-field global dofs per cell
-    c_dofs: np.ndarray               # condensed-field dofs per cell, from 0
+    # block-diagonal, one block per cell, acting on the flat maps' order
+    local_inverse: sp.bsr_matrix     # A_ee^{-1}
+    coupling: sp.bsr_matrix          # A_ec
+    elimination: sp.bsr_matrix       # A_ce A_ee^{-1}
+    e_dofs: np.ndarray               # eliminated-field global dofs, cell-major
+    c_dofs: np.ndarray               # condensed-field dofs from 0, cell-major
     S: sp.csr_matrix                 # condensed operator, constraints applied
     S_raw: sp.csr_matrix             # before constraints (for lifting)
     bc_dofs: np.ndarray
@@ -125,6 +128,15 @@ def _check_eliminable(space: MixedSpace, split: FieldSplit) -> None:
             )
 
 
+def _block_diagonal(expr: TensorExpr) -> sp.bsr_matrix:
+    """The per-cell values of ``expr`` as one block-diagonal matrix (a
+    strided view is copied once, here, not on every product)."""
+    blocks = evaluate_all(compile_expr(expr))
+    nc, rows, cols = blocks.shape
+    return sp.bsr_matrix((np.ascontiguousarray(blocks), np.arange(nc), np.arange(nc + 1)),
+                         shape=(nc * rows, nc * cols))
+
+
 def scpc_setup(a: FormIR, split: FieldSplit,
                bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
     """Assemble the condensed operator of a multi-field system.
@@ -140,12 +152,11 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     t0 = time.perf_counter()
     ne = len(split.eliminate)
     nf = W.n_fields
-    A = Tensor(a)
+    A = Tensor(a, frozen=True)  # coefficient data too are evaluated once
     local_inverse = A.blocks[:ne, :ne].inv
     coupling = A.blocks[:ne, ne:nf]
     elimination = A.blocks[ne:nf, :ne] * local_inverse
-    # evaluating S memoizes the element tensors and the local values read
-    # below (a form with coefficient functions is evaluated again instead)
+    # evaluating S memoizes the element tensors and the local values read below
     S_raw = assemble_global(A.blocks[ne:nf, ne:nf] - elimination * coupling)
     cell_dofs = W.cell_dofs_global()
     n_elim = sum(W.fields[i].local_dim for i in split.eliminate)
@@ -157,11 +168,11 @@ def scpc_setup(a: FormIR, split: FieldSplit,
         space=W,
         split=split,
         operator=A,
-        local_inverse=evaluate_all(compile_expr(local_inverse)),
-        coupling=evaluate_all(compile_expr(coupling)),
-        elimination=evaluate_all(compile_expr(elimination)),
-        e_dofs=np.ascontiguousarray(cell_dofs[:, :n_elim]),
-        c_dofs=cell_dofs[:, n_elim:] - W.offsets[ne],
+        local_inverse=_block_diagonal(local_inverse),
+        coupling=_block_diagonal(coupling),
+        elimination=_block_diagonal(elimination),
+        e_dofs=cell_dofs[:, :n_elim].ravel(),
+        c_dofs=(cell_dofs[:, n_elim:] - W.offsets[ne]).ravel(),
         S=S,
         S_raw=S_raw,
         bc_dofs=bc_dofs,
@@ -191,8 +202,7 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     t0 = time.perf_counter()
     r_e = residual[cs.e_dofs]
     r_c = residual[cs.condensed_offset:]
-    eliminated = np.einsum("cij,cj->ci", cs.elimination, r_e)
-    E = r_c - np.bincount(cs.c_dofs.ravel(), eliminated.ravel(), minlength=len(r_c))
+    E = r_c - np.bincount(cs.c_dofs, cs.elimination @ r_e, minlength=len(r_c))
     if homogeneous_bcs:
         E[cs.bc_dofs] = 0.0
     elif len(cs.bc_dofs):
@@ -205,8 +215,7 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
 
     t0 = time.perf_counter()
     out = np.empty(W.ndof_global)
-    coupled = np.einsum("cij,cj->ci", cs.coupling, lam[cs.c_dofs])
-    out[cs.e_dofs] = np.einsum("cij,cj->ci", cs.local_inverse, r_e - coupled)
+    out[cs.e_dofs] = cs.local_inverse @ (r_e - cs.coupling @ lam[cs.c_dofs])
     out[cs.condensed_offset:] = lam
     stages.backsub = time.perf_counter() - t0
     return out, report, stages

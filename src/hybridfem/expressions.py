@@ -11,11 +11,11 @@ semantics oracle for the compiled plans.
 
 Values that depend only on the mesh are memoized: the first batched
 evaluation of a kernel whose subtree holds no :class:`AssembledVector`
-and no form with coefficient functions stores its value on the
-expression node, and later plans over the same node reuse it.  A
-:class:`Tensor` is thus assembled once, and derived local operators such
-as ``A.blocks[:2, :2].inv`` are factored once.  Memoized values are
-write-once and read-only.
+and no form with coefficient functions (unless its :class:`Tensor` is
+frozen) stores its value on the expression node, and later plans over
+the same node reuse it.  A :class:`Tensor` is thus assembled once, and
+derived local operators such as ``A.blocks[:2, :2].inv`` are factored
+once.  Memoized values are write-once and read-only.
 
 Global assembly scatters evaluated element tensors into scipy CSR
 matrices or numpy vectors through the spaces' cell-to-global maps.
@@ -93,12 +93,14 @@ class TensorExpr:
 
 
 class Tensor(TensorExpr):
-    """Element tensors of a multilinear form."""
+    """Element tensors of a multilinear form.  A ``frozen`` tensor takes
+    its coefficient data as fixed and is memoized as a form without any."""
 
-    def __init__(self, form: FormIR):
+    def __init__(self, form: FormIR, frozen: bool = False):
         if form.rank == 0:
             raise ValueError("rank-0 forms are not supported in expressions")
         self.form = form
+        self.frozen = frozen
         axes = []
         if form.test is not None:
             axes.append(tuple(form.test_fields))
@@ -330,10 +332,6 @@ _ALGEBRA_OPS = {Add: "add", Mul: "mul", Negate: "neg", Transpose: "transpose",
                  Inverse: "inverse"}
 
 
-def _structural_key(expr: TensorExpr, child_keys: tuple) -> tuple:
-    return expr.key() + child_keys
-
-
 def compile_expr(expr: TensorExpr) -> ExecPlan:
     """Lower an expression to a plan; identical subtrees are computed once."""
     kernels: list[Kernel] = []
@@ -347,13 +345,14 @@ def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) ->
     # cycle holding the kernels, and the values memoized on their nodes,
     # until the cyclic garbage collector happens to run
     child_regs = tuple(_lower(c, kernels, shapes, seen) for c in node.children())
-    key = _structural_key(node, child_regs)
+    key = node.key() + child_regs
     if key in seen:
         return seen[key]
     reg = len(kernels)
     # a value may be memoized when it depends on no mutable coefficients
     if isinstance(node, Tensor):
-        op, payload, cacheable = "assemble", node, not node.form.coefficients
+        op, payload = "assemble", node
+        cacheable = node.frozen or not node.form.coefficients
     elif isinstance(node, AssembledVector):
         op, payload, cacheable = "gather", node, False
     else:
@@ -589,10 +588,7 @@ def assemble_global(expr: TensorExpr):
 
 
 def _global_maps(axis: Axis) -> np.ndarray:
-    offsets = np.concatenate([[0], np.cumsum([s.ndof_global for s in axis])])
-    return np.concatenate(
-        [s.cell_dofs + offsets[i] for i, s in enumerate(axis)], axis=1
-    )
+    return MixedSpace(axis).cell_dofs_global()
 
 
 def constrain_matrix(A: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:

@@ -20,7 +20,7 @@ reference points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -116,11 +116,16 @@ class MixedSpace:
     """Ordered product of function spaces sharing one mesh."""
 
     fields: tuple[FunctionSpace, ...]
+    # start of each field's global dofs, then the total; set once
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.fields = tuple(self.fields)
         meshes = {id(s.mesh) for s in self.fields}
         if len(meshes) != 1:
             raise ValueError("mixed space fields must share a mesh")
+        self.offsets = np.concatenate([[0], np.cumsum([s.ndof_global for s in self.fields])])
+        self.offsets.flags.writeable = False
 
     @property
     def mesh(self) -> Mesh:
@@ -132,25 +137,18 @@ class MixedSpace:
 
     @property
     def ndof_global(self) -> int:
-        return sum(s.ndof_global for s in self.fields)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum([s.ndof_global for s in self.fields])])
+        return int(self.offsets[-1])
 
     @property
     def local_dim(self) -> int:
         return sum(s.local_dim for s in self.fields)
 
     def cell_dofs_global(self) -> np.ndarray:
-        off = self.offsets
-        return np.concatenate(
-            [s.cell_dofs + off[i] for i, s in enumerate(self.fields)], axis=1
-        )
+        return np.concatenate([s.cell_dofs + o for s, o in zip(self.fields, self.offsets)],
+                              axis=1)
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        off = self.offsets
-        return [vec[off[i]:off[i + 1]] for i in range(self.n_fields)]
+        return [vec[lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:])]
 
 
 @dataclass

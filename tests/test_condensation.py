@@ -211,7 +211,17 @@ def neumann_left(x, y):
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize("labeling", [None, neumann_left])
 def test_hybridized_equals_direct_mixed(degree, n, labeling):
-    mesh = build_unit_square(n)
+    check_hybridized_equals_direct(build_unit_square(n), degree, labeling)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("labeling", [None, neumann_left])
+def test_hybridized_equals_direct_mixed_jittered(degree, n, labeling):
+    check_hybridized_equals_direct(build_jittered_square(n, 0.2, 3), degree, labeling)
+
+
+def check_hybridized_equals_direct(mesh, degree, labeling):
     if labeling is not None:
         mesh = mark_boundary(mesh, labeling)
     ms = conforming_mixed_system(mesh, PROB, degree)
@@ -345,3 +355,57 @@ def test_ldgh_singular_local_solver_raises_at_setup():
     rhs = assemble_global(Tensor(ls.rhs))
     _, rep, _ = scpc_apply(cs, rhs, exact_inner(cs.S))
     assert rep.converged
+
+
+def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
+    """A form with coefficient data is evaluated once per set-up, and S
+    and an application equal those computed from separately evaluated
+    element tensors (each expression assembling the form again)."""
+    from hybridfem import DG, Function, MixedSpace, Trace, create_space
+    from hybridfem.expressions import compile_expr, evaluate_all
+    from hybridfem.forms import CELL, EXTERIOR, INTERIOR, FormIR, IntegralTerm, coef, dot
+    from hybridfem.forms import test as tfn, trial
+
+    mesh = build_unit_square(4)
+    U = create_space(mesh, DG(0))
+    M = create_space(mesh, Trace(0))
+    W = MixedSpace((U, M))
+    w = Function(U, 1.0 + np.arange(U.ndof_global) / U.ndof_global)
+    terms = [IntegralTerm(CELL, dot(coef(w), dot(tfn(0), trial(0))))]
+    for dom in (INTERIOR, EXTERIOR):
+        terms += [IntegralTerm(dom, dot(tfn(0), trial(0))),
+                  IntegralTerm(dom, -dot(tfn(0), trial(1))),
+                  IntegralTerm(dom, -dot(tfn(1), trial(0))),
+                  IntegralTerm(dom, dot(tfn(1), trial(1)))]
+    a = FormIR(W, W, terms)
+    calls = []
+    real = expressions.assemble_form
+    monkeypatch.setattr(expressions, "assemble_form",
+                        lambda form: calls.append(form) or real(form))
+    cs = scpc_setup(a, FieldSplit((0,), (1,)))
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    A = Tensor(a)
+    inv = A.blocks[0, 0].inv
+    S = assemble_global(A.blocks[1, 1] - A.blocks[1, 0] * inv * A.blocks[0, 1])
+    scale = np.abs(S).max()
+    assert np.abs((cs.S_raw - S).toarray()).max() <= 1e-14 * scale
+
+    r = np.random.default_rng(41).standard_normal(W.ndof_global)
+    x, rep, _ = scpc_apply(cs, r, exact_inner(cs.S))
+    local_inverse, coupling, elimination = (
+        evaluate_all(compile_expr(e))
+        for e in (inv, A.blocks[0, 1], A.blocks[1, 0] * inv))
+    cell_dofs = W.cell_dofs_global()
+    e_dofs, c_dofs = cell_dofs[:, :1], cell_dofs[:, 1:] - W.offsets[1]
+    r_c = r[W.offsets[1]:] - np.bincount(
+        c_dofs.ravel(), np.einsum("cij,cj->ci", elimination, r[e_dofs]).ravel(),
+        minlength=M.ndof_global)
+    lam = exact_preconditioner(cs.S)(r_c)
+    ref = np.empty(W.ndof_global)
+    ref[e_dofs] = np.einsum("cij,cj->ci", local_inverse,
+                            r[e_dofs] - np.einsum("cij,cj->ci", coupling, lam[c_dofs]))
+    ref[W.offsets[1]:] = lam
+    assert rep.converged
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
