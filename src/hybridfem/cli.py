@@ -36,9 +36,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="LDG-H stabilization parameter")
     p.add_argument("--problem", default="sinsin", choices=["sinsin", "expsin"])
     p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--inner-pc", default="jacobi",
-                   choices=["none", "jacobi", "exact"],
-                   help="preconditioner for the condensed (trace) solve")
+    p.add_argument("--inner-pc", default=StudySpec.inner_pc,
+                   choices=["none", "jacobi", "twolevel", "exact"],
+                   help="preconditioner of the inner CG (trace or primal) solve")
     p.add_argument("--serial", action="store_true",
                    help="bit-reproducible output (zeroes timing columns)")
     p.add_argument("--csv", default=None, help="write results to this CSV file")

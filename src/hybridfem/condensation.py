@@ -103,7 +103,6 @@ class Stages:
 class CondensedSystem:
     space: MixedSpace
     split: FieldSplit
-    operator: Tensor                 # the full system, element tensors memoized
     # block-diagonal, one block per cell, acting on the flat maps' order
     local_inverse: sp.bsr_matrix     # A_ee^{-1}
     coupling: sp.bsr_matrix          # A_ec
@@ -137,22 +136,22 @@ def _block_diagonal(expr: TensorExpr) -> sp.bsr_matrix:
                          shape=(nc * rows, nc * cols))
 
 
-def scpc_setup(a: FormIR, split: FieldSplit,
+def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
                bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
     """Assemble the condensed operator of a multi-field system.
 
-    ``bcs`` lists (dof, value) constraints in the condensed fields'
-    local numbering; rows and columns are eliminated symmetrically and
-    the known values are lifted during :func:`scpc_apply`.
+    ``a`` is the form, or its frozen :class:`Tensor` if the caller keeps the
+    element tensors.  ``bcs`` lists (dof, value) constraints in the condensed
+    fields' local numbering, eliminated symmetrically and lifted by :func:`scpc_apply`.
     """
-    if not isinstance(a.test, MixedSpace) or a.rank != 2:
+    A = a if isinstance(a, Tensor) else Tensor(a, frozen=True)  # coefficient data too, once
+    if not isinstance(A.form.test, MixedSpace) or A.form.rank != 2:
         raise ValueError("static condensation expects a mixed bilinear form")
-    W = a.test
+    W = A.form.test
     _check_eliminable(W, split)
     t0 = time.perf_counter()
     ne = len(split.eliminate)
     nf = W.n_fields
-    A = Tensor(a, frozen=True)  # coefficient data too are evaluated once
     local_inverse = A.blocks[:ne, :ne].inv
     coupling = A.blocks[:ne, ne:nf]
     elimination = A.blocks[ne:nf, :ne] * local_inverse
@@ -167,7 +166,6 @@ def scpc_setup(a: FormIR, split: FieldSplit,
     return CondensedSystem(
         space=W,
         split=split,
-        operator=A,
         local_inverse=_block_diagonal(local_inverse),
         coupling=_block_diagonal(coupling),
         elimination=_block_diagonal(elimination),
@@ -231,6 +229,7 @@ class HybridizedMixed:
     system: HybridizableSystem       # (broken RT, DG, Trace), from hybridize
     transfer: BrokenTransfer
     cs: CondensedSystem
+    operator: Tensor                 # hs.a, element tensors memoized by set-up
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
 
 
@@ -247,11 +246,12 @@ def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
     hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
     U = a_mixed.test_fields[0]
     bt = broken_transfer(U, hs.flux_space)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    operator = Tensor(hs.a, frozen=True)
+    cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
     trace_data = np.zeros(hs.trace_space.ndof_global)
     if neumann_flux is not None and len(U.mesh.facets_with_label(NEUMANN)):
         trace_data = hs.space.split(assemble_global(Tensor(hs.rhs)))[2]
-    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs, bt, cs,
+    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs, bt, cs, operator,
                            trace_data)
 
 

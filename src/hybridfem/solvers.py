@@ -264,12 +264,36 @@ def exact_preconditioner(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: lu.solve(r)
 
 
-def make_preconditioner(A: sp.spmatrix, name: str | None):
-    """Resolve a named inner preconditioner: none, jacobi, or exact."""
+def twolevel_preconditioner(A: sp.spmatrix, P: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Additive ``D^{-1} r + P (P^T A P)^{-1} P^T r``, keeping only the columns
+    of ``P`` that are nonzero and vanish on every constrained dof (a row of
+    ``A`` that stores only its diagonal), so an SPD ``A`` has an SPD coarse
+    operator, factored as by :func:`exact_preconditioner`.  With no column
+    left it is the Jacobi term alone."""
+    jacobi = jacobi_preconditioner(A)
+    P, constrained = sp.csc_matrix(P), sp.csr_matrix(A).getnnz(axis=1) == 1
+    P = P[:, (P.getnnz(axis=0) > 0) & (abs(P[constrained]).sum(axis=0).A1 == 0)]
+    if P.shape[1] == 0:
+        return jacobi
+    Pt = P.T.tocsr()
+    try:
+        coarse_solve = exact_preconditioner(Pt @ A @ P)
+    except RuntimeError as exc:
+        raise RuntimeError(f"two-level coarse operator ({P.shape[1]} x {P.shape[1]}) "
+                           f"could not be factored: {exc}") from None
+    return lambda r: jacobi(r) + P @ coarse_solve(Pt @ r)
+
+
+def make_preconditioner(A: sp.spmatrix, name: str | None, P: sp.spmatrix | None = None):
+    """Resolve a named inner preconditioner: none, jacobi, twolevel (needs ``P``) or exact."""
     if name in (None, "none"):
         return None
     if name == "jacobi":
         return jacobi_preconditioner(A)
+    if name == "twolevel":
+        if P is None:
+            raise ValueError("the twolevel preconditioner needs a coarse map P")
+        return twolevel_preconditioner(A, P)
     if name == "exact":
         return exact_preconditioner(A)
     raise ValueError(f"unknown preconditioner {name!r}")

@@ -392,6 +392,41 @@ def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
     return np.linalg.solve(mass, rhs.T).T
 
 
+def coarse_p1_map(space: FunctionSpace):
+    """The coarse map of the two-level preconditioner, a CSR matrix from
+    continuous P1 vertex values to the dofs of a Trace(k) space (P1 on its
+    mesh, read at each facet's ``line_element(k)`` nodes from the lower
+    vertex) or a CG(k) space (P1 on the ``n // 2`` grid split as by
+    ``build_unit_square``, read at the fine nodes located by grid
+    arithmetic, so odd ``n`` and jittered meshes need no coarse mesh)."""
+    import scipy.sparse as sp  # on use: imported with the module it slowed `import hybridfem` 25 ms
+    mesh, k = space.mesh, space.family.degree
+    if space.family.kind == "Trace":  # dofs run facet by facet, so rows are in order
+        t = reference.line_element(k).nodes[None, :, None]
+        cols = np.broadcast_to(mesh.facet_vertices[:, None, :], (mesh.n_facets, k + 1, 2))
+        vals = np.broadcast_to(np.concatenate([1.0 - t, t], axis=2), cols.shape)
+        n_coarse = mesh.n_vertices
+    elif space.family.kind == "CG":
+        m = max(int(round(np.sqrt(mesh.n_cells / 2))) // 2, 1)  # the mesh has 2 n^2 cells
+        pts = np.empty((space.ndof_global, 2))
+        pts[:mesh.n_vertices] = mesh.vertex_coords  # vertex dofs carry vertex numbers
+        pts[space.cell_dofs[:, 3:]] = mesh.geometry().physical_points(
+            reference.scalar_element(k).nodes[3:])
+        ij = np.clip(np.floor(pts * m), 0, m - 1)
+        s, t = (pts * m - ij).T
+        v00 = (ij[:, 1] * (m + 1) + ij[:, 0]).astype(np.int64)
+        # the cell (v00, v10, v11) below the diagonal, (v00, v11, v01) above
+        cols = np.stack([v00, np.where(s >= t, v00 + 1, v00 + m + 1), v00 + m + 2], axis=1)
+        vals = np.stack([1.0 - np.maximum(s, t), np.abs(s - t), np.minimum(s, t)], axis=1)
+        n_coarse = (m + 1) ** 2
+    else:
+        raise ValueError(f"no coarse P1 map for {space.family.kind} spaces")
+    P = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[-1])),
+                      shape=(space.ndof_global, n_coarse))
+    P.eliminate_zeros()
+    return P
+
+
 # ---------------------------------------------------------------------------
 # batched basis maps on affine cells, and pointwise evaluation
 

@@ -47,7 +47,7 @@ from .solvers import (
     make_preconditioner,
     sparse_direct_solve,
 )
-from .spaces import Function, cell_blocks, contract, project_div, ref_basis
+from .spaces import Function, cell_blocks, coarse_p1_map, contract, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
 
@@ -76,7 +76,7 @@ class StudySpec:
     problem: str = "sinsin"
     rtol: float = 1e-8
     maxiter: int = 5000
-    inner_pc: str = "jacobi"    # none | jacobi | exact
+    inner_pc: str = "twolevel"  # none | jacobi | twolevel | exact
     serial: bool = False
     multiplier_degree: int = 0
 
@@ -139,13 +139,10 @@ class HybridSolveResult:
     stages: Stages
 
 
-def _inner_config(spec: StudySpec, S) -> KrylovConfig:
-    return KrylovConfig(
-        method="cg",
-        rtol=spec.rtol,
-        maxiter=spec.maxiter,
-        preconditioner=make_preconditioner(S, spec.inner_pc),
-    )
+def _inner_config(spec: StudySpec, S, space) -> KrylovConfig:  # S acts on space's dofs
+    P = coarse_p1_map(space) if spec.inner_pc == "twolevel" else None
+    return KrylovConfig(method="cg", rtol=spec.rtol, maxiter=spec.maxiter,
+                        preconditioner=make_preconditioner(S, spec.inner_pc, P))
 
 
 def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
@@ -158,7 +155,7 @@ def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
         hs = ldgh_system(mesh, prob, spec.degree, spec.tau)
     cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
     rhs = assemble_global(Tensor(hs.rhs))
-    x, report, stages = scpc_apply(cs, rhs, _inner_config(spec, cs.S))
+    x, report, stages = scpc_apply(cs, rhs, _inner_config(spec, cs.S, hs.trace_space))
     u_vec, p_vec, lam_vec = hs.space.split(x)
     u = Function(hs.flux_space, u_vec)
     p = Function(hs.scalar_space, p_vec)
@@ -183,11 +180,11 @@ def solve_primal(mesh: Mesh, prob: ManufacturedProblem,
                  spec: StudySpec) -> PrimalSolveResult:
     ps = primal_cg_system(mesh, prob, spec.degree)
     t0 = time.perf_counter()
-    A = assemble_global(Tensor(ps.a))
-    b = assemble_global(Tensor(ps.rhs))
-    Ab, bb = apply_bcs(A, b, ps.dirichlet_bcs)
+    # the unconstrained A and b are released before the coarse set-up
+    Ab, bb = apply_bcs(assemble_global(Tensor(ps.a)), assemble_global(Tensor(ps.rhs)),
+                       ps.dirichlet_bcs)
     assembly = time.perf_counter() - t0
-    cfg = _inner_config(spec, Ab)
+    cfg = _inner_config(spec, Ab, ps.space)
     x0 = bc_lift_vector(len(bb), ps.dirichlet_bcs)
     t0 = time.perf_counter()
     x, report = krylov_solve(Ab, bb, cfg, x0=x0)
@@ -335,14 +332,15 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
                    **_stage_columns(acc, spec.serial))
 
 
-def _scpc_pc(cs, system: HybridizableSystem, inner: KrylovConfig, spec, base):
+def _scpc_pc(cs, system: HybridizableSystem, operator: Tensor, inner: KrylovConfig, spec, base):
     """Outer FGMRES on the three-field ``system`` condensed by ``cs``, its
     trace BCs shifted to global dofs and lifted into the initial guess,
-    preconditioned by static condensation.  Returns the constrained
-    operator and right-hand side, the solution and its row."""
+    preconditioned by static condensation, whose set-up evaluated
+    ``operator``, the frozen ``Tensor`` of ``system.a``.  Returns the
+    constrained operator and right-hand side, the solution and its row."""
     off = int(system.space.offsets[2])
     gbcs = [(d + off, v) for d, v in system.trace_bcs]
-    A, b = apply_bcs(assemble_global(cs.operator), assemble_global(Tensor(system.rhs)), gbcs)
+    A, b = apply_bcs(assemble_global(operator), assemble_global(Tensor(system.rhs)), gbcs)
     x, row = _fgmres_row(A, b, bc_lift_vector(len(b), gbcs),
                          lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
                          Stages(condensation=cs.setup_time), spec, base, "scpc-pc")
@@ -358,7 +356,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
     # outer FGMRES preconditioned by the hybridization factorization
     hm = hybridization_setup(ms.a, ms.rhs, neumann_flux=prob.u)
-    inner = _inner_config(spec, hm.cs.S)
+    inner = _inner_config(spec, hm.cs.S, hm.system.trace_space)
     xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
                              lambda r: hybridization_apply(hm, r, inner),
                              Stages(condensation=hm.cs.setup_time), spec, base,
@@ -367,7 +365,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
     # outer FGMRES on the same hybridized three-field system with SCPC
     hs = hm.system
-    _, _, x3, scpc = _scpc_pc(hm.cs, hs, inner, spec, base)
+    _, _, x3, scpc = _scpc_pc(hm.cs, hs, hm.operator, inner, spec, base)
     u3, p3, _ = hs.space.split(x3)
     u_conf = project_div(hm.transfer, Function(hs.flux_space, u3))
     scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u_conf.coeffs, p3])
@@ -377,8 +375,10 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
 def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
     ls = ldgh_system(mesh, prob, spec.degree, spec.tau)
-    cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
-    A, b, x, scpc = _scpc_pc(cs, ls, _inner_config(spec, cs.S), spec, base)
+    operator = Tensor(ls.a, frozen=True)
+    cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    A, b, x, scpc = _scpc_pc(cs, ls, operator, _inner_config(spec, cs.S, ls.trace_space),
+                             spec, base)
     x_direct, direct = _direct_row(A, b, spec, base)
     scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
     return [direct, scpc]

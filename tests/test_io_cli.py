@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hybridfem import DG, RT, Function, build_unit_square, create_space, interpolate
-from hybridfem.cli import main
+from hybridfem.cli import main, make_parser
 from hybridfem.io_vtk import export_fields, read_vtk, write_mesh_vtk
+from hybridfem.study import StudySpec
 
 
 def test_mesh_dump_roundtrip(tmp_path):
@@ -75,6 +76,19 @@ def test_cli_serial_bit_identical(tmp_path):
     main(args + ["--csv", str(a)])
     main(args + ["--csv", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_twolevel_serial_bit_identical(tmp_path):
+    args = ["converge", "--method", "cg-primal", "--degree", "1", "--sizes", "4,8",
+            "--inner-pc", "twolevel", "--serial"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(args + ["--csv", str(a)])
+    main(args + ["--csv", str(b)])
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_inner_pc_default_is_the_library_default():
+    assert make_parser().parse_args(["converge"]).inner_pc == StudySpec.inner_pc == "twolevel"
 
 
 def test_cli_single_size_rejected():

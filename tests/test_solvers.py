@@ -8,8 +8,10 @@ from hybridfem.solvers import (
     exact_preconditioner,
     jacobi_preconditioner,
     krylov_solve,
+    make_preconditioner,
     sparse_direct_solve,
 )
+from hybridfem.spaces import coarse_p1_map
 
 
 def random_spd(n, seed=0):
@@ -249,3 +251,126 @@ def test_exact_preconditioner_pivots_on_nonsymmetric(method):
     assert rep.converged
     assert rep.iterations == 1
     np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+def _two_level_system(method, degree, mesh):
+    """The constrained system the study drivers solve and the space of its
+    dofs: the condensed trace operator, or the primal CG matrix."""
+    from hybridfem.condensation import FieldSplit, scpc_setup
+    from hybridfem.expressions import Tensor, assemble_global
+    from hybridfem.problems import (hybridized_mixed_system, ldgh_system, manufactured,
+                                    primal_cg_system)
+
+    prob = manufactured("sinsin")
+    if method == "cg-primal":
+        ps = primal_cg_system(mesh, prob, degree)
+        A, _ = apply_bcs(assemble_global(Tensor(ps.a)), np.zeros(ps.space.ndof_global),
+                         ps.dirichlet_bcs)
+        return A, ps.space
+    if method == "mixed-hybrid":
+        hs = hybridized_mixed_system(mesh, prob, degree)
+    else:
+        hs = ldgh_system(mesh, prob, degree, tau=1.0)
+    return scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs).S, hs.trace_space
+
+
+def _two_level_iterations(method, degree, mesh):
+    A, space = _two_level_system(method, degree, mesh)
+    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    _, rep = krylov_solve(A, b, KrylovConfig(rtol=1e-8, preconditioner=pc))
+    assert rep.converged
+    return rep.iterations
+
+
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
+                                           ("ldgh", 1), ("cg-primal", 1), ("cg-primal", 2)])
+@pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
+def test_twolevel_iterations_do_not_grow_with_n(method, degree, mesh_kind):
+    """With the continuous P1 coarse space, CG iterations on n=64 stay
+    within 1.2x those on n=8 (Jacobi alone roughly doubles them with each
+    refinement)."""
+    from hybridfem import build_jittered_square, build_unit_square
+
+    build = build_unit_square if mesh_kind == "structured" else (
+        lambda n: build_jittered_square(n, 0.2, 3))
+    coarse, fine = (_two_level_iterations(method, degree, build(n)) for n in (8, 64))
+    assert fine <= 1.2 * coarse
+
+
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("ldgh", 2), ("cg-primal", 2)])
+@pytest.mark.parametrize("neumann", [False, True])
+def test_twolevel_preconditioner_is_spd(method, degree, neumann):
+    """The dense matrix of the preconditioner is symmetric with positive
+    eigenvalues, with Dirichlet boundaries (whose coarse vertices are
+    dropped) and with a Neumann side (whose vertices are kept)."""
+    from hybridfem import build_jittered_square
+    from hybridfem.mesh import DIRICHLET, NEUMANN, mark_boundary
+
+    mesh = build_jittered_square(5, 0.2, 3)
+    if neumann:
+        mesh = mark_boundary(mesh, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
+    A, space = _two_level_system(method, degree, mesh)
+    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
+    M = np.column_stack([pc(e) for e in np.eye(A.shape[0])])
+    assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+    jacobi = np.diag(1.0 / A.diagonal())
+    assert np.abs(M - jacobi).max() > 0.0  # the coarse term is present
+
+
+@pytest.mark.parametrize("family", ["Trace0", "Trace1", "Trace2", "CG1", "CG2"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_coarse_p1_map_has_full_column_rank(family, n):
+    """Every coarse vertex function reaches some dof and no two coincide,
+    on even and odd jittered meshes with a Neumann side; the CG map
+    reproduces P1 functions at the fine nodes."""
+    from hybridfem import CG, Trace, build_jittered_square, create_space, interpolate
+    from hybridfem.mesh import DIRICHLET, NEUMANN, mark_boundary
+
+    mesh = mark_boundary(build_jittered_square(n, 0.2, 3),
+                         lambda x, y: NEUMANN if y < 1e-12 else DIRICHLET)
+    kind, k = family[:-1], int(family[-1])
+    space = create_space(mesh, (CG if kind == "CG" else Trace)(k))
+    P = coarse_p1_map(space).toarray()
+    n_coarse = mesh.n_vertices if kind == "Trace" else (n // 2 + 1) ** 2
+    assert P.shape == (space.ndof_global, n_coarse)
+    assert np.linalg.matrix_rank(P) == n_coarse
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-14)  # constants reproduced
+    if kind == "CG":
+        m = n // 2
+        xc, yc = np.divmod(np.arange(n_coarse), m + 1)[::-1]
+        linear = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
+        np.testing.assert_allclose(P @ linear(xc / m, yc / m),
+                                   interpolate(space, linear).coeffs, atol=1e-13)
+
+
+@pytest.mark.parametrize("method,n", [("cg-primal", 1), ("cg-primal", 2), ("mixed-hybrid", 1)])
+def test_twolevel_without_free_coarse_vertex_is_jacobi(method, n, monkeypatch):
+    """n <= 2 leaves no coarse vertex off the Dirichlet boundary: the
+    preconditioner is the Jacobi term alone and factors nothing."""
+    from hybridfem import build_unit_square, solvers
+
+    A, space = _two_level_system(method, 1, build_unit_square(n))
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("an empty coarse operator was factored")
+
+    monkeypatch.setattr(solvers.spla, "splu", no_factor)
+    r = np.random.default_rng(4).standard_normal(A.shape[0])
+    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
+    np.testing.assert_array_equal(pc(r), jacobi_preconditioner(A)(r))
+
+
+def test_twolevel_requires_coarse_map():
+    with pytest.raises(ValueError, match="coarse map"):
+        make_preconditioner(sp.eye(3).tocsr(), "twolevel")
+
+
+def test_twolevel_singular_coarse_operator_raises():
+    """Two equal coarse columns make the coarse operator singular; the
+    error names the stage and the coarse size."""
+    A = sp.diags([-np.ones(4), 2.0 * np.ones(5), -np.ones(4)], [-1, 0, 1]).tocsr()
+    P = sp.csr_matrix(np.repeat(np.eye(5)[:, :1], 2, axis=1))
+    with pytest.raises(RuntimeError, match=r"two-level coarse operator \(2 x 2\)"):
+        make_preconditioner(A, "twolevel", P)
