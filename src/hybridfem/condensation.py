@@ -102,7 +102,6 @@ class Stages:
 @dataclass
 class CondensedSystem:
     space: MixedSpace
-    split: FieldSplit
     # block-diagonal, one block per cell, acting on the flat maps' order
     local_inverse: sp.bsr_matrix     # A_ee^{-1}
     coupling: sp.bsr_matrix          # A_ec
@@ -165,7 +164,6 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     dt = time.perf_counter() - t0
     return CondensedSystem(
         space=W,
-        split=split,
         local_inverse=_block_diagonal(local_inverse),
         coupling=_block_diagonal(coupling),
         elimination=_block_diagonal(elimination),

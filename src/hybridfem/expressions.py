@@ -35,8 +35,8 @@ from .spaces import Function, FunctionSpace, MixedSpace, local_offsets
 
 Axis = tuple[FunctionSpace, ...]
 
-# smallest relative pivot (or reciprocal condition number, in the batched
-# kernels) for which a dense factorization is not declared singular
+# smallest reciprocal condition number (LU) or relative pivot (Cholesky)
+# for which a local factorization is not declared singular
 PIVOT_RTOL = 1e-12
 
 
@@ -300,8 +300,6 @@ class ExecPlan:
     kernels: list[Kernel]
     output: int
     shapes: dict[int, tuple[int, ...]]
-    mesh: object
-    root: TensorExpr
 
     def describe(self) -> str:
         """Stable human-readable kernel listing (for golden tests)."""
@@ -337,7 +335,7 @@ def compile_expr(expr: TensorExpr) -> ExecPlan:
     kernels: list[Kernel] = []
     shapes: dict[int, tuple[int, ...]] = {}
     out = _lower(expr, kernels, shapes, {})
-    return ExecPlan(kernels, out, shapes, _expr_mesh(expr), expr)
+    return ExecPlan(kernels, out, shapes)
 
 
 def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) -> int:
@@ -371,18 +369,6 @@ def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) ->
     shapes[reg] = node.shape
     seen[key] = reg
     return reg
-
-
-def _expr_mesh(expr: TensorExpr):
-    if isinstance(expr, Tensor):
-        return expr.form.mesh
-    if isinstance(expr, AssembledVector):
-        return expr.fields[0].mesh
-    for c in expr.children():
-        m = _expr_mesh(c)
-        if m is not None:
-            return m
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +436,7 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray]) -> np.ndarray:
             return np.einsum("ci,cij->cj", a, b)
         raise ValueError("unsupported contraction ranks")
     if k.op == "inverse":
-        return _batched_inverse(regs[k.ins[0]])
+        return _batched_inverse(regs[k.ins[0]], "local tensor")
     if k.op == "solve":
         return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload)
     if k.op == "blocks":
@@ -458,13 +444,15 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray]) -> np.ndarray:
     raise AssertionError(k.op)
 
 
-def _batched_inverse(a: np.ndarray) -> np.ndarray:
+def _batched_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of every cell's ``a``, rejecting singular and
+    ill-conditioned cells; the one LU factorization of a local tensor."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        cell = _first_singular(a)
-        raise RuntimeError(f"singular local tensor in cell {cell}") from None
-    _check_conditioning(a, inv, "local tensor")
+        cell = _first_failing(np.linalg.inv, a)
+        raise RuntimeError(f"singular {what} in cell {cell}") from None
+    _check_conditioning(a, inv, what)
     return inv
 
 
@@ -476,7 +464,7 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarr
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            cell = _first_singular(a)
+            cell = _first_failing(np.linalg.cholesky, a)
             raise RuntimeError(
                 f"cholesky breakdown in local solve (cell {cell})") from None
         # the pivots of A = L D L^T are the squared diagonal of the factor
@@ -488,13 +476,7 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarr
         y = np.linalg.solve(chol, rhs)
         x = np.linalg.solve(np.swapaxes(chol, 1, 2), y)
     else:
-        try:
-            x = np.linalg.solve(a, rhs)
-            inv = np.linalg.inv(a)  # for the conditioning guard only
-        except np.linalg.LinAlgError:
-            cell = _first_singular(a)
-            raise RuntimeError(f"singular local system in cell {cell}") from None
-        _check_conditioning(a, inv, "local system")
+        x = _batched_inverse(a, "local system") @ rhs
     return x[:, :, 0] if vector_rhs else x
 
 
@@ -512,23 +494,15 @@ def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str) -> None:
             f"(reciprocal condition {rcond[cell]:.1e} < {PIVOT_RTOL:g})")
 
 
-def _first_singular(a: np.ndarray) -> int:
+def _first_failing(factor, a: np.ndarray) -> int:
+    """The first cell whose ``a`` the batched ``factor`` rejects; it runs
+    the same LAPACK routine on each cell alone, so some cell fails."""
     for c in range(a.shape[0]):
-        piv = _min_relative_pivot(a[c])
-        if piv < PIVOT_RTOL:
+        try:
+            factor(a[c])
+        except np.linalg.LinAlgError:
             return c
-    return -1
-
-
-def _min_relative_pivot(a: np.ndarray) -> float:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    scale = max(np.abs(a).max(), 1e-300)
-    return float(diag.min() / scale)
+    raise AssertionError("the batched factorization failed on no single cell")
 
 
 def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:

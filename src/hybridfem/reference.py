@@ -299,10 +299,6 @@ class RTElement:
     def n_dofs(self) -> int:
         return self.degree * (self.degree + 2)
 
-    @property
-    def n_interior_dofs(self) -> int:
-        return self.degree * (self.degree - 1)
-
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
         mono = _eval_monomials(self.exponents, points)

@@ -398,3 +398,36 @@ def test_batched_inverse_names_first_ill_conditioned_cell():
     b = AssembledVector(Function(V, np.ones(V.ndof_global)))
     with pytest.raises(RuntimeError, match=f"ill-conditioned local system in cell {first_bad} "):
         evaluate_all(compile_expr(Tensor(a).solve(b)))
+
+
+def split_at_half(left, right):
+    """A piecewise-constant field: ``left`` for x < 1/2, ``right`` beyond."""
+    return ScalarField(lambda x, y: np.where(x < 0.5, left, right), degree=0)
+
+
+def test_cholesky_breakdown_names_first_indefinite_cell():
+    """A mass matrix negated right of x = 1/2 is symmetric but indefinite
+    there; the first cell that Cholesky rejects is named."""
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(1))
+    a = FormIR(V, V, [IntegralTerm(CELL, dot(fld(split_at_half(1.0, -1.0)),
+                                             dot(tfn(), trial())))])
+    b = AssembledVector(Function(V, np.ones(V.ndof_global)))
+    with pytest.raises(RuntimeError,
+                       match=r"^cholesky breakdown in local solve \(cell 2\)$"):
+        evaluate_all(compile_expr(Tensor(a).solve(b, "cholesky")))
+
+
+def test_cholesky_pivot_guard_names_first_small_pivot_cell():
+    """The DG(2) stiffness matrix plus a mass term of weight 1e-14 right of
+    x = 1/2 factors there, but with a pivot below PIVOT_RTOL."""
+    mesh = build_unit_square(2)
+    V = create_space(mesh, DG(2))
+    a = FormIR(V, V, [
+        IntegralTerm(CELL, dot(grad(tfn()), grad(trial()))),
+        IntegralTerm(CELL, dot(fld(split_at_half(1.0, 1e-14)), dot(tfn(), trial()))),
+    ])
+    b = AssembledVector(Function(V, np.ones(V.ndof_global)))
+    with pytest.raises(RuntimeError,
+                       match=r"^cholesky pivot breakdown in local solve \(cell 2\)$"):
+        evaluate_all(compile_expr(Tensor(a).solve(b, "cholesky")))

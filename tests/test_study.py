@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -19,6 +20,7 @@ from hybridfem import (
     interpolate,
     reference,
     spaces,
+    study,
 )
 from hybridfem.forms import assemble_form
 from hybridfem.problems import manufactured, primal_cg_system
@@ -206,6 +208,25 @@ def test_cg_primal_odd_n_twolevel_matches_jacobi():
     assert two[-1]["iterations"] < rows["jacobi"][-1]["iterations"] / 2
     for jac, r in zip(rows["jacobi"], two):
         assert r["err_p"] == pytest.approx(jac["err_p"], rel=1e-8)
+
+
+def test_trace_stage_includes_inner_preconditioner_setup(monkeypatch):
+    """``t_trace`` counts the inner preconditioner's set-up, on the
+    convergence rows and on every compare row that runs an inner solve."""
+    real = study.make_preconditioner
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(study, "make_preconditioner", slow)
+    rows = [*run_convergence(StudySpec(method="mixed-hybrid", sizes=(2, 4))),
+            *run_convergence(StudySpec(method="cg-primal", sizes=(2, 4))),
+            *(r for method in ("mixed-hybrid", "ldgh")
+              for r in run_solver_compare(StudySpec(method=method, sizes=(2, 4)))
+              if r["path"] != "direct")]
+    assert len(rows) == 10
+    assert all(r["t_trace"] >= 0.05 for r in rows)
 
 
 def test_compare_rejects_primal():
