@@ -18,6 +18,7 @@ from .problems import manufactured
 from .study import (
     COMPARE_COLUMNS,
     CONVERGE_COLUMNS,
+    INNER_PCS,
     StudySpec,
     format_value,
     run_convergence,
@@ -37,8 +38,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", default="sinsin", choices=["sinsin", "expsin"])
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--inner-pc", default=StudySpec.inner_pc,
-                   choices=["none", "jacobi", "twolevel", "exact"],
-                   help="preconditioner of the inner CG (trace or primal) solve")
+                   choices=INNER_PCS,
+                   help="preconditioner of the inner CG (trace or primal) solve; "
+                   "twolevel is an older name of multigrid")
     p.add_argument("--serial", action="store_true",
                    help="bit-reproducible output (zeroes timing columns)")
     p.add_argument("--csv", default=None, help="write results to this CSV file")

@@ -264,36 +264,70 @@ def exact_preconditioner(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: lu.solve(r)
 
 
-def twolevel_preconditioner(A: sp.spmatrix, P: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Additive ``D^{-1} r + P (P^T A P)^{-1} P^T r``, keeping only the columns
-    of ``P`` that are nonzero and vanish on every constrained dof (a row of
-    ``A`` that stores only its diagonal), so an SPD ``A`` has an SPD coarse
-    operator, factored as by :func:`exact_preconditioner`.  With no column
-    left it is the Jacobi term alone."""
-    jacobi = jacobi_preconditioner(A)
-    P, constrained = sp.csc_matrix(P), sp.csr_matrix(A).getnnz(axis=1) == 1
-    P = P[:, (P.getnnz(axis=0) > 0) & (abs(P[constrained]).sum(axis=0).A1 == 0)]
-    if P.shape[1] == 0:
+MULTIGRID_NAMES = ("multigrid", "twolevel")  # twolevel: the older name, kept for its callers
+SMOOTHER_DAMPING = 0.6  # the multigrid cycle's Jacobi weight omega where no row needs more
+
+
+def multigrid_preconditioner(A: sp.spmatrix, maps: list) -> Callable[[np.ndarray], np.ndarray]:
+    """One V(1,1) cycle over the levels that ``maps`` (finest first, as from
+    :func:`hybridfem.spaces.p1_hierarchy`) build on ``A``: Galerkin coarse
+    operators ``P^T A P``, the coarsest factored as by
+    :func:`exact_preconditioner`, and a diagonal smoother ``M`` before and
+    after each coarse correction.  ``M`` is Jacobi damped by
+    ``SMOOTHER_DAMPING``, each row raised to at least ``a_ii + sum_{j != i}
+    |a_ij| sqrt(a_ii / a_jj) / 2`` so that ``2M - A`` is SPD (Gershgorin on
+    ``D^{-1/2} (2M - A) D^{-1/2}``): the cycle is SPD for any SPD ``A``.
+    The first map keeps its columns that are nonzero and vanish on every
+    constrained dof (a row of ``A`` that stores only its diagonal); each
+    deeper map keeps the rows its finer level kept and its nonzero
+    columns.  With no coarse column it is Jacobi alone."""
+    jacobi, A = jacobi_preconditioner(A), sp.csr_matrix(A)
+    constrained, levels = A.getnnz(axis=1) == 1, []
+    for P in maps:
+        P = sp.csc_matrix(P)[kept] if levels else sp.csc_matrix(P)
+        kept = P.getnnz(axis=0) > 0
+        if not levels:
+            kept &= abs(P[constrained]).sum(axis=0).A1 == 0
+        if not kept.any():
+            break
+        P = P[:, kept].tocsr()
+        Pt = P.T.tocsr()  # so that products stay CSR: P.T would convert A to CSC
+        d = A.diagonal()
+        m = np.maximum(d / SMOOTHER_DAMPING, 0.5 * (d + np.sqrt(d) * (abs(A) @ (1.0 / np.sqrt(d)))))
+        levels.append((A, 1.0 / m, P, Pt))
+        A = Pt @ A @ P
+    if not levels:
         return jacobi
-    Pt = P.T.tocsr()
     try:
-        coarse_solve = exact_preconditioner(Pt @ A @ P)
+        coarse_solve = exact_preconditioner(A)
     except RuntimeError as exc:
-        raise RuntimeError(f"two-level coarse operator ({P.shape[1]} x {P.shape[1]}) "
-                           f"could not be factored: {exc}") from None
-    return lambda r: jacobi(r) + P @ coarse_solve(Pt @ r)
+        raise RuntimeError(f"{'two-level' if len(levels) == 1 else 'multigrid'} coarse operator "
+                           f"({A.shape[0]} x {A.shape[0]}) could not be factored: {exc}") from None
+
+    def cycle(r):  # a loop, not recursion: a self-calling closure waits for the cyclic GC
+        down = []
+        for A_l, wdinv, _, Pt in levels:
+            down.append((r, wdinv * r))
+            r = Pt @ (r - A_l @ down[-1][1])
+        x = coarse_solve(r)
+        for (A_l, wdinv, P, _), (r, x_pre) in zip(reversed(levels), reversed(down)):
+            x = x_pre + P @ x
+            x += wdinv * (r - A_l @ x)
+        return x
+    return cycle
 
 
-def make_preconditioner(A: sp.spmatrix, name: str | None, P: sp.spmatrix | None = None):
-    """Resolve a named inner preconditioner: none, jacobi, twolevel (needs ``P``) or exact."""
+def make_preconditioner(A: sp.spmatrix, name: str | None, maps: list | None = None):
+    """Resolve a named inner preconditioner: none, jacobi, multigrid (which
+    needs the maps of :func:`hybridfem.spaces.p1_hierarchy`) or exact."""
     if name in (None, "none"):
         return None
     if name == "jacobi":
         return jacobi_preconditioner(A)
-    if name == "twolevel":
-        if P is None:
-            raise ValueError("the twolevel preconditioner needs a coarse map P")
-        return twolevel_preconditioner(A, P)
+    if name in MULTIGRID_NAMES:
+        if maps is None:
+            raise ValueError(f"the {name} preconditioner needs its coarse maps")
+        return multigrid_preconditioner(A, maps)
     if name == "exact":
         return exact_preconditioner(A)
     raise ValueError(f"unknown preconditioner {name!r}")

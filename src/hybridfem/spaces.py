@@ -20,6 +20,7 @@ reference points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -392,37 +393,68 @@ def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
     return np.linalg.solve(mass, rhs.T).T
 
 
+COARSEST_VERTICES = 3000  # p1_hierarchy stops at a level with at most this many vertices
+
+
 def coarse_p1_map(space: FunctionSpace):
-    """The coarse map of the two-level preconditioner, a CSR matrix from
-    continuous P1 vertex values to the dofs of a Trace(k) space (P1 on its
-    mesh, read at each facet's ``line_element(k)`` nodes from the lower
-    vertex) or a CG(k) space (P1 on the ``n // 2`` grid split as by
-    ``build_unit_square``, read at the fine nodes located by grid
-    arithmetic, so odd ``n`` and jittered meshes need no coarse mesh)."""
-    import scipy.sparse as sp  # on use: imported with the module it slowed `import hybridfem` 25 ms
+    """The first coarse map of the multilevel preconditioner, a CSR matrix
+    from continuous P1 vertex values to the dofs of a Trace(k) space (P1
+    on its mesh, read at each facet's ``line_element(k)`` nodes from the
+    lower vertex) or a CG(k) space (P1 on the ``n // 2`` grid read at the
+    fine nodes by :func:`_grid_p1_map`, so odd ``n`` and jittered meshes
+    need no coarse mesh)."""
     mesh, k = space.mesh, space.family.degree
-    if space.family.kind == "Trace":  # dofs run facet by facet, so rows are in order
-        t = reference.line_element(k).nodes[None, :, None]
-        cols = np.broadcast_to(mesh.facet_vertices[:, None, :], (mesh.n_facets, k + 1, 2))
-        vals = np.broadcast_to(np.concatenate([1.0 - t, t], axis=2), cols.shape)
-        n_coarse = mesh.n_vertices
-    elif space.family.kind == "CG":
-        m = max(int(round(np.sqrt(mesh.n_cells / 2))) // 2, 1)  # the mesh has 2 n^2 cells
+    if space.family.kind == "CG":
         pts = np.empty((space.ndof_global, 2))
         pts[:mesh.n_vertices] = mesh.vertex_coords  # vertex dofs carry vertex numbers
         pts[space.cell_dofs[:, 3:]] = mesh.geometry().physical_points(
             reference.scalar_element(k).nodes[3:])
-        ij = np.clip(np.floor(pts * m), 0, m - 1)
-        s, t = (pts * m - ij).T
-        v00 = (ij[:, 1] * (m + 1) + ij[:, 0]).astype(np.int64)
-        # the cell (v00, v10, v11) below the diagonal, (v00, v11, v01) above
-        cols = np.stack([v00, np.where(s >= t, v00 + 1, v00 + m + 1), v00 + m + 2], axis=1)
-        vals = np.stack([1.0 - np.maximum(s, t), np.abs(s - t), np.minimum(s, t)], axis=1)
-        n_coarse = (m + 1) ** 2
-    else:
+        return _grid_p1_map(pts, max(int(round(np.sqrt(mesh.n_cells / 2))) // 2, 1))
+    if space.family.kind != "Trace":
         raise ValueError(f"no coarse P1 map for {space.family.kind} spaces")
-    P = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[-1])),
-                      shape=(space.ndof_global, n_coarse))
+    t = reference.line_element(k).nodes[None, :, None]  # dofs run facet by facet
+    cols = np.broadcast_to(mesh.facet_vertices[:, None, :], (mesh.n_facets, k + 1, 2))
+    vals = np.broadcast_to(np.concatenate([1.0 - t, t], axis=2), cols.shape)
+    return _rows_csr(cols, vals, mesh.n_vertices)
+
+
+def p1_hierarchy(space: FunctionSpace) -> list:
+    """The maps of the multilevel preconditioner, finest first:
+    :func:`coarse_p1_map`, then P1 on each grid ``g`` to P1 on ``g // 2``
+    until a level has at most ``COARSEST_VERTICES`` vertices.  A Trace
+    space's first grid is its mesh, read at the mesh's own vertices, so
+    jittered meshes work; no coarse mesh or space is built."""
+    maps = [coarse_p1_map(space)]
+    g = math.isqrt(maps[0].shape[1]) - 1  # a level has (g + 1)^2 vertices
+    pts = space.mesh.vertex_coords if space.family.kind == "Trace" else _grid_points(g)
+    while maps[-1].shape[1] > COARSEST_VERTICES and g > 1:
+        g //= 2
+        maps.append(_grid_p1_map(pts, g))
+        pts = _grid_points(g)
+    return maps
+
+
+def _grid_points(m: int) -> np.ndarray:  # the m grid's vertices, numbered as build_unit_square
+    return np.column_stack(np.divmod(np.arange((m + 1) ** 2), m + 1)[::-1]) / m
+
+
+def _grid_p1_map(pts: np.ndarray, m: int):
+    """P1 on the ``m`` grid split as by ``build_unit_square``, read at
+    ``pts`` located by grid arithmetic: a CSR matrix (len(pts), (m+1)^2)."""
+    ij = np.clip(np.floor(pts * m), 0, m - 1)
+    s, t = (pts * m - ij).T
+    v00 = (ij[:, 1] * (m + 1) + ij[:, 0]).astype(np.int64)
+    # the cell (v00, v10, v11) below the diagonal, (v00, v11, v01) above
+    cols = np.stack([v00, np.where(s >= t, v00 + 1, v00 + m + 1), v00 + m + 2], axis=1)
+    vals = np.stack([1.0 - np.maximum(s, t), np.abs(s - t), np.minimum(s, t)], axis=1)
+    return _rows_csr(cols, vals, (m + 1) ** 2)
+
+
+def _rows_csr(cols: np.ndarray, vals: np.ndarray, n_coarse: int):
+    import scipy.sparse as sp  # on use: imported with the module it slowed `import hybridfem` 25 ms
+    w = cols.shape[-1]  # entries per row, rows in order
+    P = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, w)),
+                      shape=(cols.size // w, n_coarse))
     P.eliminate_zeros()
     return P
 

@@ -39,6 +39,7 @@ from .problems import (
     primal_cg_system,
 )
 from .solvers import (
+    MULTIGRID_NAMES,
     KrylovConfig,
     SolveReport,
     apply_bcs,
@@ -47,9 +48,10 @@ from .solvers import (
     make_preconditioner,
     sparse_direct_solve,
 )
-from .spaces import Function, cell_blocks, coarse_p1_map, contract, project_div, ref_basis
+from .spaces import Function, cell_blocks, contract, p1_hierarchy, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
+INNER_PCS = ("none", "jacobi", *MULTIGRID_NAMES, "exact")
 
 CONVERGE_COLUMNS = [
     "method", "problem", "degree", "tau", "n", "h", "cells",
@@ -76,13 +78,15 @@ class StudySpec:
     problem: str = "sinsin"
     rtol: float = 1e-8
     maxiter: int = 5000
-    inner_pc: str = "twolevel"  # none | jacobi | twolevel | exact
+    inner_pc: str = "multigrid"  # one of INNER_PCS
     serial: bool = False
     multiplier_degree: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.inner_pc not in INNER_PCS:
+            raise ValueError(f"unknown preconditioner {self.inner_pc!r}")
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) < 2:
             raise ValueError("a convergence study needs at least two mesh sizes")
@@ -143,8 +147,8 @@ def _inner_config(spec: StudySpec, S, space) -> tuple[KrylovConfig, float]:
     """The inner CG configuration for ``S``, which acts on ``space``'s dofs,
     and the seconds its preconditioner's set-up took (a trace-solve cost)."""
     t0 = time.perf_counter()
-    P = coarse_p1_map(space) if spec.inner_pc == "twolevel" else None
-    pc = make_preconditioner(S, spec.inner_pc, P)
+    maps = p1_hierarchy(space) if spec.inner_pc in MULTIGRID_NAMES else None
+    pc = make_preconditioner(S, spec.inner_pc, maps)
     return (KrylovConfig(method="cg", rtol=spec.rtol, maxiter=spec.maxiter, preconditioner=pc),
             time.perf_counter() - t0)
 

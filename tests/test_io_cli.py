@@ -87,8 +87,17 @@ def test_cli_twolevel_serial_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_multigrid_serial_bit_identical(tmp_path):
+    args = ["converge", "--method", "mixed-hybrid", "--degree", "1", "--sizes", "4,8",
+            "--inner-pc", "multigrid", "--serial"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(args + ["--csv", str(a)])
+    main(args + ["--csv", str(b)])
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_cli_inner_pc_default_is_the_library_default():
-    assert make_parser().parse_args(["converge"]).inner_pc == StudySpec.inner_pc == "twolevel"
+    assert make_parser().parse_args(["converge"]).inner_pc == StudySpec.inner_pc == "multigrid"
 
 
 def test_cli_single_size_rejected():

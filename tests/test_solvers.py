@@ -11,7 +11,7 @@ from hybridfem.solvers import (
     make_preconditioner,
     sparse_direct_solve,
 )
-from hybridfem.spaces import coarse_p1_map
+from hybridfem.spaces import coarse_p1_map, p1_hierarchy
 
 
 def random_spd(n, seed=0):
@@ -276,7 +276,7 @@ def _two_level_system(method, degree, mesh):
 
 def _two_level_iterations(method, degree, mesh):
     A, space = _two_level_system(method, degree, mesh)
-    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
+    pc = make_preconditioner(A, "twolevel", p1_hierarchy(space))
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     _, rep = krylov_solve(A, b, KrylovConfig(rtol=1e-8, preconditioner=pc))
     assert rep.converged
@@ -284,12 +284,15 @@ def _two_level_iterations(method, degree, mesh):
 
 
 @pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
-                                           ("ldgh", 1), ("cg-primal", 1), ("cg-primal", 2)])
+                                           ("mixed-hybrid", 3), ("ldgh", 1), ("ldgh", 3),
+                                           ("cg-primal", 1), ("cg-primal", 2), ("cg-primal", 3)])
 @pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
 def test_twolevel_iterations_do_not_grow_with_n(method, degree, mesh_kind):
-    """With the continuous P1 coarse space, CG iterations on n=64 stay
-    within 1.2x those on n=8 (Jacobi alone roughly doubles them with each
-    refinement)."""
+    """With the continuous P1 coarse spaces (``twolevel`` names the same
+    V-cycle as ``multigrid``; the n=64 trace hierarchies have two levels
+    below the mesh), CG iterations on n=64 stay within 1.2x those on n=8
+    (Jacobi alone roughly doubles them with each refinement).  LDG-H k=3
+    has rows where Jacobi weighted by 0.6 alone would not contract."""
     from hybridfem import build_jittered_square, build_unit_square
 
     build = build_unit_square if mesh_kind == "structured" else (
@@ -298,25 +301,32 @@ def test_twolevel_iterations_do_not_grow_with_n(method, degree, mesh_kind):
     assert fine <= 1.2 * coarse
 
 
-@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("ldgh", 2), ("cg-primal", 2)])
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("ldgh", 2), ("cg-primal", 2),
+                                           ("mixed-hybrid", 3), ("ldgh", 3), ("cg-primal", 3)])
 @pytest.mark.parametrize("neumann", [False, True])
-def test_twolevel_preconditioner_is_spd(method, degree, neumann):
+def test_twolevel_preconditioner_is_spd(method, degree, neumann, monkeypatch):
     """The dense matrix of the preconditioner is symmetric with positive
     eigenvalues, with Dirichlet boundaries (whose coarse vertices are
-    dropped) and with a Neumann side (whose vertices are kept)."""
-    from hybridfem import build_jittered_square
+    dropped) and with a Neumann side (whose vertices are kept), on one
+    coarse level (n=5) and on two or more (n=9, ``COARSEST_VERTICES``
+    patched to 10)."""
+    from hybridfem import build_jittered_square, spaces
     from hybridfem.mesh import DIRICHLET, NEUMANN, mark_boundary
 
-    mesh = build_jittered_square(5, 0.2, 3)
-    if neumann:
-        mesh = mark_boundary(mesh, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
-    A, space = _two_level_system(method, degree, mesh)
-    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
-    M = np.column_stack([pc(e) for e in np.eye(A.shape[0])])
-    assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
-    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
-    jacobi = np.diag(1.0 / A.diagonal())
-    assert np.abs(M - jacobi).max() > 0.0  # the coarse term is present
+    for n, coarsest in ((5, spaces.COARSEST_VERTICES), (9, 10)):
+        monkeypatch.setattr(spaces, "COARSEST_VERTICES", coarsest)
+        mesh = build_jittered_square(n, 0.2, 3)
+        if neumann:
+            mesh = mark_boundary(mesh, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
+        A, space = _two_level_system(method, degree, mesh)
+        maps = p1_hierarchy(space)
+        assert (len(maps) >= 2) == (n == 9)
+        pc = make_preconditioner(A, "twolevel", maps)
+        M = np.column_stack([pc(e) for e in np.eye(A.shape[0])])
+        assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
+        assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+        jacobi = np.diag(1.0 / A.diagonal())
+        assert np.abs(M - jacobi).max() > 0.0  # the coarse term is present
 
 
 @pytest.mark.parametrize("family", ["Trace0", "Trace1", "Trace2", "CG1", "CG2"])
@@ -345,6 +355,33 @@ def test_coarse_p1_map_has_full_column_rank(family, n):
                                    interpolate(space, linear).coeffs, atol=1e-13)
 
 
+@pytest.mark.parametrize("family", ["Trace1", "CG2"])
+@pytest.mark.parametrize("n", [17, 18])
+def test_p1_hierarchy_halves_the_grid_down_to_the_coarsest_size(family, n, monkeypatch):
+    """Each map after the first takes P1 on one grid to P1 on half of it,
+    reproducing linear functions at the finer level's vertices (the
+    jittered mesh's own, for a Trace space), and the last level is the
+    first with at most ``COARSEST_VERTICES`` vertices."""
+    from hybridfem import CG, Trace, build_jittered_square, create_space, spaces
+
+    monkeypatch.setattr(spaces, "COARSEST_VERTICES", 30)
+    mesh = build_jittered_square(n, 0.2, 3)
+    space = create_space(mesh, (CG if family[:-1] == "CG" else Trace)(int(family[-1])))
+    maps = p1_hierarchy(space)
+    sizes = [P.shape[1] for P in maps]
+    assert sizes[-1] <= 30 < min(sizes[:-1])
+    linear = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
+    pts = mesh.vertex_coords if family == "Trace1" else None
+    for P in maps[1:]:
+        m = int(np.sqrt(P.shape[1])) - 1
+        if pts is None:  # the CG space's first level: the n // 2 grid
+            g = int(np.sqrt(P.shape[0])) - 1
+            pts = np.column_stack(np.divmod(np.arange((g + 1) ** 2), g + 1)[::-1]) / g
+        xc, yc = np.divmod(np.arange(P.shape[1]), m + 1)[::-1]
+        np.testing.assert_allclose(P @ linear(xc / m, yc / m), linear(*pts.T), atol=1e-13)
+        pts = np.column_stack([xc, yc]) / m
+
+
 @pytest.mark.parametrize("method,n", [("cg-primal", 1), ("cg-primal", 2), ("mixed-hybrid", 1)])
 def test_twolevel_without_free_coarse_vertex_is_jacobi(method, n, monkeypatch):
     """n <= 2 leaves no coarse vertex off the Dirichlet boundary: the
@@ -358,7 +395,7 @@ def test_twolevel_without_free_coarse_vertex_is_jacobi(method, n, monkeypatch):
 
     monkeypatch.setattr(solvers.spla, "splu", no_factor)
     r = np.random.default_rng(4).standard_normal(A.shape[0])
-    pc = make_preconditioner(A, "twolevel", coarse_p1_map(space))
+    pc = make_preconditioner(A, "twolevel", p1_hierarchy(space))
     np.testing.assert_array_equal(pc(r), jacobi_preconditioner(A)(r))
 
 
@@ -373,4 +410,35 @@ def test_twolevel_singular_coarse_operator_raises():
     A = sp.diags([-np.ones(4), 2.0 * np.ones(5), -np.ones(4)], [-1, 0, 1]).tocsr()
     P = sp.csr_matrix(np.repeat(np.eye(5)[:, :1], 2, axis=1))
     with pytest.raises(RuntimeError, match=r"two-level coarse operator \(2 x 2\)"):
-        make_preconditioner(A, "twolevel", P)
+        make_preconditioner(A, "twolevel", [P])
+
+
+def test_multigrid_singular_coarsest_operator_raises():
+    """Two equal columns in the deepest map make the coarsest operator
+    singular; the error names the multigrid stage and the coarsest size."""
+    A = sp.diags([-np.ones(4), 2.0 * np.ones(5), -np.ones(4)], [-1, 0, 1]).tocsr()
+    maps = [sp.csr_matrix(np.eye(5)[:, :3]), sp.csr_matrix(np.repeat(np.eye(3)[:, :1], 2, axis=1))]
+    with pytest.raises(RuntimeError, match=r"multigrid coarse operator \(2 x 2\)"):
+        make_preconditioner(A, "multigrid", maps)
+
+
+def test_multigrid_preconditioner_is_freed_without_the_cyclic_gc(monkeypatch):
+    """The cycle holds no reference to itself, so dropping the last
+    reference frees the hierarchy at once."""
+    import gc
+    import weakref
+
+    from hybridfem import build_unit_square, spaces
+
+    monkeypatch.setattr(spaces, "COARSEST_VERTICES", 10)
+    A, space = _two_level_system("cg-primal", 1, build_unit_square(8))
+    maps = p1_hierarchy(space)
+    assert len(maps) == 2
+    gc.disable()
+    try:
+        pc = make_preconditioner(A, "multigrid", maps)
+        ref = weakref.ref(pc)
+        del pc
+        assert ref() is None
+    finally:
+        gc.enable()

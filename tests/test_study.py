@@ -63,6 +63,12 @@ def test_spec_validation():
         StudySpec(method="fem")
 
 
+def test_unknown_inner_pc_rejected_at_construction():
+    """A misspelt preconditioner fails before any mesh is built."""
+    with pytest.raises(ValueError, match="unknown preconditioner 'bogus'"):
+        StudySpec(inner_pc="bogus")
+
+
 def test_l2_error_oracle():
     mesh = build_unit_square(3)
     V = create_space(mesh, DG(2))
