@@ -4,9 +4,12 @@ Two composable solver building blocks:
 
 * :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
   condensation of a multi-field system whose leading fields are
-  discontinuous.  Set-up evaluates the element tensors once, coefficient
-  data included, and assembles the condensed (trace) operator from the
-  Schur complement ``A_cc - A_ce A_ee^{-1} A_ec``.  It keeps the
+  discontinuous.  Set-up runs in blocks of at most :data:`BLOCK_CELLS`
+  consecutive cells.  For each block it evaluates the element tensors
+  once, coefficient data included, and the local values of the Schur
+  complement ``A_cc - A_ce A_ee^{-1} A_ec``, writing them into arrays
+  over all cells, so its transient memory is one block's; the condensed
+  (trace) operator is assembled from those values once.  It keeps the
   elimination operator ``A_ce A_ee^{-1}``, the coupling ``A_ec`` and the
   local inverse ``A_ee^{-1}`` (memoized while ``S`` is evaluated) as
   block-diagonal sparse matrices, one block per cell, and the
@@ -40,11 +43,11 @@ import scipy.sparse as sp
 
 from .expressions import (
     Tensor,
-    TensorExpr,
     assemble_global,
     compile_expr,
     constrain_matrix,
     evaluate_all,
+    scatter_csr,
 )
 from .forms import FormIR
 from .mesh import NEUMANN
@@ -58,6 +61,8 @@ from .spaces import (
     project_div,
     transfer_residual,
 )
+
+BLOCK_CELLS = 2048  # cells per set-up block
 
 
 @dataclass(frozen=True)
@@ -126,13 +131,23 @@ def _check_eliminable(space: MixedSpace, split: FieldSplit) -> None:
             )
 
 
-def _block_diagonal(expr: TensorExpr) -> sp.bsr_matrix:
-    """The per-cell values of ``expr`` as one block-diagonal matrix (a
-    strided view is copied once, here, not on every product)."""
-    blocks = evaluate_all(compile_expr(expr))
+def _block_diagonal(blocks: np.ndarray) -> sp.bsr_matrix:
+    """Per-cell blocks (nc, rows, cols) as one block-diagonal matrix."""
     nc, rows, cols = blocks.shape
-    return sp.bsr_matrix((np.ascontiguousarray(blocks), np.arange(nc), np.arange(nc + 1)),
+    return sp.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)),
                          shape=(nc * rows, nc * cols))
+
+
+def _local_values(A: Tensor, ne: int) -> list[np.ndarray]:
+    """``A_ee^{-1}``, ``A_ec``, ``A_ce A_ee^{-1}`` and ``A_cc - A_ce A_ee^{-1}
+    A_ec`` on ``A``'s cells, the first ``ne`` fields eliminated; each value
+    memoizes what the next one reads, and all of it is freed on return."""
+    nf = len(A.axes[0])
+    inv = A.blocks[:ne, :ne].inv
+    coupling = A.blocks[:ne, ne:nf]
+    elimination = A.blocks[ne:nf, :ne] * inv
+    return [evaluate_all(compile_expr(e)) for e in
+            (inv, coupling, elimination, A.blocks[ne:nf, ne:nf] - elimination * coupling)]
 
 
 def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
@@ -140,7 +155,8 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     """Assemble the condensed operator of a multi-field system.
 
     ``a`` is the form, or its frozen :class:`Tensor` if the caller keeps the
-    element tensors.  ``bcs`` lists (dof, value) constraints in the condensed
+    element tensors; that tensor is evaluated whole, once, and each block
+    reads its slice.  ``bcs`` lists (dof, value) constraints in the condensed
     fields' local numbering, eliminated symmetrically and lifted by :func:`scpc_apply`.
     """
     A = a if isinstance(a, Tensor) else Tensor(a, frozen=True)  # coefficient data too, once
@@ -150,14 +166,23 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     _check_eliminable(W, split)
     t0 = time.perf_counter()
     ne = len(split.eliminate)
-    nf = W.n_fields
-    local_inverse = A.blocks[:ne, :ne].inv
-    coupling = A.blocks[:ne, ne:nf]
-    elimination = A.blocks[ne:nf, :ne] * local_inverse
-    # evaluating S memoizes the element tensors and the local values read below
-    S_raw = assemble_global(A.blocks[ne:nf, ne:nf] - elimination * coupling)
-    cell_dofs = W.cell_dofs_global()
     n_elim = sum(W.fields[i].local_dim for i in split.eliminate)
+    n_cond = W.local_dim - n_elim
+    nc = W.mesh.n_cells
+    # per-cell A_ee^{-1}, A_ec, A_ce A_ee^{-1} and local values of S
+    local = [np.empty((nc, m, k)) for m, k in ((n_elim, n_elim), (n_elim, n_cond),
+                                              (n_cond, n_elim), (n_cond, n_cond))]
+    if A is a:  # memoized whole on the caller's tensor; blocks are slices of it
+        evaluate_all(compile_expr(A))
+    for lo in range(0, nc, BLOCK_CELLS):
+        hi = min(lo + BLOCK_CELLS, nc)
+        for out, value in zip(local, _local_values(A.on_cells(lo, hi), ne)):
+            out[lo:hi] = value
+    local_inverse, coupling, elimination, s_local = local
+    cell_dofs = W.cell_dofs_global()
+    c_dofs = cell_dofs[:, n_elim:] - W.offsets[ne]
+    S_raw = scatter_csr(s_local, c_dofs, c_dofs, (int(W.ndof_global - W.offsets[ne]),) * 2)
+    del local, s_local, value  # S's local values are not kept
     bc_dofs = np.array([d for d, _ in (bcs or [])], dtype=int)
     bc_values = np.array([v for _, v in (bcs or [])], dtype=float)
     S = constrain_matrix(S_raw, bc_dofs) if len(bc_dofs) else S_raw
@@ -168,7 +193,7 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
         coupling=_block_diagonal(coupling),
         elimination=_block_diagonal(elimination),
         e_dofs=cell_dofs[:, :n_elim].ravel(),
-        c_dofs=(cell_dofs[:, n_elim:] - W.offsets[ne]).ravel(),
+        c_dofs=c_dofs.ravel(),
         S=S,
         S_raw=S_raw,
         bc_dofs=bc_dofs,
@@ -227,7 +252,6 @@ class HybridizedMixed:
     system: HybridizableSystem       # (broken RT, DG, Trace), from hybridize
     transfer: BrokenTransfer
     cs: CondensedSystem
-    operator: Tensor                 # hs.a, element tensors memoized by set-up
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
 
 
@@ -237,20 +261,27 @@ def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
 
     :func:`~hybridfem.problems.hybridize` builds the three-field system
     from the arguments; its trace field is condensed with the Dirichlet
-    trace constraints.  With ``neumann_flux`` (the exact flux on the
-    Neumann boundary) the trace block of the system's right-hand side is
-    kept as the transmission data used in full-solve mode.
+    trace constraints by :func:`hybridized`.
     """
     hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
+    return hybridized(a_mixed, hs, scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs))
+
+
+def hybridized(a_mixed: FormIR, hs: HybridizableSystem,
+               cs: CondensedSystem) -> HybridizedMixed:
+    """The hybridization of ``a_mixed`` from its three-field system ``hs``
+    (from :func:`~hybridfem.problems.hybridize`) and ``cs``, ``hs.a``
+    condensed onto the trace.  If ``hs.rhs`` has Neumann trace terms
+    (from an exact flux) and the mesh has Neumann facets, the trace
+    block of ``hs.rhs`` is kept as the transmission data used in
+    full-solve mode."""
     U = a_mixed.test_fields[0]
-    bt = broken_transfer(U, hs.flux_space)
-    operator = Tensor(hs.a, frozen=True)
-    cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
     trace_data = np.zeros(hs.trace_space.ndof_global)
-    if neumann_flux is not None and len(U.mesh.facets_with_label(NEUMANN)):
+    if (len(U.mesh.facets_with_label(NEUMANN))
+            and any(hs.rhs.term_blocks(t)[0] == 2 for t in hs.rhs.terms)):
         trace_data = hs.space.split(assemble_global(Tensor(hs.rhs)))[2]
-    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs, bt, cs, operator,
-                           trace_data)
+    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs,
+                           broken_transfer(U, hs.flux_space), cs, trace_data)
 
 
 def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,

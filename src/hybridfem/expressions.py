@@ -5,7 +5,9 @@ with dense linear algebra: addition, contraction, negation, transpose,
 inverse, factorized solve, and sub-block extraction.  :func:`compile_expr`
 lowers an expression to an :class:`ExecPlan`, a deduplicated kernel
 sequence over virtual registers that :func:`evaluate_all` runs for all
-cells at once, batched over the leading cell axis.  A deliberately
+cells of its forms at once, batched over the leading cell axis; a form
+covers the whole mesh or a contiguous range of cells
+(:meth:`Tensor.on_cells`).  A deliberately
 naive recursive evaluator, :func:`naive_evaluate`, serves as the
 semantics oracle for the compiled plans.
 
@@ -110,6 +112,18 @@ class Tensor(TensorExpr):
 
     def key(self):
         return ("tensor", id(self.form))
+
+    def on_cells(self, lo: int, hi: int) -> "Tensor":
+        """The element tensors of cells ``lo`` to ``hi - 1``: a tensor of
+        the form on those cells, whose value is a slice of this tensor's
+        memoized value if it has one."""
+        form = self.form.on_cells(lo, hi)
+        if form is self.form:
+            return self
+        block = Tensor(form, self.frozen)
+        if self._value is not None:
+            block._value = self._value[lo:hi]
+        return block
 
 
 class AssembledVector(TensorExpr):
@@ -295,11 +309,14 @@ class Kernel:
 
 @dataclass
 class ExecPlan:
-    """Deduplicated kernel sequence evaluating one expression per cell."""
+    """Deduplicated kernel sequence evaluating one expression per cell;
+    its forms' cells start at ``first_cell``, which the guards add to the
+    cells they name."""
 
     kernels: list[Kernel]
     output: int
     shapes: dict[int, tuple[int, ...]]
+    first_cell: int
 
     def describe(self) -> str:
         """Stable human-readable kernel listing (for golden tests)."""
@@ -335,7 +352,11 @@ def compile_expr(expr: TensorExpr) -> ExecPlan:
     kernels: list[Kernel] = []
     shapes: dict[int, tuple[int, ...]] = {}
     out = _lower(expr, kernels, shapes, {})
-    return ExecPlan(kernels, out, shapes)
+    ranges = {(r.start, r.stop) for r in
+              (k.payload.form.cell_range for k in kernels if k.op == "assemble")}
+    if len(ranges) > 1:
+        raise ValueError("an expression's forms must share one range of cells")
+    return ExecPlan(kernels, out, shapes, ranges.pop()[0] if ranges else 0)
 
 
 def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) -> int:
@@ -407,7 +428,7 @@ def evaluate_all(plan: ExecPlan) -> np.ndarray:
         if k.memo is not None and k.memo._value is not None:
             regs[k.out] = k.memo._value
             continue
-        value = _run_kernel(k, regs)
+        value = _run_kernel(k, regs, plan.first_cell)
         if k.memo is not None:
             value.flags.writeable = False
             k.memo._value = value
@@ -415,7 +436,7 @@ def evaluate_all(plan: ExecPlan) -> np.ndarray:
     return regs[plan.output]
 
 
-def _run_kernel(k: Kernel, regs: dict[int, np.ndarray]) -> np.ndarray:
+def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], first_cell: int) -> np.ndarray:
     if k.op == "assemble":
         return assemble_form(k.payload.form)
     if k.op == "gather":
@@ -436,27 +457,29 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray]) -> np.ndarray:
             return np.einsum("ci,cij->cj", a, b)
         raise ValueError("unsupported contraction ranks")
     if k.op == "inverse":
-        return _batched_inverse(regs[k.ins[0]], "local tensor")
+        return _batched_inverse(regs[k.ins[0]], "local tensor", first_cell)
     if k.op == "solve":
-        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload)
+        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload, first_cell)
     if k.op == "blocks":
         return regs[k.ins[0]][(slice(None),) + k.payload[1]]
     raise AssertionError(k.op)
 
 
-def _batched_inverse(a: np.ndarray, what: str) -> np.ndarray:
+def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
     """The inverse of every cell's ``a``, rejecting singular and
-    ill-conditioned cells; the one LU factorization of a local tensor."""
+    ill-conditioned cells; the one LU factorization of a local tensor.
+    The cell of ``a[0]`` is named ``first_cell``."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        cell = _first_failing(np.linalg.inv, a)
+        cell = first_cell + _first_failing(np.linalg.inv, a)
         raise RuntimeError(f"singular {what} in cell {cell}") from None
-    _check_conditioning(a, inv, what)
+    _check_conditioning(a, inv, what, first_cell)
     return inv
 
 
-def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarray:
+def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str,
+                   first_cell: int) -> np.ndarray:
     vector_rhs = b.ndim == 2
     rhs = b[:, :, None] if vector_rhs else b
     if decomposition == "cholesky":
@@ -464,7 +487,7 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarr
         try:
             chol = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            cell = _first_failing(np.linalg.cholesky, a)
+            cell = first_cell + _first_failing(np.linalg.cholesky, a)
             raise RuntimeError(
                 f"cholesky breakdown in local solve (cell {cell})") from None
         # the pivots of A = L D L^T are the squared diagonal of the factor
@@ -472,15 +495,15 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str) -> np.ndarr
         bad = pivots.min(axis=1) < PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
         if bad.any():
             raise RuntimeError(f"cholesky pivot breakdown in local solve "
-                               f"(cell {int(np.flatnonzero(bad)[0])})")
+                               f"(cell {first_cell + int(np.flatnonzero(bad)[0])})")
         y = np.linalg.solve(chol, rhs)
         x = np.linalg.solve(np.swapaxes(chol, 1, 2), y)
     else:
-        x = _batched_inverse(a, "local system") @ rhs
+        x = _batched_inverse(a, "local system", first_cell) @ rhs
     return x[:, :, 0] if vector_rhs else x
 
 
-def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str) -> None:
+def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str, first_cell: int) -> None:
     """Raise naming the first cell whose reciprocal 1-norm condition
     number ``1 / (|A|_1 |A^-1|_1)`` is below ``PIVOT_RTOL``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -490,7 +513,7 @@ def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str) -> None:
     if bad.any():
         cell = int(np.flatnonzero(bad)[0])
         raise RuntimeError(
-            f"ill-conditioned {what} in cell {cell} "
+            f"ill-conditioned {what} in cell {first_cell + cell} "
             f"(reciprocal condition {rcond[cell]:.1e} < {PIVOT_RTOL:g})")
 
 
@@ -543,17 +566,9 @@ def assemble_global(expr: TensorExpr):
     plan = compile_expr(expr)
     vals = evaluate_all(plan)
     if expr.rank == 2:
-        rows = _global_maps(expr.axes[0])
-        cols = _global_maps(expr.axes[1])
-        nrow = sum(s.ndof_global for s in expr.axes[0])
-        ncol = sum(s.ndof_global for s in expr.axes[1])
-        nc, r, c = vals.shape
-        i = np.repeat(rows, c, axis=1).ravel()
-        j = np.tile(cols, (1, r)).ravel()
-        A = sp.coo_matrix((vals.ravel(), (i, j)), shape=(nrow, ncol)).tocsr()
-        A.sum_duplicates()
-        A.sort_indices()
-        return A
+        return scatter_csr(vals, _global_maps(expr.axes[0]), _global_maps(expr.axes[1]),
+                           (sum(s.ndof_global for s in expr.axes[0]),
+                            sum(s.ndof_global for s in expr.axes[1])))
     if expr.rank == 1:
         rows = _global_maps(expr.axes[0])
         n = sum(s.ndof_global for s in expr.axes[0])
@@ -561,16 +576,44 @@ def assemble_global(expr: TensorExpr):
     raise ValueError("global assembly requires a rank-1 or rank-2 expression")
 
 
+def scatter_csr(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                shape: tuple[int, int]) -> sp.csr_matrix:
+    """The CSR sum of per-cell blocks ``vals`` (nc, r, c) placed at
+    ``rows`` (nc, r) and ``cols`` (nc, c).  Duplicates are summed in
+    cell-major entry order, so equal inputs give equal bits; the COO
+    indices are int32 when both dimensions allow it."""
+    idx = np.int32 if max(shape) < 2**31 else np.int64
+    nc, r, c = vals.shape
+    i = np.repeat(rows.astype(idx, copy=False), c, axis=1).ravel()
+    j = np.tile(cols.astype(idx, copy=False), (1, r)).ravel()
+    del rows, cols  # maps the caller does not hold are freed before the conversion
+    A = sp.coo_matrix((vals.ravel(), (i, j)), shape=shape)
+    del i, j
+    A = A.tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
 def _global_maps(axis: Axis) -> np.ndarray:
     return MixedSpace(axis).cell_dofs_global()
 
 
 def constrain_matrix(A: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
-    """Zero constrained rows and columns and place a unit diagonal."""
+    """Zero constrained rows and columns and place a unit diagonal, in one
+    copy of ``A``'s arrays."""
     n = A.shape[0]
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    out = (sp.diags(keep) @ A @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+    fixed = np.zeros(n, dtype=bool)
+    fixed[dofs] = True
+    out = A.tocsr(copy=True)
+    rows = np.repeat(np.arange(n, dtype=out.indices.dtype), np.diff(out.indptr))
+    hit = fixed[rows] | fixed[out.indices]
+    out.data[hit] = 0.0
+    diagonal = hit & (rows == out.indices)
+    out.data[diagonal] = 1.0
+    fixed[rows[diagonal]] = False
+    if fixed.any():  # constrained rows without a stored diagonal
+        out = out + sp.diags(fixed.astype(float))
     out.eliminate_zeros()
     out.sort_indices()
     return out

@@ -236,11 +236,13 @@ def _as_fields(space: SpaceLike) -> tuple[FunctionSpace, ...]:
 
 @dataclass
 class FormIR:
-    """A multilinear form over (possibly mixed) argument spaces."""
+    """A multilinear form over (possibly mixed) argument spaces, on the
+    contiguous range ``cells`` of the mesh's cells (``None``: all)."""
 
     test: SpaceLike
     trial: SpaceLike
     terms: list[IntegralTerm]
+    cells: slice | None = None
 
     def __post_init__(self):
         if self.trial is not None and self.test is None:
@@ -268,6 +270,17 @@ class FormIR:
             for c in _collect(t.integrand, Coef):
                 return c.fn.space.mesh
         raise ValueError("form has no arguments or coefficients")
+
+    @property
+    def cell_range(self) -> slice:
+        return self.cells or slice(0, self.mesh.n_cells)
+
+    def on_cells(self, lo: int, hi: int) -> "FormIR":
+        """This form on cells ``lo`` to ``hi - 1``; the whole mesh is the
+        form itself."""
+        if self.cells is None and (lo, hi) == (0, self.mesh.n_cells):
+            return self
+        return FormIR(self.test, self.trial, self.terms, slice(lo, hi))
 
     @property
     def coefficients(self) -> list[Function]:
@@ -513,23 +526,28 @@ def _monomials(node: Expr, ctx, form: FormIR, points: bool) -> list:
 # assembly drivers
 
 
-def _facet_selections(mesh: Mesh, term: IntegralTerm) -> list[np.ndarray]:
-    """Cells whose local edge l lies in the term's facet set, for l = 0, 1, 2."""
+def _facet_selections(mesh: Mesh, term: IntegralTerm,
+                      cells: slice = slice(0, None)) -> list[np.ndarray]:
+    """Cells of the range ``cells`` whose local edge l lies in the term's
+    facet set, for l = 0, 1, 2."""
     exterior = mesh.facet_cells[:, 1] < 0
     chosen = ~exterior if term.domain == INTERIOR else exterior
     if term.label is not None:
         chosen &= mesh.exterior_label == term.label
-    return [np.flatnonzero(chosen[mesh.cell_facets[:, loc]]) for loc in range(3)]
+    return [cells.start + np.flatnonzero(chosen[mesh.cell_facets[cells, loc]])
+            for loc in range(3)]
 
 
-def _contexts(mesh: Mesh, term: IntegralTerm, rule, blocked: bool):
-    """The term's evaluation contexts: all cells (or all cells of one
-    local edge) at once, or in :func:`~hybridfem.spaces.cell_blocks`."""
+def _contexts(form: FormIR, term: IntegralTerm, rule, blocked: bool):
+    """The term's evaluation contexts over the form's cells: all of them
+    (or all of one local edge) at once, or in
+    :func:`~hybridfem.spaces.cell_blocks`."""
+    mesh, cells = form.mesh, form.cell_range
     if term.domain == CELL:
-        parts = [(None, slice(0, mesh.n_cells))]
+        parts = [(None, cells)]
     else:
-        parts = [(loc, cells) for loc, cells in enumerate(_facet_selections(mesh, term))
-                 if len(cells)]
+        parts = [(loc, sel) for loc, sel in enumerate(_facet_selections(mesh, term, cells))
+                 if len(sel)]
     for loc, cells in parts:
         for blk in cell_blocks(cells, len(rule.weights)) if blocked else [cells]:
             yield _CellCtx(mesh, rule, blk) if loc is None else _FacetCtx(mesh, blk, loc, rule)
@@ -542,7 +560,8 @@ def _term_rule(term: IntegralTerm, form: FormIR):
 
 
 def assemble_form(form: FormIR) -> np.ndarray:
-    """Element tensors of all cells: (nc, NT, NTR), (nc, NT), or (nc,).
+    """Element tensors of the form's cells: (nc, NT, NTR), (nc, NT), or
+    (nc,), with nc the length of its cell range.
 
     The point-independent monomials of all terms are contracted in one
     matrix product over all cells; the point-dependent ones are then
@@ -553,19 +572,29 @@ def assemble_form(form: FormIR) -> np.ndarray:
     u_off = local_offsets(form.trial_fields)
     signed: set = set()
     out = _reference_product(form, t_off, u_off, signed)
+    cells = form.cell_range
 
     for term in filter(_point_dependent, form.terms):
-        for ctx in _contexts(form.mesh, term, _term_rule(term, form), blocked=True):
+        for ctx in _contexts(form, term, _term_rule(term, form), blocked=True):
             gs, a0s = _factors(term, ctx, form, True, signed)
             local = np.einsum("cp,pij->cij", np.concatenate(gs, axis=1), np.concatenate(a0s))
-            _scatter_block(out, local, ctx.cells, *form.term_blocks(term), t_off, u_off)
+            _scatter_block(out, local, _rows(ctx.cells, cells), *form.term_blocks(term),
+                           t_off, u_off)
 
     for role, f in signed:
         if role == "test":
-            out[:, t_off[f]:t_off[f + 1]] *= form.test_fields[f].cell_signs[:, :, None]
+            out[:, t_off[f]:t_off[f + 1]] *= form.test_fields[f].cell_signs[cells, :, None]
         else:
-            out[:, :, u_off[f]:u_off[f + 1]] *= form.trial_fields[f].cell_signs[:, None, :]
+            out[:, :, u_off[f]:u_off[f + 1]] *= form.trial_fields[f].cell_signs[cells, None, :]
     return out.reshape(out.shape[:1 + form.rank])
+
+
+def _rows(cells, first: slice):
+    """The rows of ``cells`` (a slice or indices) in an array whose row 0
+    is cell ``first.start``."""
+    if isinstance(cells, slice):
+        return slice(cells.start - first.start, cells.stop - first.start)
+    return cells - first.start
 
 
 def _reference_product(form: FormIR, t_off, u_off, signed: set) -> np.ndarray:
@@ -574,11 +603,12 @@ def _reference_product(form: FormIR, t_off, u_off, signed: set) -> np.ndarray:
     of a term and local edge adds its columns ``s_K g`` to ``G`` (zero for
     cells outside a facet term's selection) and its ``A0`` rows, placed in
     the term's block of the flattened local layout."""
-    nc, shape = form.mesh.n_cells, (max(t_off[-1], 1), max(u_off[-1], 1))
+    cells, shape = form.cell_range, (max(t_off[-1], 1), max(u_off[-1], 1))
+    nc = cells.stop - cells.start
     pieces = []
     for term in form.terms:
-        for ctx in _contexts(form.mesh, term, _term_rule(term, form), blocked=False):
-            pieces += [(ctx.cells, gk, a0, form.term_blocks(term))
+        for ctx in _contexts(form, term, _term_rule(term, form), blocked=False):
+            pieces += [(_rows(ctx.cells, cells), gk, a0, form.term_blocks(term))
                        for gk, a0 in zip(*_factors(term, ctx, form, False, signed))]
     K = sum(gk.shape[1] for _, gk, _, _ in pieces)
     G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)

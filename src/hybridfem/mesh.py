@@ -214,8 +214,8 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     facet_cells[:, 0], facet_local[:, 0] = np.divmod(first_occ, 3)
     f2 = occ_facet[second_occ]
     facet_cells[f2, 1], facet_local[f2, 1] = np.divmod(second_occ, 3)
-    kind = np.where(facet_cells[:, 1] >= 0, "interior", "exterior")
-    label = np.where(kind == "exterior", DIRICHLET, "")
+    # one str object per kind, shared by every facet of that kind
+    exterior = (facet_cells[:, 1] < 0).astype(np.intp)
     return Mesh(
         vertex_coords=np.asarray(coords, dtype=float),
         cell_vertices=cell_vertices,
@@ -223,8 +223,8 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
         facet_cells=facet_cells,
         facet_local_index=facet_local,
         cell_facets=occ_facet.reshape(n_cells, 3),
-        facet_kind=kind.astype(object),
-        exterior_label=label.astype(object),
+        facet_kind=np.array(["interior", "exterior"], dtype=object)[exterior],
+        exterior_label=np.array(["", DIRICHLET], dtype=object)[exterior],
     )
 
 

@@ -22,7 +22,7 @@ from .condensation import (
     FieldSplit,
     Stages,
     hybridization_apply,
-    hybridization_setup,
+    hybridized,
     scpc_apply,
     scpc_setup,
 )
@@ -33,6 +33,7 @@ from .problems import (
     HybridizableSystem,
     ManufacturedProblem,
     conforming_mixed_system,
+    hybridize,
     hybridized_mixed_system,
     ldgh_system,
     manufactured,
@@ -166,6 +167,7 @@ def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
     inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
     x, report, stages = scpc_apply(cs, rhs, inner)
     stages.trace_solve += t_inner
+    del cs, inner, rhs  # post-processing needs none of the condensed system
     u_vec, p_vec, lam_vec = hs.space.split(x)
     u = Function(hs.flux_space, u_vec)
     p = Function(hs.scalar_space, p_vec)
@@ -268,6 +270,7 @@ def run_convergence(spec: StudySpec) -> list[dict]:
         })
         row.update(_stage_columns(stages, spec.serial))
         rows.append(row)
+        del res, mesh, report, stages  # freed before the next mesh is built
     return rows
 
 
@@ -367,8 +370,11 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     Ab, bb = apply_bcs(A, b, ms.flux_bcs)
     x_direct, direct = _direct_row(Ab, bb, spec, base)
 
-    # outer FGMRES preconditioned by the hybridization factorization
-    hm = hybridization_setup(ms.a, ms.rhs, neumann_flux=prob.u)
+    # outer FGMRES preconditioned by the hybridization factorization; the
+    # three-field element tensors are kept for the scpc-pc row's operator
+    hs = hybridize(ms.a, ms.rhs, prob.u)
+    operator = Tensor(hs.a, frozen=True)
+    hm = hybridized(ms.a, hs, scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs))
     inner, t_inner = _inner_config(spec, hm.cs.S, hm.system.trace_space)
     xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
                              lambda r: hybridization_apply(hm, r, inner),
@@ -377,8 +383,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     hybrid["max_diff_vs_direct"] = float(np.abs(xh - x_direct).max())
 
     # outer FGMRES on the same hybridized three-field system with SCPC
-    hs = hm.system
-    _, _, x3, scpc = _scpc_pc(hm.cs, hs, hm.operator, inner, t_inner, spec, base)
+    _, _, x3, scpc = _scpc_pc(hm.cs, hs, operator, inner, t_inner, spec, base)
     u3, p3, _ = hs.space.split(x3)
     u_conf = project_div(hm.transfer, Function(hs.flux_space, u3))
     scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u_conf.coeffs, p3])

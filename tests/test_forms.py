@@ -498,6 +498,23 @@ def test_element_tensors_do_not_depend_on_block_size(mesh_name, monkeypatch):
         np.testing.assert_array_equal(assemble_form(form), expected, err_msg=name)
 
 
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
+def test_form_on_cells_is_a_slice_of_the_whole(mesh_name):
+    """A form on a range of cells gives the rows of those cells, facet
+    terms included, for operators and quadrature-path forms; the whole
+    range is the form itself.  The rows agree to round-off, not bits:
+    the reference product ``G @ A0`` is one BLAS product over the range,
+    whose summation order for a row may depend on the number of rows."""
+    mesh = _general_meshes()[mesh_name]
+    for name, form in [*_operators(mesh), *_quadrature_forms(mesh)]:
+        assert form.on_cells(0, mesh.n_cells) is form
+        whole = assemble_form(form)
+        for lo, hi in [(0, 5), (5, 17), (17, mesh.n_cells)]:
+            np.testing.assert_allclose(assemble_form(form.on_cells(lo, hi)), whole[lo:hi],
+                                       rtol=0, atol=1e-13 * np.abs(whole).max(),
+                                       err_msg=f"{name} {lo}:{hi}")
+
+
 def test_nonconstant_degree_zero_field_takes_quadrature_path():
     """Constancy is a node type, not a degree: a piecewise field with
     degree 0 stays a point-evaluated field."""

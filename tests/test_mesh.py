@@ -127,6 +127,19 @@ def test_default_labels_all_dirichlet():
     assert len(mesh.facets_with_label(NEUMANN)) == 0
 
 
+def test_facet_labels_share_one_object_per_value():
+    """A mesh holds at most two distinct facet-kind objects and two
+    label objects, not one string per facet; values and dtype are those
+    of per-facet strings."""
+    mesh = build_jittered_square(8, 0.2, seed=4)
+    assert mesh.facet_kind.dtype == object and mesh.exterior_label.dtype == object
+    assert len({id(k) for k in mesh.facet_kind}) <= 2
+    assert len({id(k) for k in mesh.exterior_label}) <= 2
+    exterior = mesh.facet_cells[:, 1] < 0
+    assert list(mesh.facet_kind) == ["exterior" if e else "interior" for e in exterior]
+    assert list(mesh.exterior_label) == [DIRICHLET if e else "" for e in exterior]
+
+
 def test_mark_boundary_left_edge_neumann():
     mesh = build_unit_square(2)
     marked = mark_boundary(
