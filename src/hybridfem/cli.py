@@ -39,8 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--inner-pc", default=StudySpec.inner_pc,
                    choices=INNER_PCS,
-                   help="preconditioner of the inner CG (trace or primal) solve; "
-                   "twolevel is an older name of multigrid")
+                   help="preconditioner of the inner CG (trace or primal) solve")
     p.add_argument("--serial", action="store_true",
                    help="bit-reproducible output (zeroes timing columns)")
     p.add_argument("--csv", default=None, help="write results to this CSV file")

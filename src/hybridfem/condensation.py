@@ -4,18 +4,17 @@ Two composable solver building blocks:
 
 * :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
   condensation of a multi-field system whose leading fields are
-  discontinuous.  Set-up runs in blocks of at most :data:`BLOCK_CELLS`
-  consecutive cells.  For each block it evaluates the element tensors
-  once, coefficient data included, and the local values of the Schur
-  complement ``A_cc - A_ce A_ee^{-1} A_ec``, writing them into arrays
-  over all cells, so its transient memory is one block's; the condensed
-  (trace) operator is assembled from those values once.  It keeps the
-  elimination operator ``A_ce A_ee^{-1}``, the coupling ``A_ec`` and the
-  local inverse ``A_ee^{-1}`` (memoized while ``S`` is evaluated) as
-  block-diagonal sparse matrices, one block per cell, and the
-  eliminated-field global dofs and condensed-field dofs as flat maps in
-  the same cell-major order.  An application compiles and assembles
-  nothing: it forward-eliminates as
+  discontinuous.  Set-up compiles one plan with four outputs, the local
+  inverse ``A_ee^{-1}``, the coupling ``A_ec``, the elimination operator
+  ``A_ce A_ee^{-1}`` and the local values of the Schur complement
+  ``A_cc - A_ce A_ee^{-1} A_ec``, and evaluates it once; the evaluator
+  runs it over blocks of cells, so the element tensors and local
+  products of the whole mesh never exist at once.  The condensed (trace)
+  operator is assembled from the local values of ``S``, and the other
+  three outputs are kept as block-diagonal sparse matrices, one block
+  per cell, with the eliminated-field global dofs and condensed-field
+  dofs as flat maps in the same cell-major order.  An application
+  compiles and assembles nothing: it forward-eliminates as
   ``r_c - bincount(c_dofs, elimination @ r_e)`` (so each condensed-field
   residual entry enters once), solves the condensed system with an
   inner Krylov method, and recovers the eliminated fields as
@@ -61,9 +60,6 @@ from .spaces import (
     project_div,
     transfer_residual,
 )
-
-BLOCK_CELLS = 2048  # cells per set-up block
-
 
 @dataclass(frozen=True)
 class FieldSplit:
@@ -138,28 +134,16 @@ def _block_diagonal(blocks: np.ndarray) -> sp.bsr_matrix:
                          shape=(nc * rows, nc * cols))
 
 
-def _local_values(A: Tensor, ne: int) -> list[np.ndarray]:
-    """``A_ee^{-1}``, ``A_ec``, ``A_ce A_ee^{-1}`` and ``A_cc - A_ce A_ee^{-1}
-    A_ec`` on ``A``'s cells, the first ``ne`` fields eliminated; each value
-    memoizes what the next one reads, and all of it is freed on return."""
-    nf = len(A.axes[0])
-    inv = A.blocks[:ne, :ne].inv
-    coupling = A.blocks[:ne, ne:nf]
-    elimination = A.blocks[ne:nf, :ne] * inv
-    return [evaluate_all(compile_expr(e)) for e in
-            (inv, coupling, elimination, A.blocks[ne:nf, ne:nf] - elimination * coupling)]
-
-
 def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
                bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
     """Assemble the condensed operator of a multi-field system.
 
-    ``a`` is the form, or its frozen :class:`Tensor` if the caller keeps the
-    element tensors; that tensor is evaluated whole, once, and each block
-    reads its slice.  ``bcs`` lists (dof, value) constraints in the condensed
-    fields' local numbering, eliminated symmetrically and lifted by :func:`scpc_apply`.
+    ``a`` is the form, or its :class:`Tensor`; a tensor whose value the
+    caller has memoized is not assembled again.  ``bcs`` lists (dof, value)
+    constraints in the condensed fields' local numbering, eliminated
+    symmetrically and lifted by :func:`scpc_apply`.
     """
-    A = a if isinstance(a, Tensor) else Tensor(a, frozen=True)  # coefficient data too, once
+    A = a if isinstance(a, Tensor) else Tensor(a)
     if not isinstance(A.form.test, MixedSpace) or A.form.rank != 2:
         raise ValueError("static condensation expects a mixed bilinear form")
     W = A.form.test
@@ -167,29 +151,23 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     t0 = time.perf_counter()
     ne = len(split.eliminate)
     n_elim = sum(W.fields[i].local_dim for i in split.eliminate)
-    n_cond = W.local_dim - n_elim
-    nc = W.mesh.n_cells
-    # per-cell A_ee^{-1}, A_ec, A_ce A_ee^{-1} and local values of S
-    local = [np.empty((nc, m, k)) for m, k in ((n_elim, n_elim), (n_elim, n_cond),
-                                              (n_cond, n_elim), (n_cond, n_cond))]
-    if A is a:  # memoized whole on the caller's tensor; blocks are slices of it
-        evaluate_all(compile_expr(A))
-    for lo in range(0, nc, BLOCK_CELLS):
-        hi = min(lo + BLOCK_CELLS, nc)
-        for out, value in zip(local, _local_values(A.on_cells(lo, hi), ne)):
-            out[lo:hi] = value
-    local_inverse, coupling, elimination, s_local = local
+    inv = A.blocks[:ne, :ne].inv
+    coupling = A.blocks[:ne, ne:]
+    elimination = A.blocks[ne:, :ne] * inv
+    # rebinding the names to the values frees the nodes that memoize them
+    inv, coupling, elimination, s_local = evaluate_all(compile_expr(
+        inv, coupling, elimination, A.blocks[ne:, ne:] - elimination * coupling))
     cell_dofs = W.cell_dofs_global()
     c_dofs = cell_dofs[:, n_elim:] - W.offsets[ne]
     S_raw = scatter_csr(s_local, c_dofs, c_dofs, (int(W.ndof_global - W.offsets[ne]),) * 2)
-    del local, s_local, value  # S's local values are not kept
+    del s_local  # S's local values are not kept
     bc_dofs = np.array([d for d, _ in (bcs or [])], dtype=int)
     bc_values = np.array([v for _, v in (bcs or [])], dtype=float)
     S = constrain_matrix(S_raw, bc_dofs) if len(bc_dofs) else S_raw
     dt = time.perf_counter() - t0
     return CondensedSystem(
         space=W,
-        local_inverse=_block_diagonal(local_inverse),
+        local_inverse=_block_diagonal(inv),
         coupling=_block_diagonal(coupling),
         elimination=_block_diagonal(elimination),
         e_dofs=cell_dofs[:, :n_elim].ravel(),

@@ -3,21 +3,21 @@
 Expressions compose terminal tensors (forms and coefficient vectors)
 with dense linear algebra: addition, contraction, negation, transpose,
 inverse, factorized solve, and sub-block extraction.  :func:`compile_expr`
-lowers an expression to an :class:`ExecPlan`, a deduplicated kernel
-sequence over virtual registers that :func:`evaluate_all` runs for all
-cells of its forms at once, batched over the leading cell axis; a form
-covers the whole mesh or a contiguous range of cells
-(:meth:`Tensor.on_cells`).  A deliberately
-naive recursive evaluator, :func:`naive_evaluate`, serves as the
-semantics oracle for the compiled plans.
+lowers one or more expressions to an :class:`ExecPlan`, a deduplicated
+kernel sequence over virtual registers in which a subtree shared by the
+expressions is computed once.  :func:`evaluate_all` runs the plan over
+consecutive blocks of cells, batched over the leading cell axis; a
+block's size is set by the plan's largest register and
+:data:`BLOCK_ENTRIES`, so its transient memory is one block's whatever
+the mesh.  A deliberately naive recursive evaluator,
+:func:`naive_evaluate`, serves as the semantics oracle for the compiled
+plans.
 
-Values that depend only on the mesh are memoized: the first batched
-evaluation of a kernel whose subtree holds no :class:`AssembledVector`
-and no form with coefficient functions (unless its :class:`Tensor` is
-frozen) stores its value on the expression node, and later plans over
-the same node reuse it.  A :class:`Tensor` is thus assembled once, and
-derived local operators such as ``A.blocks[:2, :2].inv`` are factored
-once.  Memoized values are write-once and read-only.
+Plan outputs that depend only on the mesh are memoized: an output whose
+subtree holds no :class:`AssembledVector` and no form with coefficient
+functions is stored whole and read-only on its expression node, and a
+later plan that contains the node reads its block's slice instead of
+evaluating the subtree.  Intermediates are shared within a plan only.
 
 Global assembly scatters evaluated element tensors into scipy CSR
 matrices or numpy vectors through the spaces' cell-to-global maps.
@@ -40,6 +40,9 @@ Axis = tuple[FunctionSpace, ...]
 # smallest reciprocal condition number (LU) or relative pivot (Cholesky)
 # for which a local factorization is not declared singular
 PIVOT_RTOL = 1e-12
+# entries per block of the largest register of a plan: 2048 cells of a
+# 17 x 17 local tensor (the mixed-hybrid k=2 operator)
+BLOCK_ENTRIES = 2048 * 17**2
 
 
 def _axis_extent(axis: Axis) -> int:
@@ -50,7 +53,7 @@ class TensorExpr:
     """Base class; subclasses set ``axes`` (tuple of per-axis field lists)."""
 
     axes: tuple[Axis, ...]
-    _value: np.ndarray | None = None  # batched value, memoized by evaluate_all
+    _value: np.ndarray | None = None  # all cells' value, memoized by evaluate_all
 
     @property
     def rank(self) -> int:
@@ -95,14 +98,12 @@ class TensorExpr:
 
 
 class Tensor(TensorExpr):
-    """Element tensors of a multilinear form.  A ``frozen`` tensor takes
-    its coefficient data as fixed and is memoized as a form without any."""
+    """Element tensors of a multilinear form."""
 
-    def __init__(self, form: FormIR, frozen: bool = False):
+    def __init__(self, form: FormIR):
         if form.rank == 0:
             raise ValueError("rank-0 forms are not supported in expressions")
         self.form = form
-        self.frozen = frozen
         axes = []
         if form.test is not None:
             axes.append(tuple(form.test_fields))
@@ -112,18 +113,6 @@ class Tensor(TensorExpr):
 
     def key(self):
         return ("tensor", id(self.form))
-
-    def on_cells(self, lo: int, hi: int) -> "Tensor":
-        """The element tensors of cells ``lo`` to ``hi - 1``: a tensor of
-        the form on those cells, whose value is a slice of this tensor's
-        memoized value if it has one."""
-        form = self.form.on_cells(lo, hi)
-        if form is self.form:
-            return self
-        block = Tensor(form, self.frozen)
-        if self._value is not None:
-            block._value = self._value[lo:hi]
-        return block
 
 
 class AssembledVector(TensorExpr):
@@ -145,10 +134,12 @@ class AssembledVector(TensorExpr):
             self._mixed = space
         self.axes = (self.fields,)
 
-    def cell_gather(self) -> np.ndarray:
+    def cell_gather(self, cells: slice = slice(None)) -> np.ndarray:
+        """The coefficients of the cells ``cells``, one row per cell."""
         if len(self.fields) == 1:
-            return self.coeffs[self.fields[0].cell_dofs]
-        return self.coeffs[self._mixed.cell_dofs_global()]
+            return self.coeffs[self.fields[0].cell_dofs[cells]]
+        return np.concatenate([self.coeffs[s.cell_dofs[cells] + o]
+                               for s, o in zip(self.fields, self._mixed.offsets)], axis=1)
 
     def key(self):
         return ("vector", id(self))
@@ -309,14 +300,12 @@ class Kernel:
 
 @dataclass
 class ExecPlan:
-    """Deduplicated kernel sequence evaluating one expression per cell;
-    its forms' cells start at ``first_cell``, which the guards add to the
-    cells they name."""
+    """Deduplicated kernel sequence evaluating expressions per cell; the
+    registers ``outputs`` hold their values, in the order given."""
 
     kernels: list[Kernel]
-    output: int
+    outputs: tuple[int, ...]
     shapes: dict[int, tuple[int, ...]]
-    first_cell: int
 
     def describe(self) -> str:
         """Stable human-readable kernel listing (for golden tests)."""
@@ -339,7 +328,7 @@ class ExecPlan:
             else:
                 rhs = f"{k.op}(" + ", ".join(f"r{i}" for i in k.ins) + ")"
             lines.append(f"r{k.out} = {rhs}  # {shape}")
-        lines.append(f"return r{self.output}")
+        lines.append("return " + ", ".join(f"r{o}" for o in self.outputs))
         return "\n".join(lines)
 
 
@@ -347,16 +336,15 @@ _ALGEBRA_OPS = {Add: "add", Mul: "mul", Negate: "neg", Transpose: "transpose",
                  Inverse: "inverse"}
 
 
-def compile_expr(expr: TensorExpr) -> ExecPlan:
-    """Lower an expression to a plan; identical subtrees are computed once."""
+def compile_expr(*exprs: TensorExpr) -> ExecPlan:
+    """Lower expressions to one plan; identical subtrees are computed once."""
+    if not exprs:
+        raise ValueError("compile_expr needs at least one expression")
     kernels: list[Kernel] = []
     shapes: dict[int, tuple[int, ...]] = {}
-    out = _lower(expr, kernels, shapes, {})
-    ranges = {(r.start, r.stop) for r in
-              (k.payload.form.cell_range for k in kernels if k.op == "assemble")}
-    if len(ranges) > 1:
-        raise ValueError("an expression's forms must share one range of cells")
-    return ExecPlan(kernels, out, shapes, ranges.pop()[0] if ranges else 0)
+    seen: dict = {}
+    outputs = tuple(_lower(e, kernels, shapes, seen) for e in exprs)
+    return ExecPlan(kernels, outputs, shapes)
 
 
 def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) -> int:
@@ -370,8 +358,7 @@ def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) ->
     reg = len(kernels)
     # a value may be memoized when it depends on no mutable coefficients
     if isinstance(node, Tensor):
-        op, payload = "assemble", node
-        cacheable = node.frozen or not node.form.coefficients
+        op, payload, cacheable = "assemble", node, not node.form.coefficients
     elif isinstance(node, AssembledVector):
         op, payload, cacheable = "gather", node, False
     else:
@@ -410,37 +397,55 @@ def _check_symmetric(A: np.ndarray) -> None:
         raise ValueError("cholesky solve requires a symmetric operand")
 
 
-def evaluate_all(plan: ExecPlan) -> np.ndarray:
-    """Evaluate the plan for every cell; leading axis is the cell index.
+def evaluate_all(plan: ExecPlan):
+    """Evaluate the plan for every cell, in blocks of consecutive cells of
+    at most ``BLOCK_ENTRIES`` entries of its largest register.  Returns
+    each output's values, leading axis the cell index, C-contiguous: one
+    array, or a tuple of them for a plan of several outputs.
 
-    A kernel whose value is memoized on its expression node is not run
-    again, nor is any kernel that only it needs.  Values of memoizable
-    kernels are stored read-only on first evaluation.
+    A kernel whose node holds a memoized value reads its block's slice of
+    it and is not run, nor is any kernel that only it needs.  An output
+    that depends on no mutable coefficients is memoized, read-only.
     """
-    needed = {plan.output}
+    memo = {k.out: k.memo._value for k in plan.kernels
+            if k.memo is not None and k.memo._value is not None}
+    needed = set(plan.outputs)
     for k in reversed(plan.kernels):
-        if k.out in needed and (k.memo is None or k.memo._value is None):
+        if k.out in needed and k.out not in memo:
             needed.update(k.ins)
-    regs: dict[int, np.ndarray] = {}
-    for k in plan.kernels:
-        if k.out not in needed:
-            continue
-        if k.memo is not None and k.memo._value is not None:
-            regs[k.out] = k.memo._value
-            continue
-        value = _run_kernel(k, regs, plan.first_cell)
-        if k.memo is not None:
-            value.flags.writeable = False
-            k.memo._value = value
-        regs[k.out] = value
-    return regs[plan.output]
+    run = [k for k in plan.kernels if k.out in needed and k.out not in memo]
+    values = {r: memo[r] for r in plan.outputs if r in memo}
+    todo = [r for r in dict.fromkeys(plan.outputs) if r not in values]
+    nc = plan.kernels[0].payload.axes[0][0].mesh.n_cells  # the first kernel is a terminal
+    step = max(1, BLOCK_ENTRIES // max(int(np.prod(s)) for s in plan.shapes.values()))
+    for lo in range(0, nc if todo else 0, step):
+        hi = min(lo + step, nc)
+        regs = {r: v[lo:hi] for r, v in memo.items() if r in needed}
+        for k in run:
+            regs[k.out] = _run_kernel(k, regs, lo, hi)
+        for r in todo:
+            if hi - lo == nc:  # one block: copied only if the value is a strided view
+                values[r] = np.ascontiguousarray(regs[r])
+                continue
+            if lo == 0:
+                values[r] = np.empty((nc,) + regs[r].shape[1:], regs[r].dtype)
+            values[r][lo:hi] = regs[r]
+        del regs  # the block's registers are freed before the next block's
+    for r in todo:
+        if plan.kernels[r].memo is not None:
+            values[r].flags.writeable = False
+            plan.kernels[r].memo._value = values[r]
+    out = tuple(values[r] for r in plan.outputs)
+    return out[0] if len(out) == 1 else out
 
 
-def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], first_cell: int) -> np.ndarray:
+def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """The kernel's value on cells ``lo`` to ``hi - 1``; guards name cells
+    by their index in the mesh."""
     if k.op == "assemble":
-        return assemble_form(k.payload.form)
+        return assemble_form(k.payload.form.on_cells(lo, hi))
     if k.op == "gather":
-        return k.payload.cell_gather()
+        return k.payload.cell_gather(slice(lo, hi))
     if k.op == "add":
         return regs[k.ins[0]] + regs[k.ins[1]]
     if k.op == "neg":
@@ -457,9 +462,9 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], first_cell: int) -> np.n
             return np.einsum("ci,cij->cj", a, b)
         raise ValueError("unsupported contraction ranks")
     if k.op == "inverse":
-        return _batched_inverse(regs[k.ins[0]], "local tensor", first_cell)
+        return _batched_inverse(regs[k.ins[0]], "local tensor", lo)
     if k.op == "solve":
-        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload, first_cell)
+        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload, lo)
     if k.op == "blocks":
         return regs[k.ins[0]][(slice(None),) + k.payload[1]]
     raise AssertionError(k.op)

@@ -533,7 +533,8 @@ def _facet_selections(mesh: Mesh, term: IntegralTerm,
     exterior = mesh.facet_cells[:, 1] < 0
     chosen = ~exterior if term.domain == INTERIOR else exterior
     if term.label is not None:
-        chosen &= mesh.exterior_label == term.label
+        chosen = np.zeros_like(exterior)
+        chosen[mesh.facets_with_label(term.label)] = True
     return [cells.start + np.flatnonzero(chosen[mesh.cell_facets[cells, loc]])
             for loc in range(3)]
 

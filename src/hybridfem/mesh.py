@@ -66,7 +66,8 @@ class Mesh:
         return np.flatnonzero(self.facet_kind == "exterior")
 
     def facets_with_label(self, label: str) -> np.ndarray:
-        return np.flatnonzero(self.exterior_label == label)
+        exterior = np.flatnonzero(self.facet_cells[:, 1] < 0)
+        return exterior[self.exterior_label[exterior] == label]
 
     def facet_midpoints(self) -> np.ndarray:
         coords = self.vertex_coords[self.facet_vertices]

@@ -264,7 +264,6 @@ def exact_preconditioner(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: lu.solve(r)
 
 
-MULTIGRID_NAMES = ("multigrid", "twolevel")  # twolevel: the older name, kept for its callers
 SMOOTHER_DAMPING = 0.6  # the multigrid cycle's Jacobi weight omega where no row needs more
 
 
@@ -301,8 +300,8 @@ def multigrid_preconditioner(A: sp.spmatrix, maps: list) -> Callable[[np.ndarray
     try:
         coarse_solve = exact_preconditioner(A)
     except RuntimeError as exc:
-        raise RuntimeError(f"{'two-level' if len(levels) == 1 else 'multigrid'} coarse operator "
-                           f"({A.shape[0]} x {A.shape[0]}) could not be factored: {exc}") from None
+        raise RuntimeError(f"multigrid coarse operator ({A.shape[0]} x {A.shape[0]}) "
+                           f"could not be factored: {exc}") from None
 
     def cycle(r):  # a loop, not recursion: a self-calling closure waits for the cyclic GC
         down = []
@@ -324,9 +323,9 @@ def make_preconditioner(A: sp.spmatrix, name: str | None, maps: list | None = No
         return None
     if name == "jacobi":
         return jacobi_preconditioner(A)
-    if name in MULTIGRID_NAMES:
+    if name == "multigrid":
         if maps is None:
-            raise ValueError(f"the {name} preconditioner needs its coarse maps")
+            raise ValueError("the multigrid preconditioner needs its coarse maps")
         return multigrid_preconditioner(A, maps)
     if name == "exact":
         return exact_preconditioner(A)

@@ -133,10 +133,6 @@ class MixedSpace:
         return self.fields[0].mesh
 
     @property
-    def n_fields(self) -> int:
-        return len(self.fields)
-
-    @property
     def ndof_global(self) -> int:
         return int(self.offsets[-1])
 

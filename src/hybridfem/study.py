@@ -40,7 +40,6 @@ from .problems import (
     primal_cg_system,
 )
 from .solvers import (
-    MULTIGRID_NAMES,
     KrylovConfig,
     SolveReport,
     apply_bcs,
@@ -52,7 +51,7 @@ from .solvers import (
 from .spaces import Function, cell_blocks, contract, p1_hierarchy, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
-INNER_PCS = ("none", "jacobi", *MULTIGRID_NAMES, "exact")
+INNER_PCS = ("none", "jacobi", "multigrid", "exact")
 
 CONVERGE_COLUMNS = [
     "method", "problem", "degree", "tau", "n", "h", "cells",
@@ -148,7 +147,7 @@ def _inner_config(spec: StudySpec, S, space) -> tuple[KrylovConfig, float]:
     """The inner CG configuration for ``S``, which acts on ``space``'s dofs,
     and the seconds its preconditioner's set-up took (a trace-solve cost)."""
     t0 = time.perf_counter()
-    maps = p1_hierarchy(space) if spec.inner_pc in MULTIGRID_NAMES else None
+    maps = p1_hierarchy(space) if spec.inner_pc == "multigrid" else None
     pc = make_preconditioner(S, spec.inner_pc, maps)
     return (KrylovConfig(method="cg", rtol=spec.rtol, maxiter=spec.maxiter, preconditioner=pc),
             time.perf_counter() - t0)
@@ -345,17 +344,17 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
                    **_stage_columns(acc, spec.serial))
 
 
-def _scpc_pc(cs, system: HybridizableSystem, operator: Tensor, inner: KrylovConfig,
+def _scpc_pc(cs, system: HybridizableSystem, A, inner: KrylovConfig,
              t_inner: float, spec, base):
-    """Outer FGMRES on the three-field ``system`` condensed by ``cs``, its
-    trace BCs shifted to global dofs and lifted into the initial guess,
-    preconditioned by static condensation, whose set-up evaluated
-    ``operator``, the frozen ``Tensor`` of ``system.a``; ``t_inner`` is
-    the set-up time of ``inner``'s preconditioner.  Returns the
-    constrained operator and right-hand side, the solution and its row."""
+    """Outer FGMRES on the three-field ``system`` condensed by ``cs``, with
+    ``A`` the global matrix of ``system.a``, its trace BCs shifted to
+    global dofs and lifted into the initial guess, preconditioned by
+    static condensation; ``t_inner`` is the set-up time of ``inner``'s
+    preconditioner.  Returns the constrained operator and right-hand
+    side, the solution and its row."""
     off = int(system.space.offsets[2])
     gbcs = [(d + off, v) for d, v in system.trace_bcs]
-    A, b = apply_bcs(assemble_global(operator), assemble_global(Tensor(system.rhs)), gbcs)
+    A, b = apply_bcs(A, assemble_global(Tensor(system.rhs)), gbcs)
     x, row = _fgmres_row(A, b, bc_lift_vector(len(b), gbcs),
                          lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
                          Stages(condensation=cs.setup_time, trace_solve=t_inner),
@@ -371,9 +370,10 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     x_direct, direct = _direct_row(Ab, bb, spec, base)
 
     # outer FGMRES preconditioned by the hybridization factorization; the
-    # three-field element tensors are kept for the scpc-pc row's operator
+    # scpc-pc row's operator memoizes the element tensors that set-up reads
     hs = hybridize(ms.a, ms.rhs, prob.u)
-    operator = Tensor(hs.a, frozen=True)
+    operator = Tensor(hs.a)
+    A3 = assemble_global(operator)
     hm = hybridized(ms.a, hs, scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs))
     inner, t_inner = _inner_config(spec, hm.cs.S, hm.system.trace_space)
     xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
@@ -383,7 +383,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     hybrid["max_diff_vs_direct"] = float(np.abs(xh - x_direct).max())
 
     # outer FGMRES on the same hybridized three-field system with SCPC
-    _, _, x3, scpc = _scpc_pc(hm.cs, hs, operator, inner, t_inner, spec, base)
+    _, _, x3, scpc = _scpc_pc(hm.cs, hs, A3, inner, t_inner, spec, base)
     u3, p3, _ = hs.space.split(x3)
     u_conf = project_div(hm.transfer, Function(hs.flux_space, u3))
     scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u_conf.coeffs, p3])
@@ -393,10 +393,11 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
 def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
     ls = ldgh_system(mesh, prob, spec.degree, spec.tau)
-    operator = Tensor(ls.a, frozen=True)
+    operator = Tensor(ls.a)
+    A3 = assemble_global(operator)  # memoizes the element tensors that set-up reads
     cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), ls.trace_bcs)
     inner, t_inner = _inner_config(spec, cs.S, ls.trace_space)
-    A, b, x, scpc = _scpc_pc(cs, ls, operator, inner, t_inner, spec, base)
+    A, b, x, scpc = _scpc_pc(cs, ls, A3, inner, t_inner, spec, base)
     x_direct, direct = _direct_row(A, b, spec, base)
     scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
     return [direct, scpc]

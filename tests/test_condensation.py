@@ -427,15 +427,17 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
     condensed system of one block.  From the form, each block assembles
     its own element tensors, so values agree to round-off: the reference
     product is one BLAS product per block, whose summation order for a
-    cell may depend on the block's size.  From a frozen Tensor, each
-    block reads a slice of the one evaluation, so values are bit-identical
-    and the form is assembled once."""
+    cell may depend on the block's size.  From a Tensor memoized whole,
+    each block reads a slice of the one evaluation, so values are
+    bit-identical and the form is not assembled again."""
     mesh = build_jittered_square(6, 0.2, seed=7)
     hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
           else ldgh_system(mesh, PROB, degree))
     split = FieldSplit((0, 1), (2,))
     whole = _condensed_arrays(scpc_setup(hs.a, split, hs.trace_bcs))
-    monkeypatch.setattr(condensation, "BLOCK_CELLS", 5)
+    A = Tensor(hs.a)
+    expressions.evaluate_all(expressions.compile_expr(A))
+    monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 5 * hs.space.local_dim ** 2)
     assert mesh.n_cells % 5
     calls = []
     real = expressions.assemble_form
@@ -444,8 +446,8 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
     blocked = _condensed_arrays(scpc_setup(hs.a, split, hs.trace_bcs))
     assert len(calls) == -(-mesh.n_cells // 5)
     calls.clear()
-    sliced = _condensed_arrays(scpc_setup(Tensor(hs.a, frozen=True), split, hs.trace_bcs))
-    assert len(calls) == 1 and calls[0] is hs.a
+    sliced = _condensed_arrays(scpc_setup(A, split, hs.trace_bcs))
+    assert not calls
     for name, want in whole.items():
         for got in (blocked[name], sliced[name]):
             assert got.shape == want.shape
@@ -477,7 +479,7 @@ def test_blocked_setup_guard_names_global_cell(monkeypatch):
     mesh = build_unit_square(4)
     w = Function(create_space(mesh, DG(0)), np.ones(mesh.n_cells))
     w.coeffs[[17, 23]] = 0.0
-    monkeypatch.setattr(condensation, "BLOCK_CELLS", 5)
+    monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 5 * 4 ** 2)  # DG(0) x Trace(0)
     with pytest.raises(RuntimeError, match=r"singular local tensor in cell 17$"):
         scpc_setup(_dg0_trace_form(w), FieldSplit((0,), (1,)))
 
@@ -498,3 +500,21 @@ def test_setup_peak_is_bounded_by_what_it_keeps():
         tracemalloc.stop()
     assert cs.S.shape[0] > 0
     assert peak <= 1.25 * kept, (peak / 1e6, kept / 1e6)
+
+
+def test_setup_compiles_one_plan(monkeypatch):
+    """Set-up compiles one plan whatever the number of blocks, and the
+    data of the three block-diagonal matrices it keeps are C-contiguous
+    (products with a strided BSR copy it on every application)."""
+    hs = hybridized_mixed_system(build_jittered_square(6, 0.2, seed=7), PROB, 2)
+    calls = []
+    real = condensation.compile_expr
+    monkeypatch.setattr(condensation, "compile_expr",
+                        lambda *exprs: calls.append(exprs) or real(*exprs))
+    for block_cells in (hs.space.mesh.n_cells, 5):
+        monkeypatch.setattr(expressions, "BLOCK_ENTRIES", block_cells * hs.space.local_dim ** 2)
+        calls.clear()
+        cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+        assert len(calls) == 1
+        for m in (cs.local_inverse, cs.coupling, cs.elimination):
+            assert m.data.flags.c_contiguous

@@ -277,6 +277,47 @@ def test_plan_describe_golden():
     assert plan.describe() == expected
 
 
+def test_plan_describe_lists_every_output():
+    """A plan of two outputs computes their shared subtree once and
+    returns both registers, in the order given."""
+    mesh = build_unit_square(1)
+    V = create_space(mesh, DG(0))
+    A = Tensor(mass(V))
+    inv = A.inv
+    plan = compile_expr(inv * A, inv)
+    expected = (
+        "r0 = assemble(T0)  # 1x1\n"
+        "r1 = inverse(r0)  # 1x1\n"
+        "r2 = mul(r1, r0)  # 1x1\n"
+        "return r2, r1"
+    )
+    assert plan.describe() == expected
+
+
+def test_blocked_global_assembly_equals_one_block(monkeypatch):
+    """Global assembly in blocks of seven cells (the last one shorter)
+    equals the one-block value to round-off, for a rank-2 and a rank-1
+    form with interior facet and labelled exterior facet terms on a
+    jittered mesh."""
+    from hybridfem import NEUMANN, DIRICHLET, build_jittered_square, mark_boundary
+    from hybridfem.problems import hybridized_mixed_system, manufactured
+
+    mesh = mark_boundary(build_jittered_square(5, 0.2, seed=3),
+                         lambda x, y: NEUMANN if x < 1e-9 else DIRICHLET)
+    hs = hybridized_mixed_system(mesh, manufactured("sinsin"), 2)
+    assert mesh.n_cells % 7
+    for form in (hs.a, hs.rhs):
+        want = assemble_global(Tensor(form))
+        calls = count_assembly(monkeypatch)
+        monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 7 * int(np.prod(Tensor(form).shape)))
+        got = assemble_global(Tensor(form))
+        monkeypatch.undo()
+        assert len(calls) == -(-mesh.n_cells // 7)
+        if form.rank == 2:
+            got, want = got.toarray(), want.toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_constrained_global_matrix():
     mesh, W, a, f = three_field_system(n=1, k=1)
     A = Tensor(a)
@@ -306,20 +347,22 @@ def count_assembly(monkeypatch) -> list:
 
 
 def test_memoized_plan_matches_naive_oracle(monkeypatch):
-    """A plan re-evaluated from memoized local values equals the oracle."""
+    """A plan of two outputs computes their shared subtrees once, and a
+    plan re-evaluated from its memoized output equals the oracle."""
     calls = count_assembly(monkeypatch)
     mesh, W, a, f = three_field_system(n=4, k=2)
     A = Tensor(a)
     Aee_inv = A.blocks[:2, :2].inv
     S = A.blocks[2, 2] - A.blocks[2, :2] * Aee_inv * A.blocks[:2, 2]
-    first = evaluate_all(compile_expr(S))
-    assert len(calls) == 1
     rng = np.random.default_rng(5)
     r = Function(W.fields[2], rng.standard_normal(W.fields[2].ndof_global))
     x = Aee_inv * (Tensor(f).blocks[:2] - A.blocks[:2, 2] * AssembledVector(r))
+    plan = compile_expr(S, x)
+    assert sum(k.op == "inverse" for k in plan.kernels) == 1
+    first, xs = evaluate_all(plan)
+    assert len(calls) == 2  # A and the right-hand side form, once each
     again = evaluate_all(compile_expr(S))
-    xs = evaluate_all(compile_expr(x))
-    assert len(calls) == 2  # only the right-hand side form is new
+    assert len(calls) == 2
     assert again is first
     for c in rng.integers(0, mesh.n_cells, 12):
         for expr, vals in ((S, again), (x, xs)):
@@ -358,23 +401,25 @@ def test_compiled_plan_is_freed_without_cycle_collection():
 
 
 def test_coefficient_forms_are_reassembled(monkeypatch):
-    """A form with a coefficient function is not memoized: a changed
-    coefficient gives new element tensors and new global values."""
+    """An output that depends on a coefficient function is not memoized:
+    a changed coefficient gives new element tensors and new global
+    values, while the memoized output ``M.inv`` is read again."""
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(1))
     w = Function(V, np.ones(V.ndof_global))
     weighted = Tensor(FormIR(V, V, [
         IntegralTerm(CELL, dot(coef(w), dot(tfn(), trial())))
     ]))
-    M = Tensor(mass(V))
-    expr = M.inv * weighted
+    M_inv = Tensor(mass(V)).inv
     calls = count_assembly(monkeypatch)
+    evaluate_all(compile_expr(M_inv))  # memoized as an output of its own
+    expr = M_inv * weighted
     before = assemble_global(expr).toarray()
     np.testing.assert_allclose(before, np.eye(V.ndof_global), atol=1e-12)
     w.coeffs[:] = 3.0
     after = assemble_global(expr).toarray()
     np.testing.assert_allclose(after, 3.0 * np.eye(V.ndof_global), atol=1e-12)
-    # the mass matrix and its inverse were kept, the weighted form was not
+    # the inverse of the mass matrix was kept, the weighted form was not
     assert [form is weighted.form for form in calls] == [False, True, True]
 
 

@@ -80,7 +80,7 @@ def test_cli_serial_bit_identical(tmp_path):
 
 def test_cli_twolevel_serial_bit_identical(tmp_path):
     args = ["converge", "--method", "cg-primal", "--degree", "1", "--sizes", "4,8",
-            "--inner-pc", "twolevel", "--serial"]
+            "--inner-pc", "multigrid", "--serial"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(args + ["--csv", str(a)])
     main(args + ["--csv", str(b)])

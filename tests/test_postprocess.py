@@ -232,3 +232,53 @@ def test_flux_pp_divergence_accuracy():
     err = l2_error_div(u_star, prob.div_u, exactness=8)
     # the acceptance suite measures the k+1 rate; here a coarse bound suffices
     assert err < 0.15
+
+
+def test_scalar_pp_blocked_equals_one_block(monkeypatch):
+    """Post-processing in blocks of seven cells (the last one shorter)
+    equals the one-block result to round-off on a jittered mesh, with a
+    point-dependent ``mu``."""
+    from hybridfem import expressions
+
+    mesh = build_jittered_square(5, 0.2, seed=3)
+    assert mesh.n_cells % 7
+    rng = np.random.default_rng(2)
+    u_h, p_h = (Function(S, rng.standard_normal(S.ndof_global))
+                for S in (create_space(mesh, RT(2)), create_space(mesh, DG(1))))
+    mu = ScalarField(lambda x, y: 1.0 + 0.5 * x * y, degree=2)
+    want = scalar_pp(u_h, p_h, mu).coeffs
+    # the largest register is the 7 x 11 data form: DG(2) x DG(0) by RT(2) x DG(1)
+    monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 7 * 7 * 11)
+    got = scalar_pp(u_h, p_h, mu).coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_scalar_pp_peak_is_bounded_by_one_block(monkeypatch):
+    """Mixed-hybrid k=2 data at n=64 in blocks of an eighth of the mesh:
+    the traced peak of ``scalar_pp`` above what it keeps is at most a
+    quarter of that of one block, so no local tensor of the whole mesh
+    exists at once."""
+    import tracemalloc
+
+    from hybridfem import expressions
+
+    mesh = build_unit_square(64)
+    mesh.geometry()
+    rng = np.random.default_rng(3)
+    u_h, p_h = (Function(S, rng.standard_normal(S.ndof_global))
+                for S in (create_space(mesh, RT(2)), create_space(mesh, DG(1))))
+
+    def transient(block_cells):
+        # the largest register is the 7 x 11 data form
+        monkeypatch.setattr(expressions, "BLOCK_ENTRIES", block_cells * 7 * 11)
+        tracemalloc.start()
+        try:
+            p_star = scalar_pp(u_h, p_h, ONE)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p_star.coeffs.shape == (6 * mesh.n_cells,)
+        return peak - kept
+
+    whole, blocked = transient(mesh.n_cells), transient(mesh.n_cells // 8)
+    assert blocked <= whole / 4, (blocked / 1e6, whole / 1e6)

@@ -276,7 +276,7 @@ def _two_level_system(method, degree, mesh):
 
 def _two_level_iterations(method, degree, mesh):
     A, space = _two_level_system(method, degree, mesh)
-    pc = make_preconditioner(A, "twolevel", p1_hierarchy(space))
+    pc = make_preconditioner(A, "multigrid", p1_hierarchy(space))
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     _, rep = krylov_solve(A, b, KrylovConfig(rtol=1e-8, preconditioner=pc))
     assert rep.converged
@@ -288,9 +288,8 @@ def _two_level_iterations(method, degree, mesh):
                                            ("cg-primal", 1), ("cg-primal", 2), ("cg-primal", 3)])
 @pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
 def test_twolevel_iterations_do_not_grow_with_n(method, degree, mesh_kind):
-    """With the continuous P1 coarse spaces (``twolevel`` names the same
-    V-cycle as ``multigrid``; the n=64 trace hierarchies have two levels
-    below the mesh), CG iterations on n=64 stay within 1.2x those on n=8
+    """With the continuous P1 coarse spaces (the n=64 trace hierarchies
+    have two levels below the mesh), CG iterations on n=64 stay within 1.2x those on n=8
     (Jacobi alone roughly doubles them with each refinement).  LDG-H k=3
     has rows where Jacobi weighted by 0.6 alone would not contract."""
     from hybridfem import build_jittered_square, build_unit_square
@@ -321,7 +320,7 @@ def test_twolevel_preconditioner_is_spd(method, degree, neumann, monkeypatch):
         A, space = _two_level_system(method, degree, mesh)
         maps = p1_hierarchy(space)
         assert (len(maps) >= 2) == (n == 9)
-        pc = make_preconditioner(A, "twolevel", maps)
+        pc = make_preconditioner(A, "multigrid", maps)
         M = np.column_stack([pc(e) for e in np.eye(A.shape[0])])
         assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
         assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
@@ -395,13 +394,13 @@ def test_twolevel_without_free_coarse_vertex_is_jacobi(method, n, monkeypatch):
 
     monkeypatch.setattr(solvers.spla, "splu", no_factor)
     r = np.random.default_rng(4).standard_normal(A.shape[0])
-    pc = make_preconditioner(A, "twolevel", p1_hierarchy(space))
+    pc = make_preconditioner(A, "multigrid", p1_hierarchy(space))
     np.testing.assert_array_equal(pc(r), jacobi_preconditioner(A)(r))
 
 
 def test_twolevel_requires_coarse_map():
     with pytest.raises(ValueError, match="coarse map"):
-        make_preconditioner(sp.eye(3).tocsr(), "twolevel")
+        make_preconditioner(sp.eye(3).tocsr(), "multigrid")
 
 
 def test_twolevel_singular_coarse_operator_raises():
@@ -409,8 +408,8 @@ def test_twolevel_singular_coarse_operator_raises():
     error names the stage and the coarse size."""
     A = sp.diags([-np.ones(4), 2.0 * np.ones(5), -np.ones(4)], [-1, 0, 1]).tocsr()
     P = sp.csr_matrix(np.repeat(np.eye(5)[:, :1], 2, axis=1))
-    with pytest.raises(RuntimeError, match=r"two-level coarse operator \(2 x 2\)"):
-        make_preconditioner(A, "twolevel", [P])
+    with pytest.raises(RuntimeError, match=r"multigrid coarse operator \(2 x 2\)"):
+        make_preconditioner(A, "multigrid", [P])
 
 
 def test_multigrid_singular_coarsest_operator_raises():

@@ -194,10 +194,10 @@ def test_compare_ldgh():
 
 @pytest.mark.parametrize("method", ["mixed-hybrid", "ldgh"])
 def test_compare_paths_agree_under_twolevel(method):
-    """Hybridized and condensed paths with the two-level inner solve
+    """Hybridized and condensed paths with the multigrid inner solve
     reproduce the direct solve."""
     rows = run_solver_compare(StudySpec(method=method, degree=1, sizes=(4, 8),
-                                        inner_pc="twolevel"))
+                                        inner_pc="multigrid"))
     assert all(r["converged"] == 1 for r in rows)
     assert max(r["max_diff_vs_direct"] for r in rows) < 1e-7
 
@@ -207,8 +207,8 @@ def test_cg_primal_odd_n_twolevel_matches_jacobi():
     iterations still stop growing, and the solution is Jacobi's."""
     rows = {pc: run_convergence(StudySpec(method="cg-primal", degree=1, sizes=(15, 33, 65),
                                           inner_pc=pc, rtol=1e-10))
-            for pc in ("jacobi", "twolevel")}
-    two = rows["twolevel"]
+            for pc in ("jacobi", "multigrid")}
+    two = rows["multigrid"]
     assert all(r["converged"] == 1 for r in two)
     assert two[-1]["iterations"] <= 1.2 * two[0]["iterations"]
     assert two[-1]["iterations"] < rows["jacobi"][-1]["iterations"] / 2
