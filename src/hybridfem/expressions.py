@@ -417,12 +417,16 @@ def evaluate_all(plan: ExecPlan):
     values = {r: memo[r] for r in plan.outputs if r in memo}
     todo = [r for r in dict.fromkeys(plan.outputs) if r not in values]
     nc = plan.kernels[0].payload.axes[0][0].mesh.n_cells  # the first kernel is a terminal
+    last_use = {r: i for i, k in enumerate(run) for r in k.ins}
     step = max(1, BLOCK_ENTRIES // max(int(np.prod(s)) for s in plan.shapes.values()))
     for lo in range(0, nc if todo else 0, step):
         hi = min(lo + step, nc)
         regs = {r: v[lo:hi] for r, v in memo.items() if r in needed}
-        for k in run:
+        for i, k in enumerate(run):
             regs[k.out] = _run_kernel(k, regs, lo, hi)
+            for r in k.ins:  # a register is dropped after its last use
+                if last_use[r] == i and r not in todo:
+                    regs.pop(r, None)
         for r in todo:
             if hi - lo == nc:  # one block: copied only if the value is a strided view
                 values[r] = np.ascontiguousarray(regs[r])

@@ -614,7 +614,8 @@ def _reference_product(form: FormIR, t_off, u_off, signed: set) -> np.ndarray:
     K = sum(gk.shape[1] for _, gk, _, _ in pieces)
     G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)
     k = 0
-    for cells, gk, a0, (ti, tj) in pieces:
+    while pieces:  # each piece is freed once it is copied into G
+        cells, gk, a0, (ti, tj) = pieces.pop(0)
         G[cells, k:k + gk.shape[1]] = gk
         A0[(slice(k, k + gk.shape[1]),) + _block(ti, tj, t_off, u_off)] = a0
         k += gk.shape[1]

@@ -556,13 +556,16 @@ class BrokenTransfer:
 
     ``conforming_of_broken[d]`` is the conforming dof behind broken dof
     ``d``; ``incidence[i]`` counts the cells touching conforming dof
-    ``i`` (2 for interior-facet dofs, 1 otherwise).
+    ``i`` (2 for interior-facet dofs, 1 otherwise), and ``share[d]`` is
+    broken dof ``d``'s part of its conforming dof, ``1 / incidence``
+    there (exact, as the incidence is 1 or 2).
     """
 
     conforming: FunctionSpace
     broken: FunctionSpace
     conforming_of_broken: np.ndarray
     incidence: np.ndarray
+    share: np.ndarray
 
 
 def broken_transfer(conforming: FunctionSpace, broken: FunctionSpace) -> BrokenTransfer:
@@ -572,7 +575,8 @@ def broken_transfer(conforming: FunctionSpace, broken: FunctionSpace) -> BrokenT
     conf_of_broken = np.empty(broken.ndof_global, dtype=np.int64)
     conf_of_broken[broken.cell_dofs.ravel()] = conforming.cell_dofs.ravel()
     incidence = np.bincount(conf_of_broken, minlength=conforming.ndof_global)
-    return BrokenTransfer(conforming, broken, conf_of_broken, incidence)
+    return BrokenTransfer(conforming, broken, conf_of_broken, incidence,
+                          1.0 / incidence[conf_of_broken])
 
 
 def inject_broken(bt: BrokenTransfer, fn: Function) -> Function:
@@ -601,4 +605,4 @@ def transfer_residual(bt: BrokenTransfer, residual: np.ndarray) -> np.ndarray:
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (bt.conforming.ndof_global,):
         raise ValueError("residual does not match the conforming space")
-    return residual[bt.conforming_of_broken] / bt.incidence[bt.conforming_of_broken]
+    return residual[bt.conforming_of_broken] * bt.share

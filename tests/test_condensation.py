@@ -16,6 +16,7 @@ from hybridfem import (
     mark_boundary,
 )
 from hybridfem.condensation import (
+    CondensedSystem,
     FieldSplit,
     hybridization_apply,
     hybridization_setup,
@@ -518,3 +519,95 @@ def test_setup_compiles_one_plan(monkeypatch):
         assert len(calls) == 1
         for m in (cs.local_inverse, cs.coupling, cs.elimination):
             assert m.data.flags.c_contiguous
+
+
+def _placed(blocks, rows, cols, shape):
+    """Per-cell blocks added into a dense matrix at global rows and columns."""
+    out = np.zeros(shape)
+    for blk, r, c in zip(blocks, rows, cols):
+        out[np.ix_(r, c)] += blk
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_hybridization_global_form_equals_block_form(degree):
+    """The global operators of a hybridization are the per-cell blocks of
+    its condensed system placed at their global dofs, and an application
+    equals the block path (transfer, ``scpc_apply``, projection) in
+    residual-correction and full-solve modes."""
+    from hybridfem.spaces import project_div, transfer_residual
+
+    mesh = mark_boundary(build_jittered_square(6, 0.2, 7), neumann_left)
+    ms = conforming_mixed_system(mesh, PROB, degree)
+    hm = hybridization_setup(ms.a, neumann_flux=PROB.u)
+    hs, gs = hm.system, hm.cs
+    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    n_e, n_c = cs.condensed_offset, cs.S.shape[0]
+    e_dofs = cs.e_dofs.reshape(mesh.n_cells, -1)
+    c_dofs = cs.c_dofs.reshape(mesh.n_cells, -1)
+    for got, blocks, rows, cols, shape in (
+            (gs.local_inverse, cs.local_inverse, e_dofs, e_dofs, (n_e, n_e)),
+            (gs.coupling, cs.coupling, e_dofs, c_dofs, (n_e, n_c)),
+            (gs.elimination, cs.elimination, c_dofs, e_dofs, (n_c, n_e))):
+        np.testing.assert_array_equal(got.toarray(), _placed(blocks.data, rows, cols, shape))
+    assert np.all(gs.coupling.data != 0.0)
+    assert gs.coupling.nnz < cs.coupling.nnz
+
+    inner = exact_inner(cs.S)
+    rng = np.random.default_rng(12)
+    for full, res in ((False, rng.standard_normal(ms.space.ndof_global)),
+                      (True, assemble_global(Tensor(ms.rhs)))):
+        x, rep, _ = hybridization_apply(hm, res, inner, include_boundary_data=full)
+        r_u, r_p = ms.space.split(res)
+        trace = hm.trace_data if full else np.zeros_like(hm.trace_data)
+        x3, rep3, _ = scpc_apply(cs, np.concatenate([transfer_residual(hm.transfer, r_u),
+                                                     r_p, trace]),
+                                 inner, homogeneous_bcs=not full)
+        ud, p, _ = hs.space.split(x3)
+        ref = np.concatenate([project_div(hm.transfer, Function(hs.flux_space, ud)).coeffs, p])
+        assert rep.converged and rep.iterations == rep3.iterations
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_hybridization_setup_peak_is_bounded_by_what_it_keeps():
+    """Mixed-hybrid k=1 at n=64: the traced peak of a hybridization's
+    set-up is at most 1.25 times the memory it keeps, so the block and
+    global forms of the local operators never coexist whole; what it
+    keeps holds no per-cell block operator and no flat index map."""
+    import tracemalloc
+
+    import scipy.sparse as sp
+
+    ms = conforming_mixed_system(build_unit_square(64), PROB, 1)
+    ms.space.fields[0].mesh.geometry()
+    tracemalloc.start()
+    try:
+        hm = hybridization_setup(ms.a)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hm.cs.S.shape[0] > 0
+    assert peak <= 1.25 * kept, (peak / 1e6, kept / 1e6)
+    for obj in (hm, *vars(hm).values()):
+        fields = vars(obj) if hasattr(obj, "__dict__") else {}
+        assert not fields.keys() & {"e_dofs", "c_dofs"}, type(obj)
+        assert not any(isinstance(v, sp.bsr_matrix) for v in fields.values()), type(obj)
+
+
+def test_compare_mixed_keeps_its_condensed_system(monkeypatch):
+    """The ``scpc-pc`` row of the mixed solver comparison applies the
+    block form of the condensed system that the hybridization row's
+    global form was built from."""
+    from hybridfem import study
+
+    seen = []
+    real = study._scpc_pc
+    monkeypatch.setattr(study, "_scpc_pc", lambda cs, *args: seen.append(cs) or real(cs, *args))
+    rows = study.run_solver_compare(study.StudySpec(method="mixed-hybrid", degree=1,
+                                                    sizes=(2, 4)))
+    assert [r["path"] for r in rows] == ["direct", "hybridization-pc", "scpc-pc"] * 2
+    assert len(seen) == 2
+    for cs in seen:
+        assert isinstance(cs, CondensedSystem)
+        assert all(getattr(cs, name) is not None for name in
+                   ("local_inverse", "coupling", "elimination", "e_dofs", "c_dofs"))

@@ -231,6 +231,20 @@ def test_transfer_residual_pairing_random():
         assert abs(rb @ wb.coeffs - r @ w) < 1e-12
 
 
+def test_transfer_share_is_the_division_bit_for_bit():
+    """Multiplying by the stored share gives the bits of dividing by the
+    gathered incidence, which is 1 or 2."""
+    rng = np.random.default_rng(8)
+    for mesh in (build_unit_square(3), build_jittered_square(4, 0.2, 5)):
+        U = create_space(mesh, RT(2))
+        bt = broken_transfer(U, break_space(U))
+        assert set(np.unique(bt.incidence)) == {1, 2}
+        r = rng.standard_normal(U.ndof_global)
+        np.testing.assert_array_equal(
+            transfer_residual(bt, r),
+            r[bt.conforming_of_broken] / bt.incidence[bt.conforming_of_broken])
+
+
 def test_project_div_roundtrip_and_average():
     mesh = build_unit_square(2)
     U = create_space(mesh, RT(2))
