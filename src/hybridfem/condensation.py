@@ -1,48 +1,33 @@
 """Static condensation and hybridization of multi-field systems.
 
-Two composable solver building blocks:
+Static condensation of a system whose leading fields are discontinuous
+is the paper's three Slate expressions: the condensed operator
+``S = A_cc - A_ce A_ee^{-1} A_ec``, the condensed right-hand side
+``E = F_c - A_ce A_ee^{-1} F_e`` and the local recovery
+``x_e = A_ee^{-1} (F_e - A_ec lambda)``.  Each entry point compiles one
+plan, which the evaluator runs over blocks of cells, and shares one
+helper that scatters and constrains ``S`` and one that solves for
+``lambda``.
 
-* :func:`scpc_setup` / :func:`scpc_apply` — generic cell-local static
-  condensation of a multi-field system whose leading fields are
-  discontinuous.  Set-up compiles one plan with four outputs, the local
-  inverse ``A_ee^{-1}``, the coupling ``A_ec``, the elimination operator
-  ``A_ce A_ee^{-1}`` and the local values of the Schur complement
-  ``A_cc - A_ce A_ee^{-1} A_ec``, and evaluates it once; the evaluator
-  runs it over blocks of cells, so the element tensors and local
-  products of the whole mesh never exist at once.  The condensed (trace)
-  operator is assembled from the local values of ``S``, and the other
-  three outputs are kept as block-diagonal sparse matrices, one block
-  per cell, with the eliminated-field global dofs and condensed-field
-  dofs as flat maps in the same cell-major order.  An application
-  compiles and assembles nothing: it forward-eliminates as
-  ``r_c - bincount(c_dofs, elimination @ r_e)`` (so each condensed-field
-  residual entry enters once), solves the condensed system with an
-  inner Krylov method, and recovers the eliminated fields as
-  ``local_inverse @ (r_e - coupling @ lambda[c_dofs])``, written
-  straight into their own dofs.
-
-* :func:`hybridization_setup` / :func:`hybridization_apply` — takes a
-  conforming H(div) x L2 mixed form, hybridizes it with
+* :func:`condensed_solve` solves once.  Its plan condenses operator and
+  right-hand side together, with outputs ``X = A_ee^{-1} A_ec``,
+  ``y = A_ee^{-1} F_e``, ``F_c - A_ce y`` and ``A_cc - A_ce X``, so
+  ``A_ee`` is inverted once; it keeps ``X``, ``y`` and ``S``, and
+  recovers ``x_e = y - X lambda`` cell by cell.
+* :func:`scpc_setup` / :func:`scpc_apply` set the factorization up once
+  and apply it to any residual.  Set-up keeps ``A_ee^{-1}``, ``A_ec``
+  (zeros dropped) and ``A_ce A_ee^{-1}`` as CSR matrices over the
+  eliminated fields' global dofs and the condensed fields' dofs, built
+  from the plan's per-cell values by permuting their rows; an
+  application is three sparse products around the condensed solve.
+* :func:`hybridization_setup` / :func:`hybridization_apply` hybridize a
+  conforming H(div) x L2 mixed form with
   :func:`~hybridfem.problems.hybridize` (broken flux space, facet
-  multipliers enforcing normal continuity), condenses the result, and
-  wraps the condensed solve with the conforming/broken residual
-  transfer and the facet-averaging projection back to H(div).
+  multipliers enforcing normal continuity), condense it with
+  :func:`scpc_setup`, and wrap :func:`scpc_apply` in the conforming to
+  broken residual transfer and the facet-averaging projection to H(div).
 
-Each caller gets the form of the local operators that pays off for it.
-:func:`scpc_setup` keeps the block form: a solve that applies once per
-set-up (``solve_hybridizable``) would pay for a second layout in
-set-up time and peak memory and win nothing back.  A hybridization is
-set up once and applied many times (as a preconditioner, or once per
-time step), so :func:`hybridized` moves the blocks into CSR matrices
-over the global dofs of the eliminated fields, once, by permuting the
-block rows: ``A_ee^{-1}``, ``A_ec`` with its structural zeros dropped,
-and ``A_ce A_ee^{-1}``, whose trace rows sum the two cells of each
-interior facet.  An application is then the residual transfer, one
-product into the trace right-hand side, the trace solve,
-``A_ee^{-1} (r_e - A_ec lambda)`` and the projection, with no gather,
-``bincount`` or scatter by index map.
-
-Both applications report per-stage timings (condensation, forward
+Each solve reports per-stage timings (condensation, forward
 elimination, trace solve, back substitution).
 """
 
@@ -50,12 +35,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .expressions import (
     Tensor,
+    TensorExpr,
     assemble_global,
     compile_expr,
     constrain_matrix,
@@ -65,7 +52,7 @@ from .expressions import (
 from .forms import FormIR
 from .mesh import NEUMANN
 from .problems import HybridizableSystem, hybridize
-from .solvers import KrylovConfig, SolveReport, krylov_solve, lift_bcs
+from .solvers import KrylovConfig, SolveReport, bc_lift_vector, krylov_solve
 from .spaces import (
     BrokenTransfer,
     Function,
@@ -114,42 +101,30 @@ class Stages:
                 + self.backsub + self.postprocess)
 
 
+# (dofs, values, lift): the constrained condensed-field dofs, their
+# values, and the unconstrained S times those values
+Constraints = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
-class TraceSystem:
-    """A condensed (trace) operator with its constraints, in the condensed
-    fields' numbering from 0."""
+class CondensedSystem:
+    """A condensed multi-field system.  The operators are CSR over the
+    eliminated fields' global dofs (they come first) and the condensed
+    fields' dofs from 0."""
 
     S: sp.csr_matrix                 # condensed operator, constraints applied
-    S_raw: sp.csr_matrix             # before constraints (for lifting)
-    bc_dofs: np.ndarray
-    bc_values: np.ndarray
+    constraints: Constraints
     setup_time: float
-
-
-@dataclass
-class CondensedSystem(TraceSystem):
-    space: MixedSpace
-    # block-diagonal, one block per cell, acting on the flat maps' order
-    local_inverse: sp.bsr_matrix     # A_ee^{-1}
-    coupling: sp.bsr_matrix          # A_ec
-    elimination: sp.bsr_matrix       # A_ce A_ee^{-1}
-    e_dofs: np.ndarray               # eliminated-field global dofs, cell-major
-    c_dofs: np.ndarray               # condensed-field dofs from 0, cell-major
-    condensed_offset: int            # global offset of the condensed fields
-
-
-@dataclass
-class GlobalCondensedSystem(TraceSystem):
-    # CSR over the eliminated fields' global dofs (they come first) and
-    # the condensed fields' dofs from 0
     local_inverse: sp.csr_matrix     # A_ee^{-1}
     coupling: sp.csr_matrix          # A_ec, structural zeros dropped
-    elimination: sp.csr_matrix       # A_ce A_ee^{-1}; a row holds both cells of its facet
+    elimination: sp.csr_matrix       # A_ce A_ee^{-1}; a row holds every cell of its dof
 
 
-def _check_eliminable(space: MixedSpace, split: FieldSplit) -> None:
+def _check_condensable(A: Tensor, split: FieldSplit) -> None:
+    if not isinstance(A.form.test, MixedSpace) or A.form.rank != 2:
+        raise ValueError("static condensation expects a mixed bilinear form")
     for i in split.eliminate:
-        s = space.fields[i]
+        s = A.form.test.fields[i]
         if not s.broken:
             raise ValueError(
                 f"field {i} ({s.family.kind}({s.family.degree})) is not "
@@ -157,16 +132,110 @@ def _check_eliminable(space: MixedSpace, split: FieldSplit) -> None:
             )
 
 
-def _block_diagonal(blocks: np.ndarray) -> sp.bsr_matrix:
-    """Per-cell blocks (nc, rows, cols) as one block-diagonal matrix."""
-    nc, rows, cols = blocks.shape
-    return sp.bsr_matrix((blocks, np.arange(nc), np.arange(nc + 1)),
-                         shape=(nc * rows, nc * cols))
+def _condense(A: Tensor, split: FieldSplit, bcs: list[tuple[int, float]] | None,
+              *exprs: TensorExpr):
+    """Evaluate ``exprs`` over ``A``'s cells in one plan; the last is the
+    local condensed operator ``S``.  Returns the other values, ``S`` with
+    the (dof, value) constraints ``bcs`` in the condensed fields'
+    numbering eliminated symmetrically, what lifting them needs, and each
+    cell's eliminated-field global dofs and condensed-field dofs from 0
+    (int32)."""
+    *values, s_local = evaluate_all(compile_expr(*exprs))
+    W, ne = A.form.test, len(split.eliminate)
+    off, width = int(W.offsets[ne]), sum(s.local_dim for s in W.fields[:ne])
+    cell_dofs = W.cell_dofs_global().astype(np.int32)
+    maps = cell_dofs[:, :width], cell_dofs[:, width:] - np.int32(off)
+    n = W.ndof_global - off
+    S = scatter_csr(s_local, maps[1], maps[1], (n, n))
+    bcs = bcs or []
+    dofs = np.array([d for d, _ in bcs], dtype=int)
+    constraints = (dofs, np.array([v for _, v in bcs], dtype=float),
+                   S @ bc_lift_vector(n, bcs))
+    return values, constrain_matrix(S, dofs) if len(dofs) else S, constraints, maps
+
+
+def _trace_solve(S: sp.csr_matrix, constraints: Constraints, E: np.ndarray,
+                 inner: KrylovConfig, homogeneous_bcs: bool, stages: Stages
+                 ) -> tuple[np.ndarray, SolveReport]:
+    """Constrain the condensed right-hand side ``E`` (zero at the
+    constrained dofs with ``homogeneous_bcs``, lifted otherwise) and
+    solve the condensed system.  The constraint step adds to
+    ``stages.forward``; the solve adds to ``stages.trace_solve``."""
+    t0 = time.perf_counter()
+    dofs, values, lift = constraints
+    if homogeneous_bcs:
+        E[dofs] = 0.0
+    elif len(dofs):
+        E = E - lift
+        E[dofs] = values
+    t1 = time.perf_counter()
+    lam, report = krylov_solve(S, E, inner)
+    stages.forward += t1 - t0
+    stages.trace_solve += time.perf_counter() - t1
+    return lam, report
+
+
+def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
+                    bcs: list[tuple[int, float]] | None,
+                    make_inner: Callable[[sp.csr_matrix], KrylovConfig]
+                    ) -> tuple[np.ndarray, SolveReport, Stages]:
+    """Solve ``a x = rhs`` once by static condensation.
+
+    One plan condenses the operator and the right-hand side; only
+    ``X = A_ee^{-1} A_ec``, ``y = A_ee^{-1} F_e`` and the condensed
+    operator are kept through the trace solve.  ``bcs`` are (dof, value)
+    constraints in the condensed fields' numbering; ``make_inner(S)``
+    configures the trace solve, and its time counts as trace-solve time.
+    """
+    A, F = Tensor(a), Tensor(rhs)
+    _check_condensable(A, split)
+    t0 = time.perf_counter()
+    ne = len(split.eliminate)
+    inv = A.blocks[:ne, :ne].inv
+    A_ce = A.blocks[ne:, :ne]
+    X = inv * A.blocks[:ne, ne:]
+    y = inv * F.blocks[:ne]
+    # rebinding the names to the values frees the nodes that memoize them
+    (X, y, e_local), S, constraints, (elim_dofs, cond_dofs) = _condense(
+        A, split, bcs, X, y, F.blocks[ne:] - A_ce * y, A.blocks[ne:, ne:] - A_ce * X)
+    stages = Stages(condensation=time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
+    E = np.bincount(cond_dofs.ravel(), e_local.ravel(), minlength=S.shape[0])
+    del e_local
+    stages.forward = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    inner = make_inner(S)
+    stages.trace_solve = time.perf_counter() - t0
+    lam, report = _trace_solve(S, constraints, E, inner, False, stages)
+
+    t0 = time.perf_counter()
+    x = np.concatenate([np.empty(elim_dofs.size), lam])
+    x[elim_dofs] = y - np.einsum("cij,cj->ci", X, lam[cond_dofs])
+    stages.backsub = time.perf_counter() - t0
+    return x, report, stages
+
+
+def _by_dofs(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             shape: tuple[int, int]) -> sp.csr_matrix:
+    """Per-cell blocks (nc, r, k) placed at global rows ``rows`` (nc, r)
+    and columns ``cols`` (nc, k) as a CSR matrix, by permuting the block
+    rows.  Blocks that share a row fill it side by side; no two blocks
+    share an entry."""
+    nc, r, k = blocks.shape
+    rows = rows.ravel()
+    order = np.argsort(rows, kind="stable").astype(np.int32)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]) * k, out=indptr[1:])
+    del rows
+    data = blocks.reshape(nc * r, k)[order].ravel()
+    order //= r
+    return sp.csr_matrix((data, cols[order].ravel(), indptr), shape=shape)
 
 
 def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
                bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
-    """Assemble the condensed operator of a multi-field system.
+    """Condense a multi-field system, keeping what applications need.
 
     ``a`` is the form, or its :class:`Tensor`; a tensor whose value the
     caller has memoized is not assembled again.  ``bcs`` lists (dof, value)
@@ -174,41 +243,26 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     symmetrically and lifted by :func:`scpc_apply`.
     """
     A = a if isinstance(a, Tensor) else Tensor(a)
-    if not isinstance(A.form.test, MixedSpace) or A.form.rank != 2:
-        raise ValueError("static condensation expects a mixed bilinear form")
-    W = A.form.test
-    _check_eliminable(W, split)
+    _check_condensable(A, split)
     t0 = time.perf_counter()
     ne = len(split.eliminate)
-    n_elim = sum(W.fields[i].local_dim for i in split.eliminate)
     inv = A.blocks[:ne, :ne].inv
     coupling = A.blocks[:ne, ne:]
     elimination = A.blocks[ne:, :ne] * inv
     # rebinding the names to the values frees the nodes that memoize them
-    inv, coupling, elimination, s_local = evaluate_all(compile_expr(
-        inv, coupling, elimination, A.blocks[ne:, ne:] - elimination * coupling))
-    cell_dofs = W.cell_dofs_global()
-    c_dofs = cell_dofs[:, n_elim:] - W.offsets[ne]
-    S_raw = scatter_csr(s_local, c_dofs, c_dofs, (int(W.ndof_global - W.offsets[ne]),) * 2)
-    del s_local  # S's local values are not kept
-    bc_dofs = np.array([d for d, _ in (bcs or [])], dtype=int)
-    bc_values = np.array([v for _, v in (bcs or [])], dtype=float)
-    S = constrain_matrix(S_raw, bc_dofs) if len(bc_dofs) else S_raw
-    dt = time.perf_counter() - t0
-    return CondensedSystem(
-        space=W,
-        local_inverse=_block_diagonal(inv),
-        coupling=_block_diagonal(coupling),
-        elimination=_block_diagonal(elimination),
-        e_dofs=cell_dofs[:, :n_elim].ravel(),
-        c_dofs=c_dofs.ravel(),
-        S=S,
-        S_raw=S_raw,
-        bc_dofs=bc_dofs,
-        bc_values=bc_values,
-        condensed_offset=int(W.offsets[ne]),
-        setup_time=dt,
-    )
+    (inv, coupling, elimination), S, constraints, (elim_dofs, cond_dofs) = _condense(
+        A, split, bcs, inv, coupling, elimination, A.blocks[ne:, ne:] - elimination * coupling)
+    n_e, n_c = elim_dofs.size, S.shape[0]
+    # each output is freed once converted: a CSR form outweighs its dense
+    # values, so the largest goes first, and the coupling before the
+    # elimination operator, as dropping its zeros can shrink it
+    inv = _by_dofs(inv, elim_dofs, elim_dofs, (n_e, n_e))
+    coupling = _by_dofs(coupling, elim_dofs, cond_dofs, (n_e, n_c))
+    coupling.eliminate_zeros()
+    elimination = _by_dofs(elimination, cond_dofs, elim_dofs, (n_c, n_e))
+    return CondensedSystem(S=S, constraints=constraints,
+                           setup_time=time.perf_counter() - t0, local_inverse=inv,
+                           coupling=coupling, elimination=elimination)
 
 
 def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
@@ -217,49 +271,27 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     """Apply the condensation factorization to a multi-field residual.
 
     Forward-eliminates the eliminated-field residual into the condensed
-    right-hand side, solves the condensed system, and reconstructs the
-    eliminated fields cell-wise from the values kept at set-up.  With
+    right-hand side, solves the condensed system, and recovers the
+    eliminated fields, each step one sparse product.  With
     ``homogeneous_bcs`` the stored constraint values are replaced by
     zero (residual-correction mode).
     """
-    W = cs.space
+    n_e = cs.local_inverse.shape[0]
     stages = Stages(condensation=cs.setup_time)
     residual = np.asarray(residual, dtype=float)
-    if residual.shape != (W.ndof_global,):
-        raise ValueError("residual does not match the mixed space")
+    if residual.shape != (n_e + cs.S.shape[0],):
+        raise ValueError("residual does not match the condensed system")
 
     t0 = time.perf_counter()
-    r_e = residual[cs.e_dofs]
-    r_c = residual[cs.condensed_offset:]
-    E = r_c - np.bincount(cs.c_dofs, cs.elimination @ r_e, minlength=len(r_c))
+    r_e = residual[:n_e]
+    E = residual[n_e:] - cs.elimination @ r_e
     stages.forward = time.perf_counter() - t0
-    lam, report = _trace_solve(cs, E, inner, homogeneous_bcs, stages)
+    lam, report = _trace_solve(cs.S, cs.constraints, E, inner, homogeneous_bcs, stages)
 
     t0 = time.perf_counter()
-    out = np.empty(W.ndof_global)
-    out[cs.e_dofs] = cs.local_inverse @ (r_e - cs.coupling @ lam[cs.c_dofs])
-    out[cs.condensed_offset:] = lam
+    out = np.concatenate([cs.local_inverse @ (r_e - cs.coupling @ lam), lam])
     stages.backsub = time.perf_counter() - t0
     return out, report, stages
-
-
-def _trace_solve(ts: TraceSystem, E: np.ndarray, inner: KrylovConfig,
-                 homogeneous_bcs: bool, stages: Stages
-                 ) -> tuple[np.ndarray, SolveReport]:
-    """Constrain the condensed right-hand side ``E`` (zero at the
-    constrained dofs with ``homogeneous_bcs``, lifted otherwise) and
-    solve the condensed system.  The constraint step adds to
-    ``stages.forward``; the solve sets ``stages.trace_solve``."""
-    t0 = time.perf_counter()
-    if homogeneous_bcs:
-        E[ts.bc_dofs] = 0.0
-    elif len(ts.bc_dofs):
-        E = lift_bcs(ts.S_raw, E, ts.bc_dofs, ts.bc_values)
-    t1 = time.perf_counter()
-    lam, report = krylov_solve(ts.S, E, inner)
-    stages.forward += t1 - t0
-    stages.trace_solve = time.perf_counter() - t1
-    return lam, report
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +303,7 @@ class HybridizedMixed:
     conforming: MixedSpace           # (RT conforming, DG)
     system: HybridizableSystem       # (broken RT, DG, Trace), from hybridize
     transfer: BrokenTransfer
-    cs: GlobalCondensedSystem
+    cs: CondensedSystem
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
 
 
@@ -281,67 +313,27 @@ def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
 
     :func:`~hybridfem.problems.hybridize` builds the three-field system
     from the arguments; its trace field is condensed with the Dirichlet
-    trace constraints by :func:`hybridized`.
+    trace constraints.
     """
     hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
     return hybridized(a_mixed, hs, scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs))
-
-
-def _by_dofs(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             shape: tuple[int, int]) -> sp.csr_matrix:
-    """Per-cell blocks (nc, r, k) placed at global rows ``rows`` (nc, r)
-    and columns ``cols`` (nc, k) as a CSR matrix, by permuting the block
-    rows.  Blocks that share a row fill it side by side; no two blocks
-    share an entry."""
-    nc, r, k = blocks.shape
-    order = np.argsort(rows.ravel(), kind="stable").astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * k)])
-    return sp.csr_matrix((blocks.reshape(nc * r, k)[order].ravel(),
-                          cols[order // r].ravel(), indptr), shape=shape)
-
-
-def _global_form(cs: CondensedSystem) -> GlobalCondensedSystem:
-    """``cs``'s block-diagonal operators as CSR matrices over the global
-    dofs of the eliminated fields and the condensed fields' dofs.  They
-    move: each is dropped from ``cs`` once converted, and so are the
-    flat maps, so the two forms of all three never coexist."""
-    t0 = time.perf_counter()
-    nc, n_e, n_c = cs.space.mesh.n_cells, cs.condensed_offset, cs.S.shape[0]
-    e_dofs = cs.e_dofs.astype(np.int32).reshape(nc, -1)
-    c_dofs = cs.c_dofs.astype(np.int32).reshape(nc, -1)
-    cs.e_dofs = cs.c_dofs = None
-    # smallest global form first, so that no step holds much of both
-    coupling = _by_dofs(cs.coupling.data, e_dofs, c_dofs, (n_e, n_c))
-    coupling.eliminate_zeros()
-    cs.coupling = None
-    local_inverse = _by_dofs(cs.local_inverse.data, e_dofs, e_dofs, (n_e, n_e))
-    cs.local_inverse = None
-    elimination = _by_dofs(cs.elimination.data, c_dofs, e_dofs, (n_c, n_e))
-    cs.elimination = None
-    return GlobalCondensedSystem(
-        S=cs.S, S_raw=cs.S_raw, bc_dofs=cs.bc_dofs, bc_values=cs.bc_values,
-        setup_time=cs.setup_time + time.perf_counter() - t0,
-        local_inverse=local_inverse, coupling=coupling,
-        elimination=elimination)
 
 
 def hybridized(a_mixed: FormIR, hs: HybridizableSystem,
                cs: CondensedSystem) -> HybridizedMixed:
     """The hybridization of ``a_mixed`` from its three-field system ``hs``
     (from :func:`~hybridfem.problems.hybridize`) and ``cs``, ``hs.a``
-    condensed onto the trace.  ``cs``'s per-cell operators move into the
-    result in global numbering: ``cs`` is left without them, and a caller
-    that applies ``cs`` later passes a copy (``dataclasses.replace``).
-    If ``hs.rhs`` has Neumann trace terms (from an exact flux) and the
-    mesh has Neumann facets, the trace block of ``hs.rhs`` is kept as
-    the transmission data used in full-solve mode."""
+    condensed onto the trace; ``cs`` is shared, not copied.  If
+    ``hs.rhs`` has Neumann trace terms (from an exact flux) and the mesh
+    has Neumann facets, the trace block of ``hs.rhs`` is kept as the
+    transmission data used in full-solve mode."""
     U = a_mixed.test_fields[0]
     trace_data = np.zeros(hs.trace_space.ndof_global)
     if (len(U.mesh.facets_with_label(NEUMANN))
             and any(hs.rhs.term_blocks(t)[0] == 2 for t in hs.rhs.terms)):
         trace_data = hs.space.split(assemble_global(Tensor(hs.rhs)))[2]
     return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs,
-                           broken_transfer(U, hs.flux_space), _global_form(cs), trace_data)
+                           broken_transfer(U, hs.flux_space), cs, trace_data)
 
 
 def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,
@@ -349,31 +341,29 @@ def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,
                         ) -> tuple[np.ndarray, SolveReport, Stages]:
     """Solve the hybridized problem for a conforming mixed residual.
 
-    The conforming flux residual is split onto the broken space, the
-    condensed trace system is solved, eliminated fields are recovered,
-    and the broken flux is averaged back to H(div); each step between
-    the transfers is one sparse product.  In residual correction mode
-    (the default) the transmission right-hand side is zero;
+    The conforming flux residual is split onto the broken space,
+    :func:`scpc_apply` solves the three-field system, and the broken
+    flux is averaged back to H(div).  In residual correction mode (the
+    default) the transmission right-hand side is zero;
     ``include_boundary_data`` adds the Neumann surface data and the
     stored trace constraint values, turning the application into a full
     solve from the problem's natural right-hand side.
     """
-    Wc, gs = hm.conforming, hm.cs
+    Wc = hm.conforming
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (Wc.ndof_global,):
         raise ValueError("residual does not match the conforming mixed space")
-    r_u, r_p = Wc.split(residual)
-    stages = Stages(condensation=gs.setup_time)
     t0 = time.perf_counter()
-    r_e = np.concatenate([transfer_residual(hm.transfer, r_u), r_p])
-    E = (hm.trace_data if include_boundary_data else 0.0) - gs.elimination @ r_e
-    stages.forward = time.perf_counter() - t0
-    lam, report = _trace_solve(gs, E, inner, not include_boundary_data, stages)
+    r_u, r_p = Wc.split(residual)
+    g = hm.trace_data if include_boundary_data else np.zeros_like(hm.trace_data)
+    r = np.concatenate([transfer_residual(hm.transfer, r_u), r_p, g])
+    transfer = time.perf_counter() - t0
+    x, report, stages = scpc_apply(hm.cs, r, inner, homogeneous_bcs=not include_boundary_data)
 
     t0 = time.perf_counter()
-    x_e = gs.local_inverse @ (r_e - gs.coupling @ lam)
-    n_u = hm.transfer.broken.ndof_global
-    u = project_div(hm.transfer, Function(hm.transfer.broken, x_e[:n_u]))
-    out = np.concatenate([u.coeffs, x_e[n_u:]])
-    stages.backsub = time.perf_counter() - t0
+    n_u, n_e = hm.transfer.broken.ndof_global, hm.cs.local_inverse.shape[0]
+    u = project_div(hm.transfer, Function(hm.transfer.broken, x[:n_u]))
+    out = np.concatenate([u.coeffs, x[n_u:n_e]])
+    stages.forward += transfer
+    stages.backsub += time.perf_counter() - t0
     return out, report, stages

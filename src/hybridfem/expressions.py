@@ -40,9 +40,11 @@ Axis = tuple[FunctionSpace, ...]
 # smallest reciprocal condition number (LU) or relative pivot (Cholesky)
 # for which a local factorization is not declared singular
 PIVOT_RTOL = 1e-12
-# entries per block of the largest register of a plan: 2048 cells of a
-# 17 x 17 local tensor (the mixed-hybrid k=2 operator)
-BLOCK_ENTRIES = 2048 * 17**2
+# entries per block of the largest register of a plan, and cells per
+# block of a plan of several outputs: 2048 cells of a 17 x 17 local tensor
+# (the mixed-hybrid k=2 operator)
+BLOCK_CELLS = 2048
+BLOCK_ENTRIES = BLOCK_CELLS * 17**2
 
 
 def _axis_extent(axis: Axis) -> int:
@@ -399,9 +401,11 @@ def _check_symmetric(A: np.ndarray) -> None:
 
 def evaluate_all(plan: ExecPlan):
     """Evaluate the plan for every cell, in blocks of consecutive cells of
-    at most ``BLOCK_ENTRIES`` entries of its largest register.  Returns
-    each output's values, leading axis the cell index, C-contiguous: one
-    array, or a tuple of them for a plan of several outputs.
+    at most ``BLOCK_ENTRIES`` entries of its largest register, and of at
+    most ``BLOCK_CELLS`` cells for a plan of several outputs, which are
+    held whole beside a block's element tensors.  Returns each output's
+    values, leading axis the cell index, C-contiguous: one array, or a
+    tuple of them for a plan of several outputs.
 
     A kernel whose node holds a memoized value reads its block's slice of
     it and is not run, nor is any kernel that only it needs.  An output
@@ -419,6 +423,8 @@ def evaluate_all(plan: ExecPlan):
     nc = plan.kernels[0].payload.axes[0][0].mesh.n_cells  # the first kernel is a terminal
     last_use = {r: i for i, k in enumerate(run) for r in k.ins}
     step = max(1, BLOCK_ENTRIES // max(int(np.prod(s)) for s in plan.shapes.values()))
+    if len(todo) > 1:
+        step = min(step, BLOCK_CELLS)
     for lo in range(0, nc if todo else 0, step):
         hi = min(lo + step, nc)
         regs = {r: v[lo:hi] for r, v in memo.items() if r in needed}

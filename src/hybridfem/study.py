@@ -13,7 +13,7 @@ timing columns are zeroed since wall clocks are not deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import reference
 from .condensation import (
     FieldSplit,
     Stages,
+    condensed_solve,
     hybridization_apply,
     hybridized,
     scpc_apply,
@@ -161,12 +162,10 @@ def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
         hs = hybridized_mixed_system(mesh, prob, spec.degree)
     else:
         hs = ldgh_system(mesh, prob, spec.degree, spec.tau)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    rhs = assemble_global(Tensor(hs.rhs))
-    inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
-    x, report, stages = scpc_apply(cs, rhs, inner)
-    stages.trace_solve += t_inner
-    del cs, inner, rhs  # post-processing needs none of the condensed system
+    # the condensed system is released on return, before post-processing
+    x, report, stages = condensed_solve(
+        hs.a, hs.rhs, FieldSplit((0, 1), (2,)), hs.trace_bcs,
+        lambda S: _inner_config(spec, S, hs.trace_space)[0])
     u_vec, p_vec, lam_vec = hs.space.split(x)
     u = Function(hs.flux_space, u_vec)
     p = Function(hs.scalar_space, p_vec)
@@ -371,12 +370,12 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
 
     # outer FGMRES preconditioned by the hybridization factorization; the
     # scpc-pc row's operator memoizes the element tensors that set-up
-    # reads, and that row applies the block form kept here
+    # reads, and both rows apply one condensed system
     hs = hybridize(ms.a, ms.rhs, prob.u)
     operator = Tensor(hs.a)
     A3 = assemble_global(operator)
     cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    hm = hybridized(ms.a, hs, replace(cs))
+    hm = hybridized(ms.a, hs, cs)
     inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
     xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
                              lambda r: hybridization_apply(hm, r, inner),

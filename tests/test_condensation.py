@@ -18,6 +18,7 @@ from hybridfem import (
 from hybridfem.condensation import (
     CondensedSystem,
     FieldSplit,
+    condensed_solve,
     hybridization_apply,
     hybridization_setup,
     scpc_apply,
@@ -36,6 +37,7 @@ from hybridfem.solvers import (
     apply_bcs,
     bc_lift_vector,
     exact_preconditioner,
+    jacobi_preconditioner,
     krylov_solve,
     sparse_direct_solve,
 )
@@ -76,7 +78,7 @@ def test_schur_matches_dense_global_oracle():
     Aee, Aec = A[:ne, :ne], A[:ne, ne:]
     Ace, Acc = A[ne:, :ne], A[ne:, ne:]
     S_oracle = Acc - Ace @ np.linalg.solve(Aee, Aec)
-    S = cs.S_raw.toarray()
+    S = cs.S.toarray()
     scale = np.abs(S_oracle).max()
     assert np.abs(S - S_oracle).max() < 1e-12 * scale
 
@@ -108,7 +110,7 @@ def test_trivial_block_diagonal_schur():
     ])
     cs = scpc_setup(a, FieldSplit((0,), (1,)))
     Acc = assemble_global(Tensor(a).blocks[1, 1])
-    np.testing.assert_allclose(cs.S_raw.toarray(), Acc.toarray(), atol=1e-14)
+    np.testing.assert_allclose(cs.S.toarray(), Acc.toarray(), atol=1e-14)
 
 
 @pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
@@ -395,7 +397,7 @@ def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
     inv = A.blocks[0, 0].inv
     S = assemble_global(A.blocks[1, 1] - A.blocks[1, 0] * inv * A.blocks[0, 1])
     scale = np.abs(S).max()
-    assert np.abs((cs.S_raw - S).toarray()).max() <= 1e-14 * scale
+    assert np.abs((cs.S - S).toarray()).max() <= 1e-14 * scale
 
     r = np.random.default_rng(41).standard_normal(W.ndof_global)
     x, rep, _ = scpc_apply(cs, r, exact_inner(cs.S))
@@ -417,7 +419,7 @@ def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
 
 
 def _condensed_arrays(cs):
-    return {"S": cs.S, "S_raw": cs.S_raw, "local_inverse": cs.local_inverse,
+    return {"S": cs.S, "local_inverse": cs.local_inverse,
             "coupling": cs.coupling, "elimination": cs.elimination}
 
 
@@ -529,44 +531,63 @@ def _placed(blocks, rows, cols, shape):
     return out
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_hybridization_global_form_equals_block_form(degree):
-    """The global operators of a hybridization are the per-cell blocks of
-    its condensed system placed at their global dofs, and an application
-    equals the block path (transfer, ``scpc_apply``, projection) in
-    residual-correction and full-solve modes."""
-    from hybridfem.spaces import project_div, transfer_residual
-
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
+                                           ("ldgh", 1)])
+def test_one_shot_solve_equals_setup_and_apply(method, degree):
+    """On a jittered mesh with Neumann facets on the left, the one-shot
+    solve equals ``scpc_setup`` + ``scpc_apply`` on the assembled
+    right-hand side with the same exact inner solve, and each CSR
+    operator a set-up keeps is the per-cell values of an independent
+    evaluation placed at their global dofs."""
     mesh = mark_boundary(build_jittered_square(6, 0.2, 7), neumann_left)
-    ms = conforming_mixed_system(mesh, PROB, degree)
-    hm = hybridization_setup(ms.a, neumann_flux=PROB.u)
-    hs, gs = hm.system, hm.cs
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    n_e, n_c = cs.condensed_offset, cs.S.shape[0]
-    e_dofs = cs.e_dofs.reshape(mesh.n_cells, -1)
-    c_dofs = cs.c_dofs.reshape(mesh.n_cells, -1)
-    for got, blocks, rows, cols, shape in (
-            (gs.local_inverse, cs.local_inverse, e_dofs, e_dofs, (n_e, n_e)),
-            (gs.coupling, cs.coupling, e_dofs, c_dofs, (n_e, n_c)),
-            (gs.elimination, cs.elimination, c_dofs, e_dofs, (n_c, n_e))):
-        np.testing.assert_array_equal(got.toarray(), _placed(blocks.data, rows, cols, shape))
-    assert np.all(gs.coupling.data != 0.0)
-    assert gs.coupling.nnz < cs.coupling.nnz
-
+    hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
+          else ldgh_system(mesh, PROB, degree))
+    split = FieldSplit((0, 1), (2,))
+    cs = scpc_setup(hs.a, split, hs.trace_bcs)
     inner = exact_inner(cs.S)
-    rng = np.random.default_rng(12)
-    for full, res in ((False, rng.standard_normal(ms.space.ndof_global)),
-                      (True, assemble_global(Tensor(ms.rhs)))):
-        x, rep, _ = hybridization_apply(hm, res, inner, include_boundary_data=full)
-        r_u, r_p = ms.space.split(res)
-        trace = hm.trace_data if full else np.zeros_like(hm.trace_data)
-        x3, rep3, _ = scpc_apply(cs, np.concatenate([transfer_residual(hm.transfer, r_u),
-                                                     r_p, trace]),
-                                 inner, homogeneous_bcs=not full)
-        ud, p, _ = hs.space.split(x3)
-        ref = np.concatenate([project_div(hm.transfer, Function(hs.flux_space, ud)).coeffs, p])
-        assert rep.converged and rep.iterations == rep3.iterations
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    x, rep, _ = scpc_apply(cs, assemble_global(Tensor(hs.rhs)), inner)
+    x1, rep1, _ = condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, lambda S: inner)
+    assert rep.converged and rep1.converged
+    assert np.linalg.norm(x1 - x) <= 1e-12 * np.linalg.norm(x)
+
+    W, A = hs.space, Tensor(hs.a)
+    inv = A.blocks[:2, :2].inv
+    n_e, n_c = int(W.offsets[2]), hs.trace_space.ndof_global
+    cell_dofs = W.cell_dofs_global()
+    n_local = cell_dofs.shape[1] - hs.trace_space.local_dim
+    e_dofs, c_dofs = cell_dofs[:, :n_local], cell_dofs[:, n_local:] - n_e
+    for got, expr, rows, cols, shape in (
+            (cs.local_inverse, inv, e_dofs, e_dofs, (n_e, n_e)),
+            (cs.coupling, A.blocks[:2, 2:], e_dofs, c_dofs, (n_e, n_c)),
+            (cs.elimination, A.blocks[2:, :2] * inv, c_dofs, e_dofs, (n_c, n_e))):
+        blocks = expressions.evaluate_all(expressions.compile_expr(expr))
+        np.testing.assert_array_equal(got.toarray(), _placed(blocks, rows, cols, shape))
+    assert np.all(cs.coupling.data != 0.0)
+
+
+def test_one_shot_solve_keeps_no_local_inverse():
+    """Mixed-hybrid k=2 at n=64: when the one-shot solve configures its
+    trace solver it holds at most 12 MB (traced), its per-cell ``X`` and
+    ``y``, the condensed operator and int32 dof maps; a set-up keeps
+    29 MB."""
+    import tracemalloc
+
+    hs = hybridized_mixed_system(build_unit_square(64), PROB, 2)
+    hs.space.mesh.geometry()
+    held = []
+
+    def inner(S):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return KrylovConfig(method="cg", rtol=1e-8, maxiter=2000,
+                            preconditioner=jacobi_preconditioner(S))
+
+    tracemalloc.start()
+    try:
+        _, rep, _ = condensed_solve(hs.a, hs.rhs, FieldSplit((0, 1), (2,)), hs.trace_bcs, inner)
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert held[0] <= 12e6, held[0] / 1e6
 
 
 def test_hybridization_setup_peak_is_bounded_by_what_it_keeps():
@@ -594,20 +615,20 @@ def test_hybridization_setup_peak_is_bounded_by_what_it_keeps():
         assert not any(isinstance(v, sp.bsr_matrix) for v in fields.values()), type(obj)
 
 
-def test_compare_mixed_keeps_its_condensed_system(monkeypatch):
-    """The ``scpc-pc`` row of the mixed solver comparison applies the
-    block form of the condensed system that the hybridization row's
-    global form was built from."""
+def test_compare_mixed_shares_its_condensed_system(monkeypatch):
+    """The ``hybridization-pc`` and ``scpc-pc`` rows of the mixed solver
+    comparison apply one condensed system, set up once per mesh."""
     from hybridfem import study
 
     seen = []
-    real = study._scpc_pc
-    monkeypatch.setattr(study, "_scpc_pc", lambda cs, *args: seen.append(cs) or real(cs, *args))
+    real_pc, real_hybridized = study._scpc_pc, study.hybridized
+    monkeypatch.setattr(study, "_scpc_pc", lambda cs, *args: seen.append(cs) or real_pc(cs, *args))
+    monkeypatch.setattr(study, "hybridized",
+                        lambda a, hs, cs: seen.append(cs) or real_hybridized(a, hs, cs))
     rows = study.run_solver_compare(study.StudySpec(method="mixed-hybrid", degree=1,
                                                     sizes=(2, 4)))
     assert [r["path"] for r in rows] == ["direct", "hybridization-pc", "scpc-pc"] * 2
-    assert len(seen) == 2
-    for cs in seen:
-        assert isinstance(cs, CondensedSystem)
-        assert all(getattr(cs, name) is not None for name in
-                   ("local_inverse", "coupling", "elimination", "e_dofs", "c_dofs"))
+    assert len(seen) == 4
+    for hybrid_cs, scpc_cs in (seen[:2], seen[2:]):
+        assert isinstance(scpc_cs, CondensedSystem)
+        assert hybrid_cs is scpc_cs
