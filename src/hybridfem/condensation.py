@@ -216,23 +216,6 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     return x, report, stages
 
 
-def _by_dofs(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             shape: tuple[int, int]) -> sp.csr_matrix:
-    """Per-cell blocks (nc, r, k) placed at global rows ``rows`` (nc, r)
-    and columns ``cols`` (nc, k) as a CSR matrix, by permuting the block
-    rows.  Blocks that share a row fill it side by side; no two blocks
-    share an entry."""
-    nc, r, k = blocks.shape
-    rows = rows.ravel()
-    order = np.argsort(rows, kind="stable").astype(np.int32)
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=shape[0]) * k, out=indptr[1:])
-    del rows
-    data = blocks.reshape(nc * r, k)[order].ravel()
-    order //= r
-    return sp.csr_matrix((data, cols[order].ravel(), indptr), shape=shape)
-
-
 def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
                bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
     """Condense a multi-field system, keeping what applications need.
@@ -256,10 +239,10 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     # each output is freed once converted: a CSR form outweighs its dense
     # values, so the largest goes first, and the coupling before the
     # elimination operator, as dropping its zeros can shrink it
-    inv = _by_dofs(inv, elim_dofs, elim_dofs, (n_e, n_e))
-    coupling = _by_dofs(coupling, elim_dofs, cond_dofs, (n_e, n_c))
+    inv = scatter_csr(inv, elim_dofs, elim_dofs, (n_e, n_e), sum_duplicates=False)
+    coupling = scatter_csr(coupling, elim_dofs, cond_dofs, (n_e, n_c), sum_duplicates=False)
     coupling.eliminate_zeros()
-    elimination = _by_dofs(elimination, cond_dofs, elim_dofs, (n_c, n_e))
+    elimination = scatter_csr(elimination, cond_dofs, elim_dofs, (n_c, n_e), sum_duplicates=False)
     return CondensedSystem(S=S, constraints=constraints,
                            setup_time=time.perf_counter() - t0, local_inverse=inv,
                            coupling=coupling, elimination=elimination)

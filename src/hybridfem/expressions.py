@@ -592,21 +592,28 @@ def assemble_global(expr: TensorExpr):
 
 
 def scatter_csr(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                shape: tuple[int, int]) -> sp.csr_matrix:
+                shape: tuple[int, int], sum_duplicates: bool = True) -> sp.csr_matrix:
     """The CSR sum of per-cell blocks ``vals`` (nc, r, c) placed at
-    ``rows`` (nc, r) and ``cols`` (nc, c).  Duplicates are summed in
-    cell-major entry order, so equal inputs give equal bits; the COO
-    indices are int32 when both dimensions allow it."""
-    idx = np.int32 if max(shape) < 2**31 else np.int64
+    ``rows`` (nc, r) and ``cols`` (nc, c), without a COO: a stable argsort
+    of the row map puts the block rows in CSR order (cell-major within a
+    row), so no index is made per local entry.  Each row's duplicates are
+    then summed in place in that order, as scipy's COO conversion sums
+    them; ``sum_duplicates=False`` keeps them, for blocks that share no
+    entry.  Indices are int32 when the sizes allow it."""
     nc, r, c = vals.shape
-    i = np.repeat(rows.astype(idx, copy=False), c, axis=1).ravel()
-    j = np.tile(cols.astype(idx, copy=False), (1, r)).ravel()
-    del rows, cols  # maps the caller does not hold are freed before the conversion
-    A = sp.coo_matrix((vals.ravel(), (i, j)), shape=shape)
-    del i, j
-    A = A.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
+    idx = np.int32 if max(*shape, vals.size) < 2**31 else np.int64
+    rows = rows.ravel()
+    order = np.argsort(rows, kind="stable").astype(idx, copy=False)
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]) * c, out=indptr[1:])
+    del rows  # maps the caller does not hold are freed as soon as they are used
+    data = vals.reshape(nc * r, c)[order].ravel()
+    order //= r
+    A = sp.csr_matrix((data, cols.astype(idx, copy=False)[order].ravel(), indptr),
+                      shape=shape)
+    del order, cols
+    if sum_duplicates:
+        A.sum_duplicates()
     return A
 
 

@@ -37,7 +37,7 @@ class Mesh:
     """
 
     vertex_coords: np.ndarray      # (n_vertices, 2)
-    cell_vertices: np.ndarray      # (n_cells, 3), ccw
+    cell_vertices: np.ndarray      # (n_cells, 3), ccw; read-only (CG(1) dofs share it)
     facet_vertices: np.ndarray     # (n_facets, 2), lower vertex index first
     facet_cells: np.ndarray        # (n_facets, 2), -1 where absent
     facet_local_index: np.ndarray  # (n_facets, 2), local edge in each cell
@@ -95,7 +95,8 @@ class CellGeometry:
 
 @dataclass
 class MeshGeometry:
-    """Batched affine map data for all cells of a mesh."""
+    """Batched affine map data for all cells of a mesh.  No array pins a
+    larger one: ``origins`` is a copy, not a view of the vertex gather."""
 
     origins: np.ndarray        # (n_cells, 2), coordinates of local vertex 0
     jacobians: np.ndarray      # (n_cells, 2, 2)
@@ -113,7 +114,7 @@ class MeshGeometry:
 
 def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     coords = mesh.vertex_coords[mesh.cell_vertices]  # (nc, 3, 2)
-    origins = coords[:, 0, :]
+    origins = coords[:, 0].copy()
     jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=-1)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     bad = np.flatnonzero(det <= 0.0)
@@ -189,25 +190,31 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     """Facet topology of a triangulation.
 
     Facets are numbered in order of first appearance over (cell, local
-    edge); the first cell to reach a facet is its "+" side.
+    edge); the first cell to reach a facet is its "+" side.  One stable
+    sort of the edge keys groups each facet's occurrences, the first one
+    leading; a mask of first occurrences then numbers the facets.
     """
-    cell_vertices = np.asarray(cell_vertices, dtype=np.int64)
+    cell_vertices = np.asarray(cell_vertices, dtype=np.int64).view()
+    cell_vertices.flags.writeable = False
     n_cells = len(cell_vertices)
-    ends = cell_vertices[:, EDGE_VERTICES]  # (n_cells, 3, 2)
-    lo = ends.min(axis=2).ravel()
-    hi = ends.max(axis=2).ravel()
-    key = lo * (int(cell_vertices.max()) + 1) + hi
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    if np.any(counts > 2):
-        e = first[np.argmax(counts > 2)]
-        raise ValueError(f"facet {(int(lo[e]), int(hi[e]))} incident to more than two cells")
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    occ_facet = number[inverse.ravel()]  # facet of each (cell, local edge)
-    first_occ = first[order]
-    second_occ = np.setdiff1d(np.arange(3 * n_cells), first_occ, assume_unique=True)
+    ends = np.sort(cell_vertices[:, EDGE_VERTICES], axis=2).reshape(-1, 2)  # (lo, hi) per edge
+    key = ends[:, 0] * (int(cell_vertices.max()) + 1) + ends[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    triple = np.flatnonzero(key[2:] == key[:-2])
+    if len(triple):
+        raise ValueError(f"facet {tuple(ends[order[triple[0]]].tolist())} "
+                         "incident to more than two cells")
+    head = np.r_[True, key[1:] != key[:-1]]  # a facet's first occurrence, in key order
+    del key
+    first = order[head]
+    is_first = np.zeros(3 * n_cells, dtype=bool)
+    is_first[first] = True
+    occ_facet = np.empty_like(order)  # facet of each (cell, local edge)
+    occ_facet[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(head) - 1]
+    del order, head, first  # freed before the facet arrays are built
+    first_occ = np.flatnonzero(is_first)
+    second_occ = np.flatnonzero(~is_first)
 
     n_facets = len(first_occ)
     facet_cells = np.full((n_facets, 2), -1, dtype=np.int64)
@@ -220,7 +227,7 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     return Mesh(
         vertex_coords=np.asarray(coords, dtype=float),
         cell_vertices=cell_vertices,
-        facet_vertices=np.column_stack([lo[first_occ], hi[first_occ]]),
+        facet_vertices=ends[first_occ],
         facet_cells=facet_cells,
         facet_local_index=facet_local,
         cell_facets=occ_facet.reshape(n_cells, 3),

@@ -41,6 +41,7 @@ from .spaces import (
     Function,
     MixedSpace,
     break_space,
+    cell_blocks,
     create_space,
     eval_function,
     rt_interior_moments,
@@ -106,30 +107,26 @@ def flux_pp(u_h: Function, p_h: Function, lam_h: Function,
     leg = reference.shifted_legendre(k, tg)          # (nq, k+1)
     lam_t = lam_h.space.element().tabulate(tg)       # (nq, k+1), global parameter
 
-    nf = mesh.n_facets
-    per = k + 1
-    facet_moments = np.zeros((nf, per))
-    counts = np.zeros(nf)
+    facet_moments = np.zeros((mesh.n_facets, k + 1))
+    all_cells = slice(0, mesh.n_cells)
     for loc in range(3):
-        f = mesh.cell_facets[:, loc]
-        match = geo.dir_match[:, loc]
-        sign = np.where(match, 1.0, -1.0)
         # evaluate each side at the points in the facet's global direction
         pts_f = reference.edge_points(loc, tg)
         pts_r = reference.edge_points(loc, 1.0 - tg)
-        u_vals = np.where(match[:, None, None], eval_function(u_h, pts_f),
-                          eval_function(u_h, pts_r))
-        p_vals = np.where(match[:, None], eval_function(p_h, pts_f),
-                          eval_function(p_h, pts_r))
-        lam_vals = lam_t @ lam_h.coeffs[lam_h.space.facet_dofs[f]].T  # (nq, nc)
-        n_out = geo.edge_normals[np.arange(mesh.n_cells), loc]
-        u_n = np.einsum("cqd,cd->cq", u_vals, n_out)
-        flux = sign[:, None] * (u_n + tau * (p_vals - lam_vals.T))
-        length = geo.edge_lengths[:, loc]
-        moments = np.einsum("q,cq,qj->cj", w, flux, leg) * length[:, None]
-        np.add.at(facet_moments, f, moments)
-        np.add.at(counts, f, 1.0)
-    facet_moments /= counts[:, None]
+        # blocks inside the edge loop keep each facet's sum in cell order
+        for cells in cell_blocks(all_cells, len(tg)):
+            f = mesh.cell_facets[cells, loc]
+            match = geo.dir_match[cells, loc]
+            u_vals = np.where(match[:, None, None], eval_function(u_h, pts_f, cells),
+                              eval_function(u_h, pts_r, cells))
+            p_vals = np.where(match[:, None], eval_function(p_h, pts_f, cells),
+                              eval_function(p_h, pts_r, cells))
+            lam_vals = lam_t @ lam_h.coeffs[lam_h.space.facet_dofs[f]].T  # (nq, ncs)
+            u_n = np.einsum("cqd,cd->cq", u_vals, geo.edge_normals[cells, loc])
+            flux = np.where(match, 1.0, -1.0)[:, None] * (u_n + tau * (p_vals - lam_vals.T))
+            moments = np.einsum("q,cq,qj->cj", w, flux, leg) * geo.edge_lengths[cells, loc, None]
+            np.add.at(facet_moments, f, moments)
+    facet_moments /= np.bincount(mesh.cell_facets.ravel(), minlength=mesh.n_facets)[:, None]
 
     coeffs = np.zeros(target.ndof_global)
     kk = k + 1  # moments per facet in the target space
@@ -138,6 +135,7 @@ def flux_pp(u_h: Function, p_h: Function, lam_h: Function,
         coeffs[target.cell_dofs[:, loc * kk:(loc + 1) * kk]] = facet_moments[f]
     if kk > 1:
         rule = reference.triangle_quadrature(min(2 * k + 6, reference.MAX_EXACTNESS))
-        coeffs[target.cell_dofs[:, 3 * kk:]] = rt_interior_moments(
-            geo, rule, eval_function(u_h, rule.points), kk)
+        for cells in cell_blocks(all_cells, len(rule.weights)):
+            coeffs[target.cell_dofs[cells, 3 * kk:]] = rt_interior_moments(
+                geo, rule, eval_function(u_h, rule.points, cells), kk, cells)
     return Function(target, coeffs)

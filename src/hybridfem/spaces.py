@@ -93,7 +93,7 @@ class FunctionSpace:
     family: ElementFamily
     ndof_global: int
     cell_dofs: np.ndarray    # (n_cells, local_dim)
-    cell_signs: np.ndarray   # (n_cells, local_dim), entries +-1
+    cell_signs: np.ndarray   # (n_cells, local_dim), +-1; unsigned: zero-stride ones
     broken: bool = False
     facet_dofs: np.ndarray | None = None  # Trace and conforming RT only
 
@@ -181,14 +181,15 @@ def create_space(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
     if kind in ("DG", "VectorDG"):
         nd = family.local_dim
         dofs = np.arange(nc * nd, dtype=np.int64).reshape(nc, nd)
-        return FunctionSpace(mesh, family, nc * nd, dofs, np.ones((nc, nd)), broken=True)
+        return FunctionSpace(mesh, family, nc * nd, dofs, np.broadcast_to(1.0, dofs.shape),
+                             broken=True)
     if kind == "Trace":
         per = k + 1
         nf = mesh.n_facets
         facet_dofs = np.arange(nf * per, dtype=np.int64).reshape(nf, per)
         dofs = facet_dofs[mesh.cell_facets].reshape(nc, 3 * per)
-        return FunctionSpace(mesh, family, nf * per, dofs,
-                             np.ones((nc, 3 * per)), facet_dofs=facet_dofs)
+        return FunctionSpace(mesh, family, nf * per, dofs, np.broadcast_to(1.0, dofs.shape),
+                             facet_dofs=facet_dofs)
     if kind == "CG":
         return _create_cg(mesh, family)
     if kind == "RT":
@@ -202,6 +203,8 @@ def _create_cg(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
     n_edge = k - 1
     n_int = (k - 1) * (k - 2) // 2
     ndof = nv + nf * n_edge + nc * n_int
+    if k == 1:  # the vertex dofs are the mesh's own read-only array
+        return FunctionSpace(mesh, family, nv, mesh.cell_vertices, np.broadcast_to(1.0, (nc, 3)))
     nd = family.local_dim
     dofs = np.empty((nc, nd), dtype=np.int64)
     geo = mesh.geometry()
@@ -220,7 +223,7 @@ def _create_cg(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
     if n_int:
         interior = nv + nf * n_edge + np.arange(nc * n_int).reshape(nc, n_int)
         dofs[:, pos:] = interior
-    return FunctionSpace(mesh, family, ndof, dofs, np.ones((nc, nd)))
+    return FunctionSpace(mesh, family, ndof, dofs, np.broadcast_to(1.0, dofs.shape))
 
 
 def _create_rt(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
@@ -354,12 +357,13 @@ def _interpolate_rt(space: FunctionSpace, fn: Callable) -> Function:
     return Function(space, coeffs)
 
 
-def rt_interior_moments(geo, rule, vals: np.ndarray, k: int) -> np.ndarray:
-    """Interior dofs of RT(k) in every cell from vector values (nc, nq, 2)
-    at the points of ``rule``: reference moments of the Piola pull-back
-    against ``[P_{k-2}]^2``, in dof order, shaped (nc, k (k - 1))."""
-    jinv = np.linalg.inv(geo.jacobians)
-    pulled = geo.det_j[:, None, None] * np.einsum("cij,cqj->cqi", jinv, vals)
+def rt_interior_moments(geo, rule, vals: np.ndarray, k: int, cells=slice(None)) -> np.ndarray:
+    """Interior dofs of RT(k) in ``cells`` (default every cell) from
+    vector values (ncs, nq, 2) at the points of ``rule``: reference
+    moments of the Piola pull-back against ``[P_{k-2}]^2``, in dof order,
+    shaped (ncs, k (k - 1))."""
+    jinv = np.linalg.inv(geo.jacobians[cells])
+    pulled = geo.det_j[cells, None, None] * np.einsum("cij,cqj->cqi", jinv, vals)
     x, y = rule.points[:, 0], rule.points[:, 1]
     moments = []
     for i, j in reference.monomial_exponents(k - 2):
@@ -534,15 +538,13 @@ def contract(basis, local: np.ndarray) -> np.ndarray:
     return np.einsum("cdr,cqr->cqd", g, ref_vals, optimize=True)
 
 
-def eval_function(fn: Function, ref_points: np.ndarray) -> np.ndarray:
-    """Values of a function at reference points in every cell.
-
-    Returns (n_cells, n_points) for scalar families and
-    (n_cells, n_points, 2) for vector families.
-    """
+def eval_function(fn: Function, ref_points: np.ndarray, cells=slice(None)) -> np.ndarray:
+    """Values of a function at reference points in ``cells`` (a slice,
+    default every cell): (ncs, n_points) for scalar families and
+    (ncs, n_points, 2) for vector families."""
     space = fn.space
-    basis = ref_basis(space, "value", ref_points, space.mesh.geometry(), slice(None))
-    vals = contract(basis, fn.coeffs[space.cell_dofs])
+    basis = ref_basis(space, "value", ref_points, space.mesh.geometry(), cells)
+    vals = contract(basis, fn.coeffs[space.cell_dofs[cells]])
     return vals if space.family.is_vector else vals[..., 0]
 
 

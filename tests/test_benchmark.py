@@ -47,3 +47,12 @@ def test_traced_convergence_run_has_no_failures(tmp_path):
     result = traced_run("converge-mixed-k2", tmp_path)
     assert result["failures"] == [] and result["failed"] == 0
     assert result["attempted"] >= 2
+
+
+def test_traced_primal_run_has_no_failures(tmp_path):
+    """A short traced run of ``converge-cg-k1``: traced and untraced
+    primal solves give bit-identical errors, the per-unit counts repeat,
+    and every rate and reference check passes."""
+    result = traced_run("converge-cg-k1", tmp_path)
+    assert result["failures"] == [] and result["failed"] == 0
+    assert result["attempted"] >= 2

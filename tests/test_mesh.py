@@ -226,3 +226,31 @@ def test_jittered_square_moves_interior_vertices_only():
         build_jittered_square(5, 0.24, seed=3).vertex_coords, mesh.vertex_coords)
     with pytest.raises(ValueError):
         build_jittered_square(5, 0.25, seed=3)
+
+
+def test_build_peak_and_geometry_memory():
+    """At n=128 building the mesh peaks at most 2.4 times what it keeps
+    (one stable sort numbers the facets), and its geometry keeps at most
+    170 bytes a cell: ``origins`` is its own array, not a view pinning
+    the (n_cells, 3, 2) vertex gather."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        mesh = build_unit_square(128)
+        kept, peak = tracemalloc.get_traced_memory()
+        geo = mesh.geometry()
+        geo_kept = tracemalloc.get_traced_memory()[0] - kept
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * kept, (peak / 1e6, kept / 1e6)
+    assert geo_kept <= 170 * mesh.n_cells, geo_kept / mesh.n_cells
+    assert geo.origins.base is None
+    np.testing.assert_array_equal(geo.origins, mesh.vertex_coords[mesh.cell_vertices[:, 0]])
+
+
+def test_cell_vertices_are_read_only_without_touching_the_input():
+    cells = np.array([[0, 1, 2], [1, 3, 2]])
+    mesh = _mesh_from_cells(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), cells)
+    assert not mesh.cell_vertices.flags.writeable
+    assert cells.flags.writeable

@@ -282,3 +282,58 @@ def test_scalar_pp_peak_is_bounded_by_one_block(monkeypatch):
 
     whole, blocked = transient(mesh.n_cells), transient(mesh.n_cells // 8)
     assert blocked <= whole / 4, (blocked / 1e6, whole / 1e6)
+
+
+def _ldgh_data(mesh, k, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(Function(S, rng.standard_normal(S.ndof_global))
+                 for S in (create_space(mesh, VectorDG(k)), create_space(mesh, DG(k)),
+                           create_space(mesh, Trace(k))))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_flux_pp_blocked_equals_whole(monkeypatch, k):
+    """Flux reconstruction in blocks of seven cells (the last one shorter)
+    equals the one-block result to round-off on a jittered mesh.  Blocks
+    run inside the local-edge loop, so every facet's moments are summed in
+    the same order; what may differ is a cell's contraction with the
+    reference basis, one BLAS product per block."""
+    from hybridfem import spaces
+
+    mesh = build_jittered_square(5, 0.2, seed=3)
+    assert mesh.n_cells % 7
+    u_h, p_h, lam_h = _ldgh_data(mesh, k, seed=k)
+    want = flux_pp(u_h, p_h, lam_h, tau=2.0).coeffs
+    nq = len(edge_quadrature(2 * k + 6).points)
+    monkeypatch.setattr(spaces, "BLOCK_POINTS", 7 * nq)
+    got = flux_pp(u_h, p_h, lam_h, tau=2.0).coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_flux_pp_peak_is_bounded_by_one_block(monkeypatch):
+    """LDG-H k=1 data at n=64 in blocks of at most a fifth of the mesh:
+    the traced peak of ``flux_pp`` above what it keeps is at most a
+    quarter of that of one block, so no per-point array of the whole mesh
+    exists at once."""
+    import tracemalloc
+
+    from hybridfem import spaces
+
+    mesh = build_unit_square(64)
+    mesh.geometry()
+    u_h, p_h, lam_h = _ldgh_data(mesh, 1, seed=3)
+
+    def transient(block_points):
+        monkeypatch.setattr(spaces, "BLOCK_POINTS", block_points)
+        tracemalloc.start()
+        try:
+            u_star = flux_pp(u_h, p_h, lam_h, tau=1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u_star.coeffs.shape == (8 * mesh.n_cells,)
+        return peak - kept
+
+    # at least five points per cell in every evaluation
+    whole, blocked = transient(2**40), transient(mesh.n_cells)
+    assert blocked <= whole / 4, (blocked / 1e6, whole / 1e6)

@@ -317,3 +317,19 @@ def test_rt_point_values_on_jittered_mesh(k):
     phys = geo.origins[:, None, :] + np.einsum("cij,qj->cqi", geo.jacobians, pts)
     np.testing.assert_allclose(eval_function(fn, pts),
                                exact(phys[..., 0], phys[..., 1]), atol=1e-12)
+
+
+def test_unsigned_spaces_share_zero_stride_signs():
+    """Unsigned families keep their signs as read-only ones that take no
+    memory per cell; CG(1) numbers its dofs by the mesh's own read-only
+    vertex array."""
+    mesh = build_unit_square(3)
+    for fam in (DG(0), DG(2), VectorDG(1), CG(1), CG(3), Trace(1)):
+        V = create_space(mesh, fam)
+        assert V.cell_signs.shape == V.cell_dofs.shape
+        assert V.cell_signs.strides == (0, 0) and not V.cell_signs.flags.writeable
+        assert np.all(V.cell_signs == 1.0)
+    assert create_space(mesh, RT(1)).cell_signs.strides != (0, 0)
+    V = create_space(mesh, CG(1))
+    assert V.cell_dofs is mesh.cell_vertices and not V.cell_dofs.flags.writeable
+    assert V.ndof_global == mesh.n_vertices
