@@ -17,7 +17,6 @@ from hybridfem.problems import conforming_mixed_system, manufactured
 from hybridfem.solvers import (
     KrylovConfig,
     apply_bcs,
-    bc_lift_vector,
     exact_preconditioner,
     krylov_solve,
     sparse_direct_solve,
@@ -50,8 +49,7 @@ print(f"hybridized full solve: trace CG iterations {report.iterations}, "
 # used as a preconditioner inside an outer Krylov method
 pc = lambda r: hybridization_apply(hm, r, inner)[0]
 cfg = KrylovConfig(method="fgmres", rtol=1e-8, preconditioner=pc)
-x_outer, rep = krylov_solve(Ab, bb, cfg,
-                            x0=bc_lift_vector(len(bb), ms.flux_bcs))
+x_outer, rep = krylov_solve(Ab, bb, cfg, x0=ms.flux_bcs.vector(len(bb)))
 print(f"outer FGMRES with hybridization preconditioner: "
       f"{rep.iterations} iteration(s), true residual {rep.residual:.2e}")
 print(f"max |x_outer - x_direct| = {np.abs(x_outer - x_direct).max():.2e}")

@@ -46,6 +46,7 @@ from .expressions import (
     naive_evaluate,
 )
 from .solvers import (
+    Constraints,
     KrylovConfig,
     SolveReport,
     apply_bcs,
@@ -101,6 +102,7 @@ __all__ = [
     "compile_expr",
     "evaluate_all",
     "naive_evaluate",
+    "Constraints",
     "KrylovConfig",
     "SolveReport",
     "apply_bcs",

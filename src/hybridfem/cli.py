@@ -15,12 +15,12 @@ import sys
 from .io_vtk import export_fields
 from .mesh import build_unit_square
 from .problems import manufactured
+from .solvers import INNER_PCS
 from .study import (
     COMPARE_COLUMNS,
     CONVERGE_COLUMNS,
-    INNER_PCS,
     StudySpec,
-    format_value,
+    csv_lines,
     run_convergence,
     run_solver_compare,
     solve_hybridizable,
@@ -94,9 +94,7 @@ def _emit(rows, columns, csv_path):
         write_csv(csv_path, rows, columns)
         print(f"wrote {len(rows)} rows to {csv_path}")
     else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(format_value(row.get(c)) for c in columns))
+        print("\n".join(csv_lines(rows, columns)))
 
 
 def main(argv=None) -> int:

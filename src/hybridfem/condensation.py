@@ -52,7 +52,7 @@ from .expressions import (
 from .forms import FormIR
 from .mesh import NEUMANN
 from .problems import HybridizableSystem, hybridize
-from .solvers import KrylovConfig, SolveReport, bc_lift_vector, krylov_solve
+from .solvers import Constraints, KrylovConfig, SolveReport, krylov_solve
 from .spaces import (
     BrokenTransfer,
     Function,
@@ -101,11 +101,6 @@ class Stages:
                 + self.backsub + self.postprocess)
 
 
-# (dofs, values, lift): the constrained condensed-field dofs, their
-# values, and the unconstrained S times those values
-Constraints = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 @dataclass
 class CondensedSystem:
     """A condensed multi-field system.  The operators are CSR over the
@@ -113,7 +108,8 @@ class CondensedSystem:
     fields' dofs from 0."""
 
     S: sp.csr_matrix                 # condensed operator, constraints applied
-    constraints: Constraints
+    constraints: Constraints         # on the condensed fields' dofs from 0
+    lift: np.ndarray                 # the unconstrained S times constraints.vector
     setup_time: float
     local_inverse: sp.csr_matrix     # A_ee^{-1}
     coupling: sp.csr_matrix          # A_ec, structural zeros dropped
@@ -132,42 +128,39 @@ def _check_condensable(A: Tensor, split: FieldSplit) -> None:
             )
 
 
-def _condense(A: Tensor, split: FieldSplit, bcs: list[tuple[int, float]] | None,
-              *exprs: TensorExpr):
+def _condense(A: Tensor, split: FieldSplit, bcs: Constraints | None, *exprs: TensorExpr):
     """Evaluate ``exprs`` over ``A``'s cells in one plan; the last is the
-    local condensed operator ``S``.  Returns the other values, ``S`` with
-    the (dof, value) constraints ``bcs`` in the condensed fields'
-    numbering eliminated symmetrically, what lifting them needs, and each
-    cell's eliminated-field global dofs and condensed-field dofs from 0
-    (int32)."""
-    *values, s_local = evaluate_all(compile_expr(*exprs))
+    local condensed operator ``S``.  ``bcs`` number the dofs of ``A``'s
+    whole space and may constrain only condensed fields.  Returns the
+    other values, ``S`` with the constraints eliminated symmetrically,
+    the constraints moved to the condensed fields' dofs from 0 and their
+    lift ``S @ g``, and each cell's eliminated-field global dofs and
+    condensed-field dofs from 0 (int32)."""
     W, ne = A.form.test, len(split.eliminate)
     off, width = int(W.offsets[ne]), sum(s.local_dim for s in W.fields[:ne])
+    bcs = bcs or Constraints()
+    if len(bcs) and bcs.dofs[0] < off:
+        raise ValueError(f"constrained dof {bcs.dofs[0]} lies on an eliminated field "
+                         f"(the condensed fields start at dof {off})")
+    bcs = Constraints(bcs.dofs - off, bcs.values)
+    *values, s_local = evaluate_all(compile_expr(*exprs))
     cell_dofs = W.cell_dofs_global().astype(np.int32)
     maps = cell_dofs[:, :width], cell_dofs[:, width:] - np.int32(off)
     n = W.ndof_global - off
     S = scatter_csr(s_local, maps[1], maps[1], (n, n))
-    bcs = bcs or []
-    dofs = np.array([d for d, _ in bcs], dtype=int)
-    constraints = (dofs, np.array([v for _, v in bcs], dtype=float),
-                   S @ bc_lift_vector(n, bcs))
-    return values, constrain_matrix(S, dofs) if len(dofs) else S, constraints, maps
+    lift = S @ bcs.vector(n)
+    return values, constrain_matrix(S, bcs.dofs) if len(bcs) else S, bcs, lift, maps
 
 
-def _trace_solve(S: sp.csr_matrix, constraints: Constraints, E: np.ndarray,
+def _trace_solve(S: sp.csr_matrix, bcs: Constraints, lift: np.ndarray, E: np.ndarray,
                  inner: KrylovConfig, homogeneous_bcs: bool, stages: Stages
                  ) -> tuple[np.ndarray, SolveReport]:
-    """Constrain the condensed right-hand side ``E`` (zero at the
-    constrained dofs with ``homogeneous_bcs``, lifted otherwise) and
-    solve the condensed system.  The constraint step adds to
+    """Constrain the condensed right-hand side ``E`` (zeroed in place at
+    the constrained dofs with ``homogeneous_bcs``, lifted by ``lift``
+    otherwise) and solve ``S lambda = E``.  The constraint step adds to
     ``stages.forward``; the solve adds to ``stages.trace_solve``."""
     t0 = time.perf_counter()
-    dofs, values, lift = constraints
-    if homogeneous_bcs:
-        E[dofs] = 0.0
-    elif len(dofs):
-        E = E - lift
-        E[dofs] = values
+    E = bcs.rhs_homogeneous(E) if homogeneous_bcs else bcs.rhs(E, lift)
     t1 = time.perf_counter()
     lam, report = krylov_solve(S, E, inner)
     stages.forward += t1 - t0
@@ -176,15 +169,15 @@ def _trace_solve(S: sp.csr_matrix, constraints: Constraints, E: np.ndarray,
 
 
 def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
-                    bcs: list[tuple[int, float]] | None,
+                    bcs: Constraints | None,
                     make_inner: Callable[[sp.csr_matrix], KrylovConfig]
                     ) -> tuple[np.ndarray, SolveReport, Stages]:
     """Solve ``a x = rhs`` once by static condensation.
 
     One plan condenses the operator and the right-hand side; only
     ``X = A_ee^{-1} A_ec``, ``y = A_ee^{-1} F_e`` and the condensed
-    operator are kept through the trace solve.  ``bcs`` are (dof, value)
-    constraints in the condensed fields' numbering; ``make_inner(S)``
+    operator are kept through the trace solve.  ``bcs`` constrain dofs of
+    the condensed fields, numbered in ``a``'s whole space; ``make_inner(S)``
     configures the trace solve, and its time counts as trace-solve time.
     """
     A, F = Tensor(a), Tensor(rhs)
@@ -196,7 +189,7 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     X = inv * A.blocks[:ne, ne:]
     y = inv * F.blocks[:ne]
     # rebinding the names to the values frees the nodes that memoize them
-    (X, y, e_local), S, constraints, (elim_dofs, cond_dofs) = _condense(
+    (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
         A, split, bcs, X, y, F.blocks[ne:] - A_ce * y, A.blocks[ne:, ne:] - A_ce * X)
     stages = Stages(condensation=time.perf_counter() - t0)
 
@@ -207,7 +200,7 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     t0 = time.perf_counter()
     inner = make_inner(S)
     stages.trace_solve = time.perf_counter() - t0
-    lam, report = _trace_solve(S, constraints, E, inner, False, stages)
+    lam, report = _trace_solve(S, bcs, lift, E, inner, False, stages)
 
     t0 = time.perf_counter()
     x = np.concatenate([np.empty(elim_dofs.size), lam])
@@ -217,13 +210,13 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
 
 
 def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
-               bcs: list[tuple[int, float]] | None = None) -> CondensedSystem:
+               bcs: Constraints | None = None) -> CondensedSystem:
     """Condense a multi-field system, keeping what applications need.
 
     ``a`` is the form, or its :class:`Tensor`; a tensor whose value the
-    caller has memoized is not assembled again.  ``bcs`` lists (dof, value)
-    constraints in the condensed fields' local numbering, eliminated
-    symmetrically and lifted by :func:`scpc_apply`.
+    caller has memoized is not assembled again.  ``bcs`` constrain dofs of
+    the condensed fields, numbered in ``a``'s whole space; they are
+    eliminated symmetrically and lifted by :func:`scpc_apply`.
     """
     A = a if isinstance(a, Tensor) else Tensor(a)
     _check_condensable(A, split)
@@ -233,7 +226,7 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     coupling = A.blocks[:ne, ne:]
     elimination = A.blocks[ne:, :ne] * inv
     # rebinding the names to the values frees the nodes that memoize them
-    (inv, coupling, elimination), S, constraints, (elim_dofs, cond_dofs) = _condense(
+    (inv, coupling, elimination), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
         A, split, bcs, inv, coupling, elimination, A.blocks[ne:, ne:] - elimination * coupling)
     n_e, n_c = elim_dofs.size, S.shape[0]
     # each output is freed once converted: a CSR form outweighs its dense
@@ -243,7 +236,7 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     coupling = scatter_csr(coupling, elim_dofs, cond_dofs, (n_e, n_c), sum_duplicates=False)
     coupling.eliminate_zeros()
     elimination = scatter_csr(elimination, cond_dofs, elim_dofs, (n_c, n_e), sum_duplicates=False)
-    return CondensedSystem(S=S, constraints=constraints,
+    return CondensedSystem(S=S, constraints=bcs, lift=lift,
                            setup_time=time.perf_counter() - t0, local_inverse=inv,
                            coupling=coupling, elimination=elimination)
 
@@ -269,7 +262,7 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     r_e = residual[:n_e]
     E = residual[n_e:] - cs.elimination @ r_e
     stages.forward = time.perf_counter() - t0
-    lam, report = _trace_solve(cs.S, cs.constraints, E, inner, homogeneous_bcs, stages)
+    lam, report = _trace_solve(cs.S, cs.constraints, cs.lift, E, inner, homogeneous_bcs, stages)
 
     t0 = time.perf_counter()
     out = np.concatenate([cs.local_inverse @ (r_e - cs.coupling @ lam), lam])

@@ -580,15 +580,16 @@ def assemble_global(expr: TensorExpr):
     """Gather per-cell expression values into a CSR matrix or vector."""
     plan = compile_expr(expr)
     vals = evaluate_all(plan)
-    if expr.rank == 2:
-        return scatter_csr(vals, _global_maps(expr.axes[0]), _global_maps(expr.axes[1]),
-                           (sum(s.ndof_global for s in expr.axes[0]),
-                            sum(s.ndof_global for s in expr.axes[1])))
+    shape = tuple(sum(s.ndof_global for s in axis) for axis in expr.axes)
     if expr.rank == 1:
-        rows = _global_maps(expr.axes[0])
-        n = sum(s.ndof_global for s in expr.axes[0])
-        return np.bincount(rows.ravel(), vals.ravel(), minlength=n)
-    raise ValueError("global assembly requires a rank-1 or rank-2 expression")
+        return np.bincount(_global_maps(expr.axes[0]).ravel(), vals.ravel(), minlength=shape[0])
+    if expr.rank != 2:
+        raise ValueError("global assembly requires a rank-1 or rank-2 expression")
+    test, trial = expr.axes
+    if len(test) == len(trial) and all(s is t for s, t in zip(test, trial)):
+        rows = _global_maps(test)  # the same spaces on both axes share one map
+        return scatter_csr(vals, rows, rows, shape)
+    return scatter_csr(vals, _global_maps(test), _global_maps(trial), shape)
 
 
 def scatter_csr(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .reference import scalar_element
+from .solvers import Constraints
 from .spaces import (
     CG,
     DG,
@@ -166,7 +167,7 @@ class HybridizableSystem:
     space: MixedSpace                  # (flux, scalar, trace)
     a: FormIR
     rhs: FormIR
-    trace_bcs: list[tuple[int, float]]
+    trace_bcs: Constraints             # on the trace dofs of ``space``
     tau: float | None = None
 
     @property
@@ -213,8 +214,7 @@ def hybridize(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
         flux = dot(vfld(neumann_flux, FIELD_DEGREE), Normal())
         rhs_terms.append(
             IntegralTerm(EXTERIOR, -dot(test(2), flux), NEUMANN))
-    bcs = [(int(d), 0.0) for d in
-           np.sort(M.facet_dofs[mesh.facets_with_label(DIRICHLET)].ravel())]
+    bcs = _facet_constraints(M, mesh.facets_with_label(DIRICHLET), 0.0, int(W.offsets[2]))
     return HybridizableSystem("mixed-hybrid", U.family.degree, W,
                               FormIR(W, W, terms), FormIR(W, None, rhs_terms),
                               bcs)
@@ -267,14 +267,9 @@ def ldgh_system(mesh: Mesh, prob: ManufacturedProblem, degree: int,
         IntegralTerm(CELL, dot(test(1), fld(prob.f))),
         IntegralTerm(EXTERIOR, -dot(test(2), prob.flux_expr()), NEUMANN),
     ])
-    dir_facets = mesh.facets_with_label(DIRICHLET)
-    bcs: list[tuple[int, float]] = []
-    if len(dir_facets):
-        vals = project_onto_facets(M, dir_facets, prob.p0.fn)
-        for row, f in enumerate(dir_facets):
-            for j, d in enumerate(M.facet_dofs[f]):
-                bcs.append((int(d), float(vals[row, j])))
-    bcs.sort()
+    dirichlet = mesh.facets_with_label(DIRICHLET)
+    bcs = _facet_constraints(M, dirichlet, project_onto_facets(M, dirichlet, prob.p0.fn),
+                             int(W.offsets[2]))
     return HybridizableSystem("ldgh", degree, W, a, rhs, bcs, tau=tau)
 
 
@@ -286,7 +281,7 @@ class MixedSystem:
     space: MixedSpace   # (RT conforming, DG)
     a: FormIR
     rhs: FormIR
-    flux_bcs: list[tuple[int, float]]
+    flux_bcs: Constraints  # on the flux dofs of ``space``
 
 
 def conforming_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
@@ -304,14 +299,8 @@ def conforming_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
         IntegralTerm(CELL, dot(test(1), fld(prob.f))),
         IntegralTerm(EXTERIOR, -dot(jump(test(0)), fld(prob.p0)), DIRICHLET),
     ])
-    bcs: list[tuple[int, float]] = []
-    neu = mesh.facets_with_label(NEUMANN)
-    if len(neu):
-        vals = global_edge_moments(U, neu, prob.u)
-        for row, f in enumerate(neu):
-            for j, d in enumerate(U.facet_dofs[f]):
-                bcs.append((int(d), float(vals[row, j])))
-    bcs.sort()
+    neumann = mesh.facets_with_label(NEUMANN)
+    bcs = _facet_constraints(U, neumann, global_edge_moments(U, neumann, prob.u))
     return MixedSystem(degree, W, a, rhs, bcs)
 
 
@@ -321,7 +310,7 @@ class PrimalSystem:
     space: FunctionSpace
     a: FormIR
     rhs: FormIR
-    dirichlet_bcs: list[tuple[int, float]]
+    dirichlet_bcs: Constraints
 
 
 def primal_cg_system(mesh: Mesh, prob: ManufacturedProblem,
@@ -341,8 +330,19 @@ def primal_cg_system(mesh: Mesh, prob: ManufacturedProblem,
     pts = mesh.geometry().physical_points(scalar_element(degree).nodes, cells)
     vals = np.zeros(V.ndof_global)
     vals[V.cell_dofs[cells]] = prob.p0(pts[..., 0], pts[..., 1])
-    bcs = [(int(d), float(vals[d])) for d in cg_boundary_dofs(V, facets)]
-    return PrimalSystem(degree, V, a, rhs, bcs)
+    dofs = cg_boundary_dofs(V, facets)
+    return PrimalSystem(degree, V, a, rhs, Constraints(dofs, vals[dofs]))
+
+
+def _facet_constraints(space: FunctionSpace, facets: np.ndarray, values,
+                       offset: int = 0) -> Constraints:
+    """Constraints fixing the dofs of ``space`` on ``facets`` to ``values``
+    (shaped like their ``facet_dofs``, or one value for all), numbered
+    from ``offset``, the start of ``space`` in its system's mixed space."""
+    dofs = space.facet_dofs[facets]
+    order = np.argsort(dofs, axis=None)
+    return Constraints(dofs.ravel()[order] + offset,
+                       np.broadcast_to(values, dofs.shape).ravel()[order])
 
 
 def cg_boundary_dofs(V: FunctionSpace, facets: np.ndarray) -> np.ndarray:

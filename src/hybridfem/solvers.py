@@ -1,6 +1,6 @@
 """Global Krylov solvers, the sparse direct oracle and boundary conditions.
 
-CG, GMRES, and flexible GMRES are implemented here directly: flexible
+CG and flexible GMRES are implemented here directly: flexible
 preconditioning (inner Krylov solves inside the preconditioner) and
 deterministic iteration reports are needed, and runs are serial.
 Sparse direct solves are delegated to scipy.
@@ -25,7 +25,7 @@ from .expressions import constrain_matrix
 
 @dataclass
 class KrylovConfig:
-    method: str = "cg"  # "cg" | "gmres" | "fgmres"
+    method: str = "cg"  # "cg" | "fgmres"
     rtol: float = 1e-8
     maxiter: int = 2000
     restart: int = 50
@@ -36,8 +36,8 @@ class KrylovConfig:
             raise ValueError("rtol must lie in (0, 1)")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
-        if self.method not in ("cg", "gmres", "fgmres"):
-            raise ValueError(f"unknown Krylov method {self.method!r}")
+        if self.method not in ("cg", "fgmres"):
+            raise ValueError(f"unknown Krylov method {self.method!r}; use 'cg' or 'fgmres'")
 
 
 @dataclass
@@ -65,31 +65,29 @@ def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
     b = np.asarray(b, dtype=float)
     if b.shape != (A.shape[0],):
         raise ValueError("right-hand side does not match the operator")
-    if cfg.method == "cg":
-        x, its, res, stop = _cg(matvec, b, cfg, x0)
-    else:
-        x, its, res, stop = _fgmres(matvec, b, cfg, x0)
+    x, its, res, stop = np.zeros(len(b)), 0, 0.0, "converged"
+    bnorm = np.linalg.norm(b)
+    if bnorm != 0.0:
+        if x0 is not None:
+            x = np.asarray(x0, dtype=float).copy()
+        r = b.copy() if x0 is None else b - matvec(x)
+        res = np.linalg.norm(r) / bnorm
+        if not res <= cfg.rtol:
+            method = _cg if cfg.method == "cg" else _fgmres
+            x, its, res, stop = method(matvec, b, bnorm, x, r, res,
+                                       cfg.preconditioner or (lambda v: v), cfg)
     converged = bool(res <= cfg.rtol)
     report = SolveReport(cfg.method, its, res, converged,
                          "converged" if converged else stop)
     return x, report
 
 
-def _cg(matvec, b, cfg, x0):
-    """Preconditioned CG; returns (x, iterations, residual, stop reason)."""
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    M = cfg.preconditioner or (lambda v: v)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0, "converged"
-    r = b.copy() if x0 is None else b - matvec(x)
+def _cg(matvec, b, bnorm, x, r, res, M, cfg):
+    """Preconditioned CG from ``x``, whose residual ``r`` has relative norm
+    ``res``; returns (x, iterations, residual, stop reason)."""
     z = M(r)
     p = z.copy()
     rz = r @ z
-    res = np.linalg.norm(r) / bnorm
-    if res <= cfg.rtol:
-        return x, 0, res, "converged"
     for it in range(1, cfg.maxiter + 1):
         Ap = matvec(p)
         denom = p @ Ap
@@ -109,25 +107,16 @@ def _cg(matvec, b, cfg, x0):
     return x, cfg.maxiter, res, "maxiter"
 
 
-def _fgmres(matvec, b, cfg, x0):
-    """Right-preconditioned flexible GMRES with restarts.
+def _fgmres(matvec, b, bnorm, x, r, res, M, cfg):
+    """Right-preconditioned flexible GMRES with restarts, from ``x`` as
+    :func:`_cg` starts.
 
     The monitored residual is the true residual of the original system,
     so convergence reports need no un-preconditioning.  A breakdown (no
     new Krylov direction) ends the iteration after its least-squares
     update; returns (x, iterations, residual, stop reason).
     """
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    M = cfg.preconditioner or (lambda v: v)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0, "converged"
-    total_its = 0
-    r = b.copy() if x0 is None else b - matvec(x)
-    res = np.linalg.norm(r) / bnorm
-    if res <= cfg.rtol:
-        return x, 0, res, "converged"
+    n, total_its = len(b), 0
     m = cfg.restart
     breakdown = False
     while total_its < cfg.maxiter:
@@ -208,35 +197,70 @@ def sparse_direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def apply_bcs(A: sp.spmatrix, b: np.ndarray, bcs) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Symmetric elimination of constrained dofs with right-hand-side lift.
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """Strong constraints ``x[dofs] = values`` in the global numbering of
+    the space of the system they constrain: sorted, distinct, non-negative
+    integer dofs with one finite value each, kept as read-only arrays."""
 
-    ``bcs`` is a list of (dof, value).  Rows and columns are zeroed with
-    a unit diagonal; known values are lifted off the free equations.
-    """
+    dofs: np.ndarray = ()
+    values: np.ndarray = ()
+
+    def __post_init__(self):
+        dofs, values = np.array(self.dofs), np.array(self.values, dtype=float)
+        integer = dofs.dtype.kind in "iu" or dofs.size == 0
+        if dofs.ndim != 1 or not integer or values.shape != dofs.shape:
+            raise ValueError(f"constraints need a 1-d integer array of dofs and one value each, not "
+                             f"{dofs.dtype} dofs of shape {dofs.shape} and {values.shape} values")
+        dofs = dofs.astype(np.int64)
+        unsorted = np.diff(dofs) <= 0
+        if unsorted.any():
+            d, prev = dofs[unsorted.argmax() + 1], dofs[unsorted.argmax()]
+            raise ValueError(f"constrained dof {d} is "
+                             + ("repeated" if d == prev else f"out of order after {prev}"))
+        if len(dofs) and dofs[0] < 0:
+            raise ValueError(f"constrained dof {dofs[0]} is negative")
+        if not np.isfinite(values).all():
+            raise ValueError(f"the value on constrained dof {dofs[~np.isfinite(values)][0]} "
+                             "is not finite")
+        dofs.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "dofs", dofs)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.dofs)
+
+    def vector(self, n: int) -> np.ndarray:
+        """The length-``n`` vector ``g`` with the values at the dofs and zero
+        elsewhere: the lift source and an initial guess."""
+        if len(self) and self.dofs[-1] >= n:
+            raise ValueError(f"constrained dof {self.dofs[-1]} is out of range for {n} dofs")
+        g = np.zeros(n)
+        g[self.dofs] = self.values
+        return g
+
+    def rhs(self, b: np.ndarray, lift: np.ndarray) -> np.ndarray:
+        """``b - lift`` with the values at the dofs, ``lift`` being the
+        unconstrained operator times :meth:`vector`."""
+        out = np.asarray(b, dtype=float) - lift
+        out[self.dofs] = self.values
+        return out
+
+    def rhs_homogeneous(self, b: np.ndarray) -> np.ndarray:
+        """``b`` with zeros at the dofs, written in place (residual correction)."""
+        b[self.dofs] = 0.0
+        return b
+
+
+def apply_bcs(A: sp.spmatrix, b: np.ndarray,
+              bcs: Constraints | None) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Symmetric elimination of the constrained dofs ``bcs`` with
+    right-hand-side lift.  Rows and columns are zeroed with a unit
+    diagonal; known values are lifted off the free equations."""
     if not bcs:
         return A.tocsr(), np.asarray(b, dtype=float).copy()
-    dofs = np.asarray([d for d, _ in bcs], dtype=int)
-    values = np.asarray([v for _, v in bcs], dtype=float)
-    return constrain_matrix(A, dofs), lift_bcs(A, b, dofs, values)
-
-
-def lift_bcs(A: sp.spmatrix, b: np.ndarray, dofs: np.ndarray,
-             values: np.ndarray) -> np.ndarray:
-    """Lift known values off the free equations of ``b`` and place them
-    on the constrained ones."""
-    lift = np.zeros(A.shape[0])
-    lift[dofs] = values
-    out = np.asarray(b, dtype=float) - A @ lift
-    out[dofs] = values
-    return out
-
-
-def bc_lift_vector(n: int, bcs) -> np.ndarray:
-    x = np.zeros(n)
-    for d, v in bcs:
-        x[d] = v
-    return x
+    b = bcs.rhs(b, A @ bcs.vector(A.shape[0]))
+    return constrain_matrix(A, bcs.dofs), b
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +340,13 @@ def multigrid_preconditioner(A: sp.spmatrix, maps: list) -> Callable[[np.ndarray
     return cycle
 
 
+INNER_PCS = ("none", "jacobi", "multigrid", "exact")
+
+
 def make_preconditioner(A: sp.spmatrix, name: str | None, maps: list | None = None):
-    """Resolve a named inner preconditioner: none, jacobi, multigrid (which
-    needs the maps of :func:`hybridfem.spaces.p1_hierarchy`) or exact."""
+    """Resolve a named inner preconditioner, one of ``INNER_PCS``: none,
+    jacobi, multigrid (which needs the maps of
+    :func:`hybridfem.spaces.p1_hierarchy`) or exact."""
     if name in (None, "none"):
         return None
     if name == "jacobi":
@@ -329,4 +357,4 @@ def make_preconditioner(A: sp.spmatrix, name: str | None, maps: list | None = No
         return multigrid_preconditioner(A, maps)
     if name == "exact":
         return exact_preconditioner(A)
-    raise ValueError(f"unknown preconditioner {name!r}")
+    raise ValueError(f"unknown preconditioner {name!r}; choose one of {', '.join(INNER_PCS)}")

@@ -41,10 +41,10 @@ from .problems import (
     primal_cg_system,
 )
 from .solvers import (
+    INNER_PCS,
     KrylovConfig,
     SolveReport,
     apply_bcs,
-    bc_lift_vector,
     krylov_solve,
     make_preconditioner,
     sparse_direct_solve,
@@ -52,7 +52,6 @@ from .solvers import (
 from .spaces import Function, cell_blocks, contract, p1_hierarchy, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
-INNER_PCS = ("none", "jacobi", "multigrid", "exact")
 
 CONVERGE_COLUMNS = [
     "method", "problem", "degree", "tau", "n", "h", "cells",
@@ -195,7 +194,7 @@ def solve_primal(mesh: Mesh, prob: ManufacturedProblem,
                        ps.dirichlet_bcs)
     assembly = time.perf_counter() - t0
     cfg, t_inner = _inner_config(spec, Ab, ps.space)
-    x0 = bc_lift_vector(len(bb), ps.dirichlet_bcs)
+    x0 = ps.dirichlet_bcs.vector(len(bb))
     t0 = time.perf_counter()
     x, report = krylov_solve(Ab, bb, cfg, x0=x0)
     solve = time.perf_counter() - t0
@@ -207,8 +206,8 @@ def solve_primal(mesh: Mesh, prob: ManufacturedProblem,
 # convergence study
 
 
-def _rate(prev: float | None, cur: float, ratio: float) -> float | None:
-    if prev is None or prev <= 0.0 or cur <= 0.0:
+def _rate(prev: float | None, cur: float | None, ratio: float | None) -> float | None:
+    if prev is None or cur is None or prev <= 0.0 or cur <= 0.0:
         return None
     return float(np.log(prev / cur) / np.log(ratio))
 
@@ -229,14 +228,9 @@ def run_convergence(spec: StudySpec) -> list[dict]:
         }
         if spec.method == "cg-primal":
             res = solve_primal(mesh, prob, spec)
-            row.update({
-                "dofs_flux": None, "dofs_trace": None,
-                "dofs_scalar": res.p.space.ndof_global,
-                "err_p": l2_error(res.p, prob.p),
-                "err_u": None, "err_pstar": None, "err_ustar": None,
-                "err_div_ustar": None,
-            })
-            report, stages = res.report, res.stages
+            row.update(dict.fromkeys(("dofs_flux", "dofs_trace", "err_u", "err_pstar",
+                                      "err_ustar", "err_div_ustar")),
+                       dofs_scalar=res.p.space.ndof_global, err_p=l2_error(res.p, prob.p))
         else:
             res = solve_hybridizable(mesh, prob, spec)
             row.update({
@@ -251,40 +245,23 @@ def run_convergence(spec: StudySpec) -> list[dict]:
                 "err_div_ustar": (l2_error_div(res.u_star, prob.div_u)
                                   if res.u_star is not None else None),
             })
-            report, stages = res.report, res.stages
-        ratio = None if prev_n is None else n / prev_n
         for name in ("p", "u", "pstar", "ustar", "div_ustar"):
-            err = row.get(f"err_{name}")
-            row[f"rate_{name}"] = (
-                _rate(prev.get(name), err, ratio)
-                if ratio is not None and err is not None else None
-            )
+            err = row[f"err_{name}"]
+            row[f"rate_{name}"] = _rate(prev.get(name), err, prev_n and n / prev_n)
             prev[name] = err
         prev_n = n
-        row.update({
-            "iterations": report.iterations,
-            "converged": int(report.converged),
-            "residual": report.residual,
-        })
-        row.update(_stage_columns(stages, spec.serial))
+        row.update(iterations=res.report.iterations, converged=int(res.report.converged),
+                   residual=res.report.residual, **_stage_columns(res.stages, spec.serial))
         rows.append(row)
-        del res, mesh, report, stages  # freed before the next mesh is built
+        del res, mesh  # freed before the next mesh is built
     return rows
 
 
 def _stage_columns(stages: Stages, serial: bool) -> dict:
-    if serial:
-        return {k: 0.0 for k in
-                ("t_condense", "t_forward", "t_trace", "t_backsub", "t_post",
-                 "t_total")}
-    return {
-        "t_condense": stages.condensation,
-        "t_forward": stages.forward,
-        "t_trace": stages.trace_solve,
-        "t_backsub": stages.backsub,
-        "t_post": stages.postprocess,
-        "t_total": stages.total(),
-    }
+    seconds = (stages.condensation, stages.forward, stages.trace_solve, stages.backsub,
+               stages.postprocess, stages.total())
+    return dict(zip(("t_condense", "t_forward", "t_trace", "t_backsub", "t_post", "t_total"),
+                    (0.0,) * 6 if serial else seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +323,13 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
 def _scpc_pc(cs, system: HybridizableSystem, A, inner: KrylovConfig,
              t_inner: float, spec, base):
     """Outer FGMRES on the three-field ``system`` condensed by ``cs``, with
-    ``A`` the global matrix of ``system.a``, its trace BCs shifted to
-    global dofs and lifted into the initial guess, preconditioned by
-    static condensation; ``t_inner`` is the set-up time of ``inner``'s
-    preconditioner.  Returns the constrained operator and right-hand
-    side, the solution and its row."""
-    off = int(system.space.offsets[2])
-    gbcs = [(d + off, v) for d, v in system.trace_bcs]
-    A, b = apply_bcs(A, assemble_global(Tensor(system.rhs)), gbcs)
-    x, row = _fgmres_row(A, b, bc_lift_vector(len(b), gbcs),
+    ``A`` the global matrix of ``system.a``, its trace BCs applied and
+    lifted into the initial guess, preconditioned by static condensation;
+    ``t_inner`` is the set-up time of ``inner``'s preconditioner.  Returns
+    the constrained operator and right-hand side, the solution and its
+    row."""
+    A, b = apply_bcs(A, assemble_global(Tensor(system.rhs)), system.trace_bcs)
+    x, row = _fgmres_row(A, b, system.trace_bcs.vector(len(b)),
                          lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
                          Stages(condensation=cs.setup_time, trace_solve=t_inner),
                          spec, base, "scpc-pc")
@@ -377,7 +352,7 @@ def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
     cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
     hm = hybridized(ms.a, hs, cs)
     inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
-    xh, hybrid = _fgmres_row(Ab, bb, bc_lift_vector(len(bb), ms.flux_bcs),
+    xh, hybrid = _fgmres_row(Ab, bb, ms.flux_bcs.vector(len(bb)),
                              lambda r: hybridization_apply(hm, r, inner),
                              Stages(condensation=hm.cs.setup_time, trace_solve=t_inner),
                              spec, base, "hybridization-pc")
@@ -411,18 +386,19 @@ def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
 def format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12e}"
     return str(v)
 
 
+def csv_lines(rows: list[dict], columns: list[str]) -> list[str]:
+    """The header and one line per row, values formatted by :func:`format_value`."""
+    return [",".join(columns)] + [",".join(format_value(row.get(c)) for c in columns)
+                                  for row in rows]
+
+
 def write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_value(row.get(c)) for c in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(csv_lines(rows, columns)) + "\n")

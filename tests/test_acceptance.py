@@ -34,7 +34,6 @@ from hybridfem.reference import edge_points
 from hybridfem.solvers import (
     KrylovConfig,
     apply_bcs,
-    bc_lift_vector,
     exact_preconditioner,
     krylov_solve,
     sparse_direct_solve,
@@ -137,17 +136,16 @@ def test_criterion_4_one_iteration_exactness():
     x, rep = krylov_solve(Ab, bb,
                           KrylovConfig(method="fgmres", rtol=1e-8,
                                        preconditioner=pc),
-                          x0=bc_lift_vector(len(bb), ms.flux_bcs))
+                          x0=ms.flux_bcs.vector(len(bb)))
     ok &= rep.converged and rep.iterations == 1
     hyb_iters = rep.iterations
 
     # static condensation preconditioner on the three-field system
     hs = hybridized_mixed_system(mesh, PROB, 1)
     cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    off = int(hs.space.offsets[2])
     A3 = assemble_global(Tensor(hs.a))
     b3 = assemble_global(Tensor(hs.rhs))
-    A3b, b3b = apply_bcs(A3, b3, [(d + off, v) for d, v in hs.trace_bcs])
+    A3b, b3b = apply_bcs(A3, b3, hs.trace_bcs)
     pc3 = lambda r: scpc_apply(cs, r, exact_inner(cs.S), homogeneous_bcs=True)[0]
     x3, rep3 = krylov_solve(A3b, b3b,
                             KrylovConfig(method="fgmres", rtol=1e-8,

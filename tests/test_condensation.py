@@ -34,8 +34,8 @@ from hybridfem.problems import (
 )
 from hybridfem.solvers import (
     KrylovConfig,
+    Constraints,
     apply_bcs,
-    bc_lift_vector,
     exact_preconditioner,
     jacobi_preconditioner,
     krylov_solve,
@@ -124,14 +124,48 @@ def test_condensed_solve_matches_direct(method, degree):
     cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
     rhs = assemble_global(Tensor(hs.rhs))
     x, rep, stages = scpc_apply(cs, rhs, exact_inner(cs.S))
-    off = int(hs.space.offsets[2])
     A = assemble_global(Tensor(hs.a))
-    Ab, bb = apply_bcs(A, rhs, [(d + off, v) for d, v in hs.trace_bcs])
+    Ab, bb = apply_bcs(A, rhs, hs.trace_bcs)
     xd = sparse_direct_solve(Ab, bb)
     scale = np.abs(xd).max()
     assert np.abs(x - xd).max() < 1e-9 * scale
     assert rep.converged
     assert stages.total() > 0.0
+
+
+@pytest.mark.parametrize("method", ["mixed-hybrid", "ldgh"])
+def test_one_constraints_value_serves_direct_and_condensed_solves(method):
+    """The system's trace constraints, unshifted, constrain both the
+    three-field matrix and the condensation; LDG-H's are nonzero."""
+    mesh = mark_boundary(build_jittered_square(4, 0.2, 3), neumann_left)
+    prob = manufactured("expsin")
+    hs = (hybridized_mixed_system(mesh, prob, 2) if method == "mixed-hybrid"
+          else ldgh_system(mesh, prob, 1))
+    split = FieldSplit((0, 1), (2,))
+    x, rep, _ = condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, exact_inner)
+    Ab, bb = apply_bcs(assemble_global(Tensor(hs.a)), assemble_global(Tensor(hs.rhs)),
+                       hs.trace_bcs)
+    xd = sparse_direct_solve(Ab, bb)
+    assert rep.converged
+    assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
+    cs = scpc_setup(hs.a, split, hs.trace_bcs)
+    np.testing.assert_array_equal(cs.constraints.dofs + hs.space.offsets[2], hs.trace_bcs.dofs)
+    np.testing.assert_array_equal(cs.constraints.values, hs.trace_bcs.values)
+
+
+def test_constraint_on_an_eliminated_field_is_named():
+    hs = hybridized_mixed_system(build_unit_square(2), PROB, 1)
+    dofs = np.concatenate([[5], hs.trace_bcs.dofs])
+    bcs = Constraints(dofs, np.zeros(len(dofs)))
+    split = FieldSplit((0, 1), (2,))
+    with pytest.raises(ValueError, match="dof 5 lies on an eliminated field"):
+        scpc_setup(hs.a, split, bcs)
+    with pytest.raises(ValueError, match="dof 5 lies on an eliminated field"):
+        condensed_solve(hs.a, hs.rhs, split, bcs, exact_inner)
+    beyond = Constraints(np.array([hs.space.ndof_global]), np.zeros(1))
+    with pytest.raises(ValueError, match=f"dof {hs.space.ndof_global - hs.space.offsets[2]} "
+                                         "is out of range"):
+        scpc_setup(hs.a, split, beyond)
 
 
 def test_zero_residual_zero_correction():
@@ -175,12 +209,11 @@ def test_scpc_apply_inverts_constrained_system_for_any_residual(method, degree, 
     else:
         hs = ldgh_system(mesh, PROB, degree, tau=1.0)
     cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    off = int(hs.space.offsets[2])
-    gbcs = [(d + off, 0.0) for d, _ in hs.trace_bcs]
+    homogeneous = Constraints(hs.trace_bcs.dofs, np.zeros(len(hs.trace_bcs)))
     r = np.random.default_rng(12).standard_normal(hs.space.ndof_global)
-    r[[d for d, _ in gbcs]] = 0.0
+    r[homogeneous.dofs] = 0.0
     x, rep, _ = scpc_apply(cs, r, exact_inner(cs.S), homogeneous_bcs=True)
-    Ab, bb = apply_bcs(assemble_global(Tensor(hs.a)), r, gbcs)
+    Ab, bb = apply_bcs(assemble_global(Tensor(hs.a)), r, homogeneous)
     xd = sparse_direct_solve(Ab, bb)
     assert rep.converged
     assert np.linalg.norm(x - xd) <= 1e-12 * np.linalg.norm(xd)
@@ -191,11 +224,9 @@ def test_scpc_one_iteration_outer():
     mesh = build_unit_square(3)
     hs = hybridized_mixed_system(mesh, PROB, 1)
     cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    off = int(hs.space.offsets[2])
-    gbcs = [(d + off, v) for d, v in hs.trace_bcs]
     A = assemble_global(Tensor(hs.a))
     b = assemble_global(Tensor(hs.rhs))
-    Ab, bb = apply_bcs(A, b, gbcs)
+    Ab, bb = apply_bcs(A, b, hs.trace_bcs)
 
     def pc(r):
         return scpc_apply(cs, r, exact_inner(cs.S), homogeneous_bcs=True)[0]
@@ -249,7 +280,7 @@ def test_hybridization_one_iteration_outer():
     A = assemble_global(Tensor(ms.a))
     b = assemble_global(Tensor(ms.rhs))
     Ab, bb = apply_bcs(A, b, ms.flux_bcs)
-    x0 = bc_lift_vector(len(bb), ms.flux_bcs)
+    x0 = ms.flux_bcs.vector(len(bb))
 
     def pc(r):
         return hybridization_apply(hm, r, exact_inner(hm.cs.S))[0]

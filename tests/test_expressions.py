@@ -567,3 +567,27 @@ def test_global_assembly_peak_is_bounded_by_its_element_tensors():
     assert A.shape == (mesh.n_vertices,) * 2
     local = mesh.n_cells * 3 * 3 * 8
     assert peak <= 3.5 * local, (peak / 1e6, local / 1e6)
+
+
+def test_square_operator_builds_one_dof_map(monkeypatch):
+    """A square operator (the same spaces on both axes) builds its global
+    dof map once, and its CSR arrays equal those from two separately built
+    maps bit for bit; an off-diagonal block builds one map per axis."""
+    from hybridfem import CG
+    from hybridfem.expressions import scatter_csr
+
+    _, W, a, _ = three_field_system(n=4, k=2)
+    V = create_space(W.fields[0].mesh, CG(1))
+    A = Tensor(a)
+    calls = []
+    real = MixedSpace.cell_dofs_global
+    monkeypatch.setattr(MixedSpace, "cell_dofs_global",
+                        lambda self: calls.append(self) or real(self))
+    for expr, maps in ((A, 1), (Tensor(mass(V)), 1), (A.blocks[:2, 2:], 2)):
+        calls.clear()
+        got = assemble_global(expr)
+        assert len(calls) == maps
+        if maps == 1:
+            rows = real(MixedSpace(expr.axes[0]))
+            want = scatter_csr(evaluate_all(compile_expr(expr)), rows, rows.copy(), got.shape)
+            _assert_same_csr(got, want, "square")

@@ -108,10 +108,14 @@ def test_trace_bcs_cover_dirichlet_facets():
     hs = hybridized_mixed_system(mesh, prob, 2)
     n_dir = len(mesh.facets_with_label(DIRICHLET))
     assert len(hs.trace_bcs) == 2 * n_dir
-    assert all(v == 0.0 for _, v in hs.trace_bcs)
+    np.testing.assert_array_equal(hs.trace_bcs.values, np.zeros(2 * n_dir))
     ls = ldgh_system(mesh, prob, 1)
     # LDG-H constrains traces to the facet projection of p0 (nonzero in general)
     assert len(ls.trace_bcs) == 2 * n_dir
+    # both number the traces in the three-field space
+    for system in (hs, ls):
+        lo, hi = system.space.offsets[2:]
+        assert lo <= system.trace_bcs.dofs.min() and system.trace_bcs.dofs.max() < hi
 
 
 def test_neumann_flux_bcs_match_exact_flux():
@@ -123,8 +127,8 @@ def test_neumann_flux_bcs_match_exact_flux():
     from hybridfem.spaces import interpolate
 
     exact = interpolate(ms.space.fields[0], prob.u)
-    for d, v in ms.flux_bcs:
-        assert abs(v - exact.coeffs[d]) < 1e-12
+    assert len(ms.flux_bcs) == 2 * len(mesh.facets_with_label(NEUMANN))
+    assert np.abs(ms.flux_bcs.values - exact.coeffs[ms.flux_bcs.dofs]).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -162,7 +166,8 @@ def test_hybridized_mixed_system_matches_three_field_form(k):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
     np.testing.assert_array_equal(assemble_global(Tensor(hs.rhs)),
                                   assemble_global(Tensor(rhs)))
-    assert hs.trace_bcs == [(int(d), 0.0) for d in np.sort(dirichlet)]
+    np.testing.assert_array_equal(hs.trace_bcs.dofs, np.sort(dirichlet) + W.offsets[2])
+    np.testing.assert_array_equal(hs.trace_bcs.values, np.zeros(len(dirichlet)))
     assert len(mesh.facets_with_label(NEUMANN)) == 4
 
 
@@ -197,5 +202,5 @@ def test_cg_dirichlet_values_match_full_interpolation(mesh, degree):
                   | {nv + int(f) * (k - 1) + j for f in facets for j in range(k - 1)})
     np.testing.assert_array_equal(cg_boundary_dofs(ps.space, facets), want)
     full = interpolate(ps.space, prob.p0.fn).coeffs
-    assert [d for d, _ in ps.dirichlet_bcs] == want
-    np.testing.assert_allclose([v for _, v in ps.dirichlet_bcs], full[want], rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(ps.dirichlet_bcs.dofs, want)
+    np.testing.assert_allclose(ps.dirichlet_bcs.values, full[want], rtol=1e-14, atol=0.0)
