@@ -1,25 +1,24 @@
 """Static condensation and hybridization of multi-field systems.
 
 Static condensation of a system whose leading fields are discontinuous
-is the paper's three Slate expressions: the condensed operator
-``S = A_cc - A_ce A_ee^{-1} A_ec``, the condensed right-hand side
-``E = F_c - A_ce A_ee^{-1} F_e`` and the local recovery
-``x_e = A_ee^{-1} (F_e - A_ec lambda)``.  Each entry point compiles one
-plan, which the evaluator runs over blocks of cells, and shares one
-helper that scatters and constrains ``S`` and one that solves for
-``lambda``.
+is the paper's three Slate expressions over one set of local operators,
+``X = A_ee^{-1} A_ec`` and ``S = A_cc - A_ce X``: the condensed
+operator ``S``, the condensed right-hand side ``E = F_c - A_ce y`` with
+``y = A_ee^{-1} F_e``, and the local recovery ``x_e = y - X lambda``.
+Both entry points condense through one helper, which compiles ``X``,
+``S`` and the entry point's own expressions into one plan (``A_ee`` is
+inverted once), evaluates it over blocks of cells, and scatters and
+constrains ``S``; one more helper solves for ``lambda``.
 
-* :func:`condensed_solve` solves once.  Its plan condenses operator and
-  right-hand side together, with outputs ``X = A_ee^{-1} A_ec``,
-  ``y = A_ee^{-1} F_e``, ``F_c - A_ce y`` and ``A_cc - A_ce X``, so
-  ``A_ee`` is inverted once; it keeps ``X``, ``y`` and ``S``, and
-  recovers ``x_e = y - X lambda`` cell by cell.
+* :func:`condensed_solve` solves once.  Its plan adds ``y`` and ``E``;
+  it keeps ``X`` and ``y`` per cell beside ``S`` and recovers ``x_e``
+  cell by cell.
 * :func:`scpc_setup` / :func:`scpc_apply` set the factorization up once
-  and apply it to any residual.  Set-up keeps ``A_ee^{-1}``, ``A_ec``
-  (zeros dropped) and ``A_ce A_ee^{-1}`` as CSR matrices over the
-  eliminated fields' global dofs and the condensed fields' dofs, built
-  from the plan's per-cell values by permuting their rows; an
-  application is three sparse products around the condensed solve.
+  and apply it to any residual.  Set-up adds ``A_ee^{-1}`` and ``A_ce``
+  and keeps them with ``X`` as CSR matrices over the eliminated fields'
+  global dofs and the condensed fields' dofs (``A_ce`` with its zeros
+  dropped), placed from the plan's per-cell values; an application is
+  the one-shot formulas as sparse products around the condensed solve.
 * :func:`hybridization_setup` / :func:`hybridization_apply` hybridize a
   conforming H(div) x L2 mixed form with
   :func:`~hybridfem.problems.hybridize` (broken flux space, facet
@@ -103,17 +102,17 @@ class Stages:
 
 @dataclass
 class CondensedSystem:
-    """A condensed multi-field system.  The operators are CSR over the
-    eliminated fields' global dofs (they come first) and the condensed
-    fields' dofs from 0."""
+    """A condensed multi-field system.  The local operators are CSR over
+    the eliminated fields' global dofs (they come first) and the
+    condensed fields' dofs from 0."""
 
-    S: sp.csr_matrix                 # condensed operator, constraints applied
+    S: sp.csr_matrix                 # A_cc - A_ce X, constraints applied
     constraints: Constraints         # on the condensed fields' dofs from 0
     lift: np.ndarray                 # the unconstrained S times constraints.vector
     setup_time: float
     local_inverse: sp.csr_matrix     # A_ee^{-1}
-    coupling: sp.csr_matrix          # A_ec, structural zeros dropped
-    elimination: sp.csr_matrix       # A_ce A_ee^{-1}; a row holds every cell of its dof
+    A_ce: sp.csr_matrix              # structural zeros dropped
+    X: sp.csr_matrix                 # A_ee^{-1} A_ec
 
 
 def _check_condensable(A: Tensor, split: FieldSplit) -> None:
@@ -129,13 +128,15 @@ def _check_condensable(A: Tensor, split: FieldSplit) -> None:
 
 
 def _condense(A: Tensor, split: FieldSplit, bcs: Constraints | None, *exprs: TensorExpr):
-    """Evaluate ``exprs`` over ``A``'s cells in one plan; the last is the
-    local condensed operator ``S``.  ``bcs`` number the dofs of ``A``'s
-    whole space and may constrain only condensed fields.  Returns the
-    other values, ``S`` with the constraints eliminated symmetrically,
-    the constraints moved to the condensed fields' dofs from 0 and their
-    lift ``S @ g``, and each cell's eliminated-field global dofs and
-    condensed-field dofs from 0 (int32)."""
+    """Evaluate over ``A``'s cells, in one plan, ``X = A_ee^{-1} A_ec``,
+    ``exprs`` and the local condensed operator ``S = A_cc - A_ce X``; a
+    subtree of ``exprs`` equal to one of these is computed once.  ``bcs``
+    number the dofs of ``A``'s whole space and may constrain only
+    condensed fields.  Returns the values of ``X`` and ``exprs``, ``S``
+    with the constraints eliminated symmetrically, the constraints moved
+    to the condensed fields' dofs from 0 and their lift ``S @ g``, and
+    each cell's eliminated-field global dofs and condensed-field dofs
+    from 0 (int32)."""
     W, ne = A.form.test, len(split.eliminate)
     off, width = int(W.offsets[ne]), sum(s.local_dim for s in W.fields[:ne])
     bcs = bcs or Constraints()
@@ -143,7 +144,9 @@ def _condense(A: Tensor, split: FieldSplit, bcs: Constraints | None, *exprs: Ten
         raise ValueError(f"constrained dof {bcs.dofs[0]} lies on an eliminated field "
                          f"(the condensed fields start at dof {off})")
     bcs = Constraints(bcs.dofs - off, bcs.values)
-    *values, s_local = evaluate_all(compile_expr(*exprs))
+    X = A.blocks[:ne, :ne].inv * A.blocks[:ne, ne:]
+    *values, s_local = evaluate_all(compile_expr(
+        X, *exprs, A.blocks[ne:, ne:] - A.blocks[ne:, :ne] * X))
     cell_dofs = W.cell_dofs_global().astype(np.int32)
     maps = cell_dofs[:, :width], cell_dofs[:, width:] - np.int32(off)
     n = W.ndof_global - off
@@ -184,13 +187,10 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     _check_condensable(A, split)
     t0 = time.perf_counter()
     ne = len(split.eliminate)
-    inv = A.blocks[:ne, :ne].inv
-    A_ce = A.blocks[ne:, :ne]
-    X = inv * A.blocks[:ne, ne:]
-    y = inv * F.blocks[:ne]
-    # rebinding the names to the values frees the nodes that memoize them
+    y = A.blocks[:ne, :ne].inv * F.blocks[:ne]
+    # rebinding the name to its value frees the node that memoizes it
     (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
-        A, split, bcs, X, y, F.blocks[ne:] - A_ce * y, A.blocks[ne:, ne:] - A_ce * X)
+        A, split, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
     stages = Stages(condensation=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -222,23 +222,19 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     _check_condensable(A, split)
     t0 = time.perf_counter()
     ne = len(split.eliminate)
-    inv = A.blocks[:ne, :ne].inv
-    coupling = A.blocks[:ne, ne:]
-    elimination = A.blocks[ne:, :ne] * inv
-    # rebinding the names to the values frees the nodes that memoize them
-    (inv, coupling, elimination), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
-        A, split, bcs, inv, coupling, elimination, A.blocks[ne:, ne:] - elimination * coupling)
+    (X, inv, A_ce), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
+        A, split, bcs, A.blocks[:ne, :ne].inv, A.blocks[ne:, :ne])
     n_e, n_c = elim_dofs.size, S.shape[0]
     # each output is freed once converted: a CSR form outweighs its dense
-    # values, so the largest goes first, and the coupling before the
-    # elimination operator, as dropping its zeros can shrink it
+    # values, so the largest goes first, and A_ce before X, as dropping
+    # its zeros can shrink it
     inv = scatter_csr(inv, elim_dofs, elim_dofs, (n_e, n_e), sum_duplicates=False)
-    coupling = scatter_csr(coupling, elim_dofs, cond_dofs, (n_e, n_c), sum_duplicates=False)
-    coupling.eliminate_zeros()
-    elimination = scatter_csr(elimination, cond_dofs, elim_dofs, (n_c, n_e), sum_duplicates=False)
+    A_ce = scatter_csr(A_ce, cond_dofs, elim_dofs, (n_c, n_e), sum_duplicates=False)
+    A_ce.eliminate_zeros()
+    X = scatter_csr(X, elim_dofs, cond_dofs, (n_e, n_c), sum_duplicates=False)
     return CondensedSystem(S=S, constraints=bcs, lift=lift,
                            setup_time=time.perf_counter() - t0, local_inverse=inv,
-                           coupling=coupling, elimination=elimination)
+                           A_ce=A_ce, X=X)
 
 
 def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
@@ -246,9 +242,9 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
                ) -> tuple[np.ndarray, SolveReport, Stages]:
     """Apply the condensation factorization to a multi-field residual.
 
-    Forward-eliminates the eliminated-field residual into the condensed
-    right-hand side, solves the condensed system, and recovers the
-    eliminated fields, each step one sparse product.  With
+    The one-shot formulas as sparse products: ``y = A_ee^{-1} r_e`` and
+    ``E = r_c - A_ce y``, the condensed solve ``S lambda = E``, and
+    ``x_e = y - X lambda``.  With
     ``homogeneous_bcs`` the stored constraint values are replaced by
     zero (residual-correction mode).
     """
@@ -259,13 +255,13 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
         raise ValueError("residual does not match the condensed system")
 
     t0 = time.perf_counter()
-    r_e = residual[:n_e]
-    E = residual[n_e:] - cs.elimination @ r_e
+    y = cs.local_inverse @ residual[:n_e]
+    E = residual[n_e:] - cs.A_ce @ y
     stages.forward = time.perf_counter() - t0
     lam, report = _trace_solve(cs.S, cs.constraints, cs.lift, E, inner, homogeneous_bcs, stages)
 
     t0 = time.perf_counter()
-    out = np.concatenate([cs.local_inverse @ (r_e - cs.coupling @ lam), lam])
+    out = np.concatenate([y - cs.X @ lam, lam])
     stages.backsub = time.perf_counter() - t0
     return out, report, stages
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
@@ -173,21 +173,13 @@ def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, d - i) for d in range(degree + 1) for i in range(d, -1, -1))
 
 
-def _eval_monomials(exps, pts: np.ndarray) -> np.ndarray:
+def _eval_monomials(exps, pts: np.ndarray, order: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """The monomials ``x^i y^j`` of ``exps`` at ``pts``, or their
+    derivatives of ``order`` (in x, in y), one column each."""
     x, y = pts[:, 0], pts[:, 1]
-    cols = [x**i * y**j for (i, j) in exps]
-    return np.stack(cols, axis=-1)
-
-
-def _eval_monomials_dx(exps, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    cols = [i * x ** max(i - 1, 0) * y**j if i > 0 else np.zeros(len(pts)) for (i, j) in exps]
-    return np.stack(cols, axis=-1)
-
-
-def _eval_monomials_dy(exps, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    cols = [j * x**i * y ** max(j - 1, 0) if j > 0 else np.zeros(len(pts)) for (i, j) in exps]
+    dx, dy = order
+    cols = [perm(i, dx) * perm(j, dy) * x ** (i - dx) * y ** (j - dy)
+            if i >= dx and j >= dy else np.zeros(len(pts)) for (i, j) in exps]
     return np.stack(cols, axis=-1)
 
 
@@ -246,8 +238,8 @@ class ScalarElement:
 
     def tabulate_grad(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
-        gx = _eval_monomials_dx(self.exponents, points) @ self.coeffs
-        gy = _eval_monomials_dy(self.exponents, points) @ self.coeffs
+        gx = _eval_monomials(self.exponents, points, (1, 0)) @ self.coeffs
+        gy = _eval_monomials(self.exponents, points, (0, 1)) @ self.coeffs
         return np.stack([gx, gy], axis=-1)  # (nq, nd, 2)
 
 
@@ -306,8 +298,8 @@ class RTElement:
 
     def tabulate_div(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
-        dx = _eval_monomials_dx(self.exponents, points)
-        dy = _eval_monomials_dy(self.exponents, points)
+        dx = _eval_monomials(self.exponents, points, (1, 0))
+        dy = _eval_monomials(self.exponents, points, (0, 1))
         return dx @ self.coeffs[:, :, 0] + dy @ self.coeffs[:, :, 1]
 
 

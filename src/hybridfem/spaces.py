@@ -294,15 +294,22 @@ def interpolate(space: FunctionSpace, fn: Callable) -> Function:
         return Function(space, coeffs)
     if kind == "Trace":
         el = reference.line_element(space.family.degree)
-        fv = mesh.vertex_coords[mesh.facet_vertices]  # (nf, 2, 2), global direction
-        pts = fv[:, 0, None, :] + el.nodes[None, :, None] * (fv[:, 1] - fv[:, 0])[:, None, :]
-        vals = _eval_scalar(fn, pts)
+        vals = _eval_scalar(fn, _facet_points(mesh, slice(None), el.nodes)[0])
         coeffs = np.zeros(space.ndof_global)
         coeffs[space.facet_dofs] = vals
         return Function(space, coeffs)
     if kind == "RT":
         return _interpolate_rt(space, fn)
     raise AssertionError
+
+
+def _facet_points(mesh, facets, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points ``v0 + t (v1 - v0)`` at parameters ``t`` along ``facets``
+    from their first vertex ``v0`` to their second ``v1`` (the global
+    direction), shaped (nf, nt, 2), and the tangents ``v1 - v0``."""
+    fv = mesh.vertex_coords[mesh.facet_vertices[facets]]  # (nf, 2, 2)
+    tang = fv[:, 1] - fv[:, 0]
+    return fv[:, 0, None, :] + t[None, :, None] * tang[:, None, :], tang
 
 
 def _eval_scalar(fn, pts: np.ndarray) -> np.ndarray:
@@ -326,10 +333,8 @@ def global_edge_moments(space: FunctionSpace, facets: np.ndarray, fn: Callable,
     k = space.family.degree
     rule = reference.edge_quadrature(exactness)
     mesh = space.mesh
-    fv = mesh.vertex_coords[mesh.facet_vertices[facets]]  # (nf, 2, 2)
-    tang = fv[:, 1] - fv[:, 0]
+    pts, tang = _facet_points(mesh, facets, rule.points)
     n_scaled = tang @ np.array([[0.0, -1.0], [1.0, 0.0]])  # rotate -90
-    pts = fv[:, 0, None, :] + rule.points[None, :, None] * tang[:, None, :]
     vals = _eval_vector(fn, pts)  # (nf, nq, 2)
     flux = np.einsum("fqd,fd->fq", vals, n_scaled)
     leg = reference.shifted_legendre(k - 1, rule.points)  # (nq, k)
@@ -384,9 +389,7 @@ def project_onto_facets(space: FunctionSpace, facets: np.ndarray, fn: Callable,
     el = reference.line_element(space.family.degree)
     rule = reference.edge_quadrature(exactness)
     mesh = space.mesh
-    fv = mesh.vertex_coords[mesh.facet_vertices[facets]]
-    pts = fv[:, 0, None, :] + rule.points[None, :, None] * (fv[:, 1] - fv[:, 0])[:, None, :]
-    vals = _eval_scalar(fn, pts)  # (nf, nq)
+    vals = _eval_scalar(fn, _facet_points(mesh, facets, rule.points)[0])  # (nf, nq)
     basis = el.tabulate(rule.points)  # (nq, m)
     mass = np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
     rhs = np.einsum("q,fq,qi->fi", rule.weights, vals, basis)

@@ -284,10 +284,7 @@ def run_solver_compare(spec: StudySpec) -> list[dict]:
         mesh = build_unit_square(n)
         base = {"method": spec.method, "problem": spec.problem,
                 "degree": spec.degree, "n": n}
-        if spec.method == "mixed-hybrid":
-            rows.extend(_compare_mixed(mesh, prob, spec, base))
-        else:
-            rows.extend(_compare_ldgh(mesh, prob, spec, base))
+        rows.extend(_compare(mesh, prob, spec, base))
     return rows
 
 
@@ -320,63 +317,46 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
                    **_stage_columns(acc, spec.serial))
 
 
-def _scpc_pc(cs, system: HybridizableSystem, A, inner: KrylovConfig,
-             t_inner: float, spec, base):
-    """Outer FGMRES on the three-field ``system`` condensed by ``cs``, with
-    ``A`` the global matrix of ``system.a``, its trace BCs applied and
-    lifted into the initial guess, preconditioned by static condensation;
-    ``t_inner`` is the set-up time of ``inner``'s preconditioner.  Returns
-    the constrained operator and right-hand side, the solution and its
-    row."""
-    A, b = apply_bcs(A, assemble_global(Tensor(system.rhs)), system.trace_bcs)
-    x, row = _fgmres_row(A, b, system.trace_bcs.vector(len(b)),
-                         lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
-                         Stages(condensation=cs.setup_time, trace_solve=t_inner),
-                         spec, base, "scpc-pc")
-    return A, b, x, row
-
-
-def _compare_mixed(mesh, prob, spec, base) -> list[dict]:
-    ms = conforming_mixed_system(mesh, prob, spec.degree)
-    A = assemble_global(Tensor(ms.a))
-    b = assemble_global(Tensor(ms.rhs))
-    Ab, bb = apply_bcs(A, b, ms.flux_bcs)
-    x_direct, direct = _direct_row(Ab, bb, spec, base)
-
-    # outer FGMRES preconditioned by the hybridization factorization; the
-    # scpc-pc row's operator memoizes the element tensors that set-up
-    # reads, and both rows apply one condensed system
-    hs = hybridize(ms.a, ms.rhs, prob.u)
+def _compare(mesh, prob, spec, base) -> list[dict]:
+    """The rows of one mesh.  Outer FGMRES on the three-field system with
+    its trace BCs applied, lifted into the initial guess and
+    preconditioned by static condensation, is the ``scpc-pc`` row.  For
+    LDG-H the direct solve of that system is the baseline; for the
+    mixed-hybrid method it is the direct solve of the conforming system,
+    which outer FGMRES also solves preconditioned by its hybridization,
+    the ``hybridization-pc`` row, applying the same condensed system."""
+    if spec.method == "mixed-hybrid":
+        ms = conforming_mixed_system(mesh, prob, spec.degree)
+        hs = hybridize(ms.a, ms.rhs, prob.u)
+    else:
+        hs = ldgh_system(mesh, prob, spec.degree, spec.tau)
     operator = Tensor(hs.a)
-    A3 = assemble_global(operator)
+    # assembling memoizes the element tensors that set-up reads
+    A, b = apply_bcs(assemble_global(operator), assemble_global(Tensor(hs.rhs)), hs.trace_bcs)
     cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
-    hm = hybridized(ms.a, hs, cs)
     inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
-    xh, hybrid = _fgmres_row(Ab, bb, ms.flux_bcs.vector(len(bb)),
+    x, scpc = _fgmres_row(A, b, hs.trace_bcs.vector(len(b)),
+                          lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
+                          Stages(condensation=cs.setup_time, trace_solve=t_inner),
+                          spec, base, "scpc-pc")
+    if spec.method == "ldgh":
+        x_direct, direct = _direct_row(A, b, spec, base)
+        scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
+        return [direct, scpc]
+
+    A, b = apply_bcs(assemble_global(Tensor(ms.a)), assemble_global(Tensor(ms.rhs)),
+                     ms.flux_bcs)
+    x_direct, direct = _direct_row(A, b, spec, base)
+    hm = hybridized(ms.a, hs, cs)
+    xh, hybrid = _fgmres_row(A, b, ms.flux_bcs.vector(len(b)),
                              lambda r: hybridization_apply(hm, r, inner),
-                             Stages(condensation=hm.cs.setup_time, trace_solve=t_inner),
+                             Stages(condensation=cs.setup_time, trace_solve=t_inner),
                              spec, base, "hybridization-pc")
     hybrid["max_diff_vs_direct"] = float(np.abs(xh - x_direct).max())
-
-    # outer FGMRES on the same hybridized three-field system with SCPC
-    _, _, x3, scpc = _scpc_pc(cs, hs, A3, inner, t_inner, spec, base)
-    u3, p3, _ = hs.space.split(x3)
-    u_conf = project_div(hm.transfer, Function(hs.flux_space, u3))
-    scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u_conf.coeffs, p3])
-                                              - x_direct).max())
+    u, p, _ = hs.space.split(x)
+    u = project_div(hm.transfer, Function(hs.flux_space, u))
+    scpc["max_diff_vs_direct"] = float(np.abs(np.concatenate([u.coeffs, p]) - x_direct).max())
     return [direct, hybrid, scpc]
-
-
-def _compare_ldgh(mesh, prob, spec, base) -> list[dict]:
-    ls = ldgh_system(mesh, prob, spec.degree, spec.tau)
-    operator = Tensor(ls.a)
-    A3 = assemble_global(operator)  # memoizes the element tensors that set-up reads
-    cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), ls.trace_bcs)
-    inner, t_inner = _inner_config(spec, cs.S, ls.trace_space)
-    A, b, x, scpc = _scpc_pc(cs, ls, A3, inner, t_inner, spec, base)
-    x_direct, direct = _direct_row(A, b, spec, base)
-    scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
-    return [direct, scpc]
 
 
 # ---------------------------------------------------------------------------

@@ -450,8 +450,7 @@ def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
 
 
 def _condensed_arrays(cs):
-    return {"S": cs.S, "local_inverse": cs.local_inverse,
-            "coupling": cs.coupling, "elimination": cs.elimination}
+    return {"S": cs.S, "local_inverse": cs.local_inverse, "A_ce": cs.A_ce, "X": cs.X}
 
 
 @pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
@@ -538,8 +537,8 @@ def test_setup_peak_is_bounded_by_what_it_keeps():
 
 def test_setup_compiles_one_plan(monkeypatch):
     """Set-up compiles one plan whatever the number of blocks, and the
-    data of the three block-diagonal matrices it keeps are C-contiguous
-    (products with a strided BSR copy it on every application)."""
+    data of the three local operators it keeps are C-contiguous
+    (products with strided data copy it on every application)."""
     hs = hybridized_mixed_system(build_jittered_square(6, 0.2, seed=7), PROB, 2)
     calls = []
     real = condensation.compile_expr
@@ -550,7 +549,7 @@ def test_setup_compiles_one_plan(monkeypatch):
         calls.clear()
         cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
         assert len(calls) == 1
-        for m in (cs.local_inverse, cs.coupling, cs.elimination):
+        for m in (cs.local_inverse, cs.A_ce, cs.X):
             assert m.data.flags.c_contiguous
 
 
@@ -589,11 +588,11 @@ def test_one_shot_solve_equals_setup_and_apply(method, degree):
     e_dofs, c_dofs = cell_dofs[:, :n_local], cell_dofs[:, n_local:] - n_e
     for got, expr, rows, cols, shape in (
             (cs.local_inverse, inv, e_dofs, e_dofs, (n_e, n_e)),
-            (cs.coupling, A.blocks[:2, 2:], e_dofs, c_dofs, (n_e, n_c)),
-            (cs.elimination, A.blocks[2:, :2] * inv, c_dofs, e_dofs, (n_c, n_e))):
+            (cs.A_ce, A.blocks[2:, :2], c_dofs, e_dofs, (n_c, n_e)),
+            (cs.X, inv * A.blocks[:2, 2:], e_dofs, c_dofs, (n_e, n_c))):
         blocks = expressions.evaluate_all(expressions.compile_expr(expr))
         np.testing.assert_array_equal(got.toarray(), _placed(blocks, rows, cols, shape))
-    assert np.all(cs.coupling.data != 0.0)
+    assert np.all(cs.A_ce.data != 0.0)
 
 
 def test_one_shot_solve_keeps_no_local_inverse():
@@ -651,15 +650,44 @@ def test_compare_mixed_shares_its_condensed_system(monkeypatch):
     comparison apply one condensed system, set up once per mesh."""
     from hybridfem import study
 
-    seen = []
-    real_pc, real_hybridized = study._scpc_pc, study.hybridized
-    monkeypatch.setattr(study, "_scpc_pc", lambda cs, *args: seen.append(cs) or real_pc(cs, *args))
+    made, hybrid, scpc = [], [], []
+    real_setup, real_hybridized, real_apply = study.scpc_setup, study.hybridized, study.scpc_apply
+    monkeypatch.setattr(study, "scpc_setup",
+                        lambda *args: made.append(real_setup(*args)) or made[-1])
     monkeypatch.setattr(study, "hybridized",
-                        lambda a, hs, cs: seen.append(cs) or real_hybridized(a, hs, cs))
+                        lambda a, hs, cs: hybrid.append(cs) or real_hybridized(a, hs, cs))
+    monkeypatch.setattr(study, "scpc_apply",
+                        lambda cs, *args, **kw: scpc.append(cs) or real_apply(cs, *args, **kw))
     rows = study.run_solver_compare(study.StudySpec(method="mixed-hybrid", degree=1,
                                                     sizes=(2, 4)))
     assert [r["path"] for r in rows] == ["direct", "hybridization-pc", "scpc-pc"] * 2
-    assert len(seen) == 4
-    for hybrid_cs, scpc_cs in (seen[:2], seen[2:]):
-        assert isinstance(scpc_cs, CondensedSystem)
-        assert hybrid_cs is scpc_cs
+    assert len(made) == 2 and len(hybrid) == 2
+    assert all(isinstance(cs, CondensedSystem) for cs in made)
+    assert scpc and {id(cs) for cs in scpc} == {id(cs) for cs in made}
+    for cs, hybrid_cs in zip(made, hybrid):
+        assert hybrid_cs is cs
+
+
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
+                                           ("ldgh", 1)])
+def test_setup_and_one_shot_solve_condense_alike(monkeypatch, method, degree):
+    """``scpc_setup`` keeps, bit for bit, the condensed operator
+    ``S = A_cc - A_ce X`` that the one-shot solve hands to its trace
+    solver, and its plan inverts ``A_ee`` once."""
+    mesh = build_jittered_square(6, 0.2, 7)
+    hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
+          else ldgh_system(mesh, PROB, degree))
+    split = FieldSplit((0, 1), (2,))
+    plans = []
+    real = condensation.compile_expr
+    monkeypatch.setattr(condensation, "compile_expr",
+                        lambda *exprs: plans.append(real(*exprs)) or plans[-1])
+    cs = scpc_setup(hs.a, split, hs.trace_bcs)
+    assert len(plans) == 1
+    assert plans[0].describe().count("= inverse(") == 1
+    seen = []
+    condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, lambda S: seen.append(S) or exact_inner(S))
+    (S,) = seen
+    assert S.shape == cs.S.shape
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(S, name), getattr(cs.S, name), err_msg=name)

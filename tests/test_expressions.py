@@ -517,8 +517,8 @@ def test_scatter_equals_coo_path_bit_for_bit():
     hs = hybridized_mixed_system(mesh, manufactured("sinsin"), 2)
     W, A = hs.space, Tensor(hs.a)
     inv = A.blocks[:2, :2].inv
-    coupling, elimination = A.blocks[:2, 2:], A.blocks[2:, :2] * inv
-    S = A.blocks[2:, 2:] - elimination * coupling
+    A_ce, X = A.blocks[2:, :2], inv * A.blocks[:2, 2:]
+    S = A.blocks[2:, 2:] - A_ce * X
     dofs = W.cell_dofs_global()
     n_e, width = int(W.offsets[2]), dofs.shape[1] - hs.trace_space.local_dim
     e_dofs, c_dofs = dofs[:, :width], dofs[:, width:] - n_e
@@ -538,8 +538,8 @@ def test_scatter_equals_coo_path_bit_for_bit():
                      "scpc_setup S")
     for what, got, expr, rows, cols, shape in (
             ("local_inverse", cs.local_inverse, inv, e_dofs, e_dofs, (n_e, n_e)),
-            ("coupling", cs.coupling, coupling, e_dofs, c_dofs, (n_e, n_c)),
-            ("elimination", cs.elimination, elimination, c_dofs, e_dofs, (n_c, n_e))):
+            ("A_ce", cs.A_ce, A_ce, c_dofs, e_dofs, (n_c, n_e)),
+            ("X", cs.X, X, e_dofs, c_dofs, (n_e, n_c))):
         blocks = evaluate_all(compile_expr(expr))
         placed = scatter_csr(blocks, rows, cols, shape, sum_duplicates=False)
         dense = np.zeros(shape)
