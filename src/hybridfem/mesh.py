@@ -23,9 +23,6 @@ NEUMANN = "neumann"
 #: local edge l runs from vertex (l+1)%3 to vertex (l+2)%3 (counterclockwise)
 EDGE_VERTICES = ((1, 2), (2, 0), (0, 1))
 
-# rotation by -90 degrees: maps a ccw edge tangent to the outward normal
-_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclass
 class Mesh:
@@ -59,11 +56,11 @@ class Mesh:
 
     @property
     def interior_facets(self) -> np.ndarray:
-        return np.flatnonzero(self.facet_kind == "interior")
+        return np.flatnonzero(self.facet_cells[:, 1] >= 0)
 
     @property
     def exterior_facets(self) -> np.ndarray:
-        return np.flatnonzero(self.facet_kind == "exterior")
+        return np.flatnonzero(self.facet_cells[:, 1] < 0)
 
     def facets_with_label(self, label: str) -> np.ndarray:
         exterior = np.flatnonzero(self.facet_cells[:, 1] < 0)
@@ -113,36 +110,40 @@ class MeshGeometry:
 
 
 def _compute_geometry(mesh: Mesh) -> MeshGeometry:
-    coords = mesh.vertex_coords[mesh.cell_vertices]  # (nc, 3, 2)
-    origins = coords[:, 0].copy()
-    jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    """Reads per-corner coordinate rows ``x[k]``, ``y[k]`` (local vertex
+    ``k`` of every cell) and computes each output component in place."""
+    cv, n_cells = mesh.cell_vertices, mesh.n_cells
+    jac, inv = np.empty((n_cells, 2, 2)), np.empty((n_cells, 2, 2))
+    normals, lengths = np.empty((n_cells, 3, 2)), np.empty((n_cells, 3))
+    dir_match = np.empty((n_cells, 3), dtype=bool)
+    x, y = np.take(mesh.vertex_coords.T, cv.T, axis=1)  # (3, n_cells) each
+    for i, c in enumerate((x, y)):
+        np.subtract(c[1], c[0], out=jac[:, i, 0])
+        np.subtract(c[2], c[0], out=jac[:, i, 1])
+    (j00, j01), (j10, j11) = jac.transpose(1, 2, 0)
+    det = j00 * j11 - j01 * j10
     bad = np.flatnonzero(det <= 0.0)
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    inv_jt = np.swapaxes(inv, 1, 2)
+    for (i, j), entry in zip(np.ndindex(2, 2), (j11, -j01, -j10, j00)):
+        np.divide(entry, det, out=inv[:, i, j])
 
-    normals = np.empty((mesh.n_cells, 3, 2))
-    lengths = np.empty((mesh.n_cells, 3))
-    dir_match = np.empty((mesh.n_cells, 3), dtype=bool)
+    longest = np.zeros(n_cells)
     for loc, (a, b) in enumerate(EDGE_VERTICES):
-        tangent = coords[:, b] - coords[:, a]
-        lengths[:, loc] = np.hypot(tangent[:, 0], tangent[:, 1])
-        normals[:, loc] = tangent @ _ROT.T / lengths[:, loc, None]
-        start = mesh.cell_vertices[:, a]
-        end = mesh.cell_vertices[:, b]
-        dir_match[:, loc] = start < end
-    quality = det / lengths.max(axis=1) ** 2  # sqrt(3)/2 for an equilateral cell
+        # outward normal (ty, -tx) / length, +0.0 where zero, as tangent @ [[0, -1], [1, 0]]
+        n_x, n_y, length = normals[:, loc, 0], normals[:, loc, 1], lengths[:, loc]
+        np.subtract(x[b], x[a], out=n_y)  # tx until negated below
+        np.subtract(y[b], y[a], out=n_x)
+        np.maximum(longest, np.hypot(n_y, n_x, out=length), out=longest)
+        np.divide(np.add(n_x, 0.0, out=n_x), length, out=n_x)
+        np.divide(np.subtract(0.0, n_y, out=n_y), length, out=n_y)
+        np.less(cv[:, a], cv[:, b], out=dir_match[:, loc])
+    quality = det / longest ** 2  # sqrt(3)/2 for an equilateral cell
     bad = np.flatnonzero(quality < 1e-10)
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} is degenerate (det J / h^2 = {quality[bad[0]]:.3g})")
-    return MeshGeometry(origins, jac, det, inv_jt, normals, lengths, dir_match)
+    origins = np.stack((x[0], y[0]), axis=1)
+    return MeshGeometry(origins, jac, det, np.swapaxes(inv, 1, 2), normals, lengths, dir_match)
 
 
 def build_unit_square(n: int) -> Mesh:
@@ -154,16 +155,15 @@ def build_unit_square(n: int) -> Mesh:
     if n < 1:
         raise ValueError(f"mesh subdivision must be >= 1, got {n}")
     grid = np.linspace(0.0, 1.0, n + 1)
-    xv, yv = np.meshgrid(grid, grid, indexing="xy")
-    coords = np.column_stack([xv.ravel(), yv.ravel()])
-    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    v00 = j * (n + 1) + i
-    v10, v01 = v00 + 1, v00 + n + 1
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    cell_vertices = np.stack([lower, upper], axis=1).reshape(-1, 3)
-    return _mesh_from_cells(coords, cell_vertices)
+    coords = np.empty((n + 1, n + 1, 2))  # vertex j*(n+1)+i sits at (grid[i], grid[j])
+    coords[:, :, 0], coords[:, :, 1] = grid, grid[:, None]
+    v00 = np.arange(0, n * (n + 1), n + 1, dtype=np.int64)[:, None] + np.arange(n)
+    cells = np.empty((n, n, 2, 3), dtype=np.int64)  # square (j, i): lower, upper cell
+    cells[:, :, :, 0] = v00[:, :, None]
+    cells[:, :, 0, 1] = v00 + 1
+    cells[:, :, 0, 2] = cells[:, :, 1, 1] = v00 + (n + 2)
+    cells[:, :, 1, 2] = v00 + (n + 1)
+    return _mesh_from_cells(coords.reshape(-1, 2), cells.reshape(-1, 3))
 
 
 def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
@@ -183,7 +183,7 @@ def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
     shift = rng.uniform(-amplitude / n, amplitude / n, size=(int(interior.sum()), 2))
     coords = mesh.vertex_coords.copy()
     coords[interior] += shift
-    return _mesh_from_cells(coords, mesh.cell_vertices)
+    return replace(mesh, vertex_coords=coords)  # same cells, same topology
 
 
 def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
@@ -191,49 +191,45 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
 
     Facets are numbered in order of first appearance over (cell, local
     edge); the first cell to reach a facet is its "+" side.  One stable
-    sort of the edge keys groups each facet's occurrences, the first one
-    leading; a mask of first occurrences then numbers the facets.
+    sort of the edge keys puts each facet's second occurrence right after
+    its first; the remaining first occurrences, in order, number the facets.
     """
     cell_vertices = np.asarray(cell_vertices, dtype=np.int64).view()
     cell_vertices.flags.writeable = False
     n_cells = len(cell_vertices)
-    ends = np.sort(cell_vertices[:, EDGE_VERTICES], axis=2).reshape(-1, 2)  # (lo, hi) per edge
-    key = ends[:, 0] * (int(cell_vertices.max()) + 1) + ends[:, 1]
+    lo, hi = np.empty((2, 3 * n_cells), dtype=np.int64)  # ends of occurrence 3 * cell + local edge
+    for loc, (a, b) in enumerate(EDGE_VERTICES):
+        np.minimum(cell_vertices[:, a], cell_vertices[:, b], out=lo[loc::3])
+        np.maximum(cell_vertices[:, a], cell_vertices[:, b], out=hi[loc::3])
+    key = lo * (int(cell_vertices.max()) + 1) + hi
     order = np.argsort(key, kind="stable")
     key = key[order]
-    triple = np.flatnonzero(key[2:] == key[:-2])
+    triple = order[np.flatnonzero(key[2:] == key[:-2])]
     if len(triple):
-        raise ValueError(f"facet {tuple(ends[order[triple[0]]].tolist())} "
+        raise ValueError(f"facet {int(lo[triple[0]]), int(hi[triple[0]])} "
                          "incident to more than two cells")
-    head = np.r_[True, key[1:] != key[:-1]]  # a facet's first occurrence, in key order
+    dup = np.flatnonzero(key[1:] == key[:-1]) + 1  # second occurrences, in key order
     del key
-    first = order[head]
-    is_first = np.zeros(3 * n_cells, dtype=bool)
-    is_first[first] = True
-    occ_facet = np.empty_like(order)  # facet of each (cell, local edge)
-    occ_facet[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(head) - 1]
-    del order, head, first  # freed before the facet arrays are built
-    first_occ = np.flatnonzero(is_first)
-    second_occ = np.flatnonzero(~is_first)
-
+    second_occ, first_of_second = order[dup], order[dup - 1]
+    del order, dup  # freed before the facet arrays are built
+    is_first = np.ones(3 * n_cells, dtype=bool)
+    is_first[second_occ] = False
+    first_occ = np.flatnonzero(is_first)  # facet f first appears at first_occ[f]
     n_facets = len(first_occ)
-    facet_cells = np.full((n_facets, 2), -1, dtype=np.int64)
-    facet_local = np.full((n_facets, 2), -1, dtype=np.int64)
-    facet_cells[:, 0], facet_local[:, 0] = np.divmod(first_occ, 3)
-    f2 = occ_facet[second_occ]
+    occ_facet = np.empty(3 * n_cells, dtype=np.int64)  # facet of each (cell, local edge)
+    occ_facet[first_occ] = np.arange(n_facets)
+    f2 = occ_facet[second_occ] = occ_facet[first_of_second]
+
+    facet_vertices = np.stack((lo[first_occ], hi[first_occ]), axis=1)
+    facet_cells, facet_local = (np.full((n_facets, 2), -1, dtype=np.int64) for _ in range(2))
+    np.divmod(first_occ, 3, out=(facet_cells[:, 0], facet_local[:, 0]))
     facet_cells[f2, 1], facet_local[f2, 1] = np.divmod(second_occ, 3)
-    # one str object per kind, shared by every facet of that kind
-    exterior = (facet_cells[:, 1] < 0).astype(np.intp)
-    return Mesh(
-        vertex_coords=np.asarray(coords, dtype=float),
-        cell_vertices=cell_vertices,
-        facet_vertices=ends[first_occ],
-        facet_cells=facet_cells,
-        facet_local_index=facet_local,
-        cell_facets=occ_facet.reshape(n_cells, 3),
-        facet_kind=np.array(["interior", "exterior"], dtype=object)[exterior],
-        exterior_label=np.array(["", DIRICHLET], dtype=object)[exterior],
-    )
+    exterior = facet_cells[:, 1] < 0
+    kind, label = np.empty(n_facets, dtype=object), np.empty(n_facets, dtype=object)
+    kind[:], label[:] = "interior", ""  # one str object per value, shared by every facet
+    kind[exterior], label[exterior] = "exterior", DIRICHLET
+    return Mesh(np.asarray(coords, dtype=float), cell_vertices, facet_vertices, facet_cells,
+                facet_local, occ_facet.reshape(n_cells, 3), kind, label)
 
 
 def cell_geometry(mesh: Mesh, cell: int) -> CellGeometry:

@@ -445,6 +445,21 @@ def test_batched_inverse_names_first_ill_conditioned_cell():
         evaluate_all(compile_expr(Tensor(a).solve(b)))
 
 
+@pytest.mark.parametrize("m", [4, 7, 11, 17])
+def test_reciprocal_condition_equals_two_pass_formula(m):
+    """The one-pass column sums give the reciprocal condition number of
+    ``abs(a).sum(axis=1)`` bit for bit, NaN and infinite cells included."""
+    rng = np.random.default_rng(m)
+    a, inv = rng.standard_normal((2, 64, m, m)) * 10.0 ** rng.uniform(-6, 6, (2, 64, 1, 1))
+    a[3, 1, 2], a[5, 0, 0], a[6, m - 1, 1], a[7] = np.nan, np.inf, -np.inf, 0.0
+    a[8, :, 0], inv[9, 2, 2], inv[10, 0] = 1e308, np.nan, -np.inf  # overflow; NaN, inf inverse
+    with np.errstate(all="ignore"):
+        want = 1.0 / (np.abs(a).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1))
+    got = expressions._reciprocal_condition(a, inv)
+    assert np.isnan(want[[3, 9]]).all() and want[7] == np.inf and (want[[5, 6, 8, 10]] == 0.0).all()
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def split_at_half(left, right):
     """A piecewise-constant field: ``left`` for x < 1/2, ``right`` beyond."""
     return ScalarField(lambda x, y: np.where(x < 0.5, left, right), degree=0)

@@ -181,14 +181,65 @@ def _facet_numbering_loop(cell_vertices):
     return np.array(verts), np.array(cells), np.array(local), cell_facets
 
 
+def _shuffled(mesh, seed):
+    """The same triangulation with its cells in random order and each
+    vertex triple rotated cyclically (so still counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    cells = mesh.cell_vertices[rng.permutation(mesh.n_cells)]
+    shift = rng.integers(0, 3, mesh.n_cells)[:, None]
+    return _mesh_from_cells(mesh.vertex_coords, np.take_along_axis(cells, (np.arange(3) + shift) % 3, 1))
+
+
 @pytest.mark.parametrize("mesh", [build_unit_square(1), build_unit_square(5),
-                                  build_jittered_square(6, 0.2, seed=1)])
+                                  build_jittered_square(6, 0.2, seed=1),
+                                  _shuffled(build_jittered_square(7, 0.2, seed=2), seed=3)])
 def test_facet_numbering_matches_loop_oracle(mesh):
     verts, cells, local, cell_facets = _facet_numbering_loop(mesh.cell_vertices)
     np.testing.assert_array_equal(mesh.facet_vertices, verts)
     np.testing.assert_array_equal(mesh.facet_cells, cells)
     np.testing.assert_array_equal(mesh.facet_local_index, local)
     np.testing.assert_array_equal(mesh.cell_facets, cell_facets)
+
+
+def _geometry_loop(mesh):
+    """Per-cell reference for every ``MeshGeometry`` field, in Python
+    floats from the vertex coordinates; a zero normal component is +0.0."""
+    coords = mesh.vertex_coords.tolist()
+    fields = {k: [] for k in ("origins", "jacobians", "det_j", "inv_jt",
+                              "edge_normals", "edge_lengths", "dir_match")}
+    for tri in mesh.cell_vertices.tolist():
+        xs, ys = zip(*(coords[v] for v in tri))
+        (j00, j01), (j10, j11) = (xs[1] - xs[0], xs[2] - xs[0]), (ys[1] - ys[0], ys[2] - ys[0])
+        det = j00 * j11 - j01 * j10
+        fields["origins"].append([xs[0], ys[0]])
+        fields["jacobians"].append([[j00, j01], [j10, j11]])
+        fields["det_j"].append(det)
+        fields["inv_jt"].append([[j11 / det, -j10 / det], [-j01 / det, j00 / det]])
+        normals, lengths = [], []
+        for a, b in EDGE_VERTICES:
+            tx, ty = xs[b] - xs[a], ys[b] - ys[a]
+            lengths.append(float(np.hypot(tx, ty)))
+            normals.append([ty / lengths[-1] + 0.0, -tx / lengths[-1] + 0.0])
+        fields["edge_normals"].append(normals)
+        fields["edge_lengths"].append(lengths)
+        fields["dir_match"].append([tri[a] < tri[b] for a, b in EDGE_VERTICES])
+    return fields
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square(1), build_unit_square(5), build_unit_square(64),
+                                  build_jittered_square(9, 0.2, seed=4),
+                                  _shuffled(build_jittered_square(9, 0.2, seed=4), seed=5)])
+def test_geometry_matches_loop_oracle_bit_for_bit(mesh):
+    """Bit patterns, so that -0.0 and +0.0 differ (``array_equal`` does not
+    tell them apart); the structured meshes have zero normal components."""
+    geo = mesh.geometry()
+    for name, want in _geometry_loop(mesh).items():
+        got, want = getattr(geo, name), np.array(want)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        if got.dtype == bool:
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        else:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
 
 
 def test_non_manifold_facet_rejected():
