@@ -36,7 +36,7 @@ from .spaces import (
     zero_function,
 )
 from .reference import quadrature
-from .forms import FormIR, IntegralTerm, ScalarField, assemble_form, assemble_local, estimate_degree
+from .forms import FormIR, IntegralTerm, ScalarField, assemble_form, assemble_local
 from .expressions import (
     AssembledVector,
     Tensor,
@@ -95,7 +95,6 @@ __all__ = [
     "ScalarField",
     "assemble_form",
     "assemble_local",
-    "estimate_degree",
     "AssembledVector",
     "Tensor",
     "assemble_global",

@@ -403,7 +403,9 @@ def evaluate_all(plan: ExecPlan):
     """Evaluate the plan for every cell, in blocks of consecutive cells of
     at most ``BLOCK_ENTRIES`` entries of its largest register, and of at
     most ``BLOCK_CELLS`` cells for a plan of several outputs, which are
-    held whole beside a block's element tensors.  Returns each output's
+    held whole beside a block's element tensors.  A block assembles its
+    forms on its own cells, reading no per-facet data of other cells,
+    so the work per block does not grow with the mesh.  Returns each output's
     values, leading axis the cell index, C-contiguous: one array, or a
     tuple of them for a plan of several outputs.
 
@@ -453,7 +455,7 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.
     """The kernel's value on cells ``lo`` to ``hi - 1``; guards name cells
     by their index in the mesh."""
     if k.op == "assemble":
-        return assemble_form(k.payload.form.on_cells(lo, hi))
+        return assemble_form(k.payload.form, slice(lo, hi))
     if k.op == "gather":
         return k.payload.cell_gather(slice(lo, hi))
     if k.op == "add":

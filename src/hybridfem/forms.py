@@ -236,13 +236,12 @@ def _as_fields(space: SpaceLike) -> tuple[FunctionSpace, ...]:
 
 @dataclass
 class FormIR:
-    """A multilinear form over (possibly mixed) argument spaces, on the
-    contiguous range ``cells`` of the mesh's cells (``None``: all)."""
+    """A multilinear form over (possibly mixed) argument spaces, on every
+    cell of its mesh; :func:`assemble_form` takes the cells to assemble."""
 
     test: SpaceLike
     trial: SpaceLike
     terms: list[IntegralTerm]
-    cells: slice | None = None
 
     def __post_init__(self):
         if self.trial is not None and self.test is None:
@@ -270,17 +269,6 @@ class FormIR:
             for c in _collect(t.integrand, Coef):
                 return c.fn.space.mesh
         raise ValueError("form has no arguments or coefficients")
-
-    @property
-    def cell_range(self) -> slice:
-        return self.cells or slice(0, self.mesh.n_cells)
-
-    def on_cells(self, lo: int, hi: int) -> "FormIR":
-        """This form on cells ``lo`` to ``hi - 1``; the whole mesh is the
-        form itself."""
-        if self.cells is None and (lo, hi) == (0, self.mesh.n_cells):
-            return self
-        return FormIR(self.test, self.trial, self.terms, slice(lo, hi))
 
     @property
     def coefficients(self) -> list[Function]:
@@ -366,13 +354,6 @@ def _node_degree(node: Expr, form: FormIR) -> int:
     if isinstance(node, Scale):
         return _node_degree(node.x, form)
     raise TypeError(f"unknown integrand node {node!r}")
-
-
-def estimate_degree(form: FormIR) -> int:
-    """Conservative polynomial degree bound over all terms."""
-    if not form.terms:
-        return 0
-    return max(_node_degree(t.integrand, form) for t in form.terms)
 
 
 def _term_exactness(term: IntegralTerm, form: FormIR) -> int:
@@ -526,31 +507,30 @@ def _monomials(node: Expr, ctx, form: FormIR, points: bool) -> list:
 # assembly drivers
 
 
-def _facet_selections(mesh: Mesh, term: IntegralTerm,
-                      cells: slice = slice(0, None)) -> list[np.ndarray]:
+def _facet_selections(mesh: Mesh, term: IntegralTerm, cells: slice) -> list[np.ndarray]:
     """Cells of the range ``cells`` whose local edge l lies in the term's
-    facet set, for l = 0, 1, 2."""
-    exterior = mesh.facet_cells[:, 1] < 0
-    chosen = ~exterior if term.domain == INTERIOR else exterior
-    if term.label is not None:
-        chosen = np.zeros_like(exterior)
-        chosen[mesh.facets_with_label(term.label)] = True
-    return [cells.start + np.flatnonzero(chosen[mesh.cell_facets[cells, loc]])
-            for loc in range(3)]
+    facet set, for l = 0, 1, 2; only the facets of those cells are read."""
+    f = mesh.cell_facets[cells]
+    chosen = mesh.facet_cells[f, 1] < 0  # (nc, 3): exterior
+    if term.domain == INTERIOR:
+        chosen = ~chosen
+    elif term.label is not None:
+        chosen[chosen] = mesh.exterior_label[f[chosen]] == term.label
+    return [cells.start + np.flatnonzero(c) for c in chosen.T]
 
 
-def _contexts(form: FormIR, term: IntegralTerm, rule, blocked: bool):
-    """The term's evaluation contexts over the form's cells: all of them
-    (or all of one local edge) at once, or in
+def _contexts(form: FormIR, term: IntegralTerm, rule, cells: slice, blocked: bool):
+    """The term's evaluation contexts over the range ``cells``: all of
+    them (or all of one local edge) at once, or in
     :func:`~hybridfem.spaces.cell_blocks`."""
-    mesh, cells = form.mesh, form.cell_range
+    mesh = form.mesh
     if term.domain == CELL:
         parts = [(None, cells)]
     else:
         parts = [(loc, sel) for loc, sel in enumerate(_facet_selections(mesh, term, cells))
                  if len(sel)]
-    for loc, cells in parts:
-        for blk in cell_blocks(cells, len(rule.weights)) if blocked else [cells]:
+    for loc, sel in parts:
+        for blk in cell_blocks(sel, len(rule.weights)) if blocked else [sel]:
             yield _CellCtx(mesh, rule, blk) if loc is None else _FacetCtx(mesh, blk, loc, rule)
 
 
@@ -560,23 +540,24 @@ def _term_rule(term: IntegralTerm, form: FormIR):
             else reference.edge_quadrature(exact))
 
 
-def assemble_form(form: FormIR) -> np.ndarray:
-    """Element tensors of the form's cells: (nc, NT, NTR), (nc, NT), or
-    (nc,), with nc the length of its cell range.
+def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
+    """Element tensors of the cells ``cells`` (a slice ``lo:hi``; ``None``
+    means every cell): (nc, NT, NTR), (nc, NT), or (nc,), row 0 being
+    cell ``lo``.  Facet terms read only the facets of these cells.
 
     The point-independent monomials of all terms are contracted in one
-    matrix product over all cells; the point-dependent ones are then
+    matrix product over the cells; the point-dependent ones are then
     added one cell block at a time.  Orientation signs belong to a
     field, so they are applied once, at the end, to the signed fields.
     """
+    cells = slice(0, form.mesh.n_cells) if cells is None else cells
     t_off = local_offsets(form.test_fields)
     u_off = local_offsets(form.trial_fields)
     signed: set = set()
-    out = _reference_product(form, t_off, u_off, signed)
-    cells = form.cell_range
+    out = _reference_product(form, cells, t_off, u_off, signed)
 
     for term in filter(_point_dependent, form.terms):
-        for ctx in _contexts(form, term, _term_rule(term, form), blocked=True):
+        for ctx in _contexts(form, term, _term_rule(term, form), cells, blocked=True):
             gs, a0s = _factors(term, ctx, form, True, signed)
             local = np.einsum("cp,pij->cij", np.concatenate(gs, axis=1), np.concatenate(a0s))
             _scatter_block(out, local, _rows(ctx.cells, cells), *form.term_blocks(term),
@@ -598,25 +579,25 @@ def _rows(cells, first: slice):
     return cells - first.start
 
 
-def _reference_product(form: FormIR, t_off, u_off, signed: set) -> np.ndarray:
+def _reference_product(form: FormIR, cells: slice, t_off, u_off, signed: set) -> np.ndarray:
     """Unsigned element tensors of the point-independent monomials of all
-    terms as one product ``(G @ A0).reshape(nc, NT, NTR)``.  Each monomial
-    of a term and local edge adds its columns ``s_K g`` to ``G`` (zero for
-    cells outside a facet term's selection) and its ``A0`` rows, placed in
-    the term's block of the flattened local layout."""
-    cells, shape = form.cell_range, (max(t_off[-1], 1), max(u_off[-1], 1))
+    terms on ``cells`` as one product ``(G @ A0).reshape(nc, NT, NTR)``.
+    Each monomial of a term and local edge adds its columns ``s_K g`` to
+    ``G`` (zero for cells outside a facet term's selection) and its ``A0``
+    rows, placed in the term's block of the flattened local layout."""
+    shape = (max(t_off[-1], 1), max(u_off[-1], 1))
     nc = cells.stop - cells.start
     pieces = []
     for term in form.terms:
-        for ctx in _contexts(form, term, _term_rule(term, form), blocked=False):
+        for ctx in _contexts(form, term, _term_rule(term, form), cells, blocked=False):
             pieces += [(_rows(ctx.cells, cells), gk, a0, form.term_blocks(term))
                        for gk, a0 in zip(*_factors(term, ctx, form, False, signed))]
     K = sum(gk.shape[1] for _, gk, _, _ in pieces)
     G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)
     k = 0
     while pieces:  # each piece is freed once it is copied into G
-        cells, gk, a0, (ti, tj) = pieces.pop(0)
-        G[cells, k:k + gk.shape[1]] = gk
+        rows, gk, a0, (ti, tj) = pieces.pop(0)
+        G[rows, k:k + gk.shape[1]] = gk
         A0[(slice(k, k + gk.shape[1]),) + _block(ti, tj, t_off, u_off)] = a0
         k += gk.shape[1]
     return (G @ A0.reshape(K, shape[0] * shape[1])).reshape((nc,) + shape)
@@ -672,8 +653,9 @@ def _scatter_block(out, local, cells, ti, tj, t_off, u_off):
 def assemble_local(form: FormIR, cell: int) -> np.ndarray:
     """Element tensor of one cell by plain quadrature loops.
 
-    Kept independent of the batched evaluator so the two can check each
-    other; exact for polynomial integrands within the selected rule.
+    Kept independent of the batched evaluator, down to which local edges
+    a facet term covers, so the two can check each other; exact for
+    polynomial integrands within the selected rule.
     """
     mesh = form.mesh
     if not 0 <= cell < mesh.n_cells:
@@ -693,8 +675,10 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
         else:
             rule = reference.edge_quadrature(exact)
             acc = None
-            for loc, cells in enumerate(_facet_selections(mesh, term)):
-                if cell not in cells:
+            for loc, f in enumerate(mesh.cell_facets[cell]):
+                exterior = mesh.facet_cells[f, 1] < 0
+                if ((term.domain == EXTERIOR) != exterior
+                        or term.label not in (None, mesh.exterior_label[f])):
                     continue
                 ctx = _FacetCtx(mesh, np.array([cell]), loc, rule)
                 part = _local_term(term, form, ctx)

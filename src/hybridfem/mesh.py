@@ -39,7 +39,6 @@ class Mesh:
     facet_cells: np.ndarray        # (n_facets, 2), -1 where absent
     facet_local_index: np.ndarray  # (n_facets, 2), local edge in each cell
     cell_facets: np.ndarray        # (n_cells, 3)
-    facet_kind: np.ndarray         # (n_facets,), "interior" or "exterior"
     exterior_label: np.ndarray     # (n_facets,), DIRICHLET / NEUMANN / ""
 
     @property
@@ -224,12 +223,11 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     facet_cells, facet_local = (np.full((n_facets, 2), -1, dtype=np.int64) for _ in range(2))
     np.divmod(first_occ, 3, out=(facet_cells[:, 0], facet_local[:, 0]))
     facet_cells[f2, 1], facet_local[f2, 1] = np.divmod(second_occ, 3)
-    exterior = facet_cells[:, 1] < 0
-    kind, label = np.empty(n_facets, dtype=object), np.empty(n_facets, dtype=object)
-    kind[:], label[:] = "interior", ""  # one str object per value, shared by every facet
-    kind[exterior], label[exterior] = "exterior", DIRICHLET
+    label = np.empty(n_facets, dtype=object)
+    label[:] = ""  # one str object per value, shared by every facet
+    label[facet_cells[:, 1] < 0] = DIRICHLET
     return Mesh(np.asarray(coords, dtype=float), cell_vertices, facet_vertices, facet_cells,
-                facet_local, occ_facet.reshape(n_cells, 3), kind, label)
+                facet_local, occ_facet.reshape(n_cells, 3), label)
 
 
 def cell_geometry(mesh: Mesh, cell: int) -> CellGeometry:

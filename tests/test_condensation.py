@@ -26,6 +26,7 @@ from hybridfem.condensation import (
 )
 from hybridfem.expressions import Tensor, assemble_global
 from hybridfem.forms import ScalarField
+from hybridfem.mesh import Mesh
 from hybridfem.problems import (
     conforming_mixed_system,
     hybridized_mixed_system,
@@ -419,7 +420,7 @@ def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
     calls = []
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
-                        lambda form: calls.append(form) or real(form))
+                        lambda form, cells=None: calls.append(form) or real(form, cells))
     cs = scpc_setup(a, FieldSplit((0,), (1,)))
     assert len(calls) == 1
     monkeypatch.undo()
@@ -475,7 +476,7 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
     calls = []
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
-                        lambda form: calls.append(form) or real(form))
+                        lambda form, cells=None: calls.append(form) or real(form, cells))
     blocked = _condensed_arrays(scpc_setup(hs.a, split, hs.trace_bcs))
     assert len(calls) == -(-mesh.n_cells // 5)
     calls.clear()
@@ -489,6 +490,39 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
         np.testing.assert_allclose(blocked[name].data, want.data, rtol=0,
                                    atol=1e-13 * np.abs(want.data).max(), err_msg=name)
         np.testing.assert_array_equal(sliced[name].data, want.data, err_msg=name)
+
+
+@pytest.mark.parametrize("method", ["mixed-hybrid", "ldgh"])
+def test_facet_selection_reads_only_each_blocks_cells(monkeypatch, method):
+    """A block of cells selects the cells of a facet term from its own
+    facets: a one-shot condensed solve and a set-up in blocks of eight
+    cells call the whole-mesh facet helpers as often as in one block."""
+    mesh = build_unit_square(8)
+    hs = (hybridized_mixed_system(mesh, PROB, 1) if method == "mixed-hybrid"
+          else ldgh_system(mesh, PROB, 1))
+    split = FieldSplit((0, 1), (2,))
+    calls = []
+
+    def counted(helper):
+        return lambda self, *args: calls.append(helper) or helper(self, *args)
+
+    monkeypatch.setattr(Mesh, "facets_with_label", counted(Mesh.facets_with_label))
+    for name in ("interior_facets", "exterior_facets"):
+        monkeypatch.setattr(Mesh, name, property(counted(getattr(Mesh, name).fget)))
+    mesh.interior_facets, mesh.exterior_facets, mesh.facets_with_label(DIRICHLET)
+    assert len(calls) == 3
+
+    def count(block_cells):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(expressions, "BLOCK_CELLS", block_cells)
+            condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, exact_inner)
+            scpc_setup(hs.a, split, hs.trace_bcs)
+        return len(calls)
+
+    one_block = count(expressions.BLOCK_CELLS)
+    assert mesh.n_cells == 16 * 8
+    assert count(8) == one_block
 
 
 def _dg0_trace_form(w):

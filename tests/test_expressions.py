@@ -338,9 +338,9 @@ def count_assembly(monkeypatch) -> list:
     calls = []
     real = expressions.assemble_form
 
-    def counting(form):
+    def counting(form, cells=None):
         calls.append(form)
-        return real(form)
+        return real(form, cells)
 
     monkeypatch.setattr(expressions, "assemble_form", counting)
     return calls

@@ -28,14 +28,15 @@ from hybridfem.forms import (
     Fld,
     FormIR,
     IntegralTerm,
+    QUADRATURE_MARGIN,
     ScalarField,
     _point_dependent,
+    _term_exactness,
     assemble_form,
     assemble_local,
     coef,
     div,
     dot,
-    estimate_degree,
     fld,
     grad,
     jump,
@@ -137,16 +138,18 @@ def test_linearity_in_coefficients():
 
 
 def test_estimate_degree_examples():
+    """A term's quadrature exactness is the degree bound of its
+    integrand plus the margin."""
     mesh = build_unit_square(1)
     V0 = create_space(mesh, DG(0))
-    assert estimate_degree(mass_form(V0)) == 0
     V2 = create_space(mesh, CG(2))
     stiff = FormIR(V2, V2, [IntegralTerm(CELL, dot(grad(tfn()), grad(trial())))])
-    assert estimate_degree(stiff) == 2
     U = create_space(mesh, RT(1))
     kappa = ScalarField(lambda x, y: 1.0 + x, degree=1)
     wmass = FormIR(U, U, [ IntegralTerm(CELL, dot(fld(kappa), dot(tfn(), trial())))])
-    assert estimate_degree(wmass) == 3
+    for form, degree in [(mass_form(V0), 0), (stiff, 2), (wmass, 3)]:
+        (term,) = form.terms
+        assert _term_exactness(term, form) == degree + QUADRATURE_MARGIN
 
 
 def test_exactness_cap_rejected():
@@ -419,20 +422,24 @@ def test_full_cell_scatter_is_bit_identical_to_indexed_scatter(monkeypatch):
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
 def test_facet_selections_match_string_labels(mesh_name):
-    """Facets chosen from the cell adjacency and one label mask per term
-    are those the facet kind and label strings name."""
+    """Facets chosen from a range of cells are those whose incidence in
+    ``facet_cells`` and label string the term names; a sub-range chooses
+    the whole range's cells that lie in it."""
     mesh = _general_meshes()[mesh_name]
+    exterior = mesh.facet_cells[:, 1] < 0
     n_neumann = 0
     for domain, label in [(INTERIOR, None), (EXTERIOR, None),
                           (EXTERIOR, DIRICHLET), (EXTERIOR, NEUMANN)]:
-        got = forms._facet_selections(mesh, IntegralTerm(domain, Const(1.0), label))
-        kind = "interior" if domain == INTERIOR else "exterior"
+        term = IntegralTerm(domain, Const(1.0), label)
+        got = forms._facet_selections(mesh, term, slice(0, mesh.n_cells))
+        part = forms._facet_selections(mesh, term, slice(5, 17))
         for loc in range(3):
             facets = mesh.cell_facets[:, loc]
-            want = mesh.facet_kind[facets] == kind
+            want = exterior[facets] == (domain == EXTERIOR)
             if label is not None:
                 want &= mesh.exterior_label[facets] == label
             np.testing.assert_array_equal(got[loc], np.flatnonzero(want))
+            np.testing.assert_array_equal(part[loc], got[loc][(got[loc] >= 5) & (got[loc] < 17)])
             n_neumann += len(got[loc]) if label == NEUMANN else 0
     assert (n_neumann > 0) == (mesh_name == "jittered-neumann-left")
 
@@ -500,17 +507,18 @@ def test_element_tensors_do_not_depend_on_block_size(mesh_name, monkeypatch):
 
 @pytest.mark.parametrize("mesh_name", ["structured", "jittered", "jittered-neumann-left"])
 def test_form_on_cells_is_a_slice_of_the_whole(mesh_name):
-    """A form on a range of cells gives the rows of those cells, facet
-    terms included, for operators and quadrature-path forms; the whole
-    range is the form itself.  The rows agree to round-off, not bits:
-    the reference product ``G @ A0`` is one BLAS product over the range,
-    whose summation order for a row may depend on the number of rows."""
+    """A form assembled on a range of cells gives the rows of those
+    cells, facet terms included, for operators and quadrature-path
+    forms; the whole range is the default.  The rows agree to round-off,
+    not bits: the reference product ``G @ A0`` is one BLAS product over
+    the range, whose summation order for a row may depend on the number
+    of rows."""
     mesh = _general_meshes()[mesh_name]
     for name, form in [*_operators(mesh), *_quadrature_forms(mesh)]:
-        assert form.on_cells(0, mesh.n_cells) is form
         whole = assemble_form(form)
+        np.testing.assert_array_equal(assemble_form(form, slice(0, mesh.n_cells)), whole)
         for lo, hi in [(0, 5), (5, 17), (17, mesh.n_cells)]:
-            np.testing.assert_allclose(assemble_form(form.on_cells(lo, hi)), whole[lo:hi],
+            np.testing.assert_allclose(assemble_form(form, slice(lo, hi)), whole[lo:hi],
                                        rtol=0, atol=1e-13 * np.abs(whole).max(),
                                        err_msg=f"{name} {lo}:{hi}")
 

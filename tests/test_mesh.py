@@ -30,14 +30,18 @@ def test_euler_relation(n):
 
 
 def test_facet_incidence_counts():
+    """Each facet lies on one or two cells: the first is a cell, the
+    second is a later cell or -1, and each cell has three facets."""
     mesh = build_unit_square(4)
-    for f in range(mesh.n_facets):
-        cells = mesh.facet_cells[f]
-        if mesh.facet_kind[f] == "interior":
-            assert (cells >= 0).all()
-            assert cells[0] < cells[1]
-        else:
-            assert cells[0] >= 0 and cells[1] == -1
+    first, second = mesh.facet_cells.T
+    assert (first >= 0).all()
+    interior = second >= 0
+    assert (first[interior] < second[interior]).all()
+    assert (second[~interior] == -1).all()
+    assert interior.sum() == len(mesh.interior_facets) == 40
+    assert (~interior).sum() == len(mesh.exterior_facets) == 16
+    sides = np.bincount(mesh.facet_cells[mesh.facet_cells >= 0], minlength=mesh.n_cells)
+    assert (sides == 3).all()
 
 
 def test_facet_cells_agree_on_vertex_pair():
@@ -128,15 +132,13 @@ def test_default_labels_all_dirichlet():
 
 
 def test_facet_labels_share_one_object_per_value():
-    """A mesh holds at most two distinct facet-kind objects and two
-    label objects, not one string per facet; values and dtype are those
-    of per-facet strings."""
+    """A mesh holds at most two distinct label objects, not one string
+    per facet; values and dtype are those of per-facet strings, set on
+    the facets that ``facet_cells`` marks exterior."""
     mesh = build_jittered_square(8, 0.2, seed=4)
-    assert mesh.facet_kind.dtype == object and mesh.exterior_label.dtype == object
-    assert len({id(k) for k in mesh.facet_kind}) <= 2
+    assert mesh.exterior_label.dtype == object
     assert len({id(k) for k in mesh.exterior_label}) <= 2
     exterior = mesh.facet_cells[:, 1] < 0
-    assert list(mesh.facet_kind) == ["exterior" if e else "interior" for e in exterior]
     assert list(mesh.exterior_label) == [DIRICHLET if e else "" for e in exterior]
 
 

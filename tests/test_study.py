@@ -262,7 +262,7 @@ def test_mixed_hybrid_solve_assembles_each_form_once(monkeypatch):
     calls = []
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
-                        lambda form: calls.append(form) or real(form))
+                        lambda form, cells=None: calls.append(form) or real(form, cells))
     res = solve_hybridizable(build_unit_square(4), manufactured("sinsin"),
                              StudySpec(method="mixed-hybrid", degree=1))
     assert res.report.converged
@@ -279,7 +279,7 @@ def test_solver_compare_assembles_each_form_once(monkeypatch, method, degree, n_
     calls = []
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
-                        lambda form: calls.append(form) or real(form))
+                        lambda form, cells=None: calls.append(form) or real(form, cells))
     rows = run_solver_compare(StudySpec(method=method, degree=degree, sizes=(4, 8),
                                         serial=True))
     assert all(r["converged"] == 1 for r in rows)
