@@ -29,11 +29,9 @@ from .spaces import (
     break_space,
     broken_transfer,
     create_space,
-    inject_broken,
     interpolate,
     project_div,
     transfer_residual,
-    zero_function,
 )
 from .reference import quadrature
 from .forms import FormIR, IntegralTerm, ScalarField, assemble_form, assemble_local
@@ -84,11 +82,9 @@ __all__ = [
     "break_space",
     "broken_transfer",
     "create_space",
-    "inject_broken",
     "interpolate",
     "project_div",
     "transfer_residual",
-    "zero_function",
     "quadrature",
     "FormIR",
     "IntegralTerm",

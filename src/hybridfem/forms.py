@@ -547,8 +547,11 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
 
     The point-independent monomials of all terms are contracted in one
     matrix product over the cells; the point-dependent ones are then
-    added one cell block at a time.  Orientation signs belong to a
-    field, so they are applied once, at the end, to the signed fields.
+    added one cell block at a time, each cell's sum over its points a
+    product of its own (a batched ``matmul`` of one row per cell), so a
+    cell's element tensor does not depend on the block it is in.
+    Orientation signs belong to a field, so they are applied once, at
+    the end, to the signed fields.
     """
     cells = slice(0, form.mesh.n_cells) if cells is None else cells
     t_off = local_offsets(form.test_fields)
@@ -559,9 +562,10 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
     for term in filter(_point_dependent, form.terms):
         for ctx in _contexts(form, term, _term_rule(term, form), cells, blocked=True):
             gs, a0s = _factors(term, ctx, form, True, signed)
-            local = np.einsum("cp,pij->cij", np.concatenate(gs, axis=1), np.concatenate(a0s))
-            _scatter_block(out, local, _rows(ctx.cells, cells), *form.term_blocks(term),
-                           t_off, u_off)
+            G, A0 = np.concatenate(gs, axis=1), np.concatenate(a0s)
+            local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
+            _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(ctx.cells, cells),
+                           *form.term_blocks(term), t_off, u_off)
 
     for role, f in signed:
         if role == "test":

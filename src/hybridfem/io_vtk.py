@@ -86,46 +86,3 @@ def export_fields(path: str, fields: list[tuple[str, Function]]) -> None:
                     lines.append(_fmt(v))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_vtk(path: str) -> dict:
-    """Minimal legacy VTK reader for round-trip tests."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split("\n")
-    out: dict = {"points": [], "cells": [], "point_data": {}, "cell_data": {}}
-    i = 0
-    n_points = n_cells = 0
-    section = None
-    current = None
-    while i < len(tokens):
-        line = tokens[i].strip()
-        if line.startswith("POINTS"):
-            n_points = int(line.split()[1])
-            for j in range(n_points):
-                out["points"].append([float(v) for v in tokens[i + 1 + j].split()])
-            i += n_points
-        elif line.startswith("CELLS"):
-            n_cells = int(line.split()[1])
-            for j in range(n_cells):
-                out["cells"].append([int(v) for v in tokens[i + 1 + j].split()[1:]])
-            i += n_cells
-        elif line.startswith("POINT_DATA"):
-            section = "point_data"
-        elif line.startswith("CELL_DATA"):
-            section = "cell_data"
-        elif line.startswith("SCALARS"):
-            name = line.split()[1]
-            count = n_points if section == "point_data" else n_cells
-            vals = [float(tokens[i + 2 + j]) for j in range(count)]
-            out[section][name] = np.array(vals)
-            i += count + 1
-        elif line.startswith("VECTORS"):
-            name = line.split()[1]
-            count = n_points if section == "point_data" else n_cells
-            vals = [[float(v) for v in tokens[i + 1 + j].split()] for j in range(count)]
-            out[section][name] = np.array(vals)
-            i += count
-        i += 1
-    out["points"] = np.array(out["points"])
-    out["cells"] = np.array(out["cells"])
-    return out

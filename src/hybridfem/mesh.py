@@ -12,7 +12,8 @@ cells sharing a facet agree on its dofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,16 +92,31 @@ class CellGeometry:
 
 @dataclass
 class MeshGeometry:
-    """Batched affine map data for all cells of a mesh.  No array pins a
-    larger one: ``origins`` is a copy, not a view of the vertex gather."""
+    """Batched affine map data for all cells of a mesh.
+
+    The per-cell fields are computed with the geometry.  The per-edge
+    fields ``edge_normals``, ``edge_lengths`` and ``dir_match`` are
+    computed together on first access and cached, so a solve that reads
+    none of them (primal CG(1)) never pays for them; for this the
+    geometry keeps the mesh's own vertex arrays, not the mesh.  No array
+    pins a larger one: ``origins`` is a copy, not a view of the vertex
+    gather.
+    """
 
     origins: np.ndarray        # (n_cells, 2), coordinates of local vertex 0
     jacobians: np.ndarray      # (n_cells, 2, 2)
     det_j: np.ndarray          # (n_cells,)
     inv_jt: np.ndarray         # (n_cells, 2, 2)
-    edge_normals: np.ndarray   # (n_cells, 3, 2), outward unit
-    edge_lengths: np.ndarray   # (n_cells, 3)
-    dir_match: np.ndarray      # (n_cells, 3) bool: ccw traversal == global direction
+    vertex_coords: np.ndarray = field(repr=False)  # the mesh's arrays, read by _edges
+    cell_vertices: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _edge_geometry(self.vertex_coords, self.cell_vertices)
+
+    edge_normals = property(lambda self: self._edges[0])  # (n_cells, 3, 2), outward unit
+    edge_lengths = property(lambda self: self._edges[1])  # (n_cells, 3)
+    dir_match = property(lambda self: self._edges[2])  # (n_cells, 3) bool: ccw traversal == global direction
 
     def physical_points(self, ref_pts: np.ndarray, cells=slice(None)) -> np.ndarray:
         """Images (ncs, nq, 2) of reference points under the cells' affine maps."""
@@ -110,12 +126,12 @@ class MeshGeometry:
 
 def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     """Reads per-corner coordinate rows ``x[k]``, ``y[k]`` (local vertex
-    ``k`` of every cell) and computes each output component in place."""
-    cv, n_cells = mesh.cell_vertices, mesh.n_cells
+    ``k`` of every cell) and computes each output component in place.
+    Degenerate cells are found from the Jacobian's columns, whose
+    lengths |J e1|, |J e2| and |J (e2 - e1)| are those of the edges."""
+    n_cells = mesh.n_cells
     jac, inv = np.empty((n_cells, 2, 2)), np.empty((n_cells, 2, 2))
-    normals, lengths = np.empty((n_cells, 3, 2)), np.empty((n_cells, 3))
-    dir_match = np.empty((n_cells, 3), dtype=bool)
-    x, y = np.take(mesh.vertex_coords.T, cv.T, axis=1)  # (3, n_cells) each
+    x, y = np.take(mesh.vertex_coords.T, mesh.cell_vertices.T, axis=1)  # (3, n_cells) each
     for i, c in enumerate((x, y)):
         np.subtract(c[1], c[0], out=jac[:, i, 0])
         np.subtract(c[2], c[0], out=jac[:, i, 1])
@@ -126,23 +142,34 @@ def _compute_geometry(mesh: Mesh) -> MeshGeometry:
         raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
     for (i, j), entry in zip(np.ndindex(2, 2), (j11, -j01, -j10, j00)):
         np.divide(entry, det, out=inv[:, i, j])
-
-    longest = np.zeros(n_cells)
-    for loc, (a, b) in enumerate(EDGE_VERTICES):
-        # outward normal (ty, -tx) / length, +0.0 where zero, as tangent @ [[0, -1], [1, 0]]
-        n_x, n_y, length = normals[:, loc, 0], normals[:, loc, 1], lengths[:, loc]
-        np.subtract(x[b], x[a], out=n_y)  # tx until negated below
-        np.subtract(y[b], y[a], out=n_x)
-        np.maximum(longest, np.hypot(n_y, n_x, out=length), out=longest)
-        np.divide(np.add(n_x, 0.0, out=n_x), length, out=n_x)
-        np.divide(np.subtract(0.0, n_y, out=n_y), length, out=n_y)
-        np.less(cv[:, a], cv[:, b], out=dir_match[:, loc])
+    longest = np.maximum(np.hypot(j00, j10), np.hypot(j01, j11))
+    np.maximum(longest, np.hypot(j01 - j00, j11 - j10), out=longest)
     quality = det / longest ** 2  # sqrt(3)/2 for an equilateral cell
     bad = np.flatnonzero(quality < 1e-10)
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} is degenerate (det J / h^2 = {quality[bad[0]]:.3g})")
     origins = np.stack((x[0], y[0]), axis=1)
-    return MeshGeometry(origins, jac, det, np.swapaxes(inv, 1, 2), normals, lengths, dir_match)
+    return MeshGeometry(origins, jac, det, np.swapaxes(inv, 1, 2),
+                        mesh.vertex_coords, mesh.cell_vertices)
+
+
+def _edge_geometry(coords: np.ndarray, cv: np.ndarray):
+    """Outward unit normals, lengths and direction flags of every cell's
+    local edges, each component computed in place from the corner rows."""
+    n_cells = len(cv)
+    normals, lengths = np.empty((n_cells, 3, 2)), np.empty((n_cells, 3))
+    dir_match = np.empty((n_cells, 3), dtype=bool)
+    x, y = np.take(coords.T, cv.T, axis=1)
+    for loc, (a, b) in enumerate(EDGE_VERTICES):
+        # outward normal (ty, -tx) / length, +0.0 where zero, as tangent @ [[0, -1], [1, 0]]
+        n_x, n_y, length = normals[:, loc, 0], normals[:, loc, 1], lengths[:, loc]
+        np.subtract(x[b], x[a], out=n_y)  # tx until negated below
+        np.subtract(y[b], y[a], out=n_x)
+        np.hypot(n_y, n_x, out=length)
+        np.divide(np.add(n_x, 0.0, out=n_x), length, out=n_x)
+        np.divide(np.subtract(0.0, n_y, out=n_y), length, out=n_y)
+        np.less(cv[:, a], cv[:, b], out=dir_match[:, loc])
+    return normals, lengths, dir_match
 
 
 def build_unit_square(n: int) -> Mesh:

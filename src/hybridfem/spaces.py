@@ -161,10 +161,6 @@ class Function:
             raise ValueError("coefficient length does not match space dimension")
 
 
-def zero_function(space: FunctionSpace) -> Function:
-    return Function(space, np.zeros(space.ndof_global))
-
-
 def local_offsets(fields) -> np.ndarray:
     """Start of each field's block in a cell's local dofs, then the total."""
     return np.concatenate([[0], np.cumsum([s.local_dim for s in fields])]).astype(int)
@@ -533,11 +529,14 @@ def contract(basis, local: np.ndarray) -> np.ndarray:
     map for per-cell coefficients ``local`` (nc, nd), shaped
     (nc, nq, ncomp).  The coefficients are contracted with the reference
     tabulation first, so the per-cell map applies to nq values, not to
-    nq * nd basis functions."""
+    nq * nd basis functions.  The scalar identity map of DG/CG values is
+    skipped, as multiplying by it changes no value."""
     ref, g, signs = basis
     if signs is not None:
         local = local * signs
     ref_vals = np.einsum("ci,qir->cqr", local, ref, optimize=True)
+    if g.shape == (1, 1, 1) and g[0, 0, 0] == 1.0:
+        return ref_vals
     return np.einsum("cdr,cqr->cqd", g, ref_vals, optimize=True)
 
 
@@ -582,13 +581,6 @@ def broken_transfer(conforming: FunctionSpace, broken: FunctionSpace) -> BrokenT
     incidence = np.bincount(conf_of_broken, minlength=conforming.ndof_global)
     return BrokenTransfer(conforming, broken, conf_of_broken, incidence,
                           1.0 / incidence[conf_of_broken])
-
-
-def inject_broken(bt: BrokenTransfer, fn: Function) -> Function:
-    """Copy a conforming function into the broken space (twins equal)."""
-    if fn.space is not bt.conforming:
-        raise ValueError("function does not live on the transfer's conforming space")
-    return Function(bt.broken, fn.coeffs[bt.conforming_of_broken])
 
 
 def project_div(bt: BrokenTransfer, fn: Function) -> Function:

@@ -41,10 +41,10 @@ from hybridfem.solvers import (
 from hybridfem.spaces import (
     broken_transfer,
     eval_function,
-    inject_broken,
     transfer_residual,
 )
 from hybridfem.study import StudySpec, run_convergence
+from support import inject_broken
 
 PROB = manufactured("sinsin")
 

@@ -3,8 +3,9 @@ import pytest
 
 from hybridfem import DG, RT, Function, build_unit_square, create_space, interpolate
 from hybridfem.cli import main, make_parser
-from hybridfem.io_vtk import export_fields, read_vtk, write_mesh_vtk
+from hybridfem.io_vtk import export_fields, write_mesh_vtk
 from hybridfem.study import StudySpec
+from support import read_vtk
 
 
 def test_mesh_dump_roundtrip(tmp_path):

@@ -252,11 +252,20 @@ def test_non_manifold_facet_rejected():
             build(cells)
 
 
+QUALITY_5E_11 = r"mesh cell 1 is degenerate \(det J / h\^2 = 5e-11\)"
+
+
 @pytest.mark.parametrize("apex, second, message", [
     # clockwise second cell
     ((1.0, 1.0), [1, 2, 3], r"mesh cell 1 is not positively oriented"),
     # sliver: the apex lies 1e-12 off the shared edge, det J / h^2 = 1e-12
     ((0.5 + 1e-12, 0.5 + 1e-12), [1, 3, 2], r"mesh cell 1 is degenerate"),
+    # det J / h^2 = 5e-11, just under the bound; measured by a shorter edge
+    # it would pass (2e-10), so each case needs its longest edge: local
+    # edge 1, 0 or 2, whose length is |J e2|, |J (e2 - e1)| or |J e1|
+    pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [1, 3, 2], QUALITY_5E_11, id="longest-edge-1"),
+    pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [3, 2, 1], QUALITY_5E_11, id="longest-edge-0"),
+    pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [2, 1, 3], QUALITY_5E_11, id="longest-edge-2"),
 ])
 def test_bad_cell_rejected_by_index(apex, second, message):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], apex])
@@ -283,9 +292,10 @@ def test_jittered_square_moves_interior_vertices_only():
 
 def test_build_peak_and_geometry_memory():
     """At n=128 building the mesh peaks at most 2.4 times what it keeps
-    (one stable sort numbers the facets), and its geometry keeps at most
-    170 bytes a cell: ``origins`` is its own array, not a view pinning
-    the (n_cells, 3, 2) vertex gather."""
+    (one stable sort numbers the facets).  Its geometry keeps at most 90
+    bytes a cell until edge data is read, and at most 170 after:
+    ``origins`` is its own array, not a view pinning the (n_cells, 3, 2)
+    vertex gather, and the edge fields are computed on demand."""
     import tracemalloc
 
     tracemalloc.start()
@@ -293,10 +303,13 @@ def test_build_peak_and_geometry_memory():
         mesh = build_unit_square(128)
         kept, peak = tracemalloc.get_traced_memory()
         geo = mesh.geometry()
+        cell_kept = tracemalloc.get_traced_memory()[0] - kept
+        geo.edge_normals
         geo_kept = tracemalloc.get_traced_memory()[0] - kept
     finally:
         tracemalloc.stop()
     assert peak <= 2.4 * kept, (peak / 1e6, kept / 1e6)
+    assert cell_kept <= 90 * mesh.n_cells, cell_kept / mesh.n_cells
     assert geo_kept <= 170 * mesh.n_cells, geo_kept / mesh.n_cells
     assert geo.origins.base is None
     np.testing.assert_array_equal(geo.origins, mesh.vertex_coords[mesh.cell_vertices[:, 0]])

@@ -12,7 +12,6 @@ from hybridfem import (
     build_unit_square,
     create_space,
     interpolate,
-    zero_function,
 )
 from hybridfem.condensation import FieldSplit, scpc_apply, scpc_setup
 from hybridfem.expressions import (Tensor, assemble_global, compile_expr, evaluate_all,
@@ -37,6 +36,7 @@ from hybridfem.reference import edge_points, edge_quadrature, triangle_quadratur
 from hybridfem.solvers import KrylovConfig, exact_preconditioner
 from hybridfem.spaces import eval_function
 from hybridfem.study import l2_error_div
+from support import zero_function
 
 ONE = ScalarField.constant(1.0)
 

@@ -13,12 +13,14 @@ from hybridfem import (
     build_jittered_square,
     build_unit_square,
     create_space,
-    inject_broken,
     interpolate,
     project_div,
     transfer_residual,
 )
-from hybridfem.spaces import eval_function, global_edge_moments, project_onto_facets
+from hybridfem.reference import triangle_quadrature
+from hybridfem.spaces import (contract, eval_function, global_edge_moments, project_onto_facets,
+                             ref_basis)
+from support import inject_broken
 
 
 def facet_side_normal_values(fn, cells, local_edge, t_local):
@@ -333,3 +335,41 @@ def test_unsigned_spaces_share_zero_stride_signs():
     V = create_space(mesh, CG(1))
     assert V.cell_dofs is mesh.cell_vertices and not V.cell_dofs.flags.writeable
     assert V.ndof_global == mesh.n_vertices
+
+
+@pytest.mark.parametrize("family, deriv", [
+    (DG(2), "value"), (DG(2), "grad"), (CG(1), "value"), (CG(3), "grad"),
+    (VectorDG(1), "value"), (VectorDG(2), "div"), (RT(1), "value"), (RT(2), "div"),
+])
+def test_contract_matches_per_cell_loop(family, deriv):
+    """``contract`` against a loop that forms each cell's physical basis
+    ``phi[q, i, d] = signs[i] * sum_r g[d, r] * ref[q, i, r]`` from the
+    :func:`ref_basis` map and sums it against the cell's coefficients."""
+    mesh = build_jittered_square(5, 0.2, seed=6)
+    space = create_space(mesh, family)
+    local = np.random.default_rng(7).standard_normal(space.cell_dofs.shape)
+    pts = triangle_quadrature(5).points
+    ref, g, signs = basis = ref_basis(space, deriv, pts, mesh.geometry(), slice(None))
+    got = contract(basis, local)
+    assert got.shape == (mesh.n_cells, len(pts), g.shape[1])
+    for c in range(mesh.n_cells):
+        s = np.ones(ref.shape[1]) if signs is None else signs[c]
+        phi = s[None, :, None] * np.einsum("dr,qir->qid", g[c % len(g)], ref)
+        want = np.einsum("i,qid->qd", local[c], phi)
+        assert np.abs(got[c] - want).max() <= 1e-14 * np.abs(want).max(), c
+
+
+@pytest.mark.parametrize("family", [DG(0), DG(2), CG(1), CG(3)])
+def test_contract_of_scalar_values_is_the_two_product_formula_bit_for_bit(family):
+    """For DG/CG values the per-cell map is the scalar identity, which
+    ``contract`` skips: the result keeps the bits of the second product."""
+    mesh = build_jittered_square(5, 0.2, seed=6)
+    space = create_space(mesh, family)
+    local = np.random.default_rng(8).standard_normal(space.cell_dofs.shape)
+    ref, g, _ = basis = ref_basis(space, "value", triangle_quadrature(5).points,
+                                  mesh.geometry(), slice(None))
+    ref_vals = np.einsum("ci,qir->cqr", local, ref, optimize=True)
+    two = np.einsum("cdr,cqr->cqd", g, ref_vals, optimize=True)
+    got = contract(basis, local)
+    assert got.shape == two.shape
+    np.testing.assert_array_equal(got.view(np.int64), two.view(np.int64))

@@ -34,6 +34,7 @@ from hybridfem.study import (
     run_convergence,
     run_solver_compare,
     solve_hybridizable,
+    solve_primal,
     write_csv,
 )
 
@@ -268,6 +269,18 @@ def test_mixed_hybrid_solve_assembles_each_form_once(monkeypatch):
     assert res.report.converged
     assert len(calls) == 4
     assert len({id(f) for f in calls}) == 4
+
+
+def test_primal_solve_leaves_edge_geometry_uncomputed():
+    """A primal CG(1) solve and its error read no per-edge geometry, so
+    the geometry's edge cache stays empty; a mixed-hybrid solve fills it."""
+    mesh, prob = build_unit_square(8), manufactured("sinsin")
+    res = solve_primal(mesh, prob, StudySpec(method="cg-primal", degree=1))
+    assert res.report.converged
+    assert l2_error(res.p, prob.p) < 0.05
+    assert "_edges" not in vars(mesh.geometry())
+    solve_hybridizable(mesh, prob, StudySpec(method="mixed-hybrid", degree=1))
+    assert "_edges" in vars(mesh.geometry())
 
 
 @pytest.mark.parametrize("method,degree,n_forms", [("mixed-hybrid", 2, 8),
