@@ -10,7 +10,7 @@ eliminated fields are recovered locally afterwards.
 import numpy as np
 
 from hybridfem import build_unit_square
-from hybridfem.condensation import FieldSplit, scpc_apply, scpc_setup
+from hybridfem.condensation import scpc_apply, scpc_setup
 from hybridfem.expressions import Tensor, assemble_global
 from hybridfem.problems import hybridized_mixed_system, manufactured
 from hybridfem.solvers import KrylovConfig, jacobi_preconditioner
@@ -25,7 +25,7 @@ print(f"three-field system: {W.ndof_global} dofs "
       f"(flux {hs.flux_space.ndof_global}, scalar {hs.scalar_space.ndof_global}, "
       f"trace {hs.trace_space.ndof_global})")
 
-cs = scpc_setup(hs.a, FieldSplit(eliminate=(0, 1), condensed=(2,)), hs.trace_bcs)
+cs = scpc_setup(hs.a, hs.trace_bcs)
 print(f"condensed trace system: {cs.S.shape[0]} dofs, "
       f"{cs.S.nnz} nonzeros")
 

@@ -11,7 +11,7 @@ order faster than without the stabilization bookkeeping.
 import numpy as np
 
 from hybridfem import build_unit_square
-from hybridfem.condensation import FieldSplit, scpc_apply, scpc_setup
+from hybridfem.condensation import scpc_apply, scpc_setup
 from hybridfem.expressions import Tensor, assemble_global
 from hybridfem.postprocess import flux_pp
 from hybridfem.problems import ldgh_system, manufactured
@@ -46,7 +46,7 @@ prev = None
 for n in (4, 8, 16):
     mesh = build_unit_square(n)
     ls = ldgh_system(mesh, prob, k, tau)
-    cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    cs = scpc_setup(ls.a, ls.trace_bcs)
     rhs = assemble_global(Tensor(ls.rhs))
     inner = KrylovConfig(method="cg", rtol=1e-12,
                          preconditioner=exact_preconditioner(cs.S))
@@ -65,7 +65,7 @@ for n in (4, 8, 16):
 print("\nthe reconstructed flux matches u_h in accuracy:")
 mesh = build_unit_square(16)
 ls = ldgh_system(mesh, prob, k, tau)
-cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+cs = scpc_setup(ls.a, ls.trace_bcs)
 x, _, _ = scpc_apply(cs, assemble_global(Tensor(ls.rhs)),
                      KrylovConfig(method="cg", rtol=1e-12,
                                   preconditioner=exact_preconditioner(cs.S)))

@@ -1,7 +1,9 @@
 """Static condensation and hybridization of multi-field systems.
 
-Static condensation of a system whose leading fields are discontinuous
-is the paper's three Slate expressions over one set of local operators,
+Static condensation eliminates a system's leading cell-local (broken)
+fields onto the rest.  The split is read from the test space's fields,
+where Firedrake's SCPC is given it by ``pc_sc_eliminate_fields``.  It is
+the paper's three Slate expressions over one set of local operators,
 ``X = A_ee^{-1} A_ec`` and ``S = A_cc - A_ce X``: the condensed
 operator ``S``, the condensed right-hand side ``E = F_c - A_ce y`` with
 ``y = A_ee^{-1} F_e``, and the local recovery ``x_e = y - X lambda``.
@@ -61,30 +63,6 @@ from .spaces import (
     transfer_residual,
 )
 
-@dataclass(frozen=True)
-class FieldSplit:
-    """Partition of field indices into eliminated and condensed sets.
-
-    The eliminated fields must form a leading contiguous range so the
-    block structure maps onto sub-block extraction.
-    """
-
-    eliminate: tuple[int, ...]
-    condensed: tuple[int, ...]
-
-    def __post_init__(self):
-        e, c = set(self.eliminate), set(self.condensed)
-        if not c:
-            raise ValueError("the condensed field set must be nonempty")
-        if e & c:
-            raise ValueError("eliminated and condensed fields overlap")
-        n = len(e) + len(c)
-        if e | c != set(range(n)):
-            raise ValueError("field split must cover all fields exactly once")
-        if sorted(e) != list(range(len(e))):
-            raise ValueError("eliminated fields must be the leading fields")
-
-
 @dataclass
 class Stages:
     """Wall-clock seconds per solver stage."""
@@ -115,29 +93,35 @@ class CondensedSystem:
     X: sp.csr_matrix                 # A_ee^{-1} A_ec
 
 
-def _check_condensable(A: Tensor, split: FieldSplit) -> None:
+def _cell_local_fields(A: Tensor) -> int:
+    """The number of leading cell-local (broken) fields of ``A``'s test
+    space: static condensation eliminates them onto the rest."""
     if not isinstance(A.form.test, MixedSpace) or A.form.rank != 2:
         raise ValueError("static condensation expects a mixed bilinear form")
-    for i in split.eliminate:
-        s = A.form.test.fields[i]
-        if not s.broken:
-            raise ValueError(
-                f"field {i} ({s.family.kind}({s.family.degree})) is not "
-                "cell-local; eliminating it would couple neighbouring cells"
-            )
+    fields = A.form.test.fields
+    ne = next((i for i, s in enumerate(fields) if not s.broken), len(fields))
+    if ne == 0:
+        s = fields[0]
+        raise ValueError(
+            f"field 0 ({s.family.kind}({s.family.degree})) is not "
+            "cell-local; eliminating it would couple neighbouring cells"
+        )
+    if ne == len(fields):
+        raise ValueError("every field is cell-local; none is left to condense onto")
+    return ne
 
 
-def _condense(A: Tensor, split: FieldSplit, bcs: Constraints | None, *exprs: TensorExpr):
-    """Evaluate over ``A``'s cells, in one plan, ``X = A_ee^{-1} A_ec``,
-    ``exprs`` and the local condensed operator ``S = A_cc - A_ce X``; a
-    subtree of ``exprs`` equal to one of these is computed once.  ``bcs``
-    number the dofs of ``A``'s whole space and may constrain only
-    condensed fields.  Returns the values of ``X`` and ``exprs``, ``S``
+def _condense(A: Tensor, ne: int, bcs: Constraints | None, *exprs: TensorExpr):
+    """Eliminate ``A``'s ``ne`` leading fields: evaluate over its cells, in
+    one plan, ``X = A_ee^{-1} A_ec``, ``exprs`` and the local condensed
+    operator ``S = A_cc - A_ce X``; a subtree of ``exprs`` equal to one of
+    these is computed once.  ``bcs`` number the dofs of ``A``'s whole
+    space and may constrain only condensed fields.  Returns the values of ``X`` and ``exprs``, ``S``
     with the constraints eliminated symmetrically, the constraints moved
     to the condensed fields' dofs from 0 and their lift ``S @ g``, and
     each cell's eliminated-field global dofs and condensed-field dofs
     from 0 (int32)."""
-    W, ne = A.form.test, len(split.eliminate)
+    W = A.form.test
     off, width = int(W.offsets[ne]), sum(s.local_dim for s in W.fields[:ne])
     bcs = bcs or Constraints()
     if len(bcs) and bcs.dofs[0] < off:
@@ -171,8 +155,7 @@ def _trace_solve(S: sp.csr_matrix, bcs: Constraints, lift: np.ndarray, E: np.nda
     return lam, report
 
 
-def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
-                    bcs: Constraints | None,
+def condensed_solve(a: FormIR, rhs: FormIR, bcs: Constraints | None,
                     make_inner: Callable[[sp.csr_matrix], KrylovConfig]
                     ) -> tuple[np.ndarray, SolveReport, Stages]:
     """Solve ``a x = rhs`` once by static condensation.
@@ -184,13 +167,12 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     configures the trace solve, and its time counts as trace-solve time.
     """
     A, F = Tensor(a), Tensor(rhs)
-    _check_condensable(A, split)
+    ne = _cell_local_fields(A)
     t0 = time.perf_counter()
-    ne = len(split.eliminate)
     y = A.blocks[:ne, :ne].inv * F.blocks[:ne]
     # rebinding the name to its value frees the node that memoizes it
     (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
-        A, split, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
+        A, ne, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
     stages = Stages(condensation=time.perf_counter() - t0)
 
     t0 = time.perf_counter()
@@ -209,8 +191,7 @@ def condensed_solve(a: FormIR, rhs: FormIR, split: FieldSplit,
     return x, report, stages
 
 
-def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
-               bcs: Constraints | None = None) -> CondensedSystem:
+def scpc_setup(a: FormIR | Tensor, bcs: Constraints | None = None) -> CondensedSystem:
     """Condense a multi-field system, keeping what applications need.
 
     ``a`` is the form, or its :class:`Tensor`; a tensor whose value the
@@ -219,11 +200,10 @@ def scpc_setup(a: FormIR | Tensor, split: FieldSplit,
     eliminated symmetrically and lifted by :func:`scpc_apply`.
     """
     A = a if isinstance(a, Tensor) else Tensor(a)
-    _check_condensable(A, split)
+    ne = _cell_local_fields(A)
     t0 = time.perf_counter()
-    ne = len(split.eliminate)
     (X, inv, A_ce), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
-        A, split, bcs, A.blocks[:ne, :ne].inv, A.blocks[ne:, :ne])
+        A, ne, bcs, A.blocks[:ne, :ne].inv, A.blocks[ne:, :ne])
     n_e, n_c = elim_dofs.size, S.shape[0]
     # each output is freed once converted: a CSR form outweighs its dense
     # values, so the largest goes first, and A_ce before X, as dropping
@@ -288,7 +268,7 @@ def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
     trace constraints.
     """
     hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
-    return hybridized(a_mixed, hs, scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs))
+    return hybridized(a_mixed, hs, scpc_setup(hs.a, hs.trace_bcs))
 
 
 def hybridized(a_mixed: FormIR, hs: HybridizableSystem,

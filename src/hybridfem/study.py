@@ -19,7 +19,6 @@ import numpy as np
 
 from . import reference
 from .condensation import (
-    FieldSplit,
     Stages,
     condensed_solve,
     hybridization_apply,
@@ -52,6 +51,7 @@ from .solvers import (
 from .spaces import Function, cell_blocks, contract, p1_hierarchy, project_div, ref_basis
 
 METHODS = ("mixed-hybrid", "ldgh", "cg-primal")
+MAXITER = 5000  # iteration cap of every Krylov solve of a study
 
 CONVERGE_COLUMNS = [
     "method", "problem", "degree", "tau", "n", "h", "cells",
@@ -77,7 +77,6 @@ class StudySpec:
     sizes: tuple[int, ...] = (4, 8, 16)
     problem: str = "sinsin"
     rtol: float = 1e-8
-    maxiter: int = 5000
     inner_pc: str = "multigrid"  # one of INNER_PCS
     serial: bool = False
     multiplier_degree: int = 0
@@ -150,7 +149,7 @@ def _inner_config(spec: StudySpec, S, space) -> tuple[KrylovConfig, float]:
     t0 = time.perf_counter()
     maps = p1_hierarchy(space) if spec.inner_pc == "multigrid" else None
     pc = make_preconditioner(S, spec.inner_pc, maps)
-    return (KrylovConfig(method="cg", rtol=spec.rtol, maxiter=spec.maxiter, preconditioner=pc),
+    return (KrylovConfig(method="cg", rtol=spec.rtol, maxiter=MAXITER, preconditioner=pc),
             time.perf_counter() - t0)
 
 
@@ -164,7 +163,7 @@ def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
         hs = ldgh_system(mesh, prob, spec.degree, spec.tau)
     # the condensed system is released on return, before post-processing
     x, report, stages = condensed_solve(
-        hs.a, hs.rhs, FieldSplit((0, 1), (2,)), hs.trace_bcs,
+        hs.a, hs.rhs, hs.trace_bcs,
         lambda S: _inner_config(spec, S, hs.trace_space)[0])
     u_vec, p_vec, lam_vec = hs.space.split(x)
     u = Function(hs.flux_space, u_vec)
@@ -311,7 +310,7 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
         acc.backsub += st.backsub
         return y
 
-    cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=spec.maxiter, preconditioner=pc)
+    cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=MAXITER, preconditioner=pc)
     x, rep = krylov_solve(A, b, cfg, x0=x0)
     return x, dict(base, path=path, dofs=len(b), iterations=rep.iterations,
                    converged=int(rep.converged), residual=rep.residual,
@@ -334,7 +333,7 @@ def _compare(mesh, prob, spec, base) -> list[dict]:
     operator = Tensor(hs.a)
     # assembling memoizes the element tensors that set-up reads
     A, b = apply_bcs(assemble_global(operator), assemble_global(Tensor(hs.rhs)), hs.trace_bcs)
-    cs = scpc_setup(operator, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(operator, hs.trace_bcs)
     inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
     x, scpc = _fgmres_row(A, b, hs.trace_bcs.vector(len(b)),
                           lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),

@@ -9,7 +9,6 @@ import numpy as np
 
 from hybridfem import DIRICHLET, NEUMANN, Function, build_unit_square, mark_boundary
 from hybridfem.condensation import (
-    FieldSplit,
     hybridization_apply,
     hybridization_setup,
     scpc_apply,
@@ -142,7 +141,7 @@ def test_criterion_4_one_iteration_exactness():
 
     # static condensation preconditioner on the three-field system
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     A3 = assemble_global(Tensor(hs.a))
     b3 = assemble_global(Tensor(hs.rhs))
     A3b, b3b = apply_bcs(A3, b3, hs.trace_bcs)
@@ -161,7 +160,7 @@ def test_criterion_5_trace_operator_structure():
     for n in (2, 4, 8):
         mesh = build_unit_square(n)
         hs = hybridized_mixed_system(mesh, PROB, 1)
-        cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+        cs = scpc_setup(hs.a, hs.trace_bcs)
         S = cs.S.toarray()
         asym = np.abs(S - S.T).max() / np.abs(S).max()
         ok &= asym <= 1e-10
@@ -208,7 +207,7 @@ def test_criterion_7_flux_postprocessing():
         # jump check on the coarsest study mesh
         mesh = build_unit_square(8)
         ls = ldgh_system(mesh, PROB, k, 1.0)
-        cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+        cs = scpc_setup(ls.a, ls.trace_bcs)
         rhs = assemble_global(Tensor(ls.rhs))
         x, _, _ = scpc_apply(cs, rhs, exact_inner(cs.S))
         u, p, lam = ls.space.split(x)

@@ -17,7 +17,6 @@ from hybridfem import (
 )
 from hybridfem.condensation import (
     CondensedSystem,
-    FieldSplit,
     condensed_solve,
     hybridization_apply,
     hybridization_setup,
@@ -51,28 +50,45 @@ def exact_inner(S):
                         preconditioner=exact_preconditioner(S))
 
 
-def test_field_split_validation():
-    FieldSplit((0, 1), (2,))
-    with pytest.raises(ValueError):
-        FieldSplit((0, 1), ())
-    with pytest.raises(ValueError):
-        FieldSplit((0, 2), (1,))
-    with pytest.raises(ValueError):
-        FieldSplit((0,), (0, 1))
-
-
 def test_conforming_field_elimination_rejected():
     mesh = build_unit_square(2)
     ms = conforming_mixed_system(mesh, PROB, 1)
-    with pytest.raises(ValueError, match="not cell-local"):
-        scpc_setup(ms.a, FieldSplit((0,), (1,)))
+    with pytest.raises(ValueError, match=r"field 0 \(RT\(1\)\) is not cell-local"):
+        scpc_setup(ms.a)
+
+
+def _mass_form(*families):
+    """The block-diagonal mass form of the mixed space of ``families`` on
+    ``build_unit_square(2)``: cell terms for cell fields, facet terms for
+    traces, no coupling between fields."""
+    from hybridfem import MixedSpace
+    from hybridfem.forms import CELL, EXTERIOR, INTERIOR, FormIR, IntegralTerm, dot
+    from hybridfem.forms import test as tfn, trial
+
+    mesh = build_unit_square(2)
+    W = MixedSpace(tuple(create_space(mesh, f) for f in families))
+    terms = []
+    for i, f in enumerate(families):
+        domains = (INTERIOR, EXTERIOR) if f.kind == "Trace" else (CELL,)
+        terms += [IntegralTerm(d, dot(tfn(i), trial(i))) for d in domains]
+    return FormIR(W, W, terms)
+
+
+def test_all_cell_local_fields_rejected():
+    """With every field cell-local nothing is left to condense onto."""
+    a = _mass_form(DG(0), DG(0))
+    rhs = dataclasses.replace(a, trial=None, terms=[])
+    with pytest.raises(ValueError, match="every field is cell-local"):
+        scpc_setup(a)
+    with pytest.raises(ValueError, match="every field is cell-local"):
+        condensed_solve(a, rhs, None, exact_inner)
 
 
 def test_schur_matches_dense_global_oracle():
     """S equals condensing the dense global 3-field matrix block-wise."""
     mesh = build_unit_square(2)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)))
+    cs = scpc_setup(hs.a)
     A = assemble_global(Tensor(hs.a)).toarray()
     W = hs.space
     ne = int(W.offsets[2])
@@ -88,30 +104,22 @@ def test_schur_matches_dense_global_oracle():
 def test_trace_operator_spd(n):
     mesh = build_unit_square(n)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     S = cs.S.toarray()
     assert np.abs(S - S.T).max() <= 1e-10 * np.abs(S).max()
     np.linalg.cholesky(S)  # raises if not positive definite
 
 
 def test_trivial_block_diagonal_schur():
-    """With zero couplings the condensed operator is just A_cc."""
-    from hybridfem import DG, MixedSpace, Trace, create_space
-    from hybridfem.forms import CELL, EXTERIOR, INTERIOR, FormIR, IntegralTerm, dot
-    from hybridfem.forms import test as tfn, trial
-
-    mesh = build_unit_square(2)
-    U = create_space(mesh, DG(0))
-    M = create_space(mesh, Trace(0))
-    W = MixedSpace((U, M))
-    a = FormIR(W, W, [
-        IntegralTerm(CELL, dot(tfn(0), trial(0))),
-        IntegralTerm(INTERIOR, dot(tfn(1), trial(1))),
-        IntegralTerm(EXTERIOR, dot(tfn(1), trial(1))),
-    ])
-    cs = scpc_setup(a, FieldSplit((0,), (1,)))
-    Acc = assemble_global(Tensor(a).blocks[1, 1])
-    np.testing.assert_allclose(cs.S.toarray(), Acc.toarray(), atol=1e-14)
+    """With zero couplings the condensed operator is just A_cc.  Only the
+    leading cell-local fields are eliminated: a cell-local field after the
+    first one that is not stays in A_cc."""
+    for families in [(DG(0), Trace(0)), (DG(0), Trace(0), DG(0))]:
+        a = _mass_form(*families)
+        cs = scpc_setup(a)
+        Acc = assemble_global(Tensor(a).blocks[1:, 1:])
+        np.testing.assert_allclose(cs.S.toarray(), Acc.toarray(), atol=1e-14,
+                                   err_msg=f"{len(families)} fields")
 
 
 @pytest.mark.parametrize("method,degree", [("mixed-hybrid", 1), ("mixed-hybrid", 2),
@@ -122,7 +130,7 @@ def test_condensed_solve_matches_direct(method, degree):
         hs = hybridized_mixed_system(mesh, PROB, degree)
     else:
         hs = ldgh_system(mesh, PROB, degree, tau=1.0)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     rhs = assemble_global(Tensor(hs.rhs))
     x, rep, stages = scpc_apply(cs, rhs, exact_inner(cs.S))
     A = assemble_global(Tensor(hs.a))
@@ -142,14 +150,13 @@ def test_one_constraints_value_serves_direct_and_condensed_solves(method):
     prob = manufactured("expsin")
     hs = (hybridized_mixed_system(mesh, prob, 2) if method == "mixed-hybrid"
           else ldgh_system(mesh, prob, 1))
-    split = FieldSplit((0, 1), (2,))
-    x, rep, _ = condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, exact_inner)
+    x, rep, _ = condensed_solve(hs.a, hs.rhs, hs.trace_bcs, exact_inner)
     Ab, bb = apply_bcs(assemble_global(Tensor(hs.a)), assemble_global(Tensor(hs.rhs)),
                        hs.trace_bcs)
     xd = sparse_direct_solve(Ab, bb)
     assert rep.converged
     assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
-    cs = scpc_setup(hs.a, split, hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     np.testing.assert_array_equal(cs.constraints.dofs + hs.space.offsets[2], hs.trace_bcs.dofs)
     np.testing.assert_array_equal(cs.constraints.values, hs.trace_bcs.values)
 
@@ -158,21 +165,20 @@ def test_constraint_on_an_eliminated_field_is_named():
     hs = hybridized_mixed_system(build_unit_square(2), PROB, 1)
     dofs = np.concatenate([[5], hs.trace_bcs.dofs])
     bcs = Constraints(dofs, np.zeros(len(dofs)))
-    split = FieldSplit((0, 1), (2,))
     with pytest.raises(ValueError, match="dof 5 lies on an eliminated field"):
-        scpc_setup(hs.a, split, bcs)
+        scpc_setup(hs.a, bcs)
     with pytest.raises(ValueError, match="dof 5 lies on an eliminated field"):
-        condensed_solve(hs.a, hs.rhs, split, bcs, exact_inner)
+        condensed_solve(hs.a, hs.rhs, bcs, exact_inner)
     beyond = Constraints(np.array([hs.space.ndof_global]), np.zeros(1))
     with pytest.raises(ValueError, match=f"dof {hs.space.ndof_global - hs.space.offsets[2]} "
                                          "is out of range"):
-        scpc_setup(hs.a, split, beyond)
+        scpc_setup(hs.a, beyond)
 
 
 def test_zero_residual_zero_correction():
     mesh = build_unit_square(2)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     x, rep, _ = scpc_apply(cs, np.zeros(hs.space.ndof_global),
                            exact_inner(cs.S), homogeneous_bcs=True)
     assert np.abs(x).max() == 0.0
@@ -183,7 +189,7 @@ def test_backsubstitution_satisfies_eliminated_rows():
     """Recovered fields solve the eliminated block equations."""
     mesh = build_unit_square(2)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     rng = np.random.default_rng(6)
     r = rng.standard_normal(hs.space.ndof_global)
     x, _, _ = scpc_apply(cs, r, exact_inner(cs.S), homogeneous_bcs=True)
@@ -209,7 +215,7 @@ def test_scpc_apply_inverts_constrained_system_for_any_residual(method, degree, 
         hs = hybridized_mixed_system(mesh, PROB, degree)
     else:
         hs = ldgh_system(mesh, PROB, degree, tau=1.0)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     homogeneous = Constraints(hs.trace_bcs.dofs, np.zeros(len(hs.trace_bcs)))
     r = np.random.default_rng(12).standard_normal(hs.space.ndof_global)
     r[homogeneous.dofs] = 0.0
@@ -224,7 +230,7 @@ def test_scpc_one_iteration_outer():
     """Exact inner solves make SCPC an exact inverse: one outer iteration."""
     mesh = build_unit_square(3)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     A = assemble_global(Tensor(hs.a))
     b = assemble_global(Tensor(hs.rhs))
     Ab, bb = apply_bcs(A, b, hs.trace_bcs)
@@ -342,7 +348,7 @@ def test_manufactured_solution_accuracy():
     from hybridfem.forms import CELL, FormIR, IntegralTerm
     mesh = build_unit_square(8)
     hs = hybridized_mixed_system(mesh, PROB, 1)
-    cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     rhs = assemble_global(Tensor(hs.rhs))
     x, _, _ = scpc_apply(cs, rhs, exact_inner(cs.S))
     _, p, _ = hs.space.split(x)
@@ -388,9 +394,9 @@ def test_ldgh_singular_local_solver_raises_at_setup():
     mesh = build_unit_square(8)
     ls = ldgh_system(mesh, prob, 1, 1e-15)
     with pytest.raises(RuntimeError, match="ill-conditioned local tensor in cell 0 "):
-        scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+        scpc_setup(ls.a, ls.trace_bcs)
     ls = ldgh_system(mesh, prob, 1, 1.0)
-    cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    cs = scpc_setup(ls.a, ls.trace_bcs)
     rhs = assemble_global(Tensor(ls.rhs))
     _, rep, _ = scpc_apply(cs, rhs, exact_inner(cs.S))
     assert rep.converged
@@ -421,7 +427,7 @@ def test_scpc_setup_evaluates_coefficient_form_once(monkeypatch):
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
                         lambda form, cells=None: calls.append(form) or real(form, cells))
-    cs = scpc_setup(a, FieldSplit((0,), (1,)))
+    cs = scpc_setup(a)
     assert len(calls) == 1
     monkeypatch.undo()
 
@@ -467,8 +473,7 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
     mesh = build_jittered_square(6, 0.2, seed=7)
     hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
           else ldgh_system(mesh, PROB, degree))
-    split = FieldSplit((0, 1), (2,))
-    whole = _condensed_arrays(scpc_setup(hs.a, split, hs.trace_bcs))
+    whole = _condensed_arrays(scpc_setup(hs.a, hs.trace_bcs))
     A = Tensor(hs.a)
     expressions.evaluate_all(expressions.compile_expr(A))
     monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 5 * hs.space.local_dim ** 2)
@@ -477,10 +482,10 @@ def test_blocked_setup_equals_one_block(monkeypatch, method, degree):
     real = expressions.assemble_form
     monkeypatch.setattr(expressions, "assemble_form",
                         lambda form, cells=None: calls.append(form) or real(form, cells))
-    blocked = _condensed_arrays(scpc_setup(hs.a, split, hs.trace_bcs))
+    blocked = _condensed_arrays(scpc_setup(hs.a, hs.trace_bcs))
     assert len(calls) == -(-mesh.n_cells // 5)
     calls.clear()
-    sliced = _condensed_arrays(scpc_setup(A, split, hs.trace_bcs))
+    sliced = _condensed_arrays(scpc_setup(A, hs.trace_bcs))
     assert not calls
     for name, want in whole.items():
         for got in (blocked[name], sliced[name]):
@@ -500,7 +505,6 @@ def test_facet_selection_reads_only_each_blocks_cells(monkeypatch, method):
     mesh = build_unit_square(8)
     hs = (hybridized_mixed_system(mesh, PROB, 1) if method == "mixed-hybrid"
           else ldgh_system(mesh, PROB, 1))
-    split = FieldSplit((0, 1), (2,))
     calls = []
 
     def counted(helper):
@@ -516,8 +520,8 @@ def test_facet_selection_reads_only_each_blocks_cells(monkeypatch, method):
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(expressions, "BLOCK_CELLS", block_cells)
-            condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, exact_inner)
-            scpc_setup(hs.a, split, hs.trace_bcs)
+            condensed_solve(hs.a, hs.rhs, hs.trace_bcs, exact_inner)
+            scpc_setup(hs.a, hs.trace_bcs)
         return len(calls)
 
     one_block = count(expressions.BLOCK_CELLS)
@@ -548,7 +552,7 @@ def test_blocked_setup_guard_names_global_cell(monkeypatch):
     w.coeffs[[17, 23]] = 0.0
     monkeypatch.setattr(expressions, "BLOCK_ENTRIES", 5 * 4 ** 2)  # DG(0) x Trace(0)
     with pytest.raises(RuntimeError, match=r"singular local tensor in cell 17$"):
-        scpc_setup(_dg0_trace_form(w), FieldSplit((0,), (1,)))
+        scpc_setup(_dg0_trace_form(w))
 
 
 def test_setup_peak_is_bounded_by_what_it_keeps():
@@ -561,7 +565,7 @@ def test_setup_peak_is_bounded_by_what_it_keeps():
     hs.space.mesh.geometry()
     tracemalloc.start()
     try:
-        cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+        cs = scpc_setup(hs.a, hs.trace_bcs)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,7 +585,7 @@ def test_setup_compiles_one_plan(monkeypatch):
     for block_cells in (hs.space.mesh.n_cells, 5):
         monkeypatch.setattr(expressions, "BLOCK_ENTRIES", block_cells * hs.space.local_dim ** 2)
         calls.clear()
-        cs = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs)
+        cs = scpc_setup(hs.a, hs.trace_bcs)
         assert len(calls) == 1
         for m in (cs.local_inverse, cs.A_ce, cs.X):
             assert m.data.flags.c_contiguous
@@ -606,11 +610,10 @@ def test_one_shot_solve_equals_setup_and_apply(method, degree):
     mesh = mark_boundary(build_jittered_square(6, 0.2, 7), neumann_left)
     hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
           else ldgh_system(mesh, PROB, degree))
-    split = FieldSplit((0, 1), (2,))
-    cs = scpc_setup(hs.a, split, hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     inner = exact_inner(cs.S)
     x, rep, _ = scpc_apply(cs, assemble_global(Tensor(hs.rhs)), inner)
-    x1, rep1, _ = condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, lambda S: inner)
+    x1, rep1, _ = condensed_solve(hs.a, hs.rhs, hs.trace_bcs, lambda S: inner)
     assert rep.converged and rep1.converged
     assert np.linalg.norm(x1 - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -647,7 +650,7 @@ def test_one_shot_solve_keeps_no_local_inverse():
 
     tracemalloc.start()
     try:
-        _, rep, _ = condensed_solve(hs.a, hs.rhs, FieldSplit((0, 1), (2,)), hs.trace_bcs, inner)
+        _, rep, _ = condensed_solve(hs.a, hs.rhs, hs.trace_bcs, inner)
     finally:
         tracemalloc.stop()
     assert rep.converged
@@ -711,16 +714,15 @@ def test_setup_and_one_shot_solve_condense_alike(monkeypatch, method, degree):
     mesh = build_jittered_square(6, 0.2, 7)
     hs = (hybridized_mixed_system(mesh, PROB, degree) if method == "mixed-hybrid"
           else ldgh_system(mesh, PROB, degree))
-    split = FieldSplit((0, 1), (2,))
     plans = []
     real = condensation.compile_expr
     monkeypatch.setattr(condensation, "compile_expr",
                         lambda *exprs: plans.append(real(*exprs)) or plans[-1])
-    cs = scpc_setup(hs.a, split, hs.trace_bcs)
+    cs = scpc_setup(hs.a, hs.trace_bcs)
     assert len(plans) == 1
     assert plans[0].describe().count("= inverse(") == 1
     seen = []
-    condensed_solve(hs.a, hs.rhs, split, hs.trace_bcs, lambda S: seen.append(S) or exact_inner(S))
+    condensed_solve(hs.a, hs.rhs, hs.trace_bcs, lambda S: seen.append(S) or exact_inner(S))
     (S,) = seen
     assert S.shape == cs.S.shape
     for name in ("data", "indices", "indptr"):

@@ -521,7 +521,7 @@ def test_scatter_equals_coo_path_bit_for_bit():
     summation it places the set-up's operators as a dense placement of
     their blocks does."""
     from hybridfem import CG, DIRICHLET, NEUMANN, build_jittered_square, mark_boundary
-    from hybridfem.condensation import FieldSplit, scpc_setup
+    from hybridfem.condensation import scpc_setup
     from hybridfem.expressions import scatter_csr
     from hybridfem.problems import hybridized_mixed_system, manufactured
 
@@ -548,7 +548,7 @@ def test_scatter_equals_coo_path_bit_for_bit():
         assert got.nnz < vals.size  # duplicates were summed
         _assert_same_csr(got, _coo_path(vals, rows, cols, (n, n)), what)
 
-    cs = scpc_setup(A, FieldSplit((0, 1), (2,)))
+    cs = scpc_setup(A)
     _assert_same_csr(cs.S, _coo_path(evaluate_all(compile_expr(S)), c_dofs, c_dofs, (n_c, n_c)),
                      "scpc_setup S")
     for what, got, expr, rows, cols, shape in (

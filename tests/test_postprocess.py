@@ -13,7 +13,7 @@ from hybridfem import (
     create_space,
     interpolate,
 )
-from hybridfem.condensation import FieldSplit, scpc_apply, scpc_setup
+from hybridfem.condensation import scpc_apply, scpc_setup
 from hybridfem.expressions import (Tensor, assemble_global, compile_expr, evaluate_all,
                                   naive_evaluate)
 from hybridfem.forms import (
@@ -52,7 +52,7 @@ def dg_l2_projection(space, field_fn, degree_hint=6):
 
 def solve_ldgh(mesh, prob, k, tau=1.0):
     ls = ldgh_system(mesh, prob, k, tau)
-    cs = scpc_setup(ls.a, FieldSplit((0, 1), (2,)), ls.trace_bcs)
+    cs = scpc_setup(ls.a, ls.trace_bcs)
     rhs = assemble_global(Tensor(ls.rhs))
     cfg = KrylovConfig(method="cg", rtol=1e-12, maxiter=500,
                        preconditioner=exact_preconditioner(cs.S))

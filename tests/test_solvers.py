@@ -288,7 +288,7 @@ def test_exact_preconditioner_matches_direct_on_trace_operators(method, degree, 
     """The minimum-degree ordered factor solves the condensed trace
     operators as the default-ordered oracle does."""
     from hybridfem import build_jittered_square, build_unit_square
-    from hybridfem.condensation import FieldSplit, scpc_setup
+    from hybridfem.condensation import scpc_setup
     from hybridfem.problems import hybridized_mixed_system, ldgh_system, manufactured
 
     prob = manufactured("sinsin")
@@ -300,7 +300,7 @@ def test_exact_preconditioner_matches_direct_on_trace_operators(method, degree, 
         hs = hybridized_mixed_system(mesh, prob, degree)
     else:
         hs = ldgh_system(mesh, prob, degree, tau=1.0)
-    S = scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs).S
+    S = scpc_setup(hs.a, hs.trace_bcs).S
     b = np.random.default_rng(31).standard_normal(S.shape[0])
     xd = sparse_direct_solve(S, b)
     x = exact_preconditioner(S)(b)
@@ -329,7 +329,7 @@ def test_exact_preconditioner_pivots_on_nonsymmetric(method):
 def _two_level_system(method, degree, mesh):
     """The constrained system the study drivers solve and the space of its
     dofs: the condensed trace operator, or the primal CG matrix."""
-    from hybridfem.condensation import FieldSplit, scpc_setup
+    from hybridfem.condensation import scpc_setup
     from hybridfem.expressions import Tensor, assemble_global
     from hybridfem.problems import (hybridized_mixed_system, ldgh_system, manufactured,
                                     primal_cg_system)
@@ -344,7 +344,7 @@ def _two_level_system(method, degree, mesh):
         hs = hybridized_mixed_system(mesh, prob, degree)
     else:
         hs = ldgh_system(mesh, prob, degree, tau=1.0)
-    return scpc_setup(hs.a, FieldSplit((0, 1), (2,)), hs.trace_bcs).S, hs.trace_space
+    return scpc_setup(hs.a, hs.trace_bcs).S, hs.trace_space
 
 
 def _two_level_iterations(method, degree, mesh):
