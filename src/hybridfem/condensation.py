@@ -259,15 +259,16 @@ class HybridizedMixed:
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
 
 
-def hybridization_setup(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
-                        neumann_flux=None) -> HybridizedMixed:
+def hybridization_setup(a_mixed: FormIR, neumann_flux=None) -> HybridizedMixed:
     """Hybridize a conforming H(div) x L2 bilinear form and condense it.
 
     :func:`~hybridfem.problems.hybridize` builds the three-field system
     from the arguments; its trace field is condensed with the Dirichlet
-    trace constraints.
+    trace constraints.  Only the trace block of the system's right-hand
+    side is kept (the Neumann data of ``neumann_flux``), so no mixed
+    right-hand side is taken.
     """
-    hs = hybridize(a_mixed, rhs_mixed, neumann_flux)
+    hs = hybridize(a_mixed, neumann_flux=neumann_flux)
     return hybridized(a_mixed, hs, scpc_setup(hs.a, hs.trace_bcs))
 
 

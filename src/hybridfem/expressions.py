@@ -521,10 +521,14 @@ def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str,
 
 
 def _reciprocal_condition(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Each cell's ``1 / (|A|_1 |A^-1|_1)``; ``einsum`` sums each column in one pass."""
+    """Each cell's ``1 / (|A|_1 |A^-1|_1)``; ``einsum`` sums each column in
+    one pass, and the column maxima are reduced over a (columns, cells)
+    copy of the sums, so each ``np.maximum`` step runs over contiguous
+    cells instead of over one cell's few columns."""
+    def norm1(m):
+        return np.maximum.reduce(np.einsum("cij->cj", np.abs(m)).T.copy(), axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return 1.0 / (np.einsum("cij->cj", np.abs(a)).max(axis=1)
-                      * np.einsum("cij->cj", np.abs(inv)).max(axis=1))
+        return 1.0 / (norm1(a) * norm1(inv))
 
 
 def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str, first_cell: int) -> None:

@@ -12,11 +12,13 @@ iteration stopped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -84,25 +86,37 @@ def krylov_solve(A, b: np.ndarray, cfg: KrylovConfig,
 
 def _cg(matvec, b, bnorm, x, r, res, M, cfg):
     """Preconditioned CG from ``x``, whose residual ``r`` has relative norm
-    ``res``; returns (x, iterations, residual, stop reason)."""
+    ``res``; returns (x, iterations, residual, stop reason).
+
+    ``x`` and ``r`` (both owned by :func:`krylov_solve`) are updated in
+    place by BLAS ``daxpy`` and the direction is formed in CG's own ``p``;
+    nothing ``M`` returns is written to, as the ``none`` preconditioner
+    returns ``r`` itself.  A non-finite ``p . Ap`` or residual is a
+    breakdown.
+    """
     z = M(r)
     p = z.copy()
     rz = r @ z
     for it in range(1, cfg.maxiter + 1):
         Ap = matvec(p)
         denom = p @ Ap
+        if not math.isfinite(denom):
+            return x, it - 1, res, "breakdown"
         if denom <= 0.0:
             # loss of positive definiteness; report current state
             return x, it - 1, res, "indefinite"
         alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        res = np.linalg.norm(r) / bnorm
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(Ap, r, a=-alpha)
+        res = np.sqrt(r @ r) / bnorm
         if res <= cfg.rtol:
             return x, it, res, "converged"
+        if not math.isfinite(res):
+            return x, it, res, "breakdown"
         z = M(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, cfg.maxiter, res, "maxiter"
 
@@ -114,7 +128,8 @@ def _fgmres(matvec, b, bnorm, x, r, res, M, cfg):
     The monitored residual is the true residual of the original system,
     so convergence reports need no un-preconditioning.  A breakdown (no
     new Krylov direction) ends the iteration after its least-squares
-    update; returns (x, iterations, residual, stop reason).
+    update; a non-finite Arnoldi column norm ends it before, keeping the
+    last restart's ``x``.  Returns (x, iterations, residual, stop reason).
     """
     n, total_its = len(b), 0
     m = cfg.restart
@@ -139,6 +154,8 @@ def _fgmres(matvec, b, bnorm, x, r, res, M, cfg):
                 H[i, j] = w @ V[i]
                 w -= H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
+            if not math.isfinite(H[j + 1, j]):
+                return x, total_its, res, "breakdown"
             breakdown = H[j + 1, j] <= 1e-14 * beta
             if not breakdown:
                 V[j + 1] = w / H[j + 1, j]

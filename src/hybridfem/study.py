@@ -100,31 +100,50 @@ class StudySpec:
 
 def l2_error(fn: Function, exact, exactness: int = 10) -> float:
     """L2 norm of (fn - exact); ``exact`` maps coordinates to values."""
-    return _l2_norm(fn, "value", exact, exactness)
+    return _l2_norms([(fn, "value", exact)], exactness)[0]
 
 
 def l2_error_div(fn: Function, exact_div, exactness: int = 10) -> float:
-    return _l2_norm(fn, "div", exact_div, exactness)
+    return _l2_norms([(fn, "div", exact_div)], exactness)[0]
 
 
-def _l2_norm(fn: Function, deriv: str, exact, exactness: int) -> float:
-    """L2 norm of the ``deriv`` values of ``fn`` minus ``exact``, summed
-    over cell blocks; each block's squared error is reduced over its
-    points by the weights, then over its cells by ``det J``."""
-    space = fn.space
-    geo = space.mesh.geometry()
+def _l2_norms(terms, exactness: int = 10) -> list[float]:
+    """L2 norms of the ``deriv`` values of ``fn`` minus ``exact`` for each
+    ``(fn, deriv, exact)`` of ``terms``, all on one mesh, summed over cell
+    blocks.  A block's points are mapped once, and consecutive terms with
+    the same ``exact`` share its values there, so ordering the terms by
+    exact solution evaluates each once per block and holds one at a time.
+    Each norm is bit for bit that of a one-term call."""
+    mesh = terms[0][0].space.mesh
+    if any(fn.space.mesh is not mesh for fn, _, _ in terms):
+        raise ValueError("the functions of one error pass must share a mesh")
+    geo = mesh.geometry()
     rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
-    total = 0.0
-    for blk in cell_blocks(slice(0, space.mesh.n_cells), len(rule.weights)):
+    totals = [0.0] * len(terms)
+    for blk in cell_blocks(slice(0, mesh.n_cells), len(rule.weights)):
         pts = geo.physical_points(rule.points, blk)
-        want = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-        got = contract(ref_basis(space, deriv, rule.points, geo, blk),
-                       fn.coeffs[space.cell_dofs[blk]])  # (ncs, nq, ncomp)
-        d = got[..., 0] - want if got.shape[-1] == 1 else got - want
-        d *= d
-        diff2 = d if d.ndim == 2 else d.sum(axis=-1)
-        total += (diff2 @ rule.weights) @ geo.det_j[blk]
-    return float(np.sqrt(total))
+        last = want = None
+        for i, (fn, deriv, exact) in enumerate(terms):
+            if exact is not last:
+                want = None  # freed before the next exact solution is evaluated
+                want = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
+                last = exact
+            totals[i] += _squared_error(fn, deriv, want, rule, geo, blk)
+    return [float(np.sqrt(t)) for t in totals]
+
+
+def _squared_error(fn: Function, deriv: str, want: np.ndarray, rule, geo, blk) -> float:
+    """The squared L2 error of ``fn``'s ``deriv`` values against ``want``
+    on the cells ``blk``, reduced over the points by the weights, then
+    over the cells by ``det J``; its temporaries are freed on return,
+    before the next term's."""
+    space = fn.space
+    got = contract(ref_basis(space, deriv, rule.points, geo, blk),
+                   fn.coeffs[space.cell_dofs[blk]])  # (ncs, nq, ncomp)
+    d = got[..., 0] - want if got.shape[-1] == 1 else got - want
+    d *= d
+    diff2 = d if d.ndim == 2 else d.sum(axis=-1)
+    return (diff2 @ rule.weights) @ geo.det_j[blk]
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +252,8 @@ def run_convergence(spec: StudySpec) -> list[dict]:
                        dofs_scalar=res.p.space.ndof_global, err_p=l2_error(res.p, prob.p))
         else:
             res = solve_hybridizable(mesh, prob, spec)
-            row.update({
-                "dofs_flux": res.u.space.ndof_global,
-                "dofs_scalar": res.p.space.ndof_global,
-                "dofs_trace": res.lam.space.ndof_global,
-                "err_p": l2_error(res.p, prob.p),
-                "err_u": l2_error(res.u, prob.u),
-                "err_pstar": l2_error(res.p_star, prob.p),
-                "err_ustar": (l2_error(res.u_star, prob.u)
-                              if res.u_star is not None else None),
-                "err_div_ustar": (l2_error_div(res.u_star, prob.div_u)
-                                  if res.u_star is not None else None),
-            })
+            row.update(dofs_flux=res.u.space.ndof_global, dofs_scalar=res.p.space.ndof_global,
+                       dofs_trace=res.lam.space.ndof_global, **_hybrid_errors(res, prob))
         for name in ("p", "u", "pstar", "ustar", "div_ustar"):
             err = row[f"err_{name}"]
             row[f"rate_{name}"] = _rate(prev.get(name), err, prev_n and n / prev_n)
@@ -255,6 +264,18 @@ def run_convergence(spec: StudySpec) -> list[dict]:
         rows.append(row)
         del res, mesh  # freed before the next mesh is built
     return rows
+
+
+def _hybrid_errors(res: HybridSolveResult, prob: ManufacturedProblem) -> dict:
+    """A hybridizable row's error columns from one :func:`_l2_norms` pass,
+    its terms ordered by exact solution.  The terms are local here so that
+    the row's functions, and with them its mesh, are freed before the next
+    mesh is solved."""
+    terms = [(res.p, "value", prob.p), (res.p_star, "value", prob.p), (res.u, "value", prob.u)]
+    if res.u_star is not None:
+        terms += [(res.u_star, "value", prob.u), (res.u_star, "div", prob.div_u)]
+    return dict(zip(("err_p", "err_pstar", "err_u", "err_ustar", "err_div_ustar"),
+                    _l2_norms(terms) + [None] * (5 - len(terms))))
 
 
 def _stage_columns(stages: Stages, serial: bool) -> dict:

@@ -105,6 +105,24 @@ def test_gmres_reports_breakdown_on_singular_operator(method):
     assert abs(rep.residual - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("method,bad", [
+    ("cg", np.nan), ("cg", np.inf), ("fgmres", np.nan),
+    # Gram-Schmidt forms inf - inf, which numpy warns of, before the norm is seen
+    pytest.param("fgmres", np.inf,
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"))])
+def test_non_finite_operator_is_a_breakdown(method, bad):
+    """One non-finite diagonal entry stops the iteration at its first
+    non-finite product (CG's ``p . Ap``, FGMRES's Arnoldi column norm)
+    with a breakdown, not after ``maxiter`` iterations or with an error
+    from the least-squares solve."""
+    d = np.linspace(1.0, 2.0, 20)
+    d[7] = bad
+    x, rep = krylov_solve(sp.diags(d).tocsr(), np.ones(20), KrylovConfig(method=method))
+    assert rep.reason == "breakdown" and rep.converged is False
+    assert rep.iterations == 0
+    assert rep.residual == 1.0 and not x.any()
+
+
 def test_gmres_restart_on_nonsymmetric():
     # mild nonnormal perturbation keeps the field of values positive, so
     # restarted GMRES must converge
@@ -514,3 +532,65 @@ def test_multigrid_preconditioner_is_freed_without_the_cyclic_gc(monkeypatch):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _numpy_cg(A, b, x0, M, rtol, maxiter):
+    """Preconditioned CG written with numpy temporaries, as the solver's
+    loop was before its in-place BLAS-1 updates: the oracle of that loop."""
+    x = x0.copy()
+    r = b - A @ x
+    bnorm = np.linalg.norm(b)
+    z = M(r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, maxiter + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if np.linalg.norm(r) / bnorm <= rtol:
+            return x, it
+        z = M(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, maxiter
+
+
+def _caching_jacobi(A):
+    """A Jacobi preconditioner that returns the array it cached for an
+    input it has seen, and its cache of (input, output) pairs."""
+    dinv, cache = 1.0 / A.diagonal(), {}
+
+    def pc(r):
+        key = r.tobytes()
+        if key not in cache:
+            cache[key] = (r.copy(), dinv * r)
+        return cache[key][1]
+    return pc, cache
+
+
+@pytest.mark.parametrize("pc_name", ["none", "jacobi", "multigrid", "exact", "cached"])
+def test_in_place_cg_matches_numpy_loop_and_writes_no_input(pc_name):
+    """CG's in-place updates leave ``b``, ``x0`` and every array a
+    preconditioner returned (here one kept in its cache) as they were,
+    and take the iterations of the numpy-temporary loop to a solution
+    equal to 1e-12 relative on a mixed-hybrid k=1 trace operator."""
+    from hybridfem import build_unit_square
+
+    A, space = _two_level_system("mixed-hybrid", 1, build_unit_square(8))
+    rng = np.random.default_rng(17)
+    b, x0 = rng.standard_normal(A.shape[0]), 1e-3 * rng.standard_normal(A.shape[0])
+    b_in, x0_in = b.copy(), x0.copy()
+    if pc_name == "cached":
+        pc, cache = _caching_jacobi(A)
+    else:
+        pc = make_preconditioner(A, pc_name, p1_hierarchy(space))
+    x, rep = krylov_solve(A, b, KrylovConfig(rtol=1e-10, maxiter=1000, preconditioner=pc), x0=x0)
+    assert rep.converged
+    assert np.array_equal(b, b_in) and np.array_equal(x0, x0_in)
+    if pc_name == "cached":
+        assert all(np.array_equal(z, (1.0 / A.diagonal()) * r) for r, z in cache.values())
+    x_ref, its = _numpy_cg(A, b, x0, pc or (lambda v: v), 1e-10, 1000)
+    assert rep.iterations == its
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)

@@ -110,6 +110,60 @@ def test_blocked_l2_errors_match_single_pass():
         assert got == pytest.approx(single_pass(diff2), rel=1e-13)
 
 
+@pytest.mark.parametrize("method,degree", [("mixed-hybrid", 2), ("ldgh", 1)])
+@pytest.mark.parametrize("build", [build_unit_square, lambda n: build_jittered_square(n, 0.2, 3)],
+                         ids=["unit", "jittered"])
+def test_one_pass_errors_match_separate_calls(method, degree, build, monkeypatch):
+    """A study row's errors from one pass over the cell blocks (four
+    here) are bit for bit those of separate ``l2_error`` and
+    ``l2_error_div`` calls, and an exact solution shared by consecutive
+    terms is evaluated once per block."""
+    monkeypatch.setattr(spaces, "BLOCK_POINTS", 1000)
+    mesh, prob = build(8), manufactured("sinsin")
+    res = solve_hybridizable(mesh, prob, StudySpec(method=method, degree=degree, sizes=(4, 8)))
+    calls = []
+    p_exact = lambda x, y: calls.append(x.shape) or prob.p(x, y)
+    terms = [(res.p, "value", p_exact), (res.p_star, "value", p_exact),
+             (res.u, "value", prob.u)]
+    separate = [l2_error(res.p, prob.p), l2_error(res.p_star, prob.p), l2_error(res.u, prob.u)]
+    if res.u_star is not None:
+        terms += [(res.u_star, "value", prob.u), (res.u_star, "div", prob.div_u)]
+        separate += [l2_error(res.u_star, prob.u), l2_error_div(res.u_star, prob.div_u)]
+    assert study._l2_norms(terms) == separate
+    assert len(calls) == 4
+    names = ("err_p", "err_pstar", "err_u", "err_ustar", "err_div_ustar")
+    assert study._hybrid_errors(res, prob) == dict(zip(names, separate + [None, None]))
+
+
+@pytest.mark.parametrize("method", ["mixed-hybrid", "ldgh", "cg-primal"])
+def test_convergence_frees_each_mesh_before_the_next_solve(method, monkeypatch):
+    """Nothing a row keeps (its solution, its error terms) holds the
+    previous mesh alive while the next mesh is solved."""
+    import gc
+    import weakref
+
+    meshes = []
+
+    def build(n):
+        mesh = build_unit_square(n)
+        meshes.append(weakref.ref(mesh))
+        assert all(ref() is None for ref in meshes[:-1])
+        return mesh
+    monkeypatch.setattr(study, "build_unit_square", build)
+    gc.disable()
+    try:
+        run_convergence(StudySpec(method=method, sizes=(2, 4, 8), inner_pc="exact"))
+    finally:
+        gc.enable()
+    assert len(meshes) == 3
+
+
+def test_one_pass_errors_need_one_mesh():
+    fns = [Function(create_space(build_unit_square(n), DG(1)), np.zeros(6 * n * n)) for n in (2, 3)]
+    with pytest.raises(ValueError, match="share a mesh"):
+        study._l2_norms([(fn, "value", lambda x, y: x) for fn in fns])
+
+
 def test_rhs_and_error_memory_is_bounded_by_blocks():
     """At n=128 the right-hand side and the error norm hold one cell
     block of quadrature data at a time, not the whole mesh."""
