@@ -15,31 +15,31 @@ cell's outward normal.  Summing both sides reproduces the facet jump.
 Two assembly routes are provided: :func:`assemble_form` evaluates many
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
-oracle.  :func:`assemble_form` walks every integrand into monomials, a
-per-cell factor times reference tabulations of the arguments, and sums
-over quadrature points in one of two places: for monomials without
-coefficients or fields the sum goes into reference tensors, contracted
-for all terms in one product per form; the others keep the point index
-and are contracted in cell blocks of at most
-:data:`~hybridfem.spaces.BLOCK_POINTS` quadrature points, so their
-temporaries stay cache-sized.  The walk takes every basis from
-:func:`~hybridfem.spaces.ref_basis` (coefficients through
+oracle.  On a form's first assembly every integrand is walked once into
+monomials, a per-cell factor times reference tabulations of the
+arguments; each assembly sums over quadrature points in one of two
+places: for monomials without coefficients or fields the sum goes into
+reference tensors, compiled once and contracted for all terms in one
+product per form; the others keep the point index and are contracted in
+cell blocks of at most :data:`~hybridfem.spaces.BLOCK_POINTS` quadrature
+points, so their temporaries stay cache-sized.  The walk takes every
+basis from :func:`~hybridfem.spaces.ref_basis` (coefficients through
 :func:`~hybridfem.spaces.contract`); the oracle holds the only physical
 tabulation of its own, so it checks both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Union
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from . import reference
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .spaces import (Function, FunctionSpace, MixedSpace, cell_blocks, contract,
-                     local_offsets, ref_basis)
+                     local_offsets, ref_map, ref_table)
 
 QUADRATURE_MARGIN = 2  # safety margin added to estimated integrand degree
 
@@ -234,16 +234,17 @@ def _as_fields(space: SpaceLike) -> tuple[FunctionSpace, ...]:
     return (space,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormIR:
-    """A multilinear form over (possibly mixed) argument spaces, on every
-    cell of its mesh; :func:`assemble_form` takes the cells to assemble."""
+    """An immutable multilinear form over (possibly mixed) argument spaces,
+    on every cell of its mesh; :func:`assemble_form` takes the cells."""
 
     test: SpaceLike
     trial: SpaceLike
-    terms: list[IntegralTerm]
+    terms: tuple[IntegralTerm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         if self.trial is not None and self.test is None:
             raise ValueError("a form with a trial argument needs a test argument")
         for t in self.terms:
@@ -303,6 +304,11 @@ class FormIR:
             raise ValueError("each term must reference exactly one trial field")
         if term.domain == CELL and _collect(term.integrand, Normal):
             raise ValueError("facet normals appear in facet terms only")
+
+    @cached_property
+    def compiled(self) -> tuple[_CompiledTerm, ...]:
+        """The form compiled on its first assembly (:func:`_compile`)."""
+        return _compile(self)
 
     def term_blocks(self, term: IntegralTerm) -> tuple[int, int]:
         ti = tj = -1
@@ -387,6 +393,12 @@ class _Ctx:
         # basis values are sign-corrected, so the gather is plain indexing
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
+    def ref_basis(self, space: FunctionSpace, deriv: str):  # memoized tables
+        return (ref_table(space, deriv, self.ref_pts), *self.ref_map(space, deriv))
+
+    def ref_map(self, space: FunctionSpace, deriv: str):
+        return ref_map(space, deriv, self.geo, self.cells)
+
 
 class _CellCtx(_Ctx):
     """Quadrature data on the interiors of the given cells (slice or indices)."""
@@ -395,112 +407,144 @@ class _CellCtx(_Ctx):
         super().__init__(mesh, rule, cells, rule.points)
         self.scale = self.geo.det_j[cells]  # integration measure factor
 
-    def ref_basis(self, space: FunctionSpace, deriv: str):
-        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
-
-    def normal(self):
-        raise ValueError("facet normal is undefined on cell interiors")
-
 
 class _FacetCtx(_Ctx):
-    """Quadrature data for one local edge over a batch of cells."""
+    """Quadrature data for one local edge over a batch of cells; edge data read on first use."""
 
     def __init__(self, mesh: Mesh, cells: np.ndarray, local_edge: int, rule):
         super().__init__(mesh, rule, cells, reference.edge_points(local_edge, rule.points))
         self.local_edge = local_edge
-        self.scale = self.geo.edge_lengths[cells, local_edge]
-        self.normals = self.geo.edge_normals[cells, local_edge]  # (ncs, 2)
-        self.dir_match = self.geo.dir_match[cells, local_edge]
+
+    scale = cached_property(lambda self: self.geo.edge_lengths[self.cells, self.local_edge])
+    normals = cached_property(lambda self: self.geo.edge_normals[self.cells, self.local_edge])
+    dir_match = cached_property(lambda self: self.geo.dir_match[self.cells, self.local_edge])
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
         if space.family.kind != "Trace":
-            return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
-        # component 0 is the forward, component 1 the reversed tabulation;
-        # the map selects one of them per cell by facet direction
-        per = space.family.degree + 1
-        el = space.element()
-        ref = np.zeros((self.nq, 3 * per, 2))
-        block = slice(self.local_edge * per, (self.local_edge + 1) * per)
-        ref[:, block, 0] = el.tabulate(self.rule.points)
-        ref[:, block, 1] = el.tabulate(1.0 - self.rule.points)
+            return super().ref_basis(space, deriv)
+        return (_trace_table(space.family.degree, self.rule.exactness, self.local_edge),
+                *self.ref_map(space, deriv))
+
+    def ref_map(self, space: FunctionSpace, deriv: str):
+        if space.family.kind != "Trace":
+            return super().ref_map(space, deriv)
         g = np.stack([self.dir_match, ~self.dir_match], axis=-1).astype(float)
-        return ref, g[:, None, :], None
+        return g[:, None, :], None
 
     def normal(self) -> np.ndarray:
         return self.normals
 
 
+@lru_cache(maxsize=None)
+def _trace_table(degree: int, exactness: int, loc: int) -> np.ndarray:
+    """Trace(degree) on local edge ``loc`` at ``edge_quadrature(exactness)``, read-only:
+    the forward and the reversed tabulation, of which the map selects one per cell."""
+    t, per = reference.edge_quadrature(exactness).points, degree + 1
+    table = np.zeros((len(t), 3 * per, 2))
+    for c, tc in enumerate((t, 1.0 - t)):
+        table[:, loc * per:(loc + 1) * per, c] = reference.line_element(degree).tabulate(tc)
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
-# batched integrand walk (Kirby & Logg 2006, "A compiler for variational
+# compiled integrands (Kirby & Logg 2006, "A compiler for variational
 # forms"; Ølgaard & Wells 2010, "Optimizations for quadrature
 # representations of finite element tensors")
 #
-# An integrand is walked into a list of monomials (g, refs): g shaped
-# (ncs|1, nq|1, ncomp, rt, rs) is the per-cell factor built from the
-# argument maps of ref_basis, per point where a coefficient or field
-# enters; refs maps each argument role present to (ref, signs).  Extent-1
-# axes stand for an absent cell, point or role dependence.  On affine
-# cells a monomial's element tensor is
+# An integrand is walked once, on a form's first assembly, into a list of
+# monomials (g, refs, ncomp, points): g(ctx) builds the per-cell factor
+# (ncs|1, nq|1, ncomp, rt, rs) of a context from the argument maps of
+# ref_map, per point where a coefficient or field enters (``points``);
+# refs maps each argument role present to (reference table, signed).
+# Extent-1 axes stand for an absent cell, point or role dependence.  On
+# affine cells a monomial's element tensor is
 #   K[c, i, j] = s[c] sum_q w_q sum_rs g[c, q, r, s] R_test[q, i, r] R_trial[q, j, s]
 # (times the test and trial cell signs), which is summed over q in one of
 # two places.  A point-independent g leaves the sum to the reference tensor
 #   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s],
 # so K = G @ A0 with G[c, (r, s)] = s[c] g[c, r, s].  A point-dependent g
 # keeps q in both, G[c, (q, r, s)] = w_q s[c] g[c, q, r, s] and
-# A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].
+# A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].  Each A0 is
+# compiled; an assembly builds only the G of its cells.
 
-_POINT_NODES = (Coef, Fld, VFld)
-
-
-def _point_dependent(term: IntegralTerm) -> bool:
-    """Whether a term has monomials that vary over the quadrature points."""
-    return bool(_collect(term.integrand, _POINT_NODES))
-
-
-def _monomials(node: Expr, ctx, form: FormIR, points: bool) -> list:
-    """The monomials of ``node`` on ``ctx``; with ``points`` False the
-    coefficients and fields are left out, and so is every monomial
-    holding one."""
-    if isinstance(node, _POINT_NODES) and not points:
-        return []
+def _monomials(node: Expr, form: FormIR, ctx0) -> list:
+    """The monomials of ``node`` on contexts of the kind of ``ctx0`` (no cells)."""
     if isinstance(node, Arg):
-        fields = form.test_fields if node.role == "test" else form.trial_fields
-        ref, g, signs = ctx.ref_basis(fields[node.field], node.deriv)
-        g = g[:, None, :, :, None] if node.role == "test" else g[:, None, :, None, :]
-        return [(g, {node.role: (ref, signs)})]
+        space = (form.test_fields if node.role == "test" else form.trial_fields)[node.field]
+        ref, g, signs = ctx0.ref_basis(space, node.deriv)
+        axes = (1, 4) if node.role == "test" else (1, 3)
+        return [(lambda ctx: np.expand_dims(ctx.ref_map(space, node.deriv)[0], axes),
+                 {node.role: (ref, signs is not None)}, g.shape[1], False)]
     if isinstance(node, Coef):
-        vals = contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(node.fn))
-        return [(vals[..., None, None], {})]
+        return [(lambda ctx: contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(
+            node.fn))[..., None, None], {}, 1 + node.fn.space.family.is_vector, True)]
     if isinstance(node, Fld):
-        return [(ctx.eval_field(node.sf)[:, :, None, None, None], {})]
+        return [(lambda ctx: ctx.eval_field(node.sf)[:, :, None, None, None], {}, 1, True)]
     if isinstance(node, VFld):
-        vals = np.asarray(node.fn(ctx.phys[..., 0], ctx.phys[..., 1]), dtype=float)
-        return [(vals[..., None, None], {})]
+        return [(lambda ctx: np.asarray(node.fn(ctx.phys[..., 0], ctx.phys[..., 1]),
+                                        dtype=float)[..., None, None], {}, 2, True)]
     if isinstance(node, Const):
-        return [(np.full((1, 1, 1, 1, 1), node.value), {})]
+        return [(lambda ctx: np.full((1, 1, 1, 1, 1), node.value), {}, 1, False)]
     if isinstance(node, Normal):
-        return [(ctx.normal()[:, None, :, None, None], {})]
+        return [(lambda ctx: ctx.normal()[:, None, :, None, None], {}, 2, False)]
     if isinstance(node, Dot):
-        a = _monomials(node.a, ctx, form, points)
-        b = _monomials(node.b, ctx, form, points) if a else []
-        out = []
-        for ga, a_refs in a:
-            for gb, b_refs in b:
-                if ga.shape[2] != gb.shape[2]:
+        out, b = [], _monomials(node.b, form, ctx0)
+        for ga, a_refs, na, pa in _monomials(node.a, form, ctx0):
+            for gb, b_refs, nb, pb in b:
+                if na != nb:
                     raise ValueError("dot requires operands of equal rank")
                 shared = a_refs.keys() & b_refs.keys()
                 if shared:
                     raise ValueError(f"integrand is nonlinear in the {shared.pop()} argument")
-                out.append(((ga * gb).sum(axis=2, keepdims=True), {**a_refs, **b_refs}))
+                out.append((lambda c, ga=ga, gb=gb: (ga(c) * gb(c)).sum(axis=2, keepdims=True),
+                            {**a_refs, **b_refs}, 1, pa or pb))
         return out
     if isinstance(node, Sum):
-        out = _monomials(node.a, ctx, form, points) + _monomials(node.b, ctx, form, points)
-        if len({g.shape[2] for g, _ in out}) > 1:
+        out = _monomials(node.a, form, ctx0) + _monomials(node.b, form, ctx0)
+        if len({n for _, _, n, _ in out}) > 1:
             raise ValueError("sum requires operands of equal rank")
         return out
     if isinstance(node, Scale):
-        return [(node.c * g, refs) for g, refs in _monomials(node.x, ctx, form, points)]
+        return [(lambda ctx, g=g: node.c * g(ctx), refs, n, p)
+                for g, refs, n, p in _monomials(node.x, form, ctx0)]
     raise TypeError(f"unknown integrand node {node!r}")
+
+
+class _CompiledTerm(NamedTuple):
+    """A term compiled per context kind: factor builders and ``A0`` rows (p, ni, nj)."""
+    term: IntegralTerm
+    rule: reference.QuadratureRule
+    block: tuple[int, int]
+    signed: frozenset  # the (role, field) pairs whose orientation signs it needs
+    fixed: dict  # of the point-independent monomials
+    points: dict  # of the point-dependent monomials
+
+
+def _compile(form: FormIR) -> tuple[_CompiledTerm, ...]:
+    """Every term walked, checked and tabulated per context kind; holds no form."""
+    terms = []
+    for term in form.terms:
+        rule, (ti, tj) = _term_rule(term, form), form.term_blocks(term)
+        groups, signed = ({}, {}), set()
+        for kind in [None] if term.domain == CELL else range(3):
+            ctx0 = _context(form.mesh, rule, kind, np.arange(0))
+            for g, refs, ncomp, at_points in _monomials(term.integrand, form, ctx0):
+                if ncomp != 1:
+                    raise ValueError("integrand must be scalar-valued")
+                # a role absent from the form gets a constant tabulation
+                tables = [refs.get(role, (np.ones((len(rule.weights), 1, 1)), False))
+                          for role in ("test", "trial")]
+                signed |= {(r, f) for r, f, (_, s) in zip(("test", "trial"), (ti, tj), tables) if s}
+                a0 = (np.einsum("qir,qjs->qrsij", tables[0][0], tables[1][0]) if at_points else
+                      np.einsum("q,qir,qjs->rsij", rule.weights, tables[0][0], tables[1][0]))
+                gs, a0s = groups[at_points].setdefault(kind, ([], []))
+                gs.append(g)
+                a0s.append(a0.reshape(-1, *a0.shape[-2:]))
+        fixed, points = ({kind: (gs, np.concatenate(a0s)) for kind, (gs, a0s) in group.items()}
+                         for group in groups)
+        terms.append(_CompiledTerm(term, rule, (ti, tj), frozenset(signed), fixed, points))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +553,27 @@ def _monomials(node: Expr, ctx, form: FormIR, points: bool) -> list:
 
 def _facet_selections(mesh: Mesh, term: IntegralTerm, cells: slice) -> list[np.ndarray]:
     """Cells of the range ``cells`` whose local edge l lies in the term's
-    facet set, for l = 0, 1, 2; only the facets of those cells are read."""
-    f = mesh.cell_facets[cells]
-    chosen = mesh.facet_cells[f, 1] < 0  # (nc, 3): exterior
+    facet set, for l = 0, 1, 2, ascending: from the facets of these cells
+    (interior terms) or :attr:`~hybridfem.mesh.Mesh.exterior_sides`."""
     if term.domain == INTERIOR:
-        chosen = ~chosen
-    elif term.label is not None:
-        chosen[chosen] = mesh.exterior_label[f[chosen]] == term.label
-    return [cells.start + np.flatnonzero(c) for c in chosen.T]
+        chosen = mesh.facet_cells[mesh.cell_facets[cells], 1] >= 0  # (nc, 3)
+        return [cells.start + np.flatnonzero(c) for c in chosen.T]
+    facets, sides, loc = mesh.exterior_sides
+    keep = (sides >= cells.start) & (sides < cells.stop)
+    if term.label is not None:
+        keep &= mesh.exterior_label[facets] == term.label
+    return [sides[keep & (loc == l)] for l in range(3)]
 
 
-def _contexts(form: FormIR, term: IntegralTerm, rule, cells: slice, blocked: bool):
-    """The term's evaluation contexts over the range ``cells``: all of
-    them (or all of one local edge) at once, or in
-    :func:`~hybridfem.spaces.cell_blocks`."""
-    mesh = form.mesh
+def _parts(mesh: Mesh, term: IntegralTerm, cells: slice) -> list:
+    """A term's context kinds (None, or the local edge) with their cells."""
     if term.domain == CELL:
-        parts = [(None, cells)]
-    else:
-        parts = [(loc, sel) for loc, sel in enumerate(_facet_selections(mesh, term, cells))
-                 if len(sel)]
-    for loc, sel in parts:
-        for blk in cell_blocks(sel, len(rule.weights)) if blocked else [sel]:
-            yield _CellCtx(mesh, rule, blk) if loc is None else _FacetCtx(mesh, blk, loc, rule)
+        return [(None, cells)]
+    return [(loc, sel) for loc, sel in enumerate(_facet_selections(mesh, term, cells)) if len(sel)]
+
+
+def _context(mesh: Mesh, rule, kind, cells):
+    return _CellCtx(mesh, rule, cells) if kind is None else _FacetCtx(mesh, cells, kind, rule)
 
 
 def _term_rule(term: IntegralTerm, form: FormIR):
@@ -545,27 +587,34 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
     means every cell): (nc, NT, NTR), (nc, NT), or (nc,), row 0 being
     cell ``lo``.  Facet terms read only the facets of these cells.
 
-    The point-independent monomials of all terms are contracted in one
-    matrix product over the cells; the point-dependent ones are then
-    added one cell block at a time, each cell's sum over its points a
-    product of its own (a batched ``matmul`` of one row per cell), so a
-    cell's element tensor does not depend on the block it is in.
-    Orientation signs belong to a field, so they are applied once, at
-    the end, to the signed fields.
+    A call builds only the factors ``G`` of its cells (the rest is
+    :attr:`FormIR.compiled`).  The point-independent monomials of all
+    terms are contracted in one matrix product over the cells; the
+    point-dependent ones are then added one cell block at a time, each
+    cell's sum over its points a product of its own (a batched ``matmul``
+    of one row per cell), so a cell's element tensor does not depend on
+    the block it is in.  Orientation signs belong to a field, so they
+    are applied once, at the end, to the signed fields.
     """
-    cells = slice(0, form.mesh.n_cells) if cells is None else cells
-    t_off = local_offsets(form.test_fields)
-    u_off = local_offsets(form.trial_fields)
+    mesh, terms = form.mesh, form.compiled
+    cells = slice(0, mesh.n_cells) if cells is None else cells
+    t_off, u_off = local_offsets(form.test_fields), local_offsets(form.trial_fields)
+    shape = (max(t_off[-1], 1), max(u_off[-1], 1))
     signed: set = set()
-    out = _reference_product(form, cells, t_off, u_off, signed)
+    out = np.matmul(*_reference_factors(terms, mesh, cells, shape, signed, t_off, u_off))
+    out = out.reshape((len(out),) + shape)
 
-    for term in filter(_point_dependent, form.terms):
-        for ctx in _contexts(form, term, _term_rule(term, form), cells, blocked=True):
-            gs, a0s = _factors(term, ctx, form, True, signed)
-            G, A0 = np.concatenate(gs, axis=1), np.concatenate(a0s)
-            local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
-            _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(ctx.cells, cells),
-                           *form.term_blocks(term), t_off, u_off)
+    for ct in terms:
+        for kind, sel in _parts(mesh, ct.term, cells) if ct.points else ():
+            gs, A0 = ct.points[kind]
+            for blk in cell_blocks(sel, len(ct.rule.weights)):
+                ctx = _context(mesh, ct.rule, kind, blk)
+                G = np.concatenate([(g(ctx)[:, :, 0] * (ct.rule.weights * ctx.scale[:, None])[
+                    :, :, None, None]).reshape(len(ctx.scale), -1) for g in gs], axis=1)
+                local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
+                _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(ctx.cells, cells),
+                               *ct.block, t_off, u_off)
+                signed |= ct.signed
 
     for role, f in signed:
         if role == "test":
@@ -583,59 +632,23 @@ def _rows(cells, first: slice):
     return cells - first.start
 
 
-def _reference_product(form: FormIR, cells: slice, t_off, u_off, signed: set) -> np.ndarray:
-    """Unsigned element tensors of the point-independent monomials of all
-    terms on ``cells`` as one product ``(G @ A0).reshape(nc, NT, NTR)``.
-    Each monomial of a term and local edge adds its columns ``s_K g`` to
-    ``G`` (zero for cells outside a facet term's selection) and its ``A0``
-    rows, placed in the term's block of the flattened local layout."""
-    shape = (max(t_off[-1], 1), max(u_off[-1], 1))
-    nc = cells.stop - cells.start
-    pieces = []
-    for term in form.terms:
-        for ctx in _contexts(form, term, _term_rule(term, form), cells, blocked=False):
-            pieces += [(_rows(ctx.cells, cells), gk, a0, form.term_blocks(term))
-                       for gk, a0 in zip(*_factors(term, ctx, form, False, signed))]
-    K = sum(gk.shape[1] for _, gk, _, _ in pieces)
-    G, A0 = np.zeros((nc, K)), np.zeros((K,) + shape)
-    k = 0
-    while pieces:  # each piece is freed once it is copied into G
-        rows, gk, a0, (ti, tj) = pieces.pop(0)
-        G[rows, k:k + gk.shape[1]] = gk
-        A0[(slice(k, k + gk.shape[1]),) + _block(ti, tj, t_off, u_off)] = a0
-        k += gk.shape[1]
-    return (G @ A0.reshape(K, shape[0] * shape[1])).reshape((nc,) + shape)
-
-
-def _factors(term: IntegralTerm, ctx, form: FormIR, points: bool, signed: set):
-    """Lists of ``G`` columns (ncs, p) and ``A0`` rows (p, ni, nj), one
-    entry per monomial of a term on ``ctx`` that is point-independent,
-    or with ``points`` point-dependent (every rule has two points or
-    more, so the point axis tells them apart).  An absent role gets a
-    constant tabulation; the signed fields are added to ``signed``."""
-    ti, tj = form.term_blocks(term)
-    w, gs, a0s = ctx.rule.weights, [], []
-    for g, refs in _monomials(term.integrand, ctx, form, points):
-        if g.shape[2] != 1:
-            raise ValueError("integrand must be scalar-valued")
-        if (g.shape[1] > 1) != points:
-            continue
-        tables = []
-        for role, f, fields in (("test", ti, form.test_fields), ("trial", tj, form.trial_fields)):
-            n = fields[f].local_dim if f >= 0 else 1
-            ref, signs = refs[role] if role in refs else (np.ones((ctx.nq, n, 1)), None)
-            if signs is not None:
-                signed.add((role, f))
-            tables.append(ref)
-        if points:
-            a0 = np.einsum("qir,qjs->qrsij", *tables)
-            g = g[:, :, 0] * (w * ctx.scale[:, None])[:, :, None, None]
-        else:
-            a0 = np.einsum("q,qir,qjs->rsij", w, *tables)
-            g = g[:, 0, 0] * ctx.scale[:, None, None]
-        gs.append(g.reshape(len(ctx.scale), -1))
-        a0s.append(a0.reshape(-1, *a0.shape[-2:]))
-    return gs, a0s
+def _reference_factors(terms, mesh: Mesh, cells: slice, shape, signed: set, t_off, u_off):
+    """``G``, ``A0`` of the unsigned element tensors ``G @ A0`` of the point-independent
+    monomials on ``cells``: each adds its columns ``s_K g`` and ``A0`` rows per context."""
+    parts = [(ct, kind, sel) for ct in terms if ct.fixed
+             for kind, sel in _parts(mesh, ct.term, cells)]
+    K = sum(len(ct.fixed[kind][1]) for ct, kind, _ in parts)
+    G, A0, k = np.zeros((cells.stop - cells.start, K)), np.zeros((K,) + shape), 0
+    for ct, kind, sel in parts:
+        ctx = _context(mesh, ct.rule, kind, sel)
+        gs, a0 = ct.fixed[kind]
+        A0[(slice(k, k + len(a0)),) + _block(*ct.block, t_off, u_off)] = a0
+        signed |= ct.signed
+        for g in gs:
+            gk = (g(ctx)[:, 0, 0] * ctx.scale[:, None, None]).reshape(len(ctx.scale), -1)
+            G[_rows(ctx.cells, cells), k:k + gk.shape[1]] = gk
+            k += gk.shape[1]
+    return G, A0.reshape(K, shape[0] * shape[1])
 
 
 def _block(ti, tj, t_off, u_off) -> tuple[slice, slice]:

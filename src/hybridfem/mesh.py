@@ -62,6 +62,13 @@ class Mesh:
     def exterior_facets(self) -> np.ndarray:
         return np.flatnonzero(self.facet_cells[:, 1] < 0)
 
+    @cached_property
+    def exterior_sides(self) -> np.ndarray:
+        """Rows (facet, cell, local edge) of the exterior facets by ascending cell."""
+        f = np.flatnonzero(self.facet_cells[:, 1] < 0)
+        f = f[np.argsort(self.facet_cells[f, 0], kind="stable")]
+        return np.stack([f, self.facet_cells[f, 0], self.facet_local_index[f, 0]])
+
     def facets_with_label(self, label: str) -> np.ndarray:
         exterior = np.flatnonzero(self.facet_cells[:, 1] < 0)
         return exterior[self.exterior_label[exterior] == label]

@@ -5,8 +5,9 @@ as in FIAT: the inverse of a monomial Vandermonde matrix at the nodes
 (Lagrange) or of the dual matrix of the degrees of freedom (Raviart-
 Thomas), cached as monomial coefficient arrays.  The tests check the
 coefficients against an exact rational construction.  Tabulation is
-plain floating-point polynomial evaluation.  The reference triangle has
-vertices (0,0), (1,0), (0,1).
+plain floating-point polynomial evaluation, done once per element and
+point set: the tables are memoized and read-only.  The reference
+triangle has vertices (0,0), (1,0), (0,1).
 
 Raviart-Thomas degrees of freedom are edge moments against shifted
 Legendre polynomials plus interior moments against [P_{k-2}]^2.  Shifted
@@ -17,7 +18,7 @@ which reduces all inter-cell orientation handling to diagonal signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import permutations
 from math import comb, perm
 
@@ -183,6 +184,20 @@ def _eval_monomials(exps, pts: np.ndarray, order: tuple[int, int] = (0, 0)) -> n
     return np.stack(cols, axis=-1)
 
 
+def _memoized(tabulation):
+    """A tabulation memoized per element and point set, and read-only."""
+    @wraps(tabulation)
+    def memo(self, points):
+        points = np.asarray(points, dtype=float)
+        key = (tabulation.__name__, points.shape, points.tobytes())
+        tables = vars(self).setdefault("_tables", {})  # elements are frozen
+        if key not in tables:
+            tables[key] = tabulation(self, points)
+            tables[key].flags.writeable = False
+        return tables[key]
+    return memo
+
+
 def _check_inside_triangle(points: np.ndarray, tol: float = 1e-12) -> None:
     x, y = points[:, 0], points[:, 1]
     if np.any(x < -tol) or np.any(y < -tol) or np.any(x + y > 1.0 + tol):
@@ -194,12 +209,18 @@ TRI_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def edge_points(local_edge: int, t: np.ndarray) -> np.ndarray:
-    """Reference coordinates along local edge ``local_edge`` at params ``t``."""
+    """Reference coordinates along local edge ``local_edge`` at params ``t``, memoized."""
+    return _edge_points(local_edge, np.asarray(t, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=None)
+def _edge_points(local_edge: int, t: bytes) -> np.ndarray:
     from .mesh import EDGE_VERTICES
 
-    a, b = EDGE_VERTICES[local_edge]
-    pa, pb = TRI_VERTICES[a], TRI_VERTICES[b]
-    return pa[None, :] + np.asarray(t)[:, None] * (pb - pa)[None, :]
+    pa, pb = TRI_VERTICES[list(EDGE_VERTICES[local_edge])]
+    pts = pa[None, :] + np.frombuffer(t)[:, None] * (pb - pa)[None, :]
+    pts.flags.writeable = False
+    return pts
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +253,12 @@ class ScalarElement:
     def n_dofs(self) -> int:
         return self.nodes.shape[0]
 
+    @_memoized
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
         return _eval_monomials(self.exponents, points) @ self.coeffs
 
+    @_memoized
     def tabulate_grad(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
         gx = _eval_monomials(self.exponents, points, (1, 0)) @ self.coeffs
@@ -291,11 +314,13 @@ class RTElement:
     def n_dofs(self) -> int:
         return self.degree * (self.degree + 2)
 
+    @_memoized
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
         mono = _eval_monomials(self.exponents, points)
         return np.einsum("qa,aid->qid", mono, self.coeffs)
 
+    @_memoized
     def tabulate_div(self, points: np.ndarray) -> np.ndarray:
         _check_inside_triangle(points)
         dx = _eval_monomials(self.exponents, points, (1, 0))
@@ -367,8 +392,8 @@ class LineElement:
     def n_dofs(self) -> int:
         return self.degree + 1
 
+    @_memoized
     def tabulate(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise ValueError("tabulation points outside the reference edge")
         powers = np.stack([t**p for p in range(self.degree + 1)], axis=-1)

@@ -128,8 +128,8 @@ def _fgmres(matvec, b, bnorm, x, r, res, M, cfg):
     The monitored residual is the true residual of the original system,
     so convergence reports need no un-preconditioning.  A breakdown (no
     new Krylov direction) ends the iteration after its least-squares
-    update; a non-finite Arnoldi column norm ends it before, keeping the
-    last restart's ``x``.  Returns (x, iterations, residual, stop reason).
+    update; a non-finite Arnoldi column, or column norm, ends it before,
+    keeping the last restart's ``x``.  Returns (x, iterations, residual, stop reason).
     """
     n, total_its = len(b), 0
     m = cfg.restart
@@ -150,6 +150,8 @@ def _fgmres(matvec, b, bnorm, x, r, res, M, cfg):
                 break
             Z[j] = M(V[j])
             w = matvec(Z[j])
+            if not np.isfinite(w).all():  # before Gram-Schmidt forms inf - inf
+                return x, total_its, res, "breakdown"
             for i in range(j + 1):
                 H[i, j] = w @ V[i]
                 w -= H[i, j] * V[i]

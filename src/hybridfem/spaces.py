@@ -482,36 +482,37 @@ _DERIVATIVES = {"DG": ("value", "grad"), "CG": ("value", "grad"),
 
 
 def ref_basis(space: FunctionSpace, deriv: str, pts: np.ndarray, geo, cells):
-    """A family's basis at reference points ``pts`` as a reference
-    tabulation and a map that is constant per cell.
+    """A family's basis at reference points ``pts``: ``(ref, g, signs)``,
+    :func:`ref_table` and :func:`ref_map`, with the physical basis
+    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``.
+    Trace bases are mapped by the facet contexts of :mod:`hybridfem.forms`."""
+    return (ref_table(space, deriv, pts), *ref_map(space, deriv, geo, cells))
 
-    Returns ``(ref, g, signs)`` with the physical basis
-    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``:
-    ``ref`` (nq, nd, nr) is tabulated on the reference cell, ``g``
-    (ncs|1, ncomp, nr) holds the per-cell map of ``cells`` (``ncomp`` is
-    2 for vector values, 1 for scalars), ``signs`` is None for unsigned
-    families.  Trace bases are mapped by the facet contexts of
-    :mod:`hybridfem.forms`.
-    """
-    fam = space.family
+
+def ref_table(space: FunctionSpace, deriv: str, pts: np.ndarray) -> np.ndarray:
+    """The tabulation (nq, nd, nr) of :func:`ref_basis` on the reference cell."""
+    fam, el = space.family, space.element()
     if deriv not in _DERIVATIVES.get(fam.kind, ()):
         raise ValueError(f"no batched {deriv!r} map for {fam.kind} spaces")
-    el = space.element()
-    if fam.kind in ("DG", "CG"):
-        if deriv == "value":
-            return el.tabulate(pts)[..., None], np.ones((1, 1, 1)), None
-        return el.tabulate_grad(pts), geo.inv_jt[cells], None
     if fam.kind == "VectorDG":
-        if deriv == "value":
-            return _componentwise(el.tabulate(pts)[..., None]), np.eye(2)[None], None
-        # reference component (a, j): derivative along j of component a
-        ref = _componentwise(el.tabulate_grad(pts))
-        return ref, geo.inv_jt[cells].reshape(-1, 1, 4), None
-    signs = space.cell_signs[cells]
-    det = geo.det_j[cells]
-    if deriv == "value":
-        return el.tabulate(pts), geo.jacobians[cells] / det[:, None, None], signs
-    return el.tabulate_div(pts)[..., None], (1.0 / det)[:, None, None], signs
+        # reference component (a, j) of the gradient: derivative along j of component a
+        return _componentwise(el.tabulate(pts)[..., None] if deriv == "value"
+                              else el.tabulate_grad(pts))
+    if deriv != "value":
+        return el.tabulate_grad(pts) if deriv == "grad" else el.tabulate_div(pts)[..., None]
+    return el.tabulate(pts)[..., None] if fam.kind in ("DG", "CG") else el.tabulate(pts)
+
+
+def ref_map(space: FunctionSpace, deriv: str, geo, cells):
+    """The per-cell map ``g`` (ncs|1, ncomp, nr) of :func:`ref_basis` on
+    ``cells`` (``ncomp`` is 2 for vector values) and the signs, or None."""
+    kind = space.family.kind
+    if kind in ("DG", "CG"):
+        return (np.ones((1, 1, 1)) if deriv == "value" else geo.inv_jt[cells]), None
+    if kind == "VectorDG":
+        return (np.eye(2)[None] if deriv == "value" else geo.inv_jt[cells].reshape(-1, 1, 4)), None
+    det = geo.det_j[cells][:, None, None]
+    return (geo.jacobians[cells] / det if deriv == "value" else 1.0 / det), space.cell_signs[cells]
 
 
 def _componentwise(v: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from hybridfem import (
     create_space,
     mark_boundary,
 )
-from hybridfem import forms, spaces
+from hybridfem import forms, reference, spaces
 from hybridfem.forms import (
     CELL,
     EXTERIOR,
@@ -30,7 +31,6 @@ from hybridfem.forms import (
     IntegralTerm,
     QUADRATURE_MARGIN,
     ScalarField,
-    _point_dependent,
     _term_exactness,
     assemble_form,
     assemble_local,
@@ -52,6 +52,12 @@ from hybridfem.problems import (
 )
 
 ONE = ScalarField.constant(1.0)
+
+
+def _point_dependent(form):
+    """Whether each term of ``form`` compiles to monomials that vary over
+    the quadrature points."""
+    return [bool(ct.points) for ct in form.compiled]
 
 
 def mass_form(V):
@@ -262,7 +268,7 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
     if mesh_name == "jittered-neumann-left":
         assert len(mesh.facets_with_label(NEUMANN)) == 4
     for name, form in _operators(mesh):
-        assert not any(_point_dependent(t) for t in form.terms), name
+        assert not any(_point_dependent(form)), name
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -291,7 +297,7 @@ def test_one_product_assembly_matches_oracle(mesh_name):
         IntegralTerm(EXTERIOR, dot(tfn(2), dot(Const(2.0), trial(2))), NEUMANN),
         IntegralTerm(EXTERIOR, dot(jump(tfn(0)), jump(trial(0)))),
     ])
-    assert [_point_dependent(t) for t in form.terms] == [False, False, True] + [False] * 6
+    assert _point_dependent(form) == [False, False, True] + [False] * 6
     batched = assemble_form(form)
     for c in range(mesh.n_cells):
         local = assemble_local(form, c)
@@ -359,7 +365,7 @@ def test_quadrature_path_matches_oracle_on_general_meshes(mesh_name):
     agrees with the single-cell oracle on every cell."""
     mesh = _general_meshes()[mesh_name]
     for name, form in _quadrature_forms(mesh):
-        assert all(_point_dependent(t) for t in form.terms), name
+        assert all(_point_dependent(form)), name
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -532,7 +538,7 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert isinstance(fld(left), Fld)
     assert fld(ScalarField.constant(2.5)) == Const(2.5)
     weighted = FormIR(V, V, [IntegralTerm(CELL, dot(fld(left), dot(tfn(), trial())))])
-    assert _point_dependent(weighted.terms[0])
+    assert _point_dependent(weighted) == [True]
     batched = assemble_form(weighted)
     for c in range(mesh.n_cells):
         np.testing.assert_allclose(batched[c], assemble_local(weighted, c), atol=1e-15)
@@ -543,4 +549,64 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert batched[left_cells].min() > 0.0
     # a linear form with constant data joins the one product
     rhs = FormIR(V, None, [IntegralTerm(CELL, dot(tfn(), fld(ScalarField.constant(2.0))))])
-    assert not _point_dependent(rhs.terms[0])
+    assert _point_dependent(rhs) == [False]
+
+
+def _clear_table_memos():
+    for el in (reference.rt_element(2), reference.scalar_element(1), reference.line_element(1)):
+        vars(el).pop("_tables", None)
+    reference._edge_points.cache_clear()
+    forms._trace_table.cache_clear()
+
+
+def test_element_tensors_match_from_cold_and_warm_caches(monkeypatch):
+    """The mixed-hybrid k=2 operator and right-hand side (cell, interior
+    and exterior facet terms, point-dependent ones among them) give
+    bit-identical element tensors on their first assembly, with every
+    table memo empty, and on a later one, whole or in ten-cell ranges
+    with small point blocks."""
+    mesh = _general_meshes()["jittered-neumann-left"]
+    prob = manufactured("sinsin")
+    hs = hybridized_mixed_system(mesh, prob, 2)
+    terms = [(t.domain, p) for f in (hs.a, hs.rhs) for t, p in zip(f.terms, _point_dependent(f))]
+    assert {d for d, _ in terms} == {CELL, INTERIOR, EXTERIOR}
+    assert {d for d, p in terms if p} == {CELL, EXTERIOR}
+
+    def tensors(form, ranges):
+        return [assemble_form(form, r) for r in ranges]
+
+    for ranges in ([None], [slice(lo, min(lo + 10, mesh.n_cells))
+                            for lo in range(0, mesh.n_cells, 10)]):
+        with monkeypatch.context() as m:
+            if len(ranges) > 1:
+                m.setattr(spaces, "BLOCK_POINTS", 64)
+            for name in ("a", "rhs"):
+                _clear_table_memos()
+                form = getattr(hybridized_mixed_system(mesh, prob, 2), name)
+                assert "compiled" not in vars(form)
+                cold = tensors(form, ranges)
+                warm = tensors(form, ranges)
+                fresh = tensors(getattr(hybridized_mixed_system(mesh, prob, 2), name), ranges)
+                for c, w, f in zip(cold, warm, fresh):
+                    assert c.tobytes() == w.tobytes() == f.tobytes(), name
+
+
+def test_compiled_tables_are_shared_and_read_only():
+    """A tabulation at equal points is one read-only array, and so are the
+    trace tables and the edge parametrizations; a form is immutable, so
+    its compiled description holds."""
+    mesh = build_unit_square(2)
+    form = hybridized_mixed_system(mesh, manufactured("sinsin"), 2).a
+    cell = reference.triangle_quadrature(4).points
+    t = reference.edge_quadrature(4).points
+    rt, p1, line = reference.rt_element(2), reference.scalar_element(1), reference.line_element(1)
+    assert rt.tabulate(cell) is rt.tabulate(cell.copy())
+    assert reference.edge_points(1, t) is reference.edge_points(1, t.copy())
+    assert forms._trace_table(1, 4, 2) is forms._trace_table(1, 4, 2)
+    tables = [rt.tabulate(cell), rt.tabulate_div(cell), p1.tabulate(cell), p1.tabulate_grad(cell),
+              line.tabulate(t), reference.edge_points(0, t), forms._trace_table(1, 4, 0)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.terms = ()

@@ -21,7 +21,6 @@ from hybridfem.forms import (
     FormIR,
     IntegralTerm,
     ScalarField,
-    _point_dependent,
     assemble_form,
     coef,
     dot,
@@ -129,7 +128,7 @@ def test_scalar_pp_data_action_equals_coefficient_form(mesh_name, flux, k):
     for mu, constant in [(ScalarField.constant(1.0), True),
                          (ScalarField(lambda x, y: 1.0 + 0.5 * x * y, degree=2), False)]:
         action = _data_action(W, u_h, p_h, mu)
-        assert [_point_dependent(t) for t in action.a.form.terms] == [not constant, False]
+        assert [bool(ct.points) for ct in action.a.form.compiled] == [not constant, False]
         got = evaluate_all(compile_expr(action))
         want = assemble_form(FormIR(W, None, [
             IntegralTerm(CELL, -dot(fld(mu), dot(grad(tfn(0)), coef(u_h)))),

@@ -367,3 +367,20 @@ def test_ldgh_tau_one_error_unchanged():
     rows = run_convergence(StudySpec(method="ldgh", degree=1, tau=1.0, sizes=(4, 8)))
     assert rows[-1]["converged"] == 1
     assert rows[-1]["err_p"] == pytest.approx(0.01245605824867103, rel=1e-9)
+
+
+def test_compiled_forms_keep_no_mesh_alive():
+    """A solve's forms are compiled on the mesh they assemble; once the
+    result and the mesh are dropped, nothing (no table memo) keeps the
+    mesh alive."""
+    import gc
+    import weakref
+
+    mesh = build_unit_square(4)
+    ref = weakref.ref(mesh)
+    res = solve_hybridizable(mesh, manufactured("sinsin"),
+                             StudySpec(method="mixed-hybrid", degree=2))
+    assert res.report.converged
+    del res, mesh
+    gc.collect()
+    assert ref() is None
