@@ -31,10 +31,14 @@ for n in (1, 2, 4):
 
 mesh = build_unit_square(4)
 geo = mesh.geometry()
-print(f"\nsum of cell areas: {geo.det_j.sum() / 2:.15f} (unit square)")
-g0 = cell_geometry(mesh, 0)
-print(f"cell 0 jacobian determinant: {g0.det_j:.6f}, "
-      f"edge lengths {np.round(g0.facet_lengths, 4)}")
+# each cell stores its vertices in ascending global order, so det J is
+# signed: the upper cell of each grid square maps the reference clockwise
+print(f"\nsum of cell areas |det J| / 2: {np.abs(geo.det_j).sum() / 2:.15f} (unit square)")
+print(f"cells with det J < 0: {(geo.det_j < 0).sum()} of {mesh.n_cells}")
+for c in (0, 1):
+    g = cell_geometry(mesh, c)
+    print(f"cell {c}: vertices {mesh.cell_vertices[c].tolist()}, "
+          f"jacobian determinant {g.det_j:+.6f}, edge lengths {np.round(g.facet_lengths, 4)}")
 
 marked = mark_boundary(mesh, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET)
 print(f"after marking x=0 as Neumann: {len(marked.facets_with_label(NEUMANN))} "

@@ -32,9 +32,10 @@ def max_interior_jump(fn):
     for f in mesh.interior_facets:
         (c0, c1), (l0, l1) = mesh.facet_cells[f], mesh.facet_local_index[f]
         sides = []
+        # each cell runs along a shared facet from its lower to its higher
+        # vertex, so the same edge parameters give the same points on both sides
         for c, loc in ((c0, l0), (c1, l1)):
-            tt = t if geo.dir_match[c, loc] else 1.0 - t
-            v = eval_function(fn, edge_points(loc, tt))[c]
+            v = eval_function(fn, edge_points(loc, t))[c]
             sides.append(v @ geo.edge_normals[c, loc])
         worst = max(worst, np.abs(sides[0] + sides[1]).max())
     return worst

@@ -39,7 +39,7 @@ import numpy as np
 from . import reference
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .spaces import (Function, FunctionSpace, MixedSpace, cell_blocks, contract,
-                     local_offsets, ref_map, ref_table)
+                     local_offsets, ref_basis, ref_map)
 
 QUADRATURE_MARGIN = 2  # safety margin added to estimated integrand degree
 
@@ -390,14 +390,10 @@ class _Ctx:
         return sf(self.phys[..., 0], self.phys[..., 1])
 
     def local_coeffs(self, fn: Function) -> np.ndarray:
-        # basis values are sign-corrected, so the gather is plain indexing
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
     def ref_basis(self, space: FunctionSpace, deriv: str):  # memoized tables
-        return (ref_table(space, deriv, self.ref_pts), *self.ref_map(space, deriv))
-
-    def ref_map(self, space: FunctionSpace, deriv: str):
-        return ref_map(space, deriv, self.geo, self.cells)
+        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
 
 
 class _CellCtx(_Ctx):
@@ -405,7 +401,7 @@ class _CellCtx(_Ctx):
 
     def __init__(self, mesh: Mesh, rule, cells):
         super().__init__(mesh, rule, cells, rule.points)
-        self.scale = self.geo.det_j[cells]  # integration measure factor
+        self.scale = np.abs(self.geo.det_j[cells])  # integration measure factor
 
 
 class _FacetCtx(_Ctx):
@@ -417,19 +413,12 @@ class _FacetCtx(_Ctx):
 
     scale = cached_property(lambda self: self.geo.edge_lengths[self.cells, self.local_edge])
     normals = cached_property(lambda self: self.geo.edge_normals[self.cells, self.local_edge])
-    dir_match = cached_property(lambda self: self.geo.dir_match[self.cells, self.local_edge])
 
     def ref_basis(self, space: FunctionSpace, deriv: str):
         if space.family.kind != "Trace":
             return super().ref_basis(space, deriv)
         return (_trace_table(space.family.degree, self.rule.exactness, self.local_edge),
-                *self.ref_map(space, deriv))
-
-    def ref_map(self, space: FunctionSpace, deriv: str):
-        if space.family.kind != "Trace":
-            return super().ref_map(space, deriv)
-        g = np.stack([self.dir_match, ~self.dir_match], axis=-1).astype(float)
-        return g[:, None, :], None
+                ref_map(space, deriv, self.geo, self.cells))
 
     def normal(self) -> np.ndarray:
         return self.normals
@@ -437,12 +426,10 @@ class _FacetCtx(_Ctx):
 
 @lru_cache(maxsize=None)
 def _trace_table(degree: int, exactness: int, loc: int) -> np.ndarray:
-    """Trace(degree) on local edge ``loc`` at ``edge_quadrature(exactness)``, read-only:
-    the forward and the reversed tabulation, of which the map selects one per cell."""
+    """Trace(degree) on local edge ``loc`` at ``edge_quadrature(exactness)``, read-only."""
     t, per = reference.edge_quadrature(exactness).points, degree + 1
-    table = np.zeros((len(t), 3 * per, 2))
-    for c, tc in enumerate((t, 1.0 - t)):
-        table[:, loc * per:(loc + 1) * per, c] = reference.line_element(degree).tabulate(tc)
+    table = np.zeros((len(t), 3 * per, 1))
+    table[:, loc * per:(loc + 1) * per, 0] = reference.line_element(degree).tabulate(t)
     table.flags.writeable = False
     return table
 
@@ -456,12 +443,13 @@ def _trace_table(degree: int, exactness: int, loc: int) -> np.ndarray:
 # monomials (g, refs, ncomp, points): g(ctx) builds the per-cell factor
 # (ncs|1, nq|1, ncomp, rt, rs) of a context from the argument maps of
 # ref_map, per point where a coefficient or field enters (``points``);
-# refs maps each argument role present to (reference table, signed).
-# Extent-1 axes stand for an absent cell, point or role dependence.  On
-# affine cells a monomial's element tensor is
+# refs maps each argument role present to its reference table.  Extent-1
+# axes stand for an absent cell, point or role dependence.  On affine
+# cells, with s[c] the measure |det J| or the edge length, a monomial's
+# element tensor
 #   K[c, i, j] = s[c] sum_q w_q sum_rs g[c, q, r, s] R_test[q, i, r] R_trial[q, j, s]
-# (times the test and trial cell signs), which is summed over q in one of
-# two places.  A point-independent g leaves the sum to the reference tensor
+# is summed over q in one of two places.  A point-independent g leaves the
+# sum to the reference tensor
 #   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s],
 # so K = G @ A0 with G[c, (r, s)] = s[c] g[c, r, s].  A point-dependent g
 # keeps q in both, G[c, (q, r, s)] = w_q s[c] g[c, q, r, s] and
@@ -472,10 +460,10 @@ def _monomials(node: Expr, form: FormIR, ctx0) -> list:
     """The monomials of ``node`` on contexts of the kind of ``ctx0`` (no cells)."""
     if isinstance(node, Arg):
         space = (form.test_fields if node.role == "test" else form.trial_fields)[node.field]
-        ref, g, signs = ctx0.ref_basis(space, node.deriv)
+        ref, g = ctx0.ref_basis(space, node.deriv)
         axes = (1, 4) if node.role == "test" else (1, 3)
-        return [(lambda ctx: np.expand_dims(ctx.ref_map(space, node.deriv)[0], axes),
-                 {node.role: (ref, signs is not None)}, g.shape[1], False)]
+        return [(lambda ctx: np.expand_dims(ref_map(space, node.deriv, ctx.geo, ctx.cells), axes),
+                 {node.role: ref}, g.shape[1], False)]
     if isinstance(node, Coef):
         return [(lambda ctx: contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(
             node.fn))[..., None, None], {}, 1 + node.fn.space.family.is_vector, True)]
@@ -516,7 +504,6 @@ class _CompiledTerm(NamedTuple):
     term: IntegralTerm
     rule: reference.QuadratureRule
     block: tuple[int, int]
-    signed: frozenset  # the (role, field) pairs whose orientation signs it needs
     fixed: dict  # of the point-independent monomials
     points: dict  # of the point-dependent monomials
 
@@ -526,24 +513,23 @@ def _compile(form: FormIR) -> tuple[_CompiledTerm, ...]:
     terms = []
     for term in form.terms:
         rule, (ti, tj) = _term_rule(term, form), form.term_blocks(term)
-        groups, signed = ({}, {}), set()
+        groups = ({}, {})
         for kind in [None] if term.domain == CELL else range(3):
             ctx0 = _context(form.mesh, rule, kind, np.arange(0))
             for g, refs, ncomp, at_points in _monomials(term.integrand, form, ctx0):
                 if ncomp != 1:
                     raise ValueError("integrand must be scalar-valued")
                 # a role absent from the form gets a constant tabulation
-                tables = [refs.get(role, (np.ones((len(rule.weights), 1, 1)), False))
+                tables = [refs.get(role, np.ones((len(rule.weights), 1, 1)))
                           for role in ("test", "trial")]
-                signed |= {(r, f) for r, f, (_, s) in zip(("test", "trial"), (ti, tj), tables) if s}
-                a0 = (np.einsum("qir,qjs->qrsij", tables[0][0], tables[1][0]) if at_points else
-                      np.einsum("q,qir,qjs->rsij", rule.weights, tables[0][0], tables[1][0]))
+                a0 = (np.einsum("qir,qjs->qrsij", *tables) if at_points else
+                      np.einsum("q,qir,qjs->rsij", rule.weights, *tables))
                 gs, a0s = groups[at_points].setdefault(kind, ([], []))
                 gs.append(g)
                 a0s.append(a0.reshape(-1, *a0.shape[-2:]))
         fixed, points = ({kind: (gs, np.concatenate(a0s)) for kind, (gs, a0s) in group.items()}
                          for group in groups)
-        terms.append(_CompiledTerm(term, rule, (ti, tj), frozenset(signed), fixed, points))
+        terms.append(_CompiledTerm(term, rule, (ti, tj), fixed, points))
     return tuple(terms)
 
 
@@ -593,15 +579,13 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
     point-dependent ones are then added one cell block at a time, each
     cell's sum over its points a product of its own (a batched ``matmul``
     of one row per cell), so a cell's element tensor does not depend on
-    the block it is in.  Orientation signs belong to a field, so they
-    are applied once, at the end, to the signed fields.
+    the block it is in.
     """
     mesh, terms = form.mesh, form.compiled
     cells = slice(0, mesh.n_cells) if cells is None else cells
     t_off, u_off = local_offsets(form.test_fields), local_offsets(form.trial_fields)
     shape = (max(t_off[-1], 1), max(u_off[-1], 1))
-    signed: set = set()
-    out = np.matmul(*_reference_factors(terms, mesh, cells, shape, signed, t_off, u_off))
+    out = np.matmul(*_reference_factors(terms, mesh, cells, shape, t_off, u_off))
     out = out.reshape((len(out),) + shape)
 
     for ct in terms:
@@ -614,13 +598,6 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
                 local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
                 _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(ctx.cells, cells),
                                *ct.block, t_off, u_off)
-                signed |= ct.signed
-
-    for role, f in signed:
-        if role == "test":
-            out[:, t_off[f]:t_off[f + 1]] *= form.test_fields[f].cell_signs[cells, :, None]
-        else:
-            out[:, :, u_off[f]:u_off[f + 1]] *= form.trial_fields[f].cell_signs[cells, None, :]
     return out.reshape(out.shape[:1 + form.rank])
 
 
@@ -632,8 +609,8 @@ def _rows(cells, first: slice):
     return cells - first.start
 
 
-def _reference_factors(terms, mesh: Mesh, cells: slice, shape, signed: set, t_off, u_off):
-    """``G``, ``A0`` of the unsigned element tensors ``G @ A0`` of the point-independent
+def _reference_factors(terms, mesh: Mesh, cells: slice, shape, t_off, u_off):
+    """``G``, ``A0`` of the element tensors ``G @ A0`` of the point-independent
     monomials on ``cells``: each adds its columns ``s_K g`` and ``A0`` rows per context."""
     parts = [(ct, kind, sel) for ct in terms if ct.fixed
              for kind, sel in _parts(mesh, ct.term, cells)]
@@ -643,7 +620,6 @@ def _reference_factors(terms, mesh: Mesh, cells: slice, shape, signed: set, t_of
         ctx = _context(mesh, ct.rule, kind, sel)
         gs, a0 = ct.fixed[kind]
         A0[(slice(k, k + len(a0)),) + _block(*ct.block, t_off, u_off)] = a0
-        signed |= ct.signed
         for g in gs:
             gk = (g(ctx)[:, 0, 0] * ctx.scale[:, None, None]).reshape(len(ctx.scale), -1)
             G[_rows(ctx.cells, cells), k:k + gk.shape[1]] = gk
@@ -688,7 +664,7 @@ def assemble_local(form: FormIR, cell: int) -> np.ndarray:
             rule = reference.triangle_quadrature(exact)
             ctx = _CellCtx(mesh, rule, np.array([cell]))
             acc = _local_term(term, form, ctx)
-            scale = mesh.geometry().det_j[cell]
+            scale = abs(mesh.geometry().det_j[cell])
         else:
             rule = reference.edge_quadrature(exact)
             acc = None
@@ -763,16 +739,14 @@ def _cell_basis(space: FunctionSpace, deriv: str, ctx) -> tuple[np.ndarray, bool
         grads = el.tabulate_grad(pts) @ geo.inv_jt[c].T  # (nq, ns, 2)
         return np.concatenate([grads[..., 0], grads[..., 1]], axis=1), False
     if fam.kind == "RT" and deriv == "value":
-        piola = el.tabulate(pts) @ geo.jacobians[c].T / geo.det_j[c]
-        return piola * space.cell_signs[c][:, None], True
+        return el.tabulate(pts) @ geo.jacobians[c].T / geo.det_j[c], True
     if fam.kind == "RT" and deriv == "div":
-        return el.tabulate_div(pts) / geo.det_j[c] * space.cell_signs[c], False
+        return el.tabulate_div(pts) / geo.det_j[c], False
     if fam.kind == "Trace" and deriv == "value" and isinstance(ctx, _FacetCtx):
-        # the trace parameter runs along the facet's global direction
-        t = ctx.rule.points if ctx.dir_match[0] else 1.0 - ctx.rule.points
+        # the edge parameter runs along the facet's global direction in every cell
         per = fam.degree + 1
         vals = np.zeros((ctx.nq, 3 * per))
-        vals[:, ctx.local_edge * per:(ctx.local_edge + 1) * per] = el.tabulate(t)
+        vals[:, ctx.local_edge * per:(ctx.local_edge + 1) * per] = el.tabulate(ctx.rule.points)
         return vals, False
     raise ValueError(f"unsupported tabulation {fam.kind}/{deriv}")
 

@@ -1,13 +1,14 @@
 """Structured and jittered triangulations of the unit square with full
 facet topology.
 
-Cells are counterclockwise vertex triples.  Local edge ``l`` of a cell is
-the edge opposite local vertex ``l``, traversed counterclockwise, i.e.
-from vertex ``(l+1) % 3`` to vertex ``(l+2) % 3``.  Every facet also has a
-global direction, running from its lower to its higher global vertex
-index; orientation-sensitive degrees of freedom (H(div) edge moments,
-facet traces) are defined with respect to that direction so that the two
-cells sharing a facet agree on its dofs.
+Each cell stores its vertices in ascending global order (the UFC
+convention), so a cell may map the reference triangle with either
+orientation and ``det J`` carries its sign.  Local edge ``l`` of a cell
+is the edge opposite local vertex ``l``, running from its lower to its
+higher local vertex, i.e. from its lower to its higher global vertex in
+every cell: the two cells sharing a facet traverse it the same way, so
+orientation-sensitive degrees of freedom (H(div) edge moments, facet
+traces) agree between them with no sign or reversal.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ import numpy as np
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-#: local edge l runs from vertex (l+1)%3 to vertex (l+2)%3 (counterclockwise)
-EDGE_VERTICES = ((1, 2), (2, 0), (0, 1))
+#: local edge l, opposite vertex l, runs from its lower to its higher local vertex
+EDGE_VERTICES = ((1, 2), (0, 2), (0, 1))
+#: per local edge, the sign taking the tangent rotated by -90 degrees to the
+#: outward normal of the reference triangle; times sign(det J) on a cell
+EDGE_OUTWARD = (1.0, -1.0, 1.0)
 
 
 @dataclass
@@ -35,7 +39,7 @@ class Mesh:
     """
 
     vertex_coords: np.ndarray      # (n_vertices, 2)
-    cell_vertices: np.ndarray      # (n_cells, 3), ccw; read-only (CG(1) dofs share it)
+    cell_vertices: np.ndarray      # (n_cells, 3), ascending; read-only (CG(1) dofs share it)
     facet_vertices: np.ndarray     # (n_facets, 2), lower vertex index first
     facet_cells: np.ndarray        # (n_facets, 2), -1 where absent
     facet_local_index: np.ndarray  # (n_facets, 2), local edge in each cell
@@ -91,7 +95,7 @@ class CellGeometry:
     """Affine reference-to-physical map data for one cell."""
 
     jacobian: np.ndarray       # (2, 2)
-    det_j: float
+    det_j: float               # negative where the cell maps the reference clockwise
     inv_jt: np.ndarray         # (2, 2)
     facet_normals: np.ndarray  # (3, 2), outward unit normals per local edge
     facet_lengths: np.ndarray  # (3,)
@@ -101,8 +105,9 @@ class CellGeometry:
 class MeshGeometry:
     """Batched affine map data for all cells of a mesh.
 
-    The per-cell fields are computed with the geometry.  The per-edge
-    fields ``edge_normals``, ``edge_lengths`` and ``dir_match`` are
+    The per-cell fields are computed with the geometry; ``det_j`` keeps
+    its sign, as the Piola map needs it, and measures take its absolute
+    value.  The per-edge fields ``edge_normals`` and ``edge_lengths`` are
     computed together on first access and cached, so a solve that reads
     none of them (primal CG(1)) never pays for them; for this the
     geometry keeps the mesh's own vertex arrays, not the mesh.  No array
@@ -112,18 +117,17 @@ class MeshGeometry:
 
     origins: np.ndarray        # (n_cells, 2), coordinates of local vertex 0
     jacobians: np.ndarray      # (n_cells, 2, 2)
-    det_j: np.ndarray          # (n_cells,)
+    det_j: np.ndarray          # (n_cells,), with its sign
     inv_jt: np.ndarray         # (n_cells, 2, 2)
     vertex_coords: np.ndarray = field(repr=False)  # the mesh's arrays, read by _edges
     cell_vertices: np.ndarray = field(repr=False)
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _edge_geometry(self.vertex_coords, self.cell_vertices)
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return _edge_geometry(self.vertex_coords, self.cell_vertices, self.det_j)
 
     edge_normals = property(lambda self: self._edges[0])  # (n_cells, 3, 2), outward unit
     edge_lengths = property(lambda self: self._edges[1])  # (n_cells, 3)
-    dir_match = property(lambda self: self._edges[2])  # (n_cells, 3) bool: ccw traversal == global direction
 
     def physical_points(self, ref_pts: np.ndarray, cells=slice(None)) -> np.ndarray:
         """Images (ncs, nq, 2) of reference points under the cells' affine maps."""
@@ -134,49 +138,53 @@ class MeshGeometry:
 def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     """Reads per-corner coordinate rows ``x[k]``, ``y[k]`` (local vertex
     ``k`` of every cell) and computes each output component in place.
-    Degenerate cells are found from the Jacobian's columns, whose
-    lengths |J e1|, |J e2| and |J (e2 - e1)| are those of the edges."""
-    n_cells = mesh.n_cells
+    A cell whose vertices are not in ascending order is rejected: its
+    neighbours would disagree on their shared dofs.  Degenerate cells are
+    found from the Jacobian's columns, whose lengths |J e1|, |J e2| and
+    |J (e2 - e1)| are those of the edges."""
+    n_cells, cv = mesh.n_cells, mesh.cell_vertices
+    bad = np.flatnonzero((cv[:, :2] >= cv[:, 1:]).any(axis=1))
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} has vertices {cv[bad[0]].tolist()}, "
+                         "not in ascending global order")
     jac, inv = np.empty((n_cells, 2, 2)), np.empty((n_cells, 2, 2))
-    x, y = np.take(mesh.vertex_coords.T, mesh.cell_vertices.T, axis=1)  # (3, n_cells) each
+    x, y = np.take(mesh.vertex_coords.T, cv.T, axis=1)  # (3, n_cells) each
     for i, c in enumerate((x, y)):
         np.subtract(c[1], c[0], out=jac[:, i, 0])
         np.subtract(c[2], c[0], out=jac[:, i, 1])
     (j00, j01), (j10, j11) = jac.transpose(1, 2, 0)
     det = j00 * j11 - j01 * j10
-    bad = np.flatnonzero(det <= 0.0)
-    if len(bad):
-        raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
-    for (i, j), entry in zip(np.ndindex(2, 2), (j11, -j01, -j10, j00)):
-        np.divide(entry, det, out=inv[:, i, j])
     longest = np.maximum(np.hypot(j00, j10), np.hypot(j01, j11))
     np.maximum(longest, np.hypot(j01 - j00, j11 - j10), out=longest)
-    quality = det / longest ** 2  # sqrt(3)/2 for an equilateral cell
+    quality = np.abs(det) / longest ** 2  # sqrt(3)/2 for an equilateral cell
     bad = np.flatnonzero(quality < 1e-10)
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} is degenerate (det J / h^2 = {quality[bad[0]]:.3g})")
+    for (i, j), entry in zip(np.ndindex(2, 2), (j11, -j01, -j10, j00)):
+        np.divide(entry, det, out=inv[:, i, j])
     origins = np.stack((x[0], y[0]), axis=1)
     return MeshGeometry(origins, jac, det, np.swapaxes(inv, 1, 2),
-                        mesh.vertex_coords, mesh.cell_vertices)
+                        mesh.vertex_coords, cv)
 
 
-def _edge_geometry(coords: np.ndarray, cv: np.ndarray):
-    """Outward unit normals, lengths and direction flags of every cell's
-    local edges, each component computed in place from the corner rows."""
+def _edge_geometry(coords: np.ndarray, cv: np.ndarray, det: np.ndarray):
+    """Outward unit normals and lengths of every cell's local edges, each
+    component computed in place from the corner rows."""
     n_cells = len(cv)
     normals, lengths = np.empty((n_cells, 3, 2)), np.empty((n_cells, 3))
-    dir_match = np.empty((n_cells, 3), dtype=bool)
     x, y = np.take(coords.T, cv.T, axis=1)
+    orientation = np.sign(det)  # nonzero: degenerate cells are rejected
     for loc, (a, b) in enumerate(EDGE_VERTICES):
-        # outward normal (ty, -tx) / length, +0.0 where zero, as tangent @ [[0, -1], [1, 0]]
+        # outward normal (ty, -tx) / (s length) with s = EDGE_OUTWARD[loc] sign(det J),
+        # +0.0 where zero; s length is exact, and so is the sign of each quotient
         n_x, n_y, length = normals[:, loc, 0], normals[:, loc, 1], lengths[:, loc]
         np.subtract(x[b], x[a], out=n_y)  # tx until negated below
         np.subtract(y[b], y[a], out=n_x)
         np.hypot(n_y, n_x, out=length)
-        np.divide(np.add(n_x, 0.0, out=n_x), length, out=n_x)
-        np.divide(np.subtract(0.0, n_y, out=n_y), length, out=n_y)
-        np.less(cv[:, a], cv[:, b], out=dir_match[:, loc])
-    return normals, lengths, dir_match
+        side = EDGE_OUTWARD[loc] * orientation * length
+        np.add(np.divide(n_x, side, out=n_x), 0.0, out=n_x)
+        np.subtract(0.0, np.divide(n_y, side, out=n_y), out=n_y)
+    return normals, lengths
 
 
 def build_unit_square(n: int) -> Mesh:
@@ -205,7 +213,7 @@ def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
     Each interior vertex moves by up to ``amplitude`` grid spacings in
     each coordinate, drawn uniformly from ``seed``; boundary vertices stay.
     An amplitude below 1/4 cannot move a vertex across the line through
-    its opposite edge, so every cell keeps its positive orientation.
+    its opposite edge, so every cell keeps its orientation.
     """
     if not 0.0 <= amplitude < 0.25:
         raise ValueError(f"jitter amplitude must lie in [0, 0.25), got {amplitude}")
@@ -220,16 +228,32 @@ def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
 
 
 def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
-    """Facet topology of a triangulation.
+    """Facet topology of a triangulation of counterclockwise cells.
 
-    Facets are numbered in order of first appearance over (cell, local
-    edge); the first cell to reach a facet is its "+" side.  One stable
-    sort of the edge keys puts each facet's second occurrence right after
-    its first; the remaining first occurrences, in order, number the facets.
+    A clockwise or flat input cell is rejected; each cell's vertices are
+    then stored in ascending order by three in-place compare-exchange
+    passes over the vertex columns.  Facets are numbered in order of
+    first appearance over (cell, local edge); the first cell to reach a
+    facet is its "+" side.  One stable sort of the edge keys puts each
+    facet's second occurrence right after its first; the remaining first
+    occurrences, in order, number the facets.
     """
-    cell_vertices = np.asarray(cell_vertices, dtype=np.int64).view()
-    cell_vertices.flags.writeable = False
+    coords = np.asarray(coords, dtype=float)
+    cell_vertices = np.array(cell_vertices, dtype=np.int64)  # a copy, sorted in place
     n_cells = len(cell_vertices)
+    x, y = np.take(coords.T, cell_vertices.T, axis=1)  # (3, n_cells) each
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+    bad = np.flatnonzero(det <= 0.0)
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
+    del x, y, det
+    low = np.empty(n_cells, dtype=np.int64)
+    for a, b in ((0, 1), (1, 2), (0, 1)):
+        np.minimum(cell_vertices[:, a], cell_vertices[:, b], out=low)
+        np.maximum(cell_vertices[:, a], cell_vertices[:, b], out=cell_vertices[:, b])
+        cell_vertices[:, a] = low
+    del low
+    cell_vertices.flags.writeable = False
     lo, hi = np.empty((2, 3 * n_cells), dtype=np.int64)  # ends of occurrence 3 * cell + local edge
     for loc, (a, b) in enumerate(EDGE_VERTICES):
         np.minimum(cell_vertices[:, a], cell_vertices[:, b], out=lo[loc::3])
@@ -260,7 +284,7 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     label = np.empty(n_facets, dtype=object)
     label[:] = ""  # one str object per value, shared by every facet
     label[facet_cells[:, 1] < 0] = DIRICHLET
-    return Mesh(np.asarray(coords, dtype=float), cell_vertices, facet_vertices, facet_cells,
+    return Mesh(coords, cell_vertices, facet_vertices, facet_cells,
                 facet_local, occ_facet.reshape(n_cells, 3), label)
 
 

@@ -35,6 +35,7 @@ from .forms import (
     test,
     trial,
 )
+from .mesh import EDGE_OUTWARD
 from .spaces import (
     DG,
     RT,
@@ -107,26 +108,25 @@ def flux_pp(u_h: Function, p_h: Function, lam_h: Function,
     leg = reference.shifted_legendre(k, tg)          # (nq, k+1)
     lam_t = lam_h.space.element().tabulate(tg)       # (nq, k+1), global parameter
 
-    facet_moments = np.zeros((mesh.n_facets, k + 1))
+    side_moments = np.empty((3, mesh.n_cells, k + 1))  # of each (local edge, cell)
     all_cells = slice(0, mesh.n_cells)
     for loc in range(3):
-        # evaluate each side at the points in the facet's global direction
-        pts_f = reference.edge_points(loc, tg)
-        pts_r = reference.edge_points(loc, 1.0 - tg)
-        # blocks inside the edge loop keep each facet's sum in cell order
+        pts = reference.edge_points(loc, tg)  # in the facet's global direction
         for cells in cell_blocks(all_cells, len(tg)):
             f = mesh.cell_facets[cells, loc]
-            match = geo.dir_match[cells, loc]
-            u_vals = np.where(match[:, None, None], eval_function(u_h, pts_f, cells),
-                              eval_function(u_h, pts_r, cells))
-            p_vals = np.where(match[:, None], eval_function(p_h, pts_f, cells),
-                              eval_function(p_h, pts_r, cells))
             lam_vals = lam_t @ lam_h.coeffs[lam_h.space.facet_dofs[f]].T  # (nq, ncs)
-            u_n = np.einsum("cqd,cd->cq", u_vals, geo.edge_normals[cells, loc])
-            flux = np.where(match, 1.0, -1.0)[:, None] * (u_n + tau * (p_vals - lam_vals.T))
-            moments = np.einsum("q,cq,qj->cj", w, flux, leg) * geo.edge_lengths[cells, loc, None]
-            np.add.at(facet_moments, f, moments)
-    facet_moments /= np.bincount(mesh.cell_facets.ravel(), minlength=mesh.n_facets)[:, None]
+            u_n = np.einsum("cqd,cd->cq", eval_function(u_h, pts, cells),
+                            geo.edge_normals[cells, loc])
+            # the outward normal is the global one times EDGE_OUTWARD[loc] sign(det J)
+            outward = EDGE_OUTWARD[loc] * np.sign(geo.det_j[cells])
+            flux = outward[:, None] * (u_n + tau * (eval_function(p_h, pts, cells) - lam_vals.T))
+            side_moments[loc, cells] = (np.einsum("q,cq,qj->cj", w, flux, leg)
+                                        * geo.edge_lengths[cells, loc, None])
+    # one bincount per moment, summing each facet's sides in (local edge, cell) order
+    sides = mesh.cell_facets.T.ravel()
+    facet_moments = np.stack([np.bincount(sides, m.ravel(), minlength=mesh.n_facets)
+                              for m in np.moveaxis(side_moments, -1, 0)], axis=1)
+    facet_moments /= np.bincount(sides, minlength=mesh.n_facets)[:, None]
 
     coeffs = np.zeros(target.ndof_global)
     kk = k + 1  # moments per facet in the target space

@@ -9,10 +9,10 @@ plain floating-point polynomial evaluation, done once per element and
 point set: the tables are memoized and read-only.  The reference
 triangle has vertices (0,0), (1,0), (0,1).
 
-Raviart-Thomas degrees of freedom are edge moments against shifted
-Legendre polynomials plus interior moments against [P_{k-2}]^2.  Shifted
-Legendre moments flip by (-1)^j under reversal of the edge parameter,
-which reduces all inter-cell orientation handling to diagonal signs.
+Raviart-Thomas degrees of freedom are edge moments of the normal
+component against shifted Legendre polynomials, in each edge's parameter
+and against its tangent rotated by -90 degrees (the directions of
+``mesh.EDGE_VERTICES``), plus interior moments against [P_{k-2}]^2.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _check_inside_triangle(points: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("tabulation points outside the reference triangle")
 
 
-# reference triangle vertices and ccw edge parameterizations
+# reference triangle vertices and edge parameterizations
 TRI_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
@@ -302,8 +302,8 @@ class RTElement:
     """RT(k) on the reference triangle, k >= 1, local dimension k*(k+2).
 
     Dof ordering: for each local edge l in 0..2 the k Legendre moments
-    j = 0..k-1 (in the ccw edge parameter against the outward scaled
-    normal), then k*(k-1) interior moments.
+    j = 0..k-1 (in the edge parameter, against the scaled normal that is
+    the tangent rotated by -90 degrees), then k*(k-1) interior moments.
     """
 
     degree: int
@@ -360,8 +360,8 @@ def rt_element(degree: int) -> RTElement:
     rows = []
     edge = edge_quadrature(2 * k)
     leg = shifted_legendre(k - 1, edge.points)
-    # edge moments against shifted Legendre, ccw parameter, outward scaled
-    # normal (the tangent rotated by -90 degrees)
+    # edge moments against shifted Legendre in the edge parameter, scaled
+    # normal the tangent rotated by -90 degrees
     for loc, (a, b) in enumerate(EDGE_VERTICES):
         tx, ty = TRI_VERTICES[b] - TRI_VERTICES[a]
         mono = _eval_monomials(exps, edge_points(loc, edge.points))

@@ -7,10 +7,12 @@ Supported families on triangles:
 * ``VectorDG(k)`` — componentwise discontinuous vector Lagrange
 * ``Trace(k)`` — facet-supported polynomials (one block of k+1 dofs per facet)
 
-A conforming RT space can be "broken" into its cell-wise discontinuous
-twin with :func:`break_space`; broken dofs keep the global orientation
-convention of the parent so that a conforming function injects into the
-broken space by plain index copying.
+Every cell traverses a shared edge from its lower to its higher global
+vertex (:mod:`hybridfem.mesh`), so RT edge moments, CG edge dofs and
+trace dofs need no orientation signs or reversals.  A conforming RT space
+can be "broken" into its cell-wise discontinuous twin with
+:func:`break_space`; a conforming function injects into the broken space
+by plain index copying.
 
 :func:`ref_basis` is the one batched statement of each family's
 reference-to-physical map; :func:`contract` applies it to per-cell
@@ -93,7 +95,6 @@ class FunctionSpace:
     family: ElementFamily
     ndof_global: int
     cell_dofs: np.ndarray    # (n_cells, local_dim)
-    cell_signs: np.ndarray   # (n_cells, local_dim), +-1; unsigned: zero-stride ones
     broken: bool = False
     facet_dofs: np.ndarray | None = None  # Trace and conforming RT only
 
@@ -171,92 +172,42 @@ def local_offsets(fields) -> np.ndarray:
 
 
 def create_space(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
-    """Build a function space with its dof maps on ``mesh``."""
+    """Build a function space with its dof maps on ``mesh``.
+
+    Conforming families number their vertex dofs (CG), then their facet
+    dofs facet by facet, then their interior dofs cell by cell.  Every
+    cell runs along a facet in its global direction, as the facet's dofs
+    do, so a cell's facet dofs are those of its facets in order.
+    """
     kind, k = family.kind, family.degree
-    nc = mesh.n_cells
+    nc, nd = mesh.n_cells, family.local_dim
     if kind in ("DG", "VectorDG"):
-        nd = family.local_dim
         dofs = np.arange(nc * nd, dtype=np.int64).reshape(nc, nd)
-        return FunctionSpace(mesh, family, nc * nd, dofs, np.broadcast_to(1.0, dofs.shape),
-                             broken=True)
-    if kind == "Trace":
-        per = k + 1
-        nf = mesh.n_facets
-        facet_dofs = np.arange(nf * per, dtype=np.int64).reshape(nf, per)
-        dofs = facet_dofs[mesh.cell_facets].reshape(nc, 3 * per)
-        return FunctionSpace(mesh, family, nf * per, dofs, np.broadcast_to(1.0, dofs.shape),
-                             facet_dofs=facet_dofs)
-    if kind == "CG":
-        return _create_cg(mesh, family)
-    if kind == "RT":
-        return _create_rt(mesh, family)
-    raise AssertionError
-
-
-def _create_cg(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
-    k = family.degree
-    nc, nv, nf = mesh.n_cells, mesh.n_vertices, mesh.n_facets
-    n_edge = k - 1
-    n_int = (k - 1) * (k - 2) // 2
-    ndof = nv + nf * n_edge + nc * n_int
-    if k == 1:  # the vertex dofs are the mesh's own read-only array
-        return FunctionSpace(mesh, family, nv, mesh.cell_vertices, np.broadcast_to(1.0, (nc, 3)))
-    nd = family.local_dim
-    dofs = np.empty((nc, nd), dtype=np.int64)
-    geo = mesh.geometry()
-    dofs[:, :3] = mesh.cell_vertices
-    pos = 3
-    for loc in range(3):
-        f = mesh.cell_facets[:, loc]
-        base = nv + f[:, None] * n_edge
-        # global edge dofs run along the global facet direction; flip when
-        # the cell traverses the edge the other way
-        order = np.arange(n_edge)
-        fwd = base + order[None, :]
-        rev = base + order[::-1][None, :]
-        dofs[:, pos:pos + n_edge] = np.where(geo.dir_match[:, loc][:, None], fwd, rev)
-        pos += n_edge
-    if n_int:
-        interior = nv + nf * n_edge + np.arange(nc * n_int).reshape(nc, n_int)
-        dofs[:, pos:] = interior
-    return FunctionSpace(mesh, family, ndof, dofs, np.broadcast_to(1.0, dofs.shape))
-
-
-def _create_rt(mesh: Mesh, family: ElementFamily) -> FunctionSpace:
-    k = family.degree
-    nc, nf = mesh.n_cells, mesh.n_facets
-    n_int = k * (k - 1)
-    ndof = nf * k + nc * n_int
-    nd = family.local_dim
-    geo = mesh.geometry()
-    dofs = np.empty((nc, nd), dtype=np.int64)
-    signs = np.ones((nc, nd))
-    moment_parity = np.array([(-1.0) ** (j + 1) for j in range(k)])
-    for loc in range(3):
-        f = mesh.cell_facets[:, loc]
-        dofs[:, loc * k:(loc + 1) * k] = f[:, None] * k + np.arange(k)[None, :]
-        flip = ~geo.dir_match[:, loc]
-        signs[flip, loc * k:(loc + 1) * k] = moment_parity[None, :]
-    if n_int:
-        dofs[:, 3 * k:] = nf * k + np.arange(nc * n_int).reshape(nc, n_int)
-    facet_dofs = np.arange(nf * k, dtype=np.int64).reshape(nf, k)
-    return FunctionSpace(mesh, family, ndof, dofs, signs, facet_dofs=facet_dofs)
+        return FunctionSpace(mesh, family, nc * nd, dofs, broken=True)
+    if kind == "CG" and k == 1:  # the vertex dofs are the mesh's own read-only array
+        return FunctionSpace(mesh, family, mesh.n_vertices, mesh.cell_vertices)
+    vertex = [mesh.cell_vertices] if kind == "CG" else []
+    start = mesh.n_vertices if vertex else 0
+    per = {"CG": k - 1, "RT": k, "Trace": k + 1}[kind]  # dofs per facet
+    facet_dofs = start + np.arange(mesh.n_facets * per, dtype=np.int64).reshape(-1, per)
+    start += facet_dofs.size
+    n_int = nd - 3 * len(vertex) - 3 * per
+    dofs = np.concatenate(vertex + [facet_dofs[mesh.cell_facets].reshape(nc, 3 * per),
+                                    start + np.arange(nc * n_int).reshape(nc, n_int)], axis=1)
+    return FunctionSpace(mesh, family, start + nc * n_int, dofs,
+                         facet_dofs=None if vertex else facet_dofs)
 
 
 def break_space(space: FunctionSpace) -> FunctionSpace:
-    """Cell-wise discontinuous twin of a conforming RT space.
-
-    The broken space keeps the parent's orientation signs, so twin dofs
-    of a shared facet represent the same global moment.
-    """
+    """Cell-wise discontinuous twin of a conforming RT space; twin dofs
+    of a shared facet represent the same global moment."""
     if space.family.kind != "RT":
         raise ValueError("only Raviart-Thomas spaces can be broken")
     if space.broken:
         raise ValueError("space is already broken")
     nc, nd = space.cell_dofs.shape
     dofs = np.arange(nc * nd, dtype=np.int64).reshape(nc, nd)
-    return FunctionSpace(space.mesh, space.family, nc * nd, dofs,
-                         space.cell_signs.copy(), broken=True)
+    return FunctionSpace(space.mesh, space.family, nc * nd, dofs, broken=True)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +433,11 @@ _DERIVATIVES = {"DG": ("value", "grad"), "CG": ("value", "grad"),
 
 
 def ref_basis(space: FunctionSpace, deriv: str, pts: np.ndarray, geo, cells):
-    """A family's basis at reference points ``pts``: ``(ref, g, signs)``,
+    """A family's basis at reference points ``pts``: ``(ref, g)``,
     :func:`ref_table` and :func:`ref_map`, with the physical basis
-    ``phi[c, q, i, d] = signs[c, i] * sum_r g[c, d, r] * ref[q, i, r]``.
-    Trace bases are mapped by the facet contexts of :mod:`hybridfem.forms`."""
-    return (ref_table(space, deriv, pts), *ref_map(space, deriv, geo, cells))
+    ``phi[c, q, i, d] = sum_r g[c, d, r] * ref[q, i, r]``.  Trace tables
+    are built per local edge by the facet contexts of :mod:`hybridfem.forms`."""
+    return ref_table(space, deriv, pts), ref_map(space, deriv, geo, cells)
 
 
 def ref_table(space: FunctionSpace, deriv: str, pts: np.ndarray) -> np.ndarray:
@@ -505,14 +456,15 @@ def ref_table(space: FunctionSpace, deriv: str, pts: np.ndarray) -> np.ndarray:
 
 def ref_map(space: FunctionSpace, deriv: str, geo, cells):
     """The per-cell map ``g`` (ncs|1, ncomp, nr) of :func:`ref_basis` on
-    ``cells`` (``ncomp`` is 2 for vector values) and the signs, or None."""
+    ``cells`` (``ncomp`` is 2 for vector values): for RT the contravariant
+    Piola map, whose ``det J`` keeps its sign."""
     kind = space.family.kind
-    if kind in ("DG", "CG"):
-        return (np.ones((1, 1, 1)) if deriv == "value" else geo.inv_jt[cells]), None
+    if kind in ("DG", "CG", "Trace"):
+        return np.ones((1, 1, 1)) if deriv == "value" else geo.inv_jt[cells]
     if kind == "VectorDG":
-        return (np.eye(2)[None] if deriv == "value" else geo.inv_jt[cells].reshape(-1, 1, 4)), None
+        return np.eye(2)[None] if deriv == "value" else geo.inv_jt[cells].reshape(-1, 1, 4)
     det = geo.det_j[cells][:, None, None]
-    return (geo.jacobians[cells] / det if deriv == "value" else 1.0 / det), space.cell_signs[cells]
+    return geo.jacobians[cells] / det if deriv == "value" else 1.0 / det
 
 
 def _componentwise(v: np.ndarray) -> np.ndarray:
@@ -532,9 +484,7 @@ def contract(basis, local: np.ndarray) -> np.ndarray:
     tabulation first, so the per-cell map applies to nq values, not to
     nq * nd basis functions.  The scalar identity map of DG/CG values is
     skipped, as multiplying by it changes no value."""
-    ref, g, signs = basis
-    if signs is not None:
-        local = local * signs
+    ref, g = basis
     ref_vals = np.einsum("ci,qir->cqr", local, ref, optimize=True)
     if g.shape == (1, 1, 1) and g[0, 0, 0] == 1.0:
         return ref_vals

@@ -135,7 +135,7 @@ def _l2_norms(terms, exactness: int = 10) -> list[float]:
 def _squared_error(fn: Function, deriv: str, want: np.ndarray, rule, geo, blk) -> float:
     """The squared L2 error of ``fn``'s ``deriv`` values against ``want``
     on the cells ``blk``, reduced over the points by the weights, then
-    over the cells by ``det J``; its temporaries are freed on return,
+    over the cells by ``|det J|``; its temporaries are freed on return,
     before the next term's."""
     space = fn.space
     got = contract(ref_basis(space, deriv, rule.points, geo, blk),
@@ -143,7 +143,7 @@ def _squared_error(fn: Function, deriv: str, want: np.ndarray, rule, geo, blk) -
     d = got[..., 0] - want if got.shape[-1] == 1 else got - want
     d *= d
     diff2 = d if d.ndim == 2 else d.sum(axis=-1)
-    return (diff2 @ rule.weights) @ geo.det_j[blk]
+    return (diff2 @ rule.weights) @ np.abs(geo.det_j[blk])
 
 
 # ---------------------------------------------------------------------------

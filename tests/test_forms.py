@@ -98,8 +98,7 @@ def test_mixed_divergence_row_matches_divergence_theorem():
             pts = edge_points(loc, rule.points)
             ref = el.tabulate(pts)
             piola = np.einsum("ij,qnj->qni", geo.jacobians[c], ref) / geo.det_j[c]
-            signed = piola * U.cell_signs[c][None, :, None]
-            flux = np.einsum("qni,i->qn", signed, geo.edge_normals[c, loc])
+            flux = np.einsum("qni,i->qn", piola, geo.edge_normals[c, loc])
             fluxes += geo.edge_lengths[c, loc] * np.einsum("q,qn->n", rule.weights, flux)
         np.testing.assert_allclose(local[0], fluxes, atol=1e-13)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from hybridfem import (
     cell_geometry,
     mark_boundary,
 )
+from hybridfem.forms import CELL, FormIR, IntegralTerm, assemble_form, dot, grad, trial
+from hybridfem.forms import test as tfn
 from hybridfem.mesh import EDGE_VERTICES, _mesh_from_cells
+from hybridfem.problems import hybridized_mixed_system, manufactured
+from hybridfem.spaces import CG, create_space
 
 
 def test_single_square_counts():
@@ -58,16 +64,21 @@ def test_facet_cells_agree_on_vertex_pair():
 
 
 def test_positive_orientation_and_area():
+    """The counterclockwise input cells are stored in ascending vertex
+    order: each lower cell (v00, v10, v11) keeps its orientation, each
+    upper one (v00, v11, v01) becomes (v00, v01, v11), and ``det J``
+    carries the sign; the measures ``|det J| / 2`` sum to the area."""
     for n in (1, 2, 5):
         mesh = build_unit_square(n)
         geo = mesh.geometry()
-        assert (geo.det_j > 0).all()
-        assert abs(geo.det_j.sum() / 2.0 - 1.0) < 1e-12
+        assert (np.diff(mesh.cell_vertices, axis=1) > 0).all()
+        assert (geo.det_j[0::2] > 0).all() and (geo.det_j[1::2] < 0).all()
+        assert abs(np.abs(geo.det_j).sum() / 2.0 - 1.0) < 1e-12
 
 
 def test_reference_shaped_cell_geometry():
     mesh = build_unit_square(1)
-    # cell 1 has vertices (0,0), (1,1), (0,1); cell 0 is (0,0), (1,0), (1,1)
+    # cell 1 has vertices (0,0), (0,1), (1,1); cell 0 is (0,0), (1,0), (1,1)
     g0 = cell_geometry(mesh, 0)
     np.testing.assert_allclose(g0.jacobian, [[1.0, 1.0], [0.0, 1.0]])
     assert abs(g0.det_j - 1.0) < 1e-14
@@ -80,18 +91,18 @@ def test_scaled_cell_detj():
 
 
 def test_normals_outward_unit():
-    mesh = build_unit_square(4)
-    geo = mesh.geometry()
-    coords = mesh.vertex_coords[mesh.cell_vertices]
-    centroids = coords.mean(axis=1)
-    from hybridfem.mesh import EDGE_VERTICES
-
-    for loc, (a, b) in enumerate(EDGE_VERTICES):
-        mid = 0.5 * (coords[:, a] + coords[:, b])
-        out = np.einsum("cd,cd->c", geo.edge_normals[:, loc], mid - centroids)
-        assert (out > 0).all()
-        norms = np.hypot(geo.edge_normals[:, loc, 0], geo.edge_normals[:, loc, 1])
-        np.testing.assert_allclose(norms, 1.0, atol=1e-14)
+    """The normal of local edge l is a unit vector pointing away from
+    local vertex l, on a structured mesh and on a jittered one, where
+    the stored cells map the reference triangle both ways."""
+    for mesh in (build_unit_square(4), build_jittered_square(7, 0.24, seed=9)):
+        geo = mesh.geometry()
+        assert 0 < (geo.det_j < 0).sum() < mesh.n_cells
+        coords = mesh.vertex_coords[mesh.cell_vertices]  # (n_cells, 3, 2)
+        for loc, (a, b) in enumerate(EDGE_VERTICES):
+            inward = coords[:, loc] - 0.5 * (coords[:, a] + coords[:, b])
+            assert (np.einsum("cd,cd->c", geo.edge_normals[:, loc], inward) < 0).all(), loc
+            norms = np.hypot(geo.edge_normals[:, loc, 0], geo.edge_normals[:, loc, 1])
+            np.testing.assert_allclose(norms, 1.0, atol=1e-14)
 
 
 def test_interior_normals_opposite():
@@ -183,13 +194,26 @@ def _facet_numbering_loop(cell_vertices):
     return np.array(verts), np.array(cells), np.array(local), cell_facets
 
 
+def _counterclockwise(mesh):
+    """The mesh's cells as counterclockwise vertex triples."""
+    cells = mesh.cell_vertices.copy()
+    cw = mesh.geometry().det_j < 0
+    cells[cw] = cells[cw][:, [0, 2, 1]]
+    return cells
+
+
+def _rotated(cells, seed):
+    """Each counterclockwise vertex triple rotated cyclically by a seeded
+    random shift, so still counterclockwise."""
+    shift = np.random.default_rng(seed).integers(0, 3, len(cells))[:, None]
+    return np.take_along_axis(cells, (np.arange(3) + shift) % 3, 1)
+
+
 def _shuffled(mesh, seed):
     """The same triangulation with its cells in random order and each
-    vertex triple rotated cyclically (so still counterclockwise)."""
-    rng = np.random.default_rng(seed)
-    cells = mesh.cell_vertices[rng.permutation(mesh.n_cells)]
-    shift = rng.integers(0, 3, mesh.n_cells)[:, None]
-    return _mesh_from_cells(mesh.vertex_coords, np.take_along_axis(cells, (np.arange(3) + shift) % 3, 1))
+    vertex triple rotated cyclically."""
+    cells = _counterclockwise(mesh)[np.random.default_rng(seed).permutation(mesh.n_cells)]
+    return _mesh_from_cells(mesh.vertex_coords, _rotated(cells, seed))
 
 
 @pytest.mark.parametrize("mesh", [build_unit_square(1), build_unit_square(5),
@@ -205,10 +229,12 @@ def test_facet_numbering_matches_loop_oracle(mesh):
 
 def _geometry_loop(mesh):
     """Per-cell reference for every ``MeshGeometry`` field, in Python
-    floats from the vertex coordinates; a zero normal component is +0.0."""
+    floats from the vertex coordinates; a zero normal component is +0.0.
+    The outward normal of edge (a, b) is its tangent rotated by -90
+    degrees, reversed where the edge runs clockwise around the cell."""
     coords = mesh.vertex_coords.tolist()
     fields = {k: [] for k in ("origins", "jacobians", "det_j", "inv_jt",
-                              "edge_normals", "edge_lengths", "dir_match")}
+                              "edge_normals", "edge_lengths")}
     for tri in mesh.cell_vertices.tolist():
         xs, ys = zip(*(coords[v] for v in tri))
         (j00, j01), (j10, j11) = (xs[1] - xs[0], xs[2] - xs[0]), (ys[1] - ys[0], ys[2] - ys[0])
@@ -220,11 +246,12 @@ def _geometry_loop(mesh):
         normals, lengths = [], []
         for a, b in EDGE_VERTICES:
             tx, ty = xs[b] - xs[a], ys[b] - ys[a]
+            ccw = (b - a) % 3 == 1  # a -> b runs counterclockwise on the reference cell
+            s = 1.0 if ccw == (det > 0) else -1.0
             lengths.append(float(np.hypot(tx, ty)))
-            normals.append([ty / lengths[-1] + 0.0, -tx / lengths[-1] + 0.0])
+            normals.append([s * ty / lengths[-1] + 0.0, -s * tx / lengths[-1] + 0.0])
         fields["edge_normals"].append(normals)
         fields["edge_lengths"].append(lengths)
-        fields["dir_match"].append([tri[a] < tri[b] for a, b in EDGE_VERTICES])
     return fields
 
 
@@ -238,10 +265,7 @@ def test_geometry_matches_loop_oracle_bit_for_bit(mesh):
     for name, want in _geometry_loop(mesh).items():
         got, want = getattr(geo, name), np.array(want)
         assert got.shape == want.shape and got.dtype == want.dtype, name
-        if got.dtype == bool:
-            np.testing.assert_array_equal(got, want, err_msg=name)
-        else:
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
 
 
 def test_non_manifold_facet_rejected():
@@ -282,8 +306,8 @@ def test_jittered_square_moves_interior_vertices_only():
     on_boundary = np.any((base.vertex_coords == 0.0) | (base.vertex_coords == 1.0), axis=1)
     np.testing.assert_array_equal(moved, ~on_boundary)
     assert np.abs(mesh.vertex_coords - base.vertex_coords).max() <= 0.24 / 5
-    assert mesh.geometry().det_j.min() > 0.0
-    assert np.isclose(mesh.geometry().det_j.sum() / 2.0, 1.0)
+    np.testing.assert_array_equal(np.sign(mesh.geometry().det_j), np.sign(base.geometry().det_j))
+    assert np.isclose(np.abs(mesh.geometry().det_j).sum() / 2.0, 1.0)
     np.testing.assert_array_equal(
         build_jittered_square(5, 0.24, seed=3).vertex_coords, mesh.vertex_coords)
     with pytest.raises(ValueError):
@@ -320,3 +344,37 @@ def test_cell_vertices_are_read_only_without_touching_the_input():
     mesh = _mesh_from_cells(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), cells)
     assert not mesh.cell_vertices.flags.writeable
     assert cells.flags.writeable
+
+
+def test_orientation_is_a_property_of_the_mesh():
+    """Rotating each counterclockwise input triple by a seeded random
+    shift changes no stored array and no bit of an element tensor (the
+    hybridized RT(2) operator, a CG(3) stiffness): each cell's vertices
+    are stored in ascending order, and with them every orientation."""
+    jittered = build_jittered_square(6, 0.2, seed=7)
+    cells = _counterclockwise(jittered)
+    rotated = _rotated(cells, seed=8)
+    assert (rotated != cells).any(axis=1).mean() > 0.5
+    meshes = [_mesh_from_cells(jittered.vertex_coords, c) for c in (cells, rotated)]
+    for name in ("cell_vertices", "facet_vertices", "facet_cells", "facet_local_index",
+                 "cell_facets"):
+        np.testing.assert_array_equal(getattr(meshes[0], name), getattr(meshes[1], name), name)
+
+    def stiffness(mesh):
+        V = create_space(mesh, CG(3))
+        return FormIR(V, V, [IntegralTerm(CELL, dot(grad(tfn()), grad(trial())))])
+
+    for build in (lambda m: hybridized_mixed_system(m, manufactured("sinsin"), 2).a, stiffness):
+        a, b = (assemble_form(build(m)) for m in meshes)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_unordered_cell_rejected_by_geometry():
+    """A mesh built around ``_mesh_from_cells`` with a cell whose vertices
+    are not ascending would let two cells disagree on a shared facet's
+    dofs; its geometry names the first such cell."""
+    mesh = build_unit_square(2)
+    cells = mesh.cell_vertices.copy()
+    cells[[3, 5]] = cells[[3, 5], ::-1]
+    with pytest.raises(ValueError, match=r"mesh cell 3 has vertices \[5, 4, 1\], not in ascending"):
+        replace(mesh, cell_vertices=cells).geometry()

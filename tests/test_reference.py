@@ -6,6 +6,7 @@ import pytest
 
 import exact_oracle
 from hybridfem import quadrature
+from hybridfem.mesh import EDGE_OUTWARD
 from hybridfem.reference import (
     _shifted_legendre_coeffs,
     edge_points,
@@ -150,8 +151,7 @@ def test_rt_moment_kronecker(k):
     el = rt_element(k)
     rule = edge_quadrature(2 * k + 2)
     leg = shifted_legendre(k - 1, rule.points)
-    # scaled outward normals of the reference triangle per local edge
-    n_scaled = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    n_scaled = _rotated_tangents()
     for loc in range(3):
         pts = edge_points(loc, rule.points)
         vals = el.tabulate(pts)  # (nq, nd, 2)
@@ -163,10 +163,18 @@ def test_rt_moment_kronecker(k):
             np.testing.assert_allclose(moments, expected, atol=1e-12)
 
 
+def _rotated_tangents():
+    """Per local edge, the edge's tangent rotated by -90 degrees, against
+    which the RT moments are taken: the scaled outward normal of the
+    reference triangle times ``EDGE_OUTWARD``."""
+    outward = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return np.array(EDGE_OUTWARD)[:, None] * outward
+
+
 def test_rt1_constant_flux_per_edge():
     el = rt_element(1)
     rule = edge_quadrature(4)
-    n_scaled = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    n_scaled = _rotated_tangents()
     for loc in range(3):
         pts = edge_points(loc, rule.points)
         flux = el.tabulate(pts) @ n_scaled[loc]

@@ -35,7 +35,7 @@ def facet_side_normal_values(fn, cells, local_edge, t_local):
     jac = geo.jacobians[cells]
     det = geo.det_j[cells]
     phys = np.einsum("cij,qnj->cqni", jac, ref) / det[:, None, None, None]
-    local = fn.coeffs[space.cell_dofs[cells]] * space.cell_signs[cells]
+    local = fn.coeffs[space.cell_dofs[cells]]
     vals = np.einsum("cqni,cn->cqi", phys, local)
     normals = geo.edge_normals[cells, local_edge]
     return np.einsum("cqi,ci->cq", vals, normals)
@@ -92,10 +92,16 @@ def test_cg_sharing_and_count():
         c0, c1 = mesh.facet_cells[f]
         shared = set(V.cell_dofs[c0]) & set(V.cell_dofs[c1])
         assert len(shared) == 4  # 2 vertices + 2 edge dofs
+    # CG(1) numbers its dofs by the mesh's own read-only vertex array
+    V = create_space(mesh, CG(1))
+    assert V.cell_dofs is mesh.cell_vertices and not V.cell_dofs.flags.writeable
+    assert V.ndof_global == mesh.n_vertices
 
 
 def test_cg_interpolation_continuity():
-    """A smooth interpolant agrees when evaluated from both facet sides."""
+    """A smooth interpolant agrees when evaluated from both facet sides,
+    at the same edge parameters: both cells run along a shared edge in
+    its global direction."""
     mesh = build_unit_square(3)
     for k in (1, 2, 3, 4):
         V = create_space(mesh, CG(k))
@@ -108,9 +114,9 @@ def test_cg_interpolation_continuity():
             (c0, c1), (l0, l1) = mesh.facet_cells[fct], mesh.facet_local_index[fct]
             geo = mesh.geometry()
             vals = []
-            for c, loc in ((c0, l0), (c1, l1)):
-                tt = t if geo.dir_match[c, loc] else 1.0 - t
-                pts = edge_points(loc, tt)
+            sides = [(c0, edge_points(l0, t)), (c1, edge_points(l1, t))]
+            np.testing.assert_allclose(*[geo.physical_points(p, [c]) for c, p in sides], atol=1e-15)
+            for c, pts in sides:
                 basis = el.tabulate(pts)
                 local = f.coeffs[V.cell_dofs[c]]
                 vals.append(basis @ local)
@@ -127,10 +133,8 @@ def test_rt_normal_trace_single_valued(k):
     t = np.linspace(0.1, 0.9, 4)
     for fct in mesh.interior_facets:
         (c0, c1), (l0, l1) = mesh.facet_cells[fct], mesh.facet_local_index[fct]
-        t0 = t if geo.dir_match[c0, l0] else 1.0 - t
-        t1 = t if geo.dir_match[c1, l1] else 1.0 - t
-        v0 = facet_side_normal_values(fn, np.array([c0]), l0, t0)[0]
-        v1 = facet_side_normal_values(fn, np.array([c1]), l1, t1)[0]
+        v0 = facet_side_normal_values(fn, np.array([c0]), l0, t)[0]
+        v1 = facet_side_normal_values(fn, np.array([c1]), l1, t)[0]
         # same physical points, opposite normals
         np.testing.assert_allclose(v0, -v1, atol=1e-11)
 
@@ -321,40 +325,23 @@ def test_rt_point_values_on_jittered_mesh(k):
                                exact(phys[..., 0], phys[..., 1]), atol=1e-12)
 
 
-def test_unsigned_spaces_share_zero_stride_signs():
-    """Unsigned families keep their signs as read-only ones that take no
-    memory per cell; CG(1) numbers its dofs by the mesh's own read-only
-    vertex array."""
-    mesh = build_unit_square(3)
-    for fam in (DG(0), DG(2), VectorDG(1), CG(1), CG(3), Trace(1)):
-        V = create_space(mesh, fam)
-        assert V.cell_signs.shape == V.cell_dofs.shape
-        assert V.cell_signs.strides == (0, 0) and not V.cell_signs.flags.writeable
-        assert np.all(V.cell_signs == 1.0)
-    assert create_space(mesh, RT(1)).cell_signs.strides != (0, 0)
-    V = create_space(mesh, CG(1))
-    assert V.cell_dofs is mesh.cell_vertices and not V.cell_dofs.flags.writeable
-    assert V.ndof_global == mesh.n_vertices
-
-
 @pytest.mark.parametrize("family, deriv", [
     (DG(2), "value"), (DG(2), "grad"), (CG(1), "value"), (CG(3), "grad"),
     (VectorDG(1), "value"), (VectorDG(2), "div"), (RT(1), "value"), (RT(2), "div"),
 ])
 def test_contract_matches_per_cell_loop(family, deriv):
     """``contract`` against a loop that forms each cell's physical basis
-    ``phi[q, i, d] = signs[i] * sum_r g[d, r] * ref[q, i, r]`` from the
+    ``phi[q, i, d] = sum_r g[d, r] * ref[q, i, r]`` from the
     :func:`ref_basis` map and sums it against the cell's coefficients."""
     mesh = build_jittered_square(5, 0.2, seed=6)
     space = create_space(mesh, family)
     local = np.random.default_rng(7).standard_normal(space.cell_dofs.shape)
     pts = triangle_quadrature(5).points
-    ref, g, signs = basis = ref_basis(space, deriv, pts, mesh.geometry(), slice(None))
+    ref, g = basis = ref_basis(space, deriv, pts, mesh.geometry(), slice(None))
     got = contract(basis, local)
     assert got.shape == (mesh.n_cells, len(pts), g.shape[1])
     for c in range(mesh.n_cells):
-        s = np.ones(ref.shape[1]) if signs is None else signs[c]
-        phi = s[None, :, None] * np.einsum("dr,qir->qid", g[c % len(g)], ref)
+        phi = np.einsum("dr,qir->qid", g[c % len(g)], ref)
         want = np.einsum("i,qid->qd", local[c], phi)
         assert np.abs(got[c] - want).max() <= 1e-14 * np.abs(want).max(), c
 
@@ -366,7 +353,7 @@ def test_contract_of_scalar_values_is_the_two_product_formula_bit_for_bit(family
     mesh = build_jittered_square(5, 0.2, seed=6)
     space = create_space(mesh, family)
     local = np.random.default_rng(8).standard_normal(space.cell_dofs.shape)
-    ref, g, _ = basis = ref_basis(space, "value", triangle_quadrature(5).points,
+    ref, g = basis = ref_basis(space, "value", triangle_quadrature(5).points,
                                   mesh.geometry(), slice(None))
     ref_vals = np.einsum("ci,qir->cqr", local, ref, optimize=True)
     two = np.einsum("cdr,cqr->cqd", g, ref_vals, optimize=True)
