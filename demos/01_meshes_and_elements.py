@@ -5,6 +5,9 @@ topology and geometry, and shows how Raviart-Thomas edge moments make
 the broken/conforming bookkeeping work.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from hybridfem import (
@@ -61,5 +64,7 @@ fn = interpolate(U, lambda x, y: np.stack([1 + 0.5 * x, 0.5 * y - 2], axis=-1))
 print(f"interpolated RT(1) coefficient range: "
       f"[{fn.coeffs.min():.4f}, {fn.coeffs.max():.4f}]")
 
-write_mesh_vtk("/tmp/hybridfem_mesh.vtk", mesh)
-print("\nwrote /tmp/hybridfem_mesh.vtk")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "mesh.vtk")
+    write_mesh_vtk(path, mesh)
+    print(f"\nwrote the mesh as legacy VTK: {os.path.getsize(path)} bytes")

@@ -28,14 +28,15 @@ constrains ``S``; one more helper solves for ``lambda``.
   :func:`scpc_setup`, and wrap :func:`scpc_apply` in the conforming to
   broken residual transfer and the facet-averaging projection to H(div).
 
-Each solve reports per-stage timings (condensation, forward
-elimination, trace solve, back substitution).
+Each solve reports its time per stage in a :class:`Stages`, clocked by
+:meth:`Stages.timing` alone; an application reports no set-up time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -65,7 +66,8 @@ from .spaces import (
 
 @dataclass
 class Stages:
-    """Wall-clock seconds per solver stage."""
+    """Wall-clock seconds per solver stage, each the sum of the ``with``
+    bodies of :meth:`timing`, the library's one stage clock."""
 
     condensation: float = 0.0
     forward: float = 0.0
@@ -73,9 +75,20 @@ class Stages:
     backsub: float = 0.0
     postprocess: float = 0.0
 
+    @contextmanager
+    def timing(self, stage: str):
+        """Add the wall time of the ``with`` body to the field ``stage``."""
+        t0 = time.perf_counter()
+        yield
+        setattr(self, stage, getattr(self, stage) + time.perf_counter() - t0)
+
+    def add(self, other: Stages) -> None:
+        """Add each of ``other``'s stage times to this one's."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
     def total(self) -> float:
-        return (self.condensation + self.forward + self.trace_solve
-                + self.backsub + self.postprocess)
+        return sum(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -87,7 +100,6 @@ class CondensedSystem:
     S: sp.csr_matrix                 # A_cc - A_ce X, constraints applied
     constraints: Constraints         # on the condensed fields' dofs from 0
     lift: np.ndarray                 # the unconstrained S times constraints.vector
-    setup_time: float
     local_inverse: sp.csr_matrix     # A_ee^{-1}
     A_ce: sp.csr_matrix              # structural zeros dropped
     X: sp.csr_matrix                 # A_ee^{-1} A_ec
@@ -146,13 +158,10 @@ def _trace_solve(S: sp.csr_matrix, bcs: Constraints, lift: np.ndarray, E: np.nda
     the constrained dofs with ``homogeneous_bcs``, lifted by ``lift``
     otherwise) and solve ``S lambda = E``.  The constraint step adds to
     ``stages.forward``; the solve adds to ``stages.trace_solve``."""
-    t0 = time.perf_counter()
-    E = bcs.rhs_homogeneous(E) if homogeneous_bcs else bcs.rhs(E, lift)
-    t1 = time.perf_counter()
-    lam, report = krylov_solve(S, E, inner)
-    stages.forward += t1 - t0
-    stages.trace_solve += time.perf_counter() - t1
-    return lam, report
+    with stages.timing("forward"):
+        E = bcs.rhs_homogeneous(E) if homogeneous_bcs else bcs.rhs(E, lift)
+    with stages.timing("trace_solve"):
+        return krylov_solve(S, E, inner)
 
 
 def condensed_solve(a: FormIR, rhs: FormIR, bcs: Constraints | None,
@@ -168,26 +177,21 @@ def condensed_solve(a: FormIR, rhs: FormIR, bcs: Constraints | None,
     """
     A, F = Tensor(a), Tensor(rhs)
     ne = _cell_local_fields(A)
-    t0 = time.perf_counter()
-    y = A.blocks[:ne, :ne].inv * F.blocks[:ne]
-    # rebinding the name to its value frees the node that memoizes it
-    (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
-        A, ne, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
-    stages = Stages(condensation=time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    E = np.bincount(cond_dofs.ravel(), e_local.ravel(), minlength=S.shape[0])
-    del e_local
-    stages.forward = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inner = make_inner(S)
-    stages.trace_solve = time.perf_counter() - t0
+    stages = Stages()
+    with stages.timing("condensation"):
+        y = A.blocks[:ne, :ne].inv * F.blocks[:ne]
+        # rebinding the name to its value frees the node that memoizes it
+        (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
+            A, ne, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
+    with stages.timing("forward"):
+        E = np.bincount(cond_dofs.ravel(), e_local.ravel(), minlength=S.shape[0])
+        del e_local
+    with stages.timing("trace_solve"):
+        inner = make_inner(S)
     lam, report = _trace_solve(S, bcs, lift, E, inner, False, stages)
-
-    t0 = time.perf_counter()
-    x = np.concatenate([np.empty(elim_dofs.size), lam])
-    x[elim_dofs] = y - np.einsum("cij,cj->ci", X, lam[cond_dofs])
-    stages.backsub = time.perf_counter() - t0
+    with stages.timing("backsub"):
+        x = np.concatenate([np.empty(elim_dofs.size), lam])
+        x[elim_dofs] = y - np.einsum("cij,cj->ci", X, lam[cond_dofs])
     return x, report, stages
 
 
@@ -201,7 +205,6 @@ def scpc_setup(a: FormIR | Tensor, bcs: Constraints | None = None) -> CondensedS
     """
     A = a if isinstance(a, Tensor) else Tensor(a)
     ne = _cell_local_fields(A)
-    t0 = time.perf_counter()
     (X, inv, A_ce), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
         A, ne, bcs, A.blocks[:ne, :ne].inv, A.blocks[ne:, :ne])
     n_e, n_c = elim_dofs.size, S.shape[0]
@@ -212,8 +215,7 @@ def scpc_setup(a: FormIR | Tensor, bcs: Constraints | None = None) -> CondensedS
     A_ce = scatter_csr(A_ce, cond_dofs, elim_dofs, (n_c, n_e), sum_duplicates=False)
     A_ce.eliminate_zeros()
     X = scatter_csr(X, elim_dofs, cond_dofs, (n_e, n_c), sum_duplicates=False)
-    return CondensedSystem(S=S, constraints=bcs, lift=lift,
-                           setup_time=time.perf_counter() - t0, local_inverse=inv,
+    return CondensedSystem(S=S, constraints=bcs, lift=lift, local_inverse=inv,
                            A_ce=A_ce, X=X)
 
 
@@ -229,20 +231,16 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
     zero (residual-correction mode).
     """
     n_e = cs.local_inverse.shape[0]
-    stages = Stages(condensation=cs.setup_time)
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (n_e + cs.S.shape[0],):
         raise ValueError("residual does not match the condensed system")
-
-    t0 = time.perf_counter()
-    y = cs.local_inverse @ residual[:n_e]
-    E = residual[n_e:] - cs.A_ce @ y
-    stages.forward = time.perf_counter() - t0
+    stages = Stages()
+    with stages.timing("forward"):
+        y = cs.local_inverse @ residual[:n_e]
+        E = residual[n_e:] - cs.A_ce @ y
     lam, report = _trace_solve(cs.S, cs.constraints, cs.lift, E, inner, homogeneous_bcs, stages)
-
-    t0 = time.perf_counter()
-    out = np.concatenate([y - cs.X @ lam, lam])
-    stages.backsub = time.perf_counter() - t0
+    with stages.timing("backsub"):
+        out = np.concatenate([y - cs.X @ lam, lam])
     return out, report, stages
 
 
@@ -306,17 +304,15 @@ def hybridization_apply(hm: HybridizedMixed, residual: np.ndarray,
     residual = np.asarray(residual, dtype=float)
     if residual.shape != (Wc.ndof_global,):
         raise ValueError("residual does not match the conforming mixed space")
-    t0 = time.perf_counter()
-    r_u, r_p = Wc.split(residual)
-    g = hm.trace_data if include_boundary_data else np.zeros_like(hm.trace_data)
-    r = np.concatenate([transfer_residual(hm.transfer, r_u), r_p, g])
-    transfer = time.perf_counter() - t0
-    x, report, stages = scpc_apply(hm.cs, r, inner, homogeneous_bcs=not include_boundary_data)
-
-    t0 = time.perf_counter()
-    n_u, n_e = hm.transfer.broken.ndof_global, hm.cs.local_inverse.shape[0]
-    u = project_div(hm.transfer, Function(hm.transfer.broken, x[:n_u]))
-    out = np.concatenate([u.coeffs, x[n_u:n_e]])
-    stages.forward += transfer
-    stages.backsub += time.perf_counter() - t0
+    stages = Stages()
+    with stages.timing("forward"):
+        r_u, r_p = Wc.split(residual)
+        g = hm.trace_data if include_boundary_data else np.zeros_like(hm.trace_data)
+        r = np.concatenate([transfer_residual(hm.transfer, r_u), r_p, g])
+    x, report, applied = scpc_apply(hm.cs, r, inner, homogeneous_bcs=not include_boundary_data)
+    stages.add(applied)
+    with stages.timing("backsub"):
+        n_u, n_e = hm.transfer.broken.ndof_global, hm.cs.local_inverse.shape[0]
+        u = project_div(hm.transfer, Function(hm.transfer.broken, x[:n_u]))
+        out = np.concatenate([u.coeffs, x[n_u:n_e]])
     return out, report, stages

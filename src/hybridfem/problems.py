@@ -162,13 +162,10 @@ def manufactured(name: str = "sinsin") -> ManufacturedProblem:
 class HybridizableSystem:
     """Three-field operator/right-hand side with trace boundary data."""
 
-    method: str
-    degree: int
     space: MixedSpace                  # (flux, scalar, trace)
     a: FormIR
     rhs: FormIR
     trace_bcs: Constraints             # on the trace dofs of ``space``
-    tau: float | None = None
 
     @property
     def flux_space(self) -> FunctionSpace:
@@ -215,9 +212,7 @@ def hybridize(a_mixed: FormIR, rhs_mixed: FormIR | None = None,
         rhs_terms.append(
             IntegralTerm(EXTERIOR, -dot(test(2), flux), NEUMANN))
     bcs = _facet_constraints(M, mesh.facets_with_label(DIRICHLET), 0.0, int(W.offsets[2]))
-    return HybridizableSystem("mixed-hybrid", U.family.degree, W,
-                              FormIR(W, W, terms), FormIR(W, None, rhs_terms),
-                              bcs)
+    return HybridizableSystem(W, FormIR(W, W, terms), FormIR(W, None, rhs_terms), bcs)
 
 
 def hybridized_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
@@ -270,14 +265,13 @@ def ldgh_system(mesh: Mesh, prob: ManufacturedProblem, degree: int,
     dirichlet = mesh.facets_with_label(DIRICHLET)
     bcs = _facet_constraints(M, dirichlet, project_onto_facets(M, dirichlet, prob.p0.fn),
                              int(W.offsets[2]))
-    return HybridizableSystem("ldgh", degree, W, a, rhs, bcs, tau=tau)
+    return HybridizableSystem(W, a, rhs, bcs)
 
 
 @dataclass
 class MixedSystem:
     """Conforming RT x DG saddle-point system with strong flux conditions."""
 
-    degree: int
     space: MixedSpace   # (RT conforming, DG)
     a: FormIR
     rhs: FormIR
@@ -301,12 +295,11 @@ def conforming_mixed_system(mesh: Mesh, prob: ManufacturedProblem,
     ])
     neumann = mesh.facets_with_label(NEUMANN)
     bcs = _facet_constraints(U, neumann, global_edge_moments(U, neumann, prob.u))
-    return MixedSystem(degree, W, a, rhs, bcs)
+    return MixedSystem(W, a, rhs, bcs)
 
 
 @dataclass
 class PrimalSystem:
-    degree: int
     space: FunctionSpace
     a: FormIR
     rhs: FormIR
@@ -331,7 +324,7 @@ def primal_cg_system(mesh: Mesh, prob: ManufacturedProblem,
     vals = np.zeros(V.ndof_global)
     vals[V.cell_dofs[cells]] = prob.p0(pts[..., 0], pts[..., 1])
     dofs = cg_boundary_dofs(V, facets)
-    return PrimalSystem(degree, V, a, rhs, Constraints(dofs, vals[dofs]))
+    return PrimalSystem(V, a, rhs, Constraints(dofs, vals[dofs]))
 
 
 def _facet_constraints(space: FunctionSpace, facets: np.ndarray, values,

@@ -12,8 +12,7 @@ timing columns are zeroed since wall clocks are not deterministic.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .expressions import Tensor, assemble_global
 from .mesh import Mesh, build_unit_square
 from .postprocess import flux_pp, scalar_pp
 from .problems import (
-    HybridizableSystem,
     ManufacturedProblem,
     conforming_mixed_system,
     hybridize,
@@ -79,7 +77,6 @@ class StudySpec:
     rtol: float = 1e-8
     inner_pc: str = "multigrid"  # one of INNER_PCS
     serial: bool = False
-    multiplier_degree: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -152,7 +149,6 @@ def _squared_error(fn: Function, deriv: str, want: np.ndarray, rule, geo, blk) -
 
 @dataclass
 class HybridSolveResult:
-    system: HybridizableSystem
     u: Function
     p: Function
     lam: Function
@@ -162,14 +158,12 @@ class HybridSolveResult:
     stages: Stages
 
 
-def _inner_config(spec: StudySpec, S, space) -> tuple[KrylovConfig, float]:
-    """The inner CG configuration for ``S``, which acts on ``space``'s dofs,
-    and the seconds its preconditioner's set-up took (a trace-solve cost)."""
-    t0 = time.perf_counter()
+def _inner_config(spec: StudySpec, S, space) -> KrylovConfig:
+    """The inner CG configuration for ``S``, which acts on ``space``'s dofs;
+    callers time the call, a trace-solve cost, under ``trace_solve``."""
     maps = p1_hierarchy(space) if spec.inner_pc == "multigrid" else None
     pc = make_preconditioner(S, spec.inner_pc, maps)
-    return (KrylovConfig(method="cg", rtol=spec.rtol, maxiter=MAXITER, preconditioner=pc),
-            time.perf_counter() - t0)
+    return KrylovConfig(method="cg", rtol=spec.rtol, maxiter=MAXITER, preconditioner=pc)
 
 
 def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
@@ -183,18 +177,15 @@ def solve_hybridizable(mesh: Mesh, prob: ManufacturedProblem,
     # the condensed system is released on return, before post-processing
     x, report, stages = condensed_solve(
         hs.a, hs.rhs, hs.trace_bcs,
-        lambda S: _inner_config(spec, S, hs.trace_space)[0])
+        lambda S: _inner_config(spec, S, hs.trace_space))
     u_vec, p_vec, lam_vec = hs.space.split(x)
     u = Function(hs.flux_space, u_vec)
     p = Function(hs.scalar_space, p_vec)
     lam = Function(hs.trace_space, lam_vec)
-    t0 = time.perf_counter()
-    p_star = scalar_pp(u, p, prob.mu, spec.multiplier_degree)
-    u_star = None
-    if spec.method == "ldgh":
-        u_star = flux_pp(u, p, lam, spec.tau)
-    stages.postprocess = time.perf_counter() - t0
-    return HybridSolveResult(hs, u, p, lam, p_star, u_star, report, stages)
+    with stages.timing("postprocess"):
+        p_star = scalar_pp(u, p, prob.mu)
+        u_star = flux_pp(u, p, lam, spec.tau) if spec.method == "ldgh" else None
+    return HybridSolveResult(u, p, lam, p_star, u_star, report, stages)
 
 
 @dataclass
@@ -207,17 +198,14 @@ class PrimalSolveResult:
 def solve_primal(mesh: Mesh, prob: ManufacturedProblem,
                  spec: StudySpec) -> PrimalSolveResult:
     ps = primal_cg_system(mesh, prob, spec.degree)
-    t0 = time.perf_counter()
-    # the unconstrained A and b are released before the coarse set-up
-    Ab, bb = apply_bcs(assemble_global(Tensor(ps.a)), assemble_global(Tensor(ps.rhs)),
-                       ps.dirichlet_bcs)
-    assembly = time.perf_counter() - t0
-    cfg, t_inner = _inner_config(spec, Ab, ps.space)
-    x0 = ps.dirichlet_bcs.vector(len(bb))
-    t0 = time.perf_counter()
-    x, report = krylov_solve(Ab, bb, cfg, x0=x0)
-    solve = time.perf_counter() - t0
-    stages = Stages(condensation=assembly, trace_solve=t_inner + solve)
+    stages = Stages()
+    with stages.timing("condensation"):
+        # the unconstrained A and b are released before the coarse set-up
+        Ab, bb = apply_bcs(assemble_global(Tensor(ps.a)), assemble_global(Tensor(ps.rhs)),
+                           ps.dirichlet_bcs)
+    with stages.timing("trace_solve"):
+        x, report = krylov_solve(Ab, bb, _inner_config(spec, Ab, ps.space),
+                                 x0=ps.dirichlet_bcs.vector(len(bb)))
     return PrimalSolveResult(Function(ps.space, x), report, stages)
 
 
@@ -279,8 +267,7 @@ def _hybrid_errors(res: HybridSolveResult, prob: ManufacturedProblem) -> dict:
 
 
 def _stage_columns(stages: Stages, serial: bool) -> dict:
-    seconds = (stages.condensation, stages.forward, stages.trace_solve, stages.backsub,
-               stages.postprocess, stages.total())
+    seconds = (*astuple(stages), stages.total())
     return dict(zip(("t_condense", "t_forward", "t_trace", "t_backsub", "t_post", "t_total"),
                     (0.0,) * 6 if serial else seconds))
 
@@ -311,9 +298,9 @@ def run_solver_compare(spec: StudySpec) -> list[dict]:
 
 def _direct_row(A, b, spec, base) -> tuple[np.ndarray, dict]:
     """The sparse direct solve of a constrained system and its row."""
-    t0 = time.perf_counter()
-    x = sparse_direct_solve(A, b)
-    stages = Stages(trace_solve=time.perf_counter() - t0)
+    stages = Stages()
+    with stages.timing("trace_solve"):
+        x = sparse_direct_solve(A, b)
     return x, dict(base, path="direct", dofs=len(b), iterations=0, converged=1,
                    residual=0.0, max_diff_vs_direct=0.0,
                    **_stage_columns(stages, spec.serial))
@@ -326,9 +313,7 @@ def _fgmres_row(A, b, x0, apply, acc: Stages, spec, base, path) -> tuple[np.ndar
     fills in."""
     def pc(r):
         y, _, st = apply(r)
-        acc.forward += st.forward
-        acc.trace_solve += st.trace_solve
-        acc.backsub += st.backsub
+        acc.add(st)
         return y
 
     cfg = KrylovConfig(method="fgmres", rtol=spec.rtol, maxiter=MAXITER, preconditioner=pc)
@@ -354,12 +339,14 @@ def _compare(mesh, prob, spec, base) -> list[dict]:
     operator = Tensor(hs.a)
     # assembling memoizes the element tensors that set-up reads
     A, b = apply_bcs(assemble_global(operator), assemble_global(Tensor(hs.rhs)), hs.trace_bcs)
-    cs = scpc_setup(operator, hs.trace_bcs)
-    inner, t_inner = _inner_config(spec, cs.S, hs.trace_space)
+    setup = Stages()
+    with setup.timing("condensation"):
+        cs = scpc_setup(operator, hs.trace_bcs)
+    with setup.timing("trace_solve"):
+        inner = _inner_config(spec, cs.S, hs.trace_space)
     x, scpc = _fgmres_row(A, b, hs.trace_bcs.vector(len(b)),
                           lambda r: scpc_apply(cs, r, inner, homogeneous_bcs=True),
-                          Stages(condensation=cs.setup_time, trace_solve=t_inner),
-                          spec, base, "scpc-pc")
+                          replace(setup), spec, base, "scpc-pc")
     if spec.method == "ldgh":
         x_direct, direct = _direct_row(A, b, spec, base)
         scpc["max_diff_vs_direct"] = float(np.abs(x - x_direct).max())
@@ -371,8 +358,7 @@ def _compare(mesh, prob, spec, base) -> list[dict]:
     hm = hybridized(ms.a, hs, cs)
     xh, hybrid = _fgmres_row(A, b, ms.flux_bcs.vector(len(b)),
                              lambda r: hybridization_apply(hm, r, inner),
-                             Stages(condensation=cs.setup_time, trace_solve=t_inner),
-                             spec, base, "hybridization-pc")
+                             replace(setup), spec, base, "hybridization-pc")
     hybrid["max_diff_vs_direct"] = float(np.abs(xh - x_direct).max())
     u, p, _ = hs.space.split(x)
     u = project_div(hm.transfer, Function(hs.flux_space, u))

@@ -310,6 +310,19 @@ def test_hybridization_zero_residual():
     assert np.abs(x).max() == 0.0
 
 
+def test_applications_report_no_condensation_time():
+    """Set-up is not an application's stage: an apply times its forward
+    elimination, trace solve and back substitution only."""
+    ms = conforming_mixed_system(build_unit_square(2), PROB, 1)
+    hm = hybridization_setup(ms.a)
+    inner = exact_inner(hm.cs.S)
+    r = np.ones(hm.cs.local_inverse.shape[0] + hm.cs.S.shape[0])
+    for _, _, stages in (scpc_apply(hm.cs, r, inner),
+                         hybridization_apply(hm, np.ones(ms.space.ndof_global), inner)):
+        assert stages.condensation == 0.0
+        assert min(stages.forward, stages.trace_solve, stages.backsub) > 0.0
+
+
 def test_hybridization_rejects_wrong_system():
     mesh = build_unit_square(1)
     hs = hybridized_mixed_system(mesh, PROB, 1)

@@ -23,6 +23,7 @@ from hybridfem import (
     study,
 )
 from hybridfem.forms import assemble_form
+from hybridfem.postprocess import scalar_pp
 from hybridfem.problems import manufactured, primal_cg_system
 from hybridfem.spaces import contract, eval_function, ref_basis
 from hybridfem.study import (
@@ -211,11 +212,13 @@ def test_ldgh_convergence_includes_flux_recovery():
 def test_scalar_pp_multiplier_degree_choices_superconverge():
     """Every admissible multiplier degree gives the k+2 post-processed
     rate for the hybridized mixed method (scalar degree k = 1 here)."""
+    prob = manufactured("sinsin")
+    spec = StudySpec(method="mixed-hybrid", degree=2, inner_pc="exact")
+    results = [solve_hybridizable(build_unit_square(n), prob, spec) for n in (8, 16)]
     for l in (0, 1):
-        spec = StudySpec(method="mixed-hybrid", degree=2, sizes=(8, 16),
-                         inner_pc="exact", multiplier_degree=l)
-        rows = run_convergence(spec)
-        assert abs(rows[1]["rate_pstar"] - 3.0) < 0.3
+        coarse, fine = (l2_error(scalar_pp(res.u, res.p, prob.mu, l), prob.p)
+                        for res in results)
+        assert abs(np.log2(coarse / fine) - 3.0) < 0.3
 
 
 def test_cg_primal_convergence():
@@ -288,6 +291,38 @@ def test_trace_stage_includes_inner_preconditioner_setup(monkeypatch):
               if r["path"] != "direct")]
     assert len(rows) == 10
     assert all(r["t_trace"] >= 0.05 for r in rows)
+
+
+def test_stage_columns_time_each_path_stage():
+    """Each path reports time only in the stages it runs: cg-primal
+    assembly and constraints as ``t_condense`` and its solve as
+    ``t_trace``; a hybridized solve all five; a direct solve only
+    ``t_trace``.  Both preconditioned compare rows of a mesh start from
+    one condensation set-up, and an application adds no condensation
+    time.  ``t_total`` is the sum of the stage columns."""
+    stages = ["t_condense", "t_forward", "t_trace", "t_backsub", "t_post"]
+    primal = run_convergence(StudySpec(method="cg-primal", sizes=(2, 4)))
+    hybrid = [*run_convergence(StudySpec(method="mixed-hybrid", sizes=(2, 4))),
+              *run_convergence(StudySpec(method="ldgh", sizes=(2, 4)))]
+    compare = [*run_solver_compare(StudySpec(method="mixed-hybrid", sizes=(2, 4))),
+               *run_solver_compare(StudySpec(method="ldgh", sizes=(2, 4)))]
+
+    def timed(row):
+        return [c for c in stages if row[c] > 0.0]
+
+    assert all(timed(r) == ["t_condense", "t_trace"] for r in primal)
+    assert all(timed(r) == stages for r in hybrid)
+    direct = [r for r in compare if r["path"] == "direct"]
+    assert len(direct) == 4 and all(timed(r) == ["t_trace"] for r in direct)
+    assert all(timed(r) == stages[:4] for r in compare if r["path"] != "direct")
+    for method in ("mixed-hybrid", "ldgh"):
+        for n in (2, 4):
+            pcs = [r for r in compare if r["method"] == method and r["n"] == n
+                   and r["path"] != "direct"]
+            assert len(pcs) == (2 if method == "mixed-hybrid" else 1)
+            assert len({r["t_condense"] for r in pcs}) == 1
+    for row in primal + hybrid + compare:
+        assert row["t_total"] == pytest.approx(sum(row[c] for c in stages), rel=1e-12)
 
 
 def test_compare_rejects_primal():
