@@ -251,7 +251,6 @@ def scpc_apply(cs: CondensedSystem, residual: np.ndarray, inner: KrylovConfig,
 @dataclass
 class HybridizedMixed:
     conforming: MixedSpace           # (RT conforming, DG)
-    system: HybridizableSystem       # (broken RT, DG, Trace), from hybridize
     transfer: BrokenTransfer
     cs: CondensedSystem
     trace_data: np.ndarray           # Neumann surface data for the trace rhs
@@ -274,16 +273,16 @@ def hybridized(a_mixed: FormIR, hs: HybridizableSystem,
                cs: CondensedSystem) -> HybridizedMixed:
     """The hybridization of ``a_mixed`` from its three-field system ``hs``
     (from :func:`~hybridfem.problems.hybridize`) and ``cs``, ``hs.a``
-    condensed onto the trace; ``cs`` is shared, not copied.  If
-    ``hs.rhs`` has Neumann trace terms (from an exact flux) and the mesh
-    has Neumann facets, the trace block of ``hs.rhs`` is kept as the
-    transmission data used in full-solve mode."""
+    condensed onto the trace; ``cs`` is shared, not copied, and ``hs``
+    is not kept.  If ``hs.rhs`` has Neumann trace terms (from an exact
+    flux) and the mesh has Neumann facets, the trace block of ``hs.rhs``
+    is kept as the transmission data used in full-solve mode."""
     U = a_mixed.test_fields[0]
     trace_data = np.zeros(hs.trace_space.ndof_global)
     if (len(U.mesh.facets_with_label(NEUMANN))
             and any(hs.rhs.term_blocks(t)[0] == 2 for t in hs.rhs.terms)):
         trace_data = hs.space.split(assemble_global(Tensor(hs.rhs)))[2]
-    return HybridizedMixed(MixedSpace(a_mixed.test_fields), hs,
+    return HybridizedMixed(MixedSpace(a_mixed.test_fields),
                            broken_transfer(U, hs.flux_space), cs, trace_data)
 
 

@@ -40,6 +40,11 @@ Axis = tuple[FunctionSpace, ...]
 # smallest reciprocal condition number (LU) or relative pivot (Cholesky)
 # for which a local factorization is not declared singular
 PIVOT_RTOL = 1e-12
+# threshold pivoting in the local inverse, as in sparse direct solvers
+# (MA48): a cell swaps rows where its pivot is below this fraction of its
+# column's largest entry.  0.1 bounds the multipliers below a pivot by 10
+# and keeps any diagonal that is not small (mixed-hybrid A_ee swaps none)
+PIVOT_THRESHOLD = 0.1
 # entries per block of the largest register of a plan, and cells per
 # block of a plan of several outputs: 2048 cells of a 17 x 17 local tensor
 # (the mixed-hybrid k=2 operator)
@@ -485,12 +490,45 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.
 def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
     """The inverse of every cell's ``a``, rejecting singular and
     ill-conditioned cells; the one LU factorization of a local tensor.
-    The cell of ``a[0]`` is named ``first_cell``."""
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        cell = first_cell + _first_failing(np.linalg.inv, a)
-        raise RuntimeError(f"singular {what} in cell {cell}") from None
+    The cell of ``a[0]`` is named ``first_cell``.  Gauss-Jordan in place
+    on a cells-last copy ``(n, n, cells)``, every operation over the
+    contiguous cell axis; rows are swapped by ``PIVOT_THRESHOLD`` and
+    the swaps undone as column swaps.  Cells that meet an exactly zero
+    column are redone by ``np.linalg.inv``, which names a singular one;
+    :func:`_check_conditioning` judges every result, so the elimination
+    may form non-finite values silently."""
+    m = a.transpose(1, 2, 0).copy()  # not ascontiguousarray: one cell's transpose is contiguous
+    zero_column = np.zeros(a.shape[0], bool)
+    swaps = []
+    with np.errstate(all="ignore"):
+        for k in range(a.shape[1]):
+            col = np.abs(m[k:, k])
+            largest = np.maximum.reduce(col, axis=0)
+            c = np.flatnonzero(col[0] < PIVOT_THRESHOLD * largest)
+            if c.size:
+                r = k + col[:, c].argmax(axis=0)
+                m[k, :, c], m[r, :, c] = m[r, :, c], m[k, :, c]
+                swaps.append((k, r, c))
+            zero_column |= largest == 0.0
+            pivot = np.where(largest == 0.0, 1.0, m[k, k])
+            m[k, k] = 1.0
+            m[k] /= pivot
+            for i in range(a.shape[1]):
+                if i != k:
+                    f = m[i, k].copy()
+                    m[i, k] = 0.0
+                    m[i] -= m[k] * f
+    for k, r, c in reversed(swaps):
+        m[:, k, c], m[:, r, c] = m[:, r, c], m[:, k, c]
+    inv = m.transpose(2, 0, 1).copy()
+    del m  # freed before the guard's temporaries
+    redo = np.flatnonzero(zero_column)
+    if redo.size:
+        try:
+            inv[redo] = np.linalg.inv(a[redo])
+        except np.linalg.LinAlgError:
+            cell = first_cell + redo[_first_failing(np.linalg.inv, a[redo])]
+            raise RuntimeError(f"singular {what} in cell {cell}") from None
     _check_conditioning(a, inv, what, first_cell)
     return inv
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hybridfem.condensation import (
     condensed_solve,
     hybridization_apply,
     hybridization_setup,
+    hybridized,
     scpc_apply,
     scpc_setup,
 )
@@ -28,6 +31,7 @@ from hybridfem.forms import ScalarField
 from hybridfem.mesh import Mesh
 from hybridfem.problems import (
     conforming_mixed_system,
+    hybridize,
     hybridized_mixed_system,
     ldgh_system,
     manufactured,
@@ -321,6 +325,21 @@ def test_applications_report_no_condensation_time():
                          hybridization_apply(hm, np.ones(ms.space.ndof_global), inner)):
         assert stages.condensation == 0.0
         assert min(stages.forward, stages.trace_solve, stages.backsub) > 0.0
+
+
+def test_hybridization_keeps_no_three_field_system():
+    """A hybridization holds its condensed system and transfer, not the
+    three-field system it was built from: once the caller drops that
+    system, its forms and spaces are freed."""
+    ms = conforming_mixed_system(build_unit_square(2), PROB, 1)
+    hs = hybridize(ms.a)
+    hm = hybridized(ms.a, hs, scpc_setup(hs.a, hs.trace_bcs))
+    ref = weakref.ref(hs)
+    del hs
+    gc.collect()
+    assert ref() is None
+    x, rep, _ = hybridization_apply(hm, np.ones(ms.space.ndof_global), exact_inner(hm.cs.S))
+    assert rep.converged and np.isfinite(x).all()
 
 
 def test_hybridization_rejects_wrong_system():

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -443,6 +444,87 @@ def test_batched_inverse_names_first_ill_conditioned_cell():
     b = AssembledVector(Function(V, np.ones(V.ndof_global)))
     with pytest.raises(RuntimeError, match=f"ill-conditioned local system in cell {first_bad} "):
         evaluate_all(compile_expr(Tensor(a).solve(b)))
+
+
+def _pivoting_batch(seed, cells=48, n=7):
+    """Local matrices of four kinds, in turn: diagonally dominant ones,
+    which keep their diagonal; saddle blocks ``[[K, c], [c^T, 0]]`` with
+    ``K`` a weighted graph Laplacian (singular on constants, like the
+    stiffness block of ``scalar_pp``'s systems) and ``c > 0``; scaled
+    permuted identities; and random nonsymmetric matrices.  Every saddle
+    block and permuted identity has a zero on its diagonal, so none can
+    be inverted without row swaps."""
+    rng = np.random.default_rng(seed)
+    a = np.empty((cells, n, n))
+    for i in range(cells):
+        kind = i % 4
+        if kind == 0:
+            a[i] = n * np.eye(n) + rng.uniform(-1, 1, (n, n))
+        elif kind == 1:
+            w = rng.uniform(0.5, 2.0, (n - 1, n - 1))
+            w = np.triu(w, 1) + np.triu(w, 1).T
+            a[i] = 0.0
+            a[i, :-1, :-1] = np.diag(w.sum(axis=1)) - w
+            a[i, :-1, -1] = a[i, -1, :-1] = rng.uniform(0.5, 2.0, n - 1)
+        elif kind == 2:
+            shift = 1 + i % (n - 1)  # a cyclic shift moves every row
+            a[i] = np.roll(np.eye(n), shift, axis=0) * rng.uniform(0.5, 2.0, n)
+        else:
+            a[i] = rng.standard_normal((n, n))
+    return a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_inverse_pivots_where_the_diagonal_is_small(seed):
+    """Cells that need row swaps, at the first step or only at the last,
+    are inverted as by LAPACK, through ``inverse`` and the LU ``solve``."""
+    a = _pivoting_batch(seed)
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    assert (diagonal[1::4, -1] == 0.0).all() and (diagonal[2::4] == 0.0).all()
+    want = np.linalg.inv(a)
+    got = expressions._batched_inverse(a, "local tensor", 0)
+    assert got.flags.c_contiguous
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() < 1e-12
+    b = np.random.default_rng(seed).standard_normal(a.shape[:2])
+    x = expressions._batched_solve(a, b, "lu", 0)
+    xs = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    assert (np.abs(x - xs).max(axis=1) < 1e-12 * np.abs(xs).max(axis=1)).all()
+
+
+def test_batched_inverse_of_a_cell_depends_on_its_matrix_only():
+    """Swapping rows in some cells of a batch leaves the others alone: a
+    cell's inverse in the batch has the bytes of its inverse alone, also
+    when the one-cell input is a read-only view, which is not changed."""
+    a = _pivoting_batch(3)
+    a.flags.writeable = False
+    whole = expressions._batched_inverse(a, "local tensor", 0)
+    for i in range(a.shape[0]):
+        alone = expressions._batched_inverse(a[i:i + 1], "local tensor", i)
+        assert alone.flags.writeable and alone.tobytes() == whole[i].tobytes()
+    np.testing.assert_array_equal(a, _pivoting_batch(3))
+
+
+def test_batched_inverse_names_first_singular_cell_by_global_index():
+    """Exactly singular cells (a zero row, a column that is zero from the
+    fourth step on, a zero matrix) in a block whose first cell is 4096:
+    the first of them is named by its index in the mesh, as singular,
+    ahead of an ill-conditioned cell before it, and no warning is raised."""
+    a = _pivoting_batch(4, cells=12)
+    a[3] = np.diag([1.0, 1.0, 1e-14, 1.0, 1.0, 1.0, 1.0])  # ill-conditioned
+    a[6, 4] = 0.0
+    a[8, :, 3] = 0.0
+    a[10] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4102$"):
+            expressions._batched_inverse(a, "local tensor", 4096)
+        a[6] = a[0]
+        with pytest.raises(RuntimeError, match=r"^singular local system in cell 4104$"):
+            expressions._batched_solve(a, a[:, 0], "lu", 4096)
+        a[8] = a[10] = a[0]
+        with pytest.raises(RuntimeError, match=r"^ill-conditioned local tensor in cell 4099 "):
+            expressions._batched_inverse(a, "local tensor", 4096)
 
 
 @pytest.mark.parametrize("m", [4, 7, 11, 17])
