@@ -494,9 +494,11 @@ def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
     on a cells-last copy ``(n, n, cells)``, every operation over the
     contiguous cell axis; rows are swapped by ``PIVOT_THRESHOLD`` and
     the swaps undone as column swaps.  Cells that meet an exactly zero
-    column are redone by ``np.linalg.inv``, which names a singular one;
-    :func:`_check_conditioning` judges every result, so the elimination
-    may form non-finite values silently."""
+    column, and cells whose reciprocal condition is below ``PIVOT_RTOL``,
+    are redone by ``np.linalg.inv``: a cell it calls singular is named
+    so, and the first redone cell still below ``PIVOT_RTOL`` is named
+    ill-conditioned, so every rejected cell gets LAPACK's verdict.  The
+    elimination may form non-finite values silently; the guard sees them."""
     m = a.transpose(1, 2, 0).copy()  # not ascontiguousarray: one cell's transpose is contiguous
     zero_column = np.zeros(a.shape[0], bool)
     swaps = []
@@ -522,14 +524,20 @@ def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
         m[:, k, c], m[:, r, c] = m[:, r, c], m[:, k, c]
     inv = m.transpose(2, 0, 1).copy()
     del m  # freed before the guard's temporaries
-    redo = np.flatnonzero(zero_column)
+    rcond = _reciprocal_condition(a, inv)
+    redo = np.flatnonzero(zero_column | ~(rcond >= PIVOT_RTOL))  # NaN too
     if redo.size:
         try:
             inv[redo] = np.linalg.inv(a[redo])
         except np.linalg.LinAlgError:
             cell = first_cell + redo[_first_failing(np.linalg.inv, a[redo])]
             raise RuntimeError(f"singular {what} in cell {cell}") from None
-    _check_conditioning(a, inv, what, first_cell)
+        rcond[redo] = _reciprocal_condition(a[redo], inv[redo])
+        bad = redo[~(rcond[redo] >= PIVOT_RTOL)]
+        if bad.size:
+            raise RuntimeError(
+                f"ill-conditioned {what} in cell {first_cell + bad[0]} "
+                f"(reciprocal condition {rcond[bad[0]]:.1e} < {PIVOT_RTOL:g})")
     return inv
 
 
@@ -567,17 +575,6 @@ def _reciprocal_condition(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(np.einsum("cij->cj", np.abs(m)).T.copy(), axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return 1.0 / (norm1(a) * norm1(inv))
-
-
-def _check_conditioning(a: np.ndarray, inv: np.ndarray, what: str, first_cell: int) -> None:
-    """Raise naming the first cell whose reciprocal condition is below ``PIVOT_RTOL``."""
-    rcond = _reciprocal_condition(a, inv)
-    bad = ~(rcond >= PIVOT_RTOL)  # also catches NaN
-    if bad.any():
-        cell = int(np.flatnonzero(bad)[0])
-        raise RuntimeError(
-            f"ill-conditioned {what} in cell {first_cell + cell} "
-            f"(reciprocal condition {rcond[cell]:.1e} < {PIVOT_RTOL:g})")
 
 
 def _first_failing(factor, a: np.ndarray) -> int:

@@ -507,14 +507,19 @@ def test_batched_inverse_of_a_cell_depends_on_its_matrix_only():
 
 def test_batched_inverse_names_first_singular_cell_by_global_index():
     """Exactly singular cells (a zero row, a column that is zero from the
-    fourth step on, a zero matrix) in a block whose first cell is 4096:
-    the first of them is named by its index in the mesh, as singular,
-    ahead of an ill-conditioned cell before it, and no warning is raised."""
+    fourth step on, a zero matrix, two equal rows) in a block whose first
+    cell is 4096: the first of them is named by its index in the mesh, as
+    singular, ahead of an ill-conditioned cell before it, and no warning
+    is raised.  LAPACK zeroes the second of the equal rows exactly (its
+    multiplier 38 * (1/38) rounds to 1), while the elimination leaves it
+    a rounding error from zero, so only the guard's redo names it."""
     a = _pivoting_batch(4, cells=12)
     a[3] = np.diag([1.0, 1.0, 1e-14, 1.0, 1.0, 1.0, 1.0])  # ill-conditioned
     a[6, 4] = 0.0
     a[8, :, 3] = 0.0
     a[10] = 0.0
+    a[11] = np.eye(7)
+    a[11, :2, :2] = [[38.0, 21.0], [38.0, 21.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4102$"):
@@ -523,6 +528,9 @@ def test_batched_inverse_names_first_singular_cell_by_global_index():
         with pytest.raises(RuntimeError, match=r"^singular local system in cell 4104$"):
             expressions._batched_solve(a, a[:, 0], "lu", 4096)
         a[8] = a[10] = a[0]
+        with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4107$"):
+            expressions._batched_inverse(a, "local tensor", 4096)
+        a[11] = a[0]
         with pytest.raises(RuntimeError, match=r"^ill-conditioned local tensor in cell 4099 "):
             expressions._batched_inverse(a, "local tensor", 4096)
 
