@@ -15,15 +15,16 @@ cell's outward normal.  Summing both sides reproduces the facet jump.
 Two assembly routes are provided: :func:`assemble_form` evaluates many
 cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
-oracle.  On a form's first assembly every integrand is walked once into
+oracle.  On a form's first assembly its terms are grouped into integrals,
+one per (domain, label, rule), and every integrand is walked once into
 monomials, a per-cell factor times reference tabulations of the
-arguments; each assembly sums over quadrature points in one of two
-places: for monomials without coefficients or fields the sum goes into
-reference tensors, compiled once and contracted for all terms in one
-product per form; the others keep the point index and are contracted in
-cell blocks of at most :data:`~hybridfem.spaces.BLOCK_POINTS` quadrature
-points, so their temporaries stay cache-sized.  The walk takes every
-basis from :func:`~hybridfem.spaces.ref_basis` (coefficients through
+arguments.  Monomials without coefficients or fields sum over quadrature
+points in their reference tensors, placed in the form's one ``A0`` and
+contracted for all terms in one product; the others keep the point index
+and are contracted in cell blocks of at most
+:data:`~hybridfem.spaces.BLOCK_POINTS` points.  An assembly builds one
+context per integral and local edge.  Bases come from the two halves of
+:func:`~hybridfem.spaces.ref_basis` (coefficients through
 :func:`~hybridfem.spaces.contract`); the oracle holds the only physical
 tabulation of its own, so it checks both.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from . import reference
 from .mesh import DIRICHLET, NEUMANN, Mesh
 from .spaces import (Function, FunctionSpace, MixedSpace, cell_blocks, contract,
-                     local_offsets, ref_basis, ref_map)
+                     local_offsets, ref_map, ref_table)
 
 QUADRATURE_MARGIN = 2  # safety margin added to estimated integrand degree
 
@@ -306,8 +307,9 @@ class FormIR:
             raise ValueError("facet normals appear in facet terms only")
 
     @cached_property
-    def compiled(self) -> tuple[_CompiledTerm, ...]:
-        """The form compiled on its first assembly (:func:`_compile`)."""
+    def compiled(self) -> tuple[tuple[_Integral, ...], np.ndarray]:
+        """The form compiled on its first assembly (:func:`_compile`): its
+        integrals, one per (domain, label, rule), and their element-layout ``A0``."""
         return _compile(self)
 
     def term_blocks(self, term: IntegralTerm) -> tuple[int, int]:
@@ -380,7 +382,7 @@ class _Ctx:
 
     def __init__(self, mesh: Mesh, rule, cells, ref_pts: np.ndarray):
         self.cells, self.rule, self.nq = cells, rule, len(rule.weights)
-        self.geo, self.ref_pts = mesh.geometry(), ref_pts
+        self.geo, self.ref_pts, self.maps = mesh.geometry(), ref_pts, {}
 
     @cached_property
     def phys(self) -> np.ndarray:
@@ -392,8 +394,13 @@ class _Ctx:
     def local_coeffs(self, fn: Function) -> np.ndarray:
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
+    def ref_map(self, space: FunctionSpace, deriv: str):  # memoized per context
+        if (id(space), deriv) not in self.maps:
+            self.maps[id(space), deriv] = ref_map(space, deriv, self.geo, self.cells)
+        return self.maps[id(space), deriv]
+
     def ref_basis(self, space: FunctionSpace, deriv: str):  # memoized tables
-        return ref_basis(space, deriv, self.ref_pts, self.geo, self.cells)
+        return ref_table(space, deriv, self.ref_pts), self.ref_map(space, deriv)
 
 
 class _CellCtx(_Ctx):
@@ -418,7 +425,7 @@ class _FacetCtx(_Ctx):
         if space.family.kind != "Trace":
             return super().ref_basis(space, deriv)
         return (_trace_table(space.family.degree, self.rule.exactness, self.local_edge),
-                ref_map(space, deriv, self.geo, self.cells))
+                self.ref_map(space, deriv))
 
     def normal(self) -> np.ndarray:
         return self.normals
@@ -453,8 +460,8 @@ def _trace_table(degree: int, exactness: int, loc: int) -> np.ndarray:
 #   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s],
 # so K = G @ A0 with G[c, (r, s)] = s[c] g[c, r, s].  A point-dependent g
 # keeps q in both, G[c, (q, r, s)] = w_q s[c] g[c, q, r, s] and
-# A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].  Each A0 is
-# compiled; an assembly builds only the G of its cells.
+# A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].  Each A0 is compiled;
+# an assembly builds only G, on one context per integral and local edge.
 
 def _monomials(node: Expr, form: FormIR, ctx0) -> list:
     """The monomials of ``node`` on contexts of the kind of ``ctx0`` (no cells)."""
@@ -462,7 +469,7 @@ def _monomials(node: Expr, form: FormIR, ctx0) -> list:
         space = (form.test_fields if node.role == "test" else form.trial_fields)[node.field]
         ref, g = ctx0.ref_basis(space, node.deriv)
         axes = (1, 4) if node.role == "test" else (1, 3)
-        return [(lambda ctx: np.expand_dims(ref_map(space, node.deriv, ctx.geo, ctx.cells), axes),
+        return [(lambda ctx: np.expand_dims(ctx.ref_map(space, node.deriv), axes),
                  {node.role: ref}, g.shape[1], False)]
     if isinstance(node, Coef):
         return [(lambda ctx: contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(
@@ -499,21 +506,30 @@ def _monomials(node: Expr, form: FormIR, ctx0) -> list:
     raise TypeError(f"unknown integrand node {node!r}")
 
 
-class _CompiledTerm(NamedTuple):
-    """A term compiled per context kind: factor builders and ``A0`` rows (p, ni, nj)."""
-    term: IntegralTerm
+class _Integral(NamedTuple):
+    """A form's terms on one (domain, label, rule), compiled per context kind:
+    point-independent factor builders with their first column in the form's
+    ``A0``, and per point-dependent term its builders and ``A0`` rows (p, ni, nj)."""
+    term: IntegralTerm  # the first, for the domain and label
     rule: reference.QuadratureRule
-    block: tuple[int, int]
-    fixed: dict  # of the point-independent monomials
-    points: dict  # of the point-dependent monomials
+    fixed: dict  # kind: [(g, column)]
+    points: list  # [(term, block, {kind: (gs, A0)})]
 
 
-def _compile(form: FormIR) -> tuple[_CompiledTerm, ...]:
-    """Every term walked, checked and tabulated per context kind; holds no form."""
-    terms = []
+def _compile(form: FormIR) -> tuple[tuple[_Integral, ...], np.ndarray]:
+    """The form's integrals, every term walked, checked and tabulated per
+    context kind, and the read-only ``A0`` (K, NT * NTR) of the
+    point-independent monomials, each term's rows in its block; holds no form."""
+    t_off, u_off = local_offsets(form.test_fields), local_offsets(form.trial_fields)
+    shape = (max(t_off[-1], 1), max(u_off[-1], 1))
+    integrals, rows = {}, []
     for term in form.terms:
-        rule, (ti, tj) = _term_rule(term, form), form.term_blocks(term)
-        groups = ({}, {})
+        rule = (reference.triangle_quadrature if term.domain == CELL
+                else reference.edge_quadrature)(_term_exactness(term, form))
+        block = form.term_blocks(term)
+        it = integrals.setdefault((term.domain, term.label, rule.exactness),
+                                  _Integral(term, rule, {}, []))
+        points = {}
         for kind in [None] if term.domain == CELL else range(3):
             ctx0 = _context(form.mesh, rule, kind, np.arange(0))
             for g, refs, ncomp, at_points in _monomials(term.integrand, form, ctx0):
@@ -524,13 +540,19 @@ def _compile(form: FormIR) -> tuple[_CompiledTerm, ...]:
                           for role in ("test", "trial")]
                 a0 = (np.einsum("qir,qjs->qrsij", *tables) if at_points else
                       np.einsum("q,qir,qjs->rsij", rule.weights, *tables))
-                gs, a0s = groups[at_points].setdefault(kind, ([], []))
-                gs.append(g)
-                a0s.append(a0.reshape(-1, *a0.shape[-2:]))
-        fixed, points = ({kind: (gs, np.concatenate(a0s)) for kind, (gs, a0s) in group.items()}
-                         for group in groups)
-        terms.append(_CompiledTerm(term, rule, (ti, tj), fixed, points))
-    return tuple(terms)
+                a0 = a0.reshape(-1, *a0.shape[-2:])
+                if at_points:
+                    points.setdefault(kind, []).append((g, a0))
+                    continue
+                it.fixed.setdefault(kind, []).append((g, sum(map(len, rows))))
+                rows.append(np.zeros((len(a0),) + shape))
+                rows[-1][(slice(None),) + _block(*block, t_off, u_off)] = a0
+        if points:
+            it.points.append((term, block, {kind: ([g for g, _ in ms], np.concatenate(
+                [a0 for _, a0 in ms])) for kind, ms in points.items()}))
+    A0 = np.concatenate(rows or [np.zeros((0,) + shape)]).reshape(-1, shape[0] * shape[1])
+    A0.flags.writeable = False
+    return tuple(integrals.values()), A0
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +573,8 @@ def _facet_selections(mesh: Mesh, term: IntegralTerm, cells: slice) -> list[np.n
     return [sides[keep & (loc == l)] for l in range(3)]
 
 
-def _parts(mesh: Mesh, term: IntegralTerm, cells: slice) -> list:
-    """A term's context kinds (None, or the local edge) with their cells."""
-    if term.domain == CELL:
-        return [(None, cells)]
-    return [(loc, sel) for loc, sel in enumerate(_facet_selections(mesh, term, cells)) if len(sel)]
-
-
 def _context(mesh: Mesh, rule, kind, cells):
     return _CellCtx(mesh, rule, cells) if kind is None else _FacetCtx(mesh, cells, kind, rule)
-
-
-def _term_rule(term: IntegralTerm, form: FormIR):
-    exact = _term_exactness(term, form)
-    return (reference.triangle_quadrature(exact) if term.domain == CELL
-            else reference.edge_quadrature(exact))
 
 
 def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
@@ -573,31 +582,39 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
     means every cell): (nc, NT, NTR), (nc, NT), or (nc,), row 0 being
     cell ``lo``.  Facet terms read only the facets of these cells.
 
-    A call builds only the factors ``G`` of its cells (the rest is
-    :attr:`FormIR.compiled`).  The point-independent monomials of all
-    terms are contracted in one matrix product over the cells; the
-    point-dependent ones are then added one cell block at a time, each
-    cell's sum over its points a product of its own (a batched ``matmul``
-    of one row per cell), so a cell's element tensor does not depend on
-    the block it is in.
+    A call builds one context per integral and local edge with cells, and
+    on them only the factors ``G`` (the rest is :attr:`FormIR.compiled`).
+    The point-independent monomials of all terms are contracted in one
+    product ``G @ A0``; the point-dependent ones are then added one cell
+    block at a time, each cell's sum over its points a product of its own
+    (a batched ``matmul`` of one row per cell), so a cell's element tensor
+    does not depend on the block it is in.
     """
-    mesh, terms = form.mesh, form.compiled
+    mesh, (integrals, A0) = form.mesh, form.compiled
     cells = slice(0, mesh.n_cells) if cells is None else cells
     t_off, u_off = local_offsets(form.test_fields), local_offsets(form.trial_fields)
-    shape = (max(t_off[-1], 1), max(u_off[-1], 1))
-    out = np.matmul(*_reference_factors(terms, mesh, cells, shape, t_off, u_off))
-    out = out.reshape((len(out),) + shape)
+    contexts = [(it, kind, _context(mesh, it.rule, kind, sel)) for it in integrals
+                for kind, sel in ([(None, cells)] if it.term.domain == CELL else
+                                  enumerate(_facet_selections(mesh, it.term, cells)))
+                if kind is None or len(sel)]
+    G = np.zeros((cells.stop - cells.start, len(A0)))
+    for it, kind, ctx in contexts:
+        for g, k in it.fixed.get(kind, ()):
+            gk = (g(ctx)[:, 0, 0] * ctx.scale[:, None, None]).reshape(len(ctx.scale), -1)
+            G[_rows(ctx.cells, cells), k:k + gk.shape[1]] = gk
+    out = np.matmul(G, A0).reshape((len(G), max(t_off[-1], 1), max(u_off[-1], 1)))
 
-    for ct in terms:
-        for kind, sel in _parts(mesh, ct.term, cells) if ct.points else ():
-            gs, A0 = ct.points[kind]
-            for blk in cell_blocks(sel, len(ct.rule.weights)):
-                ctx = _context(mesh, ct.rule, kind, blk)
-                G = np.concatenate([(g(ctx)[:, :, 0] * (ct.rule.weights * ctx.scale[:, None])[
-                    :, :, None, None]).reshape(len(ctx.scale), -1) for g in gs], axis=1)
+    for it, kind, ctx in contexts:
+        blocks = list(cell_blocks(ctx.cells, len(it.rule.weights))) if it.points else []
+        for blk in blocks:
+            bctx = ctx if len(blocks) == 1 else _context(mesh, it.rule, kind, blk)
+            w = (it.rule.weights * bctx.scale[:, None])[:, :, None, None]
+            for _, block, per_kind in it.points:
+                gs, A0 = per_kind[kind]
+                G = np.concatenate([(g(bctx)[:, :, 0] * w).reshape(len(w), -1) for g in gs], axis=1)
                 local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
-                _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(ctx.cells, cells),
-                               *ct.block, t_off, u_off)
+                _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(bctx.cells, cells),
+                               *block, t_off, u_off)
     return out.reshape(out.shape[:1 + form.rank])
 
 
@@ -607,24 +624,6 @@ def _rows(cells, first: slice):
     if isinstance(cells, slice):
         return slice(cells.start - first.start, cells.stop - first.start)
     return cells - first.start
-
-
-def _reference_factors(terms, mesh: Mesh, cells: slice, shape, t_off, u_off):
-    """``G``, ``A0`` of the element tensors ``G @ A0`` of the point-independent
-    monomials on ``cells``: each adds its columns ``s_K g`` and ``A0`` rows per context."""
-    parts = [(ct, kind, sel) for ct in terms if ct.fixed
-             for kind, sel in _parts(mesh, ct.term, cells)]
-    K = sum(len(ct.fixed[kind][1]) for ct, kind, _ in parts)
-    G, A0, k = np.zeros((cells.stop - cells.start, K)), np.zeros((K,) + shape), 0
-    for ct, kind, sel in parts:
-        ctx = _context(mesh, ct.rule, kind, sel)
-        gs, a0 = ct.fixed[kind]
-        A0[(slice(k, k + len(a0)),) + _block(*ct.block, t_off, u_off)] = a0
-        for g in gs:
-            gk = (g(ctx)[:, 0, 0] * ctx.scale[:, None, None]).reshape(len(ctx.scale), -1)
-            G[_rows(ctx.cells, cells), k:k + gk.shape[1]] = gk
-            k += gk.shape[1]
-    return G, A0.reshape(K, shape[0] * shape[1])
 
 
 def _block(ti, tj, t_off, u_off) -> tuple[slice, slice]:

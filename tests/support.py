@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a reader for the legacy VTK files
-that ``hybridfem.io_vtk`` writes, a zero function, and the injection of
-a conforming RT function into its broken twin."""
+that ``hybridfem.io_vtk`` writes, a zero function, the injection of a
+conforming RT function into its broken twin, and which terms of a form
+compile to point-dependent monomials."""
 
 from __future__ import annotations
 
@@ -11,6 +12,14 @@ from hybridfem.spaces import BrokenTransfer, Function, FunctionSpace
 
 def zero_function(space: FunctionSpace) -> Function:
     return Function(space, np.zeros(space.ndof_global))
+
+
+def point_dependent(form) -> list[bool]:
+    """Whether each term of ``form`` compiles to monomials that vary over
+    the quadrature points: its integral keeps them per term."""
+    integrals, _ = form.compiled
+    varying = {id(term) for it in integrals for term, *_ in it.points}
+    return [id(term) in varying for term in form.terms]
 
 
 def inject_broken(bt: BrokenTransfer, fn: Function) -> Function:

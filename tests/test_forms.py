@@ -50,14 +50,9 @@ from hybridfem.problems import (
     manufactured,
     primal_cg_system,
 )
+from support import point_dependent
 
 ONE = ScalarField.constant(1.0)
-
-
-def _point_dependent(form):
-    """Whether each term of ``form`` compiles to monomials that vary over
-    the quadrature points."""
-    return [bool(ct.points) for ct in form.compiled]
 
 
 def mass_form(V):
@@ -267,7 +262,7 @@ def test_reference_tensors_match_oracle_on_general_meshes(mesh_name):
     if mesh_name == "jittered-neumann-left":
         assert len(mesh.facets_with_label(NEUMANN)) == 4
     for name, form in _operators(mesh):
-        assert not any(_point_dependent(form)), name
+        assert not any(point_dependent(form)), name
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -296,7 +291,7 @@ def test_one_product_assembly_matches_oracle(mesh_name):
         IntegralTerm(EXTERIOR, dot(tfn(2), dot(Const(2.0), trial(2))), NEUMANN),
         IntegralTerm(EXTERIOR, dot(jump(tfn(0)), jump(trial(0)))),
     ])
-    assert _point_dependent(form) == [False, False, True] + [False] * 6
+    assert point_dependent(form) == [False, False, True] + [False] * 6
     batched = assemble_form(form)
     for c in range(mesh.n_cells):
         local = assemble_local(form, c)
@@ -364,7 +359,7 @@ def test_quadrature_path_matches_oracle_on_general_meshes(mesh_name):
     agrees with the single-cell oracle on every cell."""
     mesh = _general_meshes()[mesh_name]
     for name, form in _quadrature_forms(mesh):
-        assert all(_point_dependent(form)), name
+        assert all(point_dependent(form)), name
         batched = assemble_form(form)
         for c in range(mesh.n_cells):
             local = assemble_local(form, c)
@@ -447,6 +442,55 @@ def test_facet_selections_match_string_labels(mesh_name):
             np.testing.assert_array_equal(part[loc], got[loc][(got[loc] >= 5) & (got[loc] < 17)])
             n_neumann += len(got[loc]) if label == NEUMANN else 0
     assert (n_neumann > 0) == (mesh_name == "jittered-neumann-left")
+
+
+@pytest.mark.parametrize("method", ["ldgh-1", "mixed-hybrid-2"])
+def test_one_context_per_facet_set(method, monkeypatch):
+    """One assembly of a hybridized operator builds one context per
+    (domain, label, rule, local edge) that has cells, shared by the terms
+    on it, and each context maps a space's basis once per derivative."""
+    mesh = _general_meshes()["jittered-neumann-left"]
+    prob = manufactured("sinsin")
+    form = (ldgh_system(mesh, prob, 1) if method == "ldgh-1"
+            else hybridized_mixed_system(mesh, prob, 2)).a
+    expected = assemble_form(form)  # compiles the form
+    exterior = mesh.facet_cells[:, 1] < 0
+    facet_sets = set()
+    for t in form.terms:
+        exact = _term_exactness(t, form)
+        if t.domain == CELL:
+            facet_sets.add((CELL, None, exact, None))
+            continue
+        for loc in range(3):
+            facets = mesh.cell_facets[:, loc]
+            on = exterior[facets] == (t.domain == EXTERIOR)
+            if t.label is not None:
+                on &= mesh.exterior_label[facets] == t.label
+            if on.any():
+                facet_sets.add((t.domain, t.label, exact, loc))
+    assert len(facet_sets) < len(form.terms)
+
+    built, maps = [], []
+    context, ref_map = forms._context, forms.ref_map
+
+    def counting_context(mesh_, rule, kind, cells):
+        built.append(context(mesh_, rule, kind, cells))
+        return built[-1]
+
+    def counting_ref_map(space, deriv, geo, cells):
+        maps.append((id(cells), id(space), deriv))
+        return ref_map(space, deriv, geo, cells)
+
+    monkeypatch.setattr(forms, "_context", counting_context)
+    monkeypatch.setattr(forms, "ref_map", counting_ref_map)
+    np.testing.assert_array_equal(assemble_form(form), expected)
+    assert len(built) == len(facet_sets), (len(built), sorted(facet_sets, key=str))
+    cells = [np.arange(mesh.n_cells)[c.cells] for c in built]
+    assert len({(c.rule.exactness, getattr(c, "local_edge", None), tuple(cl))
+                for c, cl in zip(built, cells)}) == len(built)
+    # cell contexts of different rules share their cells; facet selections are their own
+    for key in set(maps):
+        assert maps.count(key) <= sum(id(c.cells) == key[0] for c in built), key
 
 
 def _pp_rhs(mesh, k):
@@ -537,7 +581,7 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert isinstance(fld(left), Fld)
     assert fld(ScalarField.constant(2.5)) == Const(2.5)
     weighted = FormIR(V, V, [IntegralTerm(CELL, dot(fld(left), dot(tfn(), trial())))])
-    assert _point_dependent(weighted) == [True]
+    assert point_dependent(weighted) == [True]
     batched = assemble_form(weighted)
     for c in range(mesh.n_cells):
         np.testing.assert_allclose(batched[c], assemble_local(weighted, c), atol=1e-15)
@@ -548,7 +592,7 @@ def test_nonconstant_degree_zero_field_takes_quadrature_path():
     assert batched[left_cells].min() > 0.0
     # a linear form with constant data joins the one product
     rhs = FormIR(V, None, [IntegralTerm(CELL, dot(tfn(), fld(ScalarField.constant(2.0))))])
-    assert _point_dependent(rhs) == [False]
+    assert point_dependent(rhs) == [False]
 
 
 def _clear_table_memos():
@@ -567,7 +611,7 @@ def test_element_tensors_match_from_cold_and_warm_caches(monkeypatch):
     mesh = _general_meshes()["jittered-neumann-left"]
     prob = manufactured("sinsin")
     hs = hybridized_mixed_system(mesh, prob, 2)
-    terms = [(t.domain, p) for f in (hs.a, hs.rhs) for t, p in zip(f.terms, _point_dependent(f))]
+    terms = [(t.domain, p) for f in (hs.a, hs.rhs) for t, p in zip(f.terms, point_dependent(f))]
     assert {d for d, _ in terms} == {CELL, INTERIOR, EXTERIOR}
     assert {d for d, p in terms if p} == {CELL, EXTERIOR}
 
