@@ -500,7 +500,7 @@ def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
     ill-conditioned, so every rejected cell gets LAPACK's verdict.  The
     elimination may form non-finite values silently; the guard sees them."""
     m = a.transpose(1, 2, 0).copy()  # not ascontiguousarray: one cell's transpose is contiguous
-    zero_column = np.zeros(a.shape[0], bool)
+    zero_column, row = np.zeros(a.shape[0], bool), np.empty(m.shape[1:])
     swaps = []
     with np.errstate(all="ignore"):
         for k in range(a.shape[1]):
@@ -519,7 +519,7 @@ def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
                 if i != k:
                     f = m[i, k].copy()
                     m[i, k] = 0.0
-                    m[i] -= m[k] * f
+                    m[i] -= np.multiply(m[k], f, out=row)
     for k, r, c in reversed(swaps):
         m[:, k, c], m[:, r, c] = m[:, r, c], m[:, k, c]
     inv = m.transpose(2, 0, 1).copy()

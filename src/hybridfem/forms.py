@@ -17,9 +17,10 @@ cells at once with batched numpy, while :func:`assemble_local` is an
 independent single-cell reference implementation used as a testing
 oracle.  On a form's first assembly its terms are grouped into integrals,
 one per (domain, label, rule), and every integrand is walked once into
-monomials, a per-cell factor times reference tabulations of the
-arguments.  Monomials without coefficients or fields sum over quadrature
-points in their reference tensors, placed in the form's one ``A0`` and
+monomials, a per-cell factor, built over a contiguous last cell axis,
+times reference tabulations of the arguments.  Monomials without
+coefficients or fields sum over quadrature points in their reference
+tensors, placed in the form's one ``A0`` and
 contracted for all terms in one product; the others keep the point index
 and are contracted in cell blocks of at most
 :data:`~hybridfem.spaces.BLOCK_POINTS` points.  An assembly builds one
@@ -378,11 +379,11 @@ def _term_exactness(term: IntegralTerm, form: FormIR) -> int:
 # batched evaluation contexts
 
 class _Ctx:
-    """Point data shared by the cell and facet contexts."""
+    """Point data shared by the cell and facet contexts, memoized cells-last."""
 
     def __init__(self, mesh: Mesh, rule, cells, ref_pts: np.ndarray):
         self.cells, self.rule, self.nq = cells, rule, len(rule.weights)
-        self.geo, self.ref_pts, self.maps = mesh.geometry(), ref_pts, {}
+        self.geo, self.ref_pts, self.memo = mesh.geometry(), ref_pts, {}
 
     @cached_property
     def phys(self) -> np.ndarray:
@@ -394,13 +395,16 @@ class _Ctx:
     def local_coeffs(self, fn: Function) -> np.ndarray:
         return fn.coeffs[fn.space.cell_dofs[self.cells]]
 
-    def ref_map(self, space: FunctionSpace, deriv: str):  # memoized per context
-        if (id(space), deriv) not in self.maps:
-            self.maps[id(space), deriv] = ref_map(space, deriv, self.geo, self.cells)
-        return self.maps[id(space), deriv]
+    def last(self, key, values: Callable) -> np.ndarray:  # values() (ncs|1, ...) as (..., ncs|1)
+        if key not in self.memo:
+            self.memo[key] = np.ascontiguousarray(np.moveaxis(values(), 0, -1))
+        return self.memo[key]
 
-    def ref_basis(self, space: FunctionSpace, deriv: str):  # memoized tables
-        return ref_table(space, deriv, self.ref_pts), self.ref_map(space, deriv)
+    def ref_map(self, space: FunctionSpace, deriv: str) -> np.ndarray:  # (ncomp, nr, ncs|1)
+        return self.last((id(space), deriv), lambda: ref_map(space, deriv, self.geo, self.cells))
+
+    def table(self, space: FunctionSpace, deriv: str) -> np.ndarray:  # memoized
+        return ref_table(space, deriv, self.ref_pts)
 
 
 class _CellCtx(_Ctx):
@@ -421,14 +425,9 @@ class _FacetCtx(_Ctx):
     scale = cached_property(lambda self: self.geo.edge_lengths[self.cells, self.local_edge])
     normals = cached_property(lambda self: self.geo.edge_normals[self.cells, self.local_edge])
 
-    def ref_basis(self, space: FunctionSpace, deriv: str):
-        if space.family.kind != "Trace":
-            return super().ref_basis(space, deriv)
-        return (_trace_table(space.family.degree, self.rule.exactness, self.local_edge),
-                self.ref_map(space, deriv))
-
-    def normal(self) -> np.ndarray:
-        return self.normals
+    def table(self, space: FunctionSpace, deriv: str) -> np.ndarray:
+        return (_trace_table(space.family.degree, self.rule.exactness, self.local_edge)
+                if space.family.kind == "Trace" else super().table(space, deriv))
 
 
 @lru_cache(maxsize=None)
@@ -448,41 +447,45 @@ def _trace_table(degree: int, exactness: int, loc: int) -> np.ndarray:
 #
 # An integrand is walked once, on a form's first assembly, into a list of
 # monomials (g, refs, ncomp, points): g(ctx) builds the per-cell factor
-# (ncs|1, nq|1, ncomp, rt, rs) of a context from the argument maps of
-# ref_map, per point where a coefficient or field enters (``points``);
+# (nq|1, ncomp, rt, rs, ncs|1) of a context from its contiguous cells-last
+# copies (_Ctx.last) of the maps of ref_map, normals, fields and
+# coefficients, per point where a coefficient or field enters (``points``);
 # refs maps each argument role present to its reference table.  Extent-1
 # axes stand for an absent cell, point or role dependence.  On affine
 # cells, with s[c] the measure |det J| or the edge length, a monomial's
 # element tensor
-#   K[c, i, j] = s[c] sum_q w_q sum_rs g[c, q, r, s] R_test[q, i, r] R_trial[q, j, s]
+#   K[c, i, j] = s[c] sum_q w_q sum_rs g[q, r, s, c] R_test[q, i, r] R_trial[q, j, s]
 # is summed over q in one of two places.  A point-independent g leaves the
 # sum to the reference tensor
 #   A0[r, s, i, j] = sum_q w_q R_test[q, i, r] R_trial[q, j, s],
-# so K = G @ A0 with G[c, (r, s)] = s[c] g[c, r, s].  A point-dependent g
-# keeps q in both, G[c, (q, r, s)] = w_q s[c] g[c, q, r, s] and
+# so K = G @ A0 with G[c, (r, s)] = s[c] g[r, s, c].  A point-dependent g
+# keeps q in both, G[c, (q, r, s)] = w_q s[c] g[q, r, s, c] and
 # A0[(q, r, s), i, j] = R_test[q, i, r] R_trial[q, j, s].  Each A0 is compiled;
-# an assembly builds only G, on one context per integral and local edge.
+# an assembly builds only G, C-contiguous, on one context per integral and local edge.
 
 def _monomials(node: Expr, form: FormIR, ctx0) -> list:
     """The monomials of ``node`` on contexts of the kind of ``ctx0`` (no cells)."""
     if isinstance(node, Arg):
         space = (form.test_fields if node.role == "test" else form.trial_fields)[node.field]
-        ref, g = ctx0.ref_basis(space, node.deriv)
-        axes = (1, 4) if node.role == "test" else (1, 3)
+        ref, ncomp = ctx0.table(space, node.deriv), len(ctx0.ref_map(space, node.deriv))
+        axes = (0, 3) if node.role == "test" else (0, 2)
         return [(lambda ctx: np.expand_dims(ctx.ref_map(space, node.deriv), axes),
-                 {node.role: ref}, g.shape[1], False)]
+                 {node.role: ref}, ncomp, False)]
     if isinstance(node, Coef):
-        return [(lambda ctx: contract(ctx.ref_basis(node.fn.space, "value"), ctx.local_coeffs(
-            node.fn))[..., None, None], {}, 1 + node.fn.space.family.is_vector, True)]
+        space = node.fn.space
+        return [(lambda c: c.last(node, lambda: contract(
+            (c.table(space, "value"), ref_map(space, "value", c.geo, c.cells)),
+            c.local_coeffs(node.fn)))[:, :, None, None], {}, 1 + space.family.is_vector, True)]
     if isinstance(node, Fld):
-        return [(lambda ctx: ctx.eval_field(node.sf)[:, :, None, None, None], {}, 1, True)]
+        return [(lambda c: c.last(node, lambda: c.eval_field(node.sf))[:, None, None, None],
+                 {}, 1, True)]
     if isinstance(node, VFld):
-        return [(lambda ctx: np.asarray(node.fn(ctx.phys[..., 0], ctx.phys[..., 1]),
-                                        dtype=float)[..., None, None], {}, 2, True)]
+        vals = lambda c: np.asarray(node.fn(c.phys[..., 0], c.phys[..., 1]), dtype=float)
+        return [(lambda c: c.last(node, lambda: vals(c))[:, :, None, None], {}, 2, True)]
     if isinstance(node, Const):
         return [(lambda ctx: np.full((1, 1, 1, 1, 1), node.value), {}, 1, False)]
     if isinstance(node, Normal):
-        return [(lambda ctx: ctx.normal()[:, None, :, None, None], {}, 2, False)]
+        return [(lambda c: c.last(node, lambda: c.normals)[None, :, None, None], {}, 2, False)]
     if isinstance(node, Dot):
         out, b = [], _monomials(node.b, form, ctx0)
         for ga, a_refs, na, pa in _monomials(node.a, form, ctx0):
@@ -492,7 +495,7 @@ def _monomials(node: Expr, form: FormIR, ctx0) -> list:
                 shared = a_refs.keys() & b_refs.keys()
                 if shared:
                     raise ValueError(f"integrand is nonlinear in the {shared.pop()} argument")
-                out.append((lambda c, ga=ga, gb=gb: (ga(c) * gb(c)).sum(axis=2, keepdims=True),
+                out.append((lambda c, ga=ga, gb=gb: _dot(ga(c), gb(c)),
                             {**a_refs, **b_refs}, 1, pa or pb))
         return out
     if isinstance(node, Sum):
@@ -504,6 +507,11 @@ def _monomials(node: Expr, form: FormIR, ctx0) -> list:
         return [(lambda ctx, g=g: node.c * g(ctx), refs, n, p)
                 for g, refs, n, p in _monomials(node.x, form, ctx0)]
     raise TypeError(f"unknown integrand node {node!r}")
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # sum over components, axis 1 (<= 2)
+    out = a[:, :1] * b[:, :1]
+    return out if a.shape[1] == 1 else np.add(out, a[:, 1:] * b[:, 1:], out=out)
 
 
 class _Integral(NamedTuple):
@@ -600,18 +608,19 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
     G = np.zeros((cells.stop - cells.start, len(A0)))
     for it, kind, ctx in contexts:
         for g, k in it.fixed.get(kind, ()):
-            gk = (g(ctx)[:, 0, 0] * ctx.scale[:, None, None]).reshape(len(ctx.scale), -1)
-            G[_rows(ctx.cells, cells), k:k + gk.shape[1]] = gk
+            gk = (g(ctx)[0, 0] * ctx.scale).reshape(-1, len(ctx.scale))
+            G[_rows(ctx.cells, cells), k:k + len(gk)] = gk.T
     out = np.matmul(G, A0).reshape((len(G), max(t_off[-1], 1), max(u_off[-1], 1)))
 
     for it, kind, ctx in contexts:
         blocks = list(cell_blocks(ctx.cells, len(it.rule.weights))) if it.points else []
         for blk in blocks:
             bctx = ctx if len(blocks) == 1 else _context(mesh, it.rule, kind, blk)
-            w = (it.rule.weights * bctx.scale[:, None])[:, :, None, None]
+            w = (it.rule.weights[:, None] * bctx.scale)[:, None, None]  # (nq, 1, 1, ncs)
             for _, block, per_kind in it.points:
                 gs, A0 = per_kind[kind]
-                G = np.concatenate([(g(bctx)[:, :, 0] * w).reshape(len(w), -1) for g in gs], axis=1)
+                G = np.ascontiguousarray(np.concatenate(  # C order, so every product keeps its bits
+                    [(g(bctx)[:, 0] * w).reshape(-1, w.shape[-1]) for g in gs]).T)
                 local = np.matmul(G[:, None, :], A0.reshape(len(A0), -1))[:, 0]
                 _scatter_block(out, local.reshape(len(G), *A0.shape[1:]), _rows(bctx.cells, cells),
                                *block, t_off, u_off)
@@ -772,7 +781,7 @@ def _eval_point(node, ctx, basis, form, q) -> np.ndarray:
         x, y = ctx.phys[0, q]
         return np.asarray(node.fn(np.array(x), np.array(y)), dtype=float)[None, None, :]
     if isinstance(node, Normal):
-        return ctx.normal()[0][None, None, :]
+        return ctx.normals[0][None, None, :]
     if isinstance(node, Dot):
         a = _eval_point(node.a, ctx, basis, form, q)
         b = _eval_point(node.b, ctx, basis, form, q)

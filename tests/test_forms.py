@@ -299,19 +299,36 @@ def test_one_product_assembly_matches_oracle(mesh_name):
         assert err <= 1e-12, (c, err)
 
 
+def _peak_over_output(form, cells=None) -> float:
+    """The traced peak of one warm assembly over the size of its output."""
+    out = assemble_form(form, cells)  # geometry and tabulation caches fill here
+    tracemalloc.start()
+    try:
+        assemble_form(form, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
 def test_reference_product_allocates_little_beyond_its_output():
     """The CG(1) operator (stiffness plus mass) at n=128 holds no sign
     arrays for its unsigned space and no per-term element tensors: the
     assembly peaks at under 2.5 times the size of its output."""
     form = primal_cg_system(build_unit_square(128), manufactured("sinsin"), 1).a
-    out = assemble_form(form)  # geometry and tabulation caches fill here
-    tracemalloc.start()
-    try:
-        assemble_form(form)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * out.nbytes, (peak, out.nbytes)
+    assert _peak_over_output(form) <= 2.5
+
+
+@pytest.mark.parametrize("method", ["mixed-hybrid-2", "ldgh-1"])
+def test_facet_terms_allocate_little_beyond_their_output(method):
+    """A 2048-cell block of a hybridized operator, whose facet terms each
+    read one cells-last map layout per context and form their dot
+    products one component at a time, peaks at under 1.5 times the size
+    of its output."""
+    mesh, prob = build_unit_square(64), manufactured("sinsin")
+    form = (ldgh_system(mesh, prob, 1) if method == "ldgh-1"
+            else hybridized_mixed_system(mesh, prob, 2)).a
+    assert _peak_over_output(form, slice(2048, 4096)) <= 1.5
 
 
 def _quadrature_forms(mesh):
