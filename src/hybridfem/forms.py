@@ -610,10 +610,11 @@ def assemble_form(form: FormIR, cells: slice | None = None) -> np.ndarray:
         for g, k in it.fixed.get(kind, ()):
             gk = (g(ctx)[0, 0] * ctx.scale).reshape(-1, len(ctx.scale))
             G[_rows(ctx.cells, cells), k:k + len(gk)] = gk.T
+    contexts = [c for c in contexts if c[0].points]  # the others' maps are freed before the product
     out = np.matmul(G, A0).reshape((len(G), max(t_off[-1], 1), max(u_off[-1], 1)))
 
     for it, kind, ctx in contexts:
-        blocks = list(cell_blocks(ctx.cells, len(it.rule.weights))) if it.points else []
+        blocks = list(cell_blocks(ctx.cells, len(it.rule.weights)))
         for blk in blocks:
             bctx = ctx if len(blocks) == 1 else _context(mesh, it.rule, kind, blk)
             w = (it.rule.weights[:, None] * bctx.scale)[:, None, None]  # (nq, 1, 1, ncs)
