@@ -515,9 +515,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # sum over components, ax
 
 
 class _Integral(NamedTuple):
-    """A form's terms on one (domain, label, rule), compiled per context kind:
-    point-independent factor builders with their first column in the form's
-    ``A0``, and per point-dependent term its builders and ``A0`` rows (p, ni, nj)."""
+    """A form's terms on one (domain, label, rule), compiled per context kind: builders
+    of cells-last factors, the point-independent ones with their first column in
+    the form's ``A0``, and per point-dependent term its builders and ``A0`` rows (p, ni, nj)."""
     term: IntegralTerm  # the first, for the domain and label
     rule: reference.QuadratureRule
     fixed: dict  # kind: [(g, column)]
