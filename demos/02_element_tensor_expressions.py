@@ -7,7 +7,8 @@ The compiled plan deduplicates common subexpressions; a naive recursive
 evaluator provides the reference semantics.  Local post-processing is
 written as Slate writes it: a local solve whose right-hand side is a
 bilinear data form acting on gathered coefficients,
-``Tensor(a).solve(Tensor(b) * AssembledVector(w), "lu")``.
+``Tensor(a).solve(Tensor(b) * AssembledVector(w))``, which the plan
+lowers as its one inverse of ``a`` applied to the right-hand side.
 """
 
 import numpy as np
@@ -76,7 +77,7 @@ b_pp = FormIR(Wpp, data, [
     IntegralTerm(CELL, dot(test(1), trial(1))),
 ])
 w = AssembledVector((data, np.random.default_rng(0).standard_normal(data.ndof_global)))
-post = Tensor(a_pp).solve(Tensor(b_pp) * w, "lu").blocks[0]
+post = Tensor(a_pp).solve(Tensor(b_pp) * w).blocks[0]
 plan = compile_expr(post)
 print("\ncompiled plan for the local post-processing:")
 print(plan.describe())

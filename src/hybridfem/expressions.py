@@ -2,10 +2,12 @@
 
 Expressions compose terminal tensors (forms and coefficient vectors)
 with dense linear algebra: addition, contraction, negation, transpose,
-inverse, factorized solve, and sub-block extraction.  :func:`compile_expr`
-lowers one or more expressions to an :class:`ExecPlan`, a deduplicated
-kernel sequence over virtual registers in which a subtree shared by the
-expressions is computed once.  :func:`evaluate_all` runs the plan over
+inverse, solve, and sub-block extraction.  :func:`compile_expr` lowers
+one or more expressions to an :class:`ExecPlan`, a deduplicated kernel
+sequence over virtual registers in which a subtree shared by the
+expressions is computed once.  A local tensor has one factorization,
+the guarded inverse: ``a.solve(b)`` lowers through ``a.inv``, so a plan
+holding both inverts ``a`` once.  :func:`evaluate_all` runs the plan over
 consecutive blocks of cells, batched over the leading cell axis; a
 block's size is set by the plan's largest register and
 :data:`BLOCK_ENTRIES`, so its transient memory is one block's whatever
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .forms import FormIR, assemble_form, assemble_local
@@ -37,8 +38,8 @@ from .spaces import Function, FunctionSpace, MixedSpace, local_offsets
 
 Axis = tuple[FunctionSpace, ...]
 
-# smallest reciprocal condition number (LU) or relative pivot (Cholesky)
-# for which a local factorization is not declared singular
+# smallest reciprocal condition number for which a local tensor is not
+# declared singular by its inverse
 PIVOT_RTOL = 1e-12
 # threshold pivoting in the local inverse, as in sparse direct solvers
 # (MA48): a cell swaps rows where its pivot is below this fraction of its
@@ -90,8 +91,8 @@ class TensorExpr:
     def inv(self):
         return Inverse(self)
 
-    def solve(self, rhs, decomposition: str = "lu"):
-        return Solve(self, rhs, decomposition)
+    def solve(self, rhs):
+        return Solve(self, rhs)
 
     @property
     def blocks(self):
@@ -222,7 +223,7 @@ class Inverse(TensorExpr):
         if x.rank != 2 or x.shape[0] != x.shape[1]:
             raise ValueError("inverse requires a square rank-2 operand")
         self.x = x
-        self.axes = x.axes
+        self.axes = (x.axes[1], x.axes[0])
 
     def children(self):
         return (self.x,)
@@ -232,21 +233,21 @@ class Inverse(TensorExpr):
 
 
 class Solve(TensorExpr):
-    def __init__(self, a: TensorExpr, b: TensorExpr, decomposition: str = "lu"):
+    """``a^-1 b``, lowered as the inverse of ``a`` applied to ``b``."""
+
+    def __init__(self, a: TensorExpr, b: TensorExpr):
         if a.rank != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("solve requires a square rank-2 operator")
         if b.shape[0] != a.shape[0]:
             raise ValueError("solve right-hand side has mismatched extent")
-        if decomposition not in ("lu", "cholesky"):
-            raise ValueError(f"unknown decomposition {decomposition!r}")
-        self.a, self.b, self.decomposition = a, b, decomposition
+        self.a, self.b = a, b
         self.axes = (a.axes[1],) + b.axes[1:]
 
     def children(self):
-        return (self.a, self.b)
+        return (Inverse(self.a), self.b)
 
     def key(self):
-        return ("solve", self.decomposition)
+        return ("solve",)
 
 
 class Blocks(TensorExpr):
@@ -301,7 +302,7 @@ class Kernel:
     op: str
     out: int
     ins: tuple[int, ...]
-    payload: object = None  # Tensor / AssembledVector / block ranges / decomposition
+    payload: object = None  # Tensor / AssembledVector / block ranges
     memo: TensorExpr | None = None  # node memoizing the value, if it may be cached
 
 
@@ -330,8 +331,6 @@ class ExecPlan:
             elif k.op == "blocks":
                 spans = ",".join(f"{lo}:{hi}" for lo, hi in k.payload[0])
                 rhs = f"blocks[{spans}](r{k.ins[0]})"
-            elif k.op == "solve":
-                rhs = f"solve[{k.payload}](" + ", ".join(f"r{i}" for i in k.ins) + ")"
             else:
                 rhs = f"{k.op}(" + ", ".join(f"r{i}" for i in k.ins) + ")"
             lines.append(f"r{k.out} = {rhs}  # {shape}")
@@ -340,7 +339,7 @@ class ExecPlan:
 
 
 _ALGEBRA_OPS = {Add: "add", Mul: "mul", Negate: "neg", Transpose: "transpose",
-                 Inverse: "inverse"}
+                 Inverse: "inverse", Solve: "solve"}
 
 
 def compile_expr(*exprs: TensorExpr) -> ExecPlan:
@@ -370,9 +369,7 @@ def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) ->
         op, payload, cacheable = "gather", node, False
     else:
         cacheable = all(kernels[c].memo is not None for c in child_regs)
-        if isinstance(node, Solve):
-            op, payload = "solve", node.decomposition
-        elif isinstance(node, Blocks):
+        if isinstance(node, Blocks):
             op = "blocks"
             payload = (node.ranges, _block_slices(node.x.axes, node.ranges))
         elif type(node) in _ALGEBRA_OPS:
@@ -396,12 +393,6 @@ def _block_slices(expr_axes, ranges):
         off = local_offsets(axis)
         out.append(slice(off[lo], off[hi]))
     return tuple(out)
-
-
-def _check_symmetric(A: np.ndarray) -> None:
-    scale = np.abs(A).max()
-    if scale and np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-10 * scale:
-        raise ValueError("cholesky solve requires a symmetric operand")
 
 
 def evaluate_all(plan: ExecPlan):
@@ -479,15 +470,16 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.
             return np.einsum("ci,cij->cj", a, b)
         raise ValueError("unsupported contraction ranks")
     if k.op == "inverse":
-        return _batched_inverse(regs[k.ins[0]], "local tensor", lo)
-    if k.op == "solve":
-        return _batched_solve(regs[k.ins[0]], regs[k.ins[1]], k.payload, lo)
+        return _batched_inverse(regs[k.ins[0]], lo)
+    if k.op == "solve":  # matmul, a vector as one column: mul's einsum sums in another order
+        inv, b = regs[k.ins[0]], regs[k.ins[1]]
+        return (inv @ b[:, :, None])[:, :, 0] if b.ndim == 2 else inv @ b
     if k.op == "blocks":
         return regs[k.ins[0]][(slice(None),) + k.payload[1]]
     raise AssertionError(k.op)
 
 
-def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
+def _batched_inverse(a: np.ndarray, first_cell: int) -> np.ndarray:
     """The inverse of every cell's ``a``, rejecting singular and
     ill-conditioned cells; the one LU factorization of a local tensor.
     The cell of ``a[0]`` is named ``first_cell``.  Gauss-Jordan in place
@@ -530,40 +522,15 @@ def _batched_inverse(a: np.ndarray, what: str, first_cell: int) -> np.ndarray:
         try:
             inv[redo] = np.linalg.inv(a[redo])
         except np.linalg.LinAlgError:
-            cell = first_cell + redo[_first_failing(np.linalg.inv, a[redo])]
-            raise RuntimeError(f"singular {what} in cell {cell}") from None
+            cell = first_cell + redo[_first_failing(a[redo])]
+            raise RuntimeError(f"singular local tensor in cell {cell}") from None
         rcond[redo] = _reciprocal_condition(a[redo], inv[redo])
         bad = redo[~(rcond[redo] >= PIVOT_RTOL)]
         if bad.size:
             raise RuntimeError(
-                f"ill-conditioned {what} in cell {first_cell + bad[0]} "
+                f"ill-conditioned local tensor in cell {first_cell + bad[0]} "
                 f"(reciprocal condition {rcond[bad[0]]:.1e} < {PIVOT_RTOL:g})")
     return inv
-
-
-def _batched_solve(a: np.ndarray, b: np.ndarray, decomposition: str,
-                   first_cell: int) -> np.ndarray:
-    vector_rhs = b.ndim == 2
-    rhs = b[:, :, None] if vector_rhs else b
-    if decomposition == "cholesky":
-        _check_symmetric(a)
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            cell = first_cell + _first_failing(np.linalg.cholesky, a)
-            raise RuntimeError(
-                f"cholesky breakdown in local solve (cell {cell})") from None
-        # the pivots of A = L D L^T are the squared diagonal of the factor
-        pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
-        bad = pivots.min(axis=1) < PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
-        if bad.any():
-            raise RuntimeError(f"cholesky pivot breakdown in local solve "
-                               f"(cell {first_cell + int(np.flatnonzero(bad)[0])})")
-        y = np.linalg.solve(chol, rhs)
-        x = np.linalg.solve(np.swapaxes(chol, 1, 2), y)
-    else:
-        x = _batched_inverse(a, "local system", first_cell) @ rhs
-    return x[:, :, 0] if vector_rhs else x
 
 
 def _reciprocal_condition(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -577,15 +544,15 @@ def _reciprocal_condition(a: np.ndarray, inv: np.ndarray) -> np.ndarray:
         return 1.0 / (norm1(a) * norm1(inv))
 
 
-def _first_failing(factor, a: np.ndarray) -> int:
-    """The first cell whose ``a`` the batched ``factor`` rejects; it runs
-    the same LAPACK routine on each cell alone, so some cell fails."""
+def _first_failing(a: np.ndarray) -> int:
+    """The first cell whose ``a`` the batched ``np.linalg.inv`` rejects; it
+    runs the same LAPACK routine on each cell alone, so some cell fails."""
     for c in range(a.shape[0]):
         try:
-            factor(a[c])
+            np.linalg.inv(a[c])
         except np.linalg.LinAlgError:
             return c
-    raise AssertionError("the batched factorization failed on no single cell")
+    raise AssertionError("the batched inverse failed on no single cell")
 
 
 def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:
@@ -605,11 +572,7 @@ def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:
     if isinstance(expr, Inverse):
         return np.linalg.inv(naive_evaluate(expr.x, cell))
     if isinstance(expr, Solve):
-        a = naive_evaluate(expr.a, cell)
-        b = naive_evaluate(expr.b, cell)
-        if expr.decomposition == "cholesky":
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
-        return np.linalg.solve(a, b)
+        return np.linalg.solve(naive_evaluate(expr.a, cell), naive_evaluate(expr.b, cell))
     if isinstance(expr, Blocks):
         src = naive_evaluate(expr.x, cell)
         sl = _block_slices(expr.x.axes, expr.ranges)

@@ -70,7 +70,7 @@ def scalar_pp(u_h: Function, p_h: Function, mu: ScalarField,
         IntegralTerm(CELL, dot(test(0), trial(1))),
         IntegralTerm(CELL, dot(test(1), trial(0))),
     ])
-    expr = Tensor(a).solve(_data_action(W, u_h, p_h, mu), "lu").blocks[0]
+    expr = Tensor(a).solve(_data_action(W, u_h, p_h, mu)).blocks[0]
     return Function(V_star, assemble_global(expr))
 
 

@@ -244,8 +244,8 @@ def _expression_set(system, rhs_vec):
                                    rng.standard_normal(W.fields[2].ndof_global)))
     pfn = AssembledVector(Function(W.fields[1],
                                    rng.standard_normal(W.fields[1].ndof_global)))
-    p_sys = Sd.solve(F.blocks[1] - A10 * A00.inv * F.blocks[0] - Sl * lam, "lu")
-    u_sys = A00.solve(F.blocks[0] - A01 * pfn - A02 * lam, "lu")
+    p_sys = Sd.solve(F.blocks[1] - A10 * A00.inv * F.blocks[0] - Sl * lam)
+    u_sys = A00.solve(F.blocks[0] - A01 * pfn - A02 * lam)
     return {"S": S, "E": E, "Sd": Sd, "Sl": Sl, "p_sys": p_sys, "u_sys": u_sys}
 
 

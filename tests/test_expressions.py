@@ -7,6 +7,7 @@ import pytest
 
 from hybridfem import expressions
 from hybridfem import (
+    CG,
     DG,
     RT,
     Trace,
@@ -148,29 +149,12 @@ def test_solve_matches_inverse_multiply():
     F = Tensor(f)
     Aee = A.blocks[:2, :2]
     rhs = F.blocks[:2]
-    s1 = Aee.solve(rhs, decomposition="lu")
+    s1 = Aee.solve(rhs)
     s2 = Aee.inv * rhs
     v1 = evaluate_all(compile_expr(s1))
     v2 = evaluate_all(compile_expr(s2))
     for c in (0, 3, 5):
         np.testing.assert_allclose(v1[c], v2[c], atol=1e-10)
-
-
-def test_cholesky_solve_and_symmetry_guard():
-    mesh = build_unit_square(1)
-    V = create_space(mesh, DG(1))
-    A = Tensor(mass(V))
-    b = Function(V, np.arange(V.ndof_global, dtype=float))
-    good = A.solve(AssembledVector(b), decomposition="cholesky")
-    np.testing.assert_allclose(
-        evaluate_all(compile_expr(good))[0], naive_evaluate(good, 0), atol=1e-12
-    )
-    # asymmetric operand rejected
-    mesh2, W, a, _ = three_field_system()
-    Aee = Tensor(a).blocks[:2, :2]
-    bad = Aee.solve(Tensor(a).blocks[:2, 2], decomposition="cholesky")
-    with pytest.raises(ValueError):
-        evaluate_all(compile_expr(bad))
 
 
 def test_assembled_vector_contraction():
@@ -276,6 +260,45 @@ def test_plan_describe_golden():
         "return r2"
     )
     assert plan.describe() == expected
+
+
+def test_plan_solve_applies_the_shared_inverse():
+    """``A.solve(b)`` lowers through ``A.inv``: a plan that also holds
+    ``A.inv`` inverts ``A`` once, and its solve reads that register."""
+    mesh = build_unit_square(1)
+    V = create_space(mesh, DG(0))
+    A = Tensor(mass(V))
+    b, c = (AssembledVector(Function(V, np.full(V.ndof_global, x))) for x in (1.0, 2.0))
+    plan = compile_expr(A.solve(b), A.inv * c)
+    expected = (
+        "r0 = assemble(T0)  # 1x1\n"
+        "r1 = inverse(r0)  # 1x1\n"
+        "r2 = gather(V0)  # 1\n"
+        "r3 = solve(r1, r2)  # 1\n"
+        "r4 = gather(V1)  # 1\n"
+        "r5 = mul(r1, r4)  # 1\n"
+        "return r3, r5"
+    )
+    assert plan.describe() == expected
+    twice = compile_expr(A.solve(b), A.solve(b))
+    assert [k.op for k in twice.kernels].count("solve") == 1
+    assert twice.outputs[0] == twice.outputs[1]
+    np.testing.assert_allclose(evaluate_all(plan)[0], np.full((mesh.n_cells, 1), 2.0))
+
+
+def test_inverse_swaps_the_axes_of_its_operand():
+    """The inverse of a block from a CG(1) trial space to a DG(1) test
+    space maps DG(1) back to CG(1): ``T.inv * T`` is the identity on
+    each cell's CG(1) dofs, and assembles to the number of cells that
+    share each CG(1) dof."""
+    mesh = build_unit_square(2)
+    D, C = create_space(mesh, DG(1)), create_space(mesh, CG(1))
+    T = Tensor(FormIR(D, C, [IntegralTerm(CELL, dot(tfn(), trial()))]))
+    assert T.inv.axes == ((C,), (D,))
+    assert (T.inv * T).axes == ((C,), (C,))
+    got = assemble_global(T.inv * T).toarray()
+    np.testing.assert_allclose(got, np.diag(np.bincount(C.cell_dofs.ravel()).astype(float)),
+                               atol=1e-12)
 
 
 def test_plan_describe_lists_every_output():
@@ -442,7 +465,7 @@ def test_batched_inverse_names_first_ill_conditioned_cell():
     with pytest.raises(RuntimeError, match=f"ill-conditioned local tensor in cell {first_bad} "):
         evaluate_all(compile_expr(Tensor(a).inv))
     b = AssembledVector(Function(V, np.ones(V.ndof_global)))
-    with pytest.raises(RuntimeError, match=f"ill-conditioned local system in cell {first_bad} "):
+    with pytest.raises(RuntimeError, match=f"ill-conditioned local tensor in cell {first_bad} "):
         evaluate_all(compile_expr(Tensor(a).solve(b)))
 
 
@@ -474,20 +497,36 @@ def _pivoting_batch(seed, cells=48, n=7):
     return a
 
 
+def _solve_by_plan(a, b, first_cell=0):
+    """The kernels of a compiled ``solve`` plan, run on the per-cell
+    matrices ``a`` and right-hand sides ``b`` in place of its terminals;
+    the plan's first cell is named ``first_cell``."""
+    V = create_space(build_unit_square(1), DG(0))
+    plan = compile_expr(Tensor(mass(V)).solve(AssembledVector(Function(V, np.ones(2)))))
+    assert [k.op for k in plan.kernels] == ["assemble", "inverse", "gather", "solve"]
+    regs = {}
+    for k in plan.kernels:
+        if k.op in ("assemble", "gather"):
+            regs[k.out] = a if k.op == "assemble" else b
+        else:
+            regs[k.out] = expressions._run_kernel(k, regs, first_cell, first_cell + len(a))
+    return regs[plan.outputs[0]]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_inverse_pivots_where_the_diagonal_is_small(seed):
     """Cells that need row swaps, at the first step or only at the last,
-    are inverted as by LAPACK, through ``inverse`` and the LU ``solve``."""
+    are inverted as by LAPACK, through ``inverse`` and the plan's ``solve``."""
     a = _pivoting_batch(seed)
     diagonal = np.diagonal(a, axis1=1, axis2=2)
     assert (diagonal[1::4, -1] == 0.0).all() and (diagonal[2::4] == 0.0).all()
     want = np.linalg.inv(a)
-    got = expressions._batched_inverse(a, "local tensor", 0)
+    got = expressions._batched_inverse(a, 0)
     assert got.flags.c_contiguous
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert err.max() < 1e-12
     b = np.random.default_rng(seed).standard_normal(a.shape[:2])
-    x = expressions._batched_solve(a, b, "lu", 0)
+    x = _solve_by_plan(a, b)
     xs = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     assert (np.abs(x - xs).max(axis=1) < 1e-12 * np.abs(xs).max(axis=1)).all()
 
@@ -498,9 +537,9 @@ def test_batched_inverse_of_a_cell_depends_on_its_matrix_only():
     when the one-cell input is a read-only view, which is not changed."""
     a = _pivoting_batch(3)
     a.flags.writeable = False
-    whole = expressions._batched_inverse(a, "local tensor", 0)
+    whole = expressions._batched_inverse(a, 0)
     for i in range(a.shape[0]):
-        alone = expressions._batched_inverse(a[i:i + 1], "local tensor", i)
+        alone = expressions._batched_inverse(a[i:i + 1], i)
         assert alone.flags.writeable and alone.tobytes() == whole[i].tobytes()
     np.testing.assert_array_equal(a, _pivoting_batch(3))
 
@@ -523,16 +562,16 @@ def test_batched_inverse_names_first_singular_cell_by_global_index():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4102$"):
-            expressions._batched_inverse(a, "local tensor", 4096)
+            expressions._batched_inverse(a, 4096)
         a[6] = a[0]
-        with pytest.raises(RuntimeError, match=r"^singular local system in cell 4104$"):
-            expressions._batched_solve(a, a[:, 0], "lu", 4096)
+        with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4104$"):
+            _solve_by_plan(a, a[:, 0], 4096)
         a[8] = a[10] = a[0]
         with pytest.raises(RuntimeError, match=r"^singular local tensor in cell 4107$"):
-            expressions._batched_inverse(a, "local tensor", 4096)
+            expressions._batched_inverse(a, 4096)
         a[11] = a[0]
         with pytest.raises(RuntimeError, match=r"^ill-conditioned local tensor in cell 4099 "):
-            expressions._batched_inverse(a, "local tensor", 4096)
+            expressions._batched_inverse(a, 4096)
 
 
 @pytest.mark.parametrize("m", [4, 7, 11, 17])
@@ -548,39 +587,6 @@ def test_reciprocal_condition_equals_two_pass_formula(m):
     got = expressions._reciprocal_condition(a, inv)
     assert np.isnan(want[[3, 9]]).all() and want[7] == np.inf and (want[[5, 6, 8, 10]] == 0.0).all()
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def split_at_half(left, right):
-    """A piecewise-constant field: ``left`` for x < 1/2, ``right`` beyond."""
-    return ScalarField(lambda x, y: np.where(x < 0.5, left, right), degree=0)
-
-
-def test_cholesky_breakdown_names_first_indefinite_cell():
-    """A mass matrix negated right of x = 1/2 is symmetric but indefinite
-    there; the first cell that Cholesky rejects is named."""
-    mesh = build_unit_square(2)
-    V = create_space(mesh, DG(1))
-    a = FormIR(V, V, [IntegralTerm(CELL, dot(fld(split_at_half(1.0, -1.0)),
-                                             dot(tfn(), trial())))])
-    b = AssembledVector(Function(V, np.ones(V.ndof_global)))
-    with pytest.raises(RuntimeError,
-                       match=r"^cholesky breakdown in local solve \(cell 2\)$"):
-        evaluate_all(compile_expr(Tensor(a).solve(b, "cholesky")))
-
-
-def test_cholesky_pivot_guard_names_first_small_pivot_cell():
-    """The DG(2) stiffness matrix plus a mass term of weight 1e-14 right of
-    x = 1/2 factors there, but with a pivot below PIVOT_RTOL."""
-    mesh = build_unit_square(2)
-    V = create_space(mesh, DG(2))
-    a = FormIR(V, V, [
-        IntegralTerm(CELL, dot(grad(tfn()), grad(trial()))),
-        IntegralTerm(CELL, dot(fld(split_at_half(1.0, 1e-14)), dot(tfn(), trial()))),
-    ])
-    b = AssembledVector(Function(V, np.ones(V.ndof_global)))
-    with pytest.raises(RuntimeError,
-                       match=r"^cholesky pivot breakdown in local solve \(cell 2\)$"):
-        evaluate_all(compile_expr(Tensor(a).solve(b, "cholesky")))
 
 
 def _coo_path(vals, rows, cols, shape):

@@ -323,12 +323,16 @@ def test_reference_product_allocates_little_beyond_its_output():
 def test_facet_terms_allocate_little_beyond_their_output(method):
     """A 2048-cell block of a hybridized operator, whose facet terms each
     read one cells-last map layout per context and form their dot
-    products one component at a time, peaks at under 1.5 times the size
-    of its output."""
+    products one component at a time, and which frees the maps of
+    contexts without point-dependent terms before the reference product,
+    peaks at under ``bound`` times the size of its output (1.15 and 1.33
+    measured; 1.22 and 1.41 when every context lives through the
+    product)."""
     mesh, prob = build_unit_square(64), manufactured("sinsin")
     form = (ldgh_system(mesh, prob, 1) if method == "ldgh-1"
             else hybridized_mixed_system(mesh, prob, 2)).a
-    assert _peak_over_output(form, slice(2048, 4096)) <= 1.5
+    bound = {"mixed-hybrid-2": 1.2, "ldgh-1": 1.38}[method]
+    assert _peak_over_output(form, slice(2048, 4096)) <= bound
 
 
 def _quadrature_forms(mesh):

@@ -45,7 +45,7 @@ def dg_l2_projection(space, field_fn, degree_hint=6):
     sf = ScalarField(field_fn, degree=degree_hint)
     mass = FormIR(space, space, [IntegralTerm(CELL, dot(tfn(), trial()))])
     rhs = FormIR(space, None, [IntegralTerm(CELL, dot(tfn(), fld(sf)))])
-    vec = assemble_global(Tensor(mass).solve(Tensor(rhs), "lu"))
+    vec = assemble_global(Tensor(mass).solve(Tensor(rhs)))
     return Function(space, vec)
 
 
