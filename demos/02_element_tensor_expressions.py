@@ -7,8 +7,9 @@ The compiled plan deduplicates common subexpressions; a naive recursive
 evaluator provides the reference semantics.  Local post-processing is
 written as Slate writes it: a local solve whose right-hand side is a
 bilinear data form acting on gathered coefficients,
-``Tensor(a).solve(Tensor(b) * AssembledVector(w))``, which the plan
-lowers as its one inverse of ``a`` applied to the right-hand side.
+``Tensor(a).solve(Tensor(b) * AssembledVector(w))``, which is
+``Tensor(a).inv * (Tensor(b) * AssembledVector(w))``: the plan inverts
+``a`` and multiplies the right-hand side by the inverse.
 """
 
 import numpy as np

@@ -180,7 +180,6 @@ def condensed_solve(a: FormIR, rhs: FormIR, bcs: Constraints | None,
     stages = Stages()
     with stages.timing("condensation"):
         y = A.blocks[:ne, :ne].inv * F.blocks[:ne]
-        # rebinding the name to its value frees the node that memoizes it
         (X, y, e_local), S, bcs, lift, (elim_dofs, cond_dofs) = _condense(
             A, ne, bcs, y, F.blocks[ne:] - A.blocks[ne:, :ne] * y)
     with stages.timing("forward"):

@@ -2,12 +2,12 @@
 
 Expressions compose terminal tensors (forms and coefficient vectors)
 with dense linear algebra: addition, contraction, negation, transpose,
-inverse, solve, and sub-block extraction.  :func:`compile_expr` lowers
-one or more expressions to an :class:`ExecPlan`, a deduplicated kernel
-sequence over virtual registers in which a subtree shared by the
-expressions is computed once.  A local tensor has one factorization,
-the guarded inverse: ``a.solve(b)`` lowers through ``a.inv``, so a plan
-holding both inverts ``a`` once.  :func:`evaluate_all` runs the plan over
+inverse and sub-block extraction; ``a.solve(b)`` is ``a.inv * b``.
+:func:`compile_expr` lowers one or more expressions to an
+:class:`ExecPlan`, a deduplicated kernel sequence over virtual registers
+in which a subtree shared by the expressions is computed once, so a
+plan holding ``a.solve(b)`` and ``a.inv`` inverts ``a`` once.
+:func:`evaluate_all` runs the plan over
 consecutive blocks of cells, batched over the leading cell axis; a
 block's size is set by the plan's largest register and
 :data:`BLOCK_ENTRIES`, so its transient memory is one block's whatever
@@ -15,11 +15,11 @@ the mesh.  A deliberately naive recursive evaluator,
 :func:`naive_evaluate`, serves as the semantics oracle for the compiled
 plans.
 
-Plan outputs that depend only on the mesh are memoized: an output whose
-subtree holds no :class:`AssembledVector` and no form with coefficient
-functions is stored whole and read-only on its expression node, and a
-later plan that contains the node reads its block's slice instead of
-evaluating the subtree.  Intermediates are shared within a plan only.
+A form's element tensors are the one memo: a :class:`Tensor` that is a
+plan output, of a form with no coefficient function, stores its value
+whole and read-only, and a later plan's ``assemble`` kernel of it reads
+its block's slice instead of assembling.  Every other value is shared
+within a plan only.
 
 Global assembly scatters evaluated element tensors into scipy CSR
 matrices or numpy vectors through the spaces' cell-to-global maps.
@@ -61,7 +61,6 @@ class TensorExpr:
     """Base class; subclasses set ``axes`` (tuple of per-axis field lists)."""
 
     axes: tuple[Axis, ...]
-    _value: np.ndarray | None = None  # all cells' value, memoized by evaluate_all
 
     @property
     def rank(self) -> int:
@@ -92,7 +91,7 @@ class TensorExpr:
         return Inverse(self)
 
     def solve(self, rhs):
-        return Solve(self, rhs)
+        return Mul(Inverse(self), rhs)
 
     @property
     def blocks(self):
@@ -107,6 +106,8 @@ class TensorExpr:
 
 class Tensor(TensorExpr):
     """Element tensors of a multilinear form."""
+
+    _value: np.ndarray | None = None  # all cells' tensors, memoized by evaluate_all
 
     def __init__(self, form: FormIR):
         if form.rank == 0:
@@ -232,24 +233,6 @@ class Inverse(TensorExpr):
         return ("inverse",)
 
 
-class Solve(TensorExpr):
-    """``a^-1 b``, lowered as the inverse of ``a`` applied to ``b``."""
-
-    def __init__(self, a: TensorExpr, b: TensorExpr):
-        if a.rank != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("solve requires a square rank-2 operator")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("solve right-hand side has mismatched extent")
-        self.a, self.b = a, b
-        self.axes = (a.axes[1],) + b.axes[1:]
-
-    def children(self):
-        return (Inverse(self.a), self.b)
-
-    def key(self):
-        return ("solve",)
-
-
 class Blocks(TensorExpr):
     def __init__(self, x: TensorExpr, ranges: tuple[tuple[int, int], ...]):
         if len(ranges) != x.rank:
@@ -303,7 +286,6 @@ class Kernel:
     out: int
     ins: tuple[int, ...]
     payload: object = None  # Tensor / AssembledVector / block ranges
-    memo: TensorExpr | None = None  # node memoizing the value, if it may be cached
 
 
 @dataclass
@@ -339,7 +321,7 @@ class ExecPlan:
 
 
 _ALGEBRA_OPS = {Add: "add", Mul: "mul", Negate: "neg", Transpose: "transpose",
-                 Inverse: "inverse", Solve: "solve"}
+                 Inverse: "inverse"}
 
 
 def compile_expr(*exprs: TensorExpr) -> ExecPlan:
@@ -355,29 +337,24 @@ def compile_expr(*exprs: TensorExpr) -> ExecPlan:
 
 def _lower(node: TensorExpr, kernels: list[Kernel], shapes: dict, seen: dict) -> int:
     # a module-level recursion: a recursive closure would form a reference
-    # cycle holding the kernels, and the values memoized on their nodes,
-    # until the cyclic garbage collector happens to run
+    # cycle holding the kernels, and the element tensors memoized on their
+    # Tensors, until the cyclic garbage collector happens to run
     child_regs = tuple(_lower(c, kernels, shapes, seen) for c in node.children())
     key = node.key() + child_regs
     if key in seen:
         return seen[key]
     reg = len(kernels)
-    # a value may be memoized when it depends on no mutable coefficients
     if isinstance(node, Tensor):
-        op, payload, cacheable = "assemble", node, not node.form.coefficients
+        op, payload = "assemble", node
     elif isinstance(node, AssembledVector):
-        op, payload, cacheable = "gather", node, False
+        op, payload = "gather", node
+    elif isinstance(node, Blocks):
+        op, payload = "blocks", (node.ranges, _block_slices(node.x.axes, node.ranges))
+    elif type(node) in _ALGEBRA_OPS:
+        op, payload = _ALGEBRA_OPS[type(node)], None
     else:
-        cacheable = all(kernels[c].memo is not None for c in child_regs)
-        if isinstance(node, Blocks):
-            op = "blocks"
-            payload = (node.ranges, _block_slices(node.x.axes, node.ranges))
-        elif type(node) in _ALGEBRA_OPS:
-            op, payload = _ALGEBRA_OPS[type(node)], None
-        else:
-            raise TypeError(f"unknown expression node {node!r}")
-    kernels.append(Kernel(op, reg, child_regs, payload,
-                          node if cacheable else None))
+        raise TypeError(f"unknown expression node {node!r}")
+    kernels.append(Kernel(op, reg, child_regs, payload))
     shapes[reg] = node.shape
     seen[key] = reg
     return reg
@@ -405,28 +382,22 @@ def evaluate_all(plan: ExecPlan):
     values, leading axis the cell index, C-contiguous: one array, or a
     tuple of them for a plan of several outputs.
 
-    A kernel whose node holds a memoized value reads its block's slice of
-    it and is not run, nor is any kernel that only it needs.  An output
-    that depends on no mutable coefficients is memoized, read-only.
+    A :class:`Tensor` output of a form with no coefficient function is
+    memoized, read-only, on the Tensor; the memoized value is returned as
+    is, and an ``assemble`` kernel of it reads its block's slice.
     """
-    memo = {k.out: k.memo._value for k in plan.kernels
-            if k.memo is not None and k.memo._value is not None}
-    needed = set(plan.outputs)
-    for k in reversed(plan.kernels):
-        if k.out in needed and k.out not in memo:
-            needed.update(k.ins)
-    run = [k for k in plan.kernels if k.out in needed and k.out not in memo]
-    values = {r: memo[r] for r in plan.outputs if r in memo}
+    values = {r: plan.kernels[r].payload._value for r in plan.outputs
+              if plan.kernels[r].op == "assemble" and plan.kernels[r].payload._value is not None}
     todo = [r for r in dict.fromkeys(plan.outputs) if r not in values]
     nc = plan.kernels[0].payload.axes[0][0].mesh.n_cells  # the first kernel is a terminal
-    last_use = {r: i for i, k in enumerate(run) for r in k.ins}
+    last_use = {r: i for i, k in enumerate(plan.kernels) for r in k.ins}
     step = max(1, BLOCK_ENTRIES // max(int(np.prod(s)) for s in plan.shapes.values()))
     if len(todo) > 1:
         step = min(step, BLOCK_CELLS)
     for lo in range(0, nc if todo else 0, step):
         hi = min(lo + step, nc)
-        regs = {r: v[lo:hi] for r, v in memo.items() if r in needed}
-        for i, k in enumerate(run):
+        regs = {}
+        for i, k in enumerate(plan.kernels):
             regs[k.out] = _run_kernel(k, regs, lo, hi)
             for r in k.ins:  # a register is dropped after its last use
                 if last_use[r] == i and r not in todo:
@@ -440,9 +411,10 @@ def evaluate_all(plan: ExecPlan):
             values[r][lo:hi] = regs[r]
         del regs  # the block's registers are freed before the next block's
     for r in todo:
-        if plan.kernels[r].memo is not None:
+        k = plan.kernels[r]
+        if k.op == "assemble" and not k.payload.form.coefficients:
             values[r].flags.writeable = False
-            plan.kernels[r].memo._value = values[r]
+            k.payload._value = values[r]
     out = tuple(values[r] for r in plan.outputs)
     return out[0] if len(out) == 1 else out
 
@@ -451,6 +423,8 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.
     """The kernel's value on cells ``lo`` to ``hi - 1``; guards name cells
     by their index in the mesh."""
     if k.op == "assemble":
+        if k.payload._value is not None:
+            return k.payload._value[lo:hi]
         return assemble_form(k.payload.form, slice(lo, hi))
     if k.op == "gather":
         return k.payload.cell_gather(slice(lo, hi))
@@ -471,9 +445,6 @@ def _run_kernel(k: Kernel, regs: dict[int, np.ndarray], lo: int, hi: int) -> np.
         raise ValueError("unsupported contraction ranks")
     if k.op == "inverse":
         return _batched_inverse(regs[k.ins[0]], lo)
-    if k.op == "solve":  # matmul, a vector as one column: mul's einsum sums in another order
-        inv, b = regs[k.ins[0]], regs[k.ins[1]]
-        return (inv @ b[:, :, None])[:, :, 0] if b.ndim == 2 else inv @ b
     if k.op == "blocks":
         return regs[k.ins[0]][(slice(None),) + k.payload[1]]
     raise AssertionError(k.op)
@@ -571,8 +542,6 @@ def naive_evaluate(expr: TensorExpr, cell: int) -> np.ndarray:
         return naive_evaluate(expr.x, cell).T
     if isinstance(expr, Inverse):
         return np.linalg.inv(naive_evaluate(expr.x, cell))
-    if isinstance(expr, Solve):
-        return np.linalg.solve(naive_evaluate(expr.a, cell), naive_evaluate(expr.b, cell))
     if isinstance(expr, Blocks):
         src = naive_evaluate(expr.x, cell)
         sl = _block_slices(expr.x.axes, expr.ranges)

@@ -115,7 +115,7 @@ def _l2_norms(terms, exactness: int = 10) -> list[float]:
     if any(fn.space.mesh is not mesh for fn, _, _ in terms):
         raise ValueError("the functions of one error pass must share a mesh")
     geo = mesh.geometry()
-    rule = reference.triangle_quadrature(min(exactness, reference.MAX_EXACTNESS))
+    rule = reference.triangle_quadrature(exactness)
     totals = [0.0] * len(terms)
     for blk in cell_blocks(slice(0, mesh.n_cells), len(rule.weights)):
         pts = geo.physical_points(rule.points, blk)

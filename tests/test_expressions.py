@@ -144,28 +144,33 @@ def test_schur_expression_matches_naive_oracle():
 
 
 def test_solve_matches_inverse_multiply():
+    """``Aee.solve(rhs)`` compiles to the plan of ``Aee.inv * rhs``, and
+    its values are LAPACK's solve of each cell's system."""
     mesh, W, a, f = three_field_system()
     A = Tensor(a)
     F = Tensor(f)
     Aee = A.blocks[:2, :2]
     rhs = F.blocks[:2]
     s1 = Aee.solve(rhs)
-    s2 = Aee.inv * rhs
+    assert compile_expr(s1).describe() == compile_expr(Aee.inv * rhs).describe()
     v1 = evaluate_all(compile_expr(s1))
-    v2 = evaluate_all(compile_expr(s2))
     for c in (0, 3, 5):
-        np.testing.assert_allclose(v1[c], v2[c], atol=1e-10)
+        want = np.linalg.solve(naive_evaluate(Aee, c), naive_evaluate(rhs, c))
+        np.testing.assert_allclose(v1[c], want, atol=1e-10)
 
 
 def test_assembled_vector_contraction():
+    """Matrix times vector, vector times matrix and a transpose, the last
+    two on a DG(1)-test, CG(2)-trial block, equal the oracle."""
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(1))
     rng = np.random.default_rng(8)
-    u = Function(V, rng.standard_normal(V.ndof_global))
-    expr = Tensor(mass(V)) * AssembledVector(u)
-    vals = evaluate_all(compile_expr(expr))
-    for c in (0, 5):
-        np.testing.assert_allclose(vals[c], naive_evaluate(expr, c), atol=1e-14)
+    u = AssembledVector(Function(V, rng.standard_normal(V.ndof_global)))
+    T = Tensor(FormIR(V, create_space(mesh, CG(2)), [IntegralTerm(CELL, dot(tfn(), trial()))]))
+    for expr in (Tensor(mass(V)) * u, u * T, T.T, T.T * u):
+        vals = evaluate_all(compile_expr(expr))
+        for c in (0, 5):
+            np.testing.assert_allclose(vals[c], naive_evaluate(expr, c), atol=1e-14)
 
 
 def test_shape_errors():
@@ -263,8 +268,8 @@ def test_plan_describe_golden():
 
 
 def test_plan_solve_applies_the_shared_inverse():
-    """``A.solve(b)`` lowers through ``A.inv``: a plan that also holds
-    ``A.inv`` inverts ``A`` once, and its solve reads that register."""
+    """``A.solve(b)`` is ``A.inv * b``: a plan that also holds ``A.inv``
+    inverts ``A`` once, and the solve's ``mul`` reads that register."""
     mesh = build_unit_square(1)
     V = create_space(mesh, DG(0))
     A = Tensor(mass(V))
@@ -274,14 +279,14 @@ def test_plan_solve_applies_the_shared_inverse():
         "r0 = assemble(T0)  # 1x1\n"
         "r1 = inverse(r0)  # 1x1\n"
         "r2 = gather(V0)  # 1\n"
-        "r3 = solve(r1, r2)  # 1\n"
+        "r3 = mul(r1, r2)  # 1\n"
         "r4 = gather(V1)  # 1\n"
         "r5 = mul(r1, r4)  # 1\n"
         "return r3, r5"
     )
     assert plan.describe() == expected
     twice = compile_expr(A.solve(b), A.solve(b))
-    assert [k.op for k in twice.kernels].count("solve") == 1
+    assert [k.op for k in twice.kernels] == ["assemble", "inverse", "gather", "mul"]
     assert twice.outputs[0] == twice.outputs[1]
     np.testing.assert_allclose(evaluate_all(plan)[0], np.full((mesh.n_cells, 1), 2.0))
 
@@ -357,6 +362,17 @@ def test_constrained_global_matrix():
         np.testing.assert_allclose(dense[:, d], row, atol=1e-15)
 
 
+def test_constrained_row_without_a_stored_diagonal_gets_one():
+    """A constrained row whose diagonal is not stored gets a unit one."""
+    import scipy.sparse as sp
+
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 3.0], [0.0, 3.0, 4.0]]))
+    assert A[1, 1] == 0.0 and A.nnz == 6
+    got = constrain_matrix(A, np.array([1]))
+    np.testing.assert_array_equal(got.toarray(), np.diag([2.0, 1.0, 4.0]))
+    assert got.nnz == 3 and got.has_sorted_indices
+
+
 def count_assembly(monkeypatch) -> list:
     """Record every batched form assembly made by the expressions module."""
     calls = []
@@ -371,8 +387,10 @@ def count_assembly(monkeypatch) -> list:
 
 
 def test_memoized_plan_matches_naive_oracle(monkeypatch):
-    """A plan of two outputs computes their shared subtrees once, and a
-    plan re-evaluated from its memoized output equals the oracle."""
+    """A plan of three outputs computes their shared subtrees once.  Its
+    Tensor output is memoized and read again as is; a later plan reads
+    the memoized element tensors instead of assembling, and equals the
+    oracle.  The non-terminal output ``S`` is evaluated again."""
     calls = count_assembly(monkeypatch)
     mesh, W, a, f = three_field_system(n=4, k=2)
     A = Tensor(a)
@@ -381,13 +399,15 @@ def test_memoized_plan_matches_naive_oracle(monkeypatch):
     rng = np.random.default_rng(5)
     r = Function(W.fields[2], rng.standard_normal(W.fields[2].ndof_global))
     x = Aee_inv * (Tensor(f).blocks[:2] - A.blocks[:2, 2] * AssembledVector(r))
-    plan = compile_expr(S, x)
+    plan = compile_expr(A, S, x)
     assert sum(k.op == "inverse" for k in plan.kernels) == 1
-    first, xs = evaluate_all(plan)
+    tensors, first, xs = evaluate_all(plan)
     assert len(calls) == 2  # A and the right-hand side form, once each
+    assert evaluate_all(compile_expr(A)) is tensors
     again = evaluate_all(compile_expr(S))
     assert len(calls) == 2
-    assert again is first
+    assert again is not first
+    np.testing.assert_array_equal(again, first)
     for c in rng.integers(0, mesh.n_cells, 12):
         for expr, vals in ((S, again), (x, xs)):
             want = naive_evaluate(expr, int(c))
@@ -396,55 +416,65 @@ def test_memoized_plan_matches_naive_oracle(monkeypatch):
 
 
 def test_memoized_values_are_read_only():
+    """A Tensor output's memoized element tensors are read-only; a
+    non-terminal output is writable and not stored."""
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(1))
-    vals = evaluate_all(compile_expr(Tensor(mass(V)).inv))
-    with pytest.raises(ValueError):
+    M = Tensor(mass(V))
+    vals = evaluate_all(compile_expr(M))
+    with pytest.raises(ValueError, match="read-only"):
         vals[0, 0, 0] = 1.0
+    inv = evaluate_all(compile_expr(M.inv))
+    inv[0, 0, 0] = 1.0
+    assert evaluate_all(compile_expr(M.inv))[0, 0, 0] != 1.0
 
 
 def test_compiled_plan_is_freed_without_cycle_collection():
-    """A dropped plan and the memoized values its expression nodes hold
-    are released by reference counting, not at the next cyclic GC run."""
+    """A dropped plan, its expression nodes and the element tensors its
+    Tensor memoizes are released by reference counting, not at the next
+    cyclic GC run."""
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(1))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        expr = Tensor(mass(V)).inv
-        plan = compile_expr(expr)
-        evaluate_all(plan)
+        tensor = Tensor(mass(V))
+        expr = tensor.inv
+        plan = compile_expr(expr, tensor)
+        memo = weakref.ref(evaluate_all(plan)[1])
         kernel = weakref.ref(plan.kernels[0])
         node = weakref.ref(expr)
-        del plan, expr
+        del plan, expr, tensor
         assert kernel() is None
         assert node() is None
+        assert memo() is None
     finally:
         if was_enabled:
             gc.enable()
 
 
 def test_coefficient_forms_are_reassembled(monkeypatch):
-    """An output that depends on a coefficient function is not memoized:
-    a changed coefficient gives new element tensors and new global
-    values, while the memoized output ``M.inv`` is read again."""
+    """A form with a coefficient function is not memoized, not even as a
+    plan output: a changed coefficient gives new element tensors and new
+    global values, while the memoized mass Tensor ``M`` is read again."""
     mesh = build_unit_square(2)
     V = create_space(mesh, DG(1))
     w = Function(V, np.ones(V.ndof_global))
     weighted = Tensor(FormIR(V, V, [
         IntegralTerm(CELL, dot(coef(w), dot(tfn(), trial())))
     ]))
-    M_inv = Tensor(mass(V)).inv
+    M = Tensor(mass(V))
     calls = count_assembly(monkeypatch)
-    evaluate_all(compile_expr(M_inv))  # memoized as an output of its own
-    expr = M_inv * weighted
+    evaluate_all(compile_expr(M))  # memoized as an output of its own
+    assert evaluate_all(compile_expr(weighted)).flags.writeable
+    expr = M.inv * weighted
     before = assemble_global(expr).toarray()
     np.testing.assert_allclose(before, np.eye(V.ndof_global), atol=1e-12)
     w.coeffs[:] = 3.0
     after = assemble_global(expr).toarray()
     np.testing.assert_allclose(after, 3.0 * np.eye(V.ndof_global), atol=1e-12)
-    # the inverse of the mass matrix was kept, the weighted form was not
-    assert [form is weighted.form for form in calls] == [False, True, True]
+    # the mass matrix was kept, the weighted form was not
+    assert [form is weighted.form for form in calls] == [False, True, True, True]
 
 
 def test_batched_inverse_names_first_ill_conditioned_cell():
@@ -498,12 +528,12 @@ def _pivoting_batch(seed, cells=48, n=7):
 
 
 def _solve_by_plan(a, b, first_cell=0):
-    """The kernels of a compiled ``solve`` plan, run on the per-cell
+    """The kernels of a compiled ``a.solve(b)`` plan, run on the per-cell
     matrices ``a`` and right-hand sides ``b`` in place of its terminals;
     the plan's first cell is named ``first_cell``."""
     V = create_space(build_unit_square(1), DG(0))
     plan = compile_expr(Tensor(mass(V)).solve(AssembledVector(Function(V, np.ones(2)))))
-    assert [k.op for k in plan.kernels] == ["assemble", "inverse", "gather", "solve"]
+    assert [k.op for k in plan.kernels] == ["assemble", "inverse", "gather", "mul"]
     regs = {}
     for k in plan.kernels:
         if k.op in ("assemble", "gather"):
@@ -516,7 +546,8 @@ def _solve_by_plan(a, b, first_cell=0):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_inverse_pivots_where_the_diagonal_is_small(seed):
     """Cells that need row swaps, at the first step or only at the last,
-    are inverted as by LAPACK, through ``inverse`` and the plan's ``solve``."""
+    are inverted as by LAPACK, and a plan's solve, ``inverse`` then ``mul``,
+    solves as LAPACK does."""
     a = _pivoting_batch(seed)
     diagonal = np.diagonal(a, axis1=1, axis2=2)
     assert (diagonal[1::4, -1] == 0.0).all() and (diagonal[2::4] == 0.0).all()

@@ -4,7 +4,9 @@ import pytest
 from hybridfem import DG, RT, Function, build_unit_square, create_space, interpolate
 from hybridfem.cli import main, make_parser
 from hybridfem.io_vtk import export_fields, write_mesh_vtk
-from hybridfem.study import StudySpec
+from hybridfem.problems import manufactured
+from hybridfem.spaces import eval_function
+from hybridfem.study import StudySpec, solve_hybridizable, solve_primal
 from support import read_vtk
 
 
@@ -124,3 +126,31 @@ def test_cli_export(tmp_path):
     assert "p" in data["cell_data"]
     assert "p_star" in data["cell_data"]
     assert "u" in data["cell_data"]
+
+
+@pytest.mark.parametrize("method", ["ldgh", "cg-primal"])
+def test_cli_export_roundtrip(tmp_path, method):
+    """``hybridfem export`` writes what a solve with the same options
+    gives: LDG-H's four fields as cell data at centroids, ``u_star``
+    included, and the CG scalar as point data at the vertices."""
+    out = tmp_path / "fields.vtk"
+    assert main(["export", "--method", method, "--size", "4", "--vtk", str(out)]) == 0
+    data = read_vtk(str(out))
+    mesh = build_unit_square(4)
+    spec = StudySpec(method=method, sizes=(4, 5))
+    np.testing.assert_allclose(data["points"][:, :2], mesh.vertex_coords, rtol=1e-12)
+    if method == "cg-primal":
+        p = solve_primal(mesh, manufactured("sinsin"), spec).p
+        assert set(data["point_data"]) == {"p"} and not data["cell_data"]
+        np.testing.assert_allclose(data["point_data"]["p"], p.coeffs[:mesh.n_vertices],
+                                   rtol=1e-11, atol=1e-14)
+        return
+    res = solve_hybridizable(mesh, manufactured("sinsin"), spec)
+    assert set(data["cell_data"]) == {"p", "p_star", "u", "u_star"} and not data["point_data"]
+    for name in ("p", "p_star", "u", "u_star"):
+        want = eval_function(getattr(res, name), np.array([[1 / 3, 1 / 3]]))[:, 0]
+        got = data["cell_data"][name]
+        if want.ndim == 2:  # a vector field is written with a zero third component
+            assert (got[:, 2] == 0.0).all()
+            got = got[:, :2]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-14, err_msg=name)

@@ -237,6 +237,20 @@ def test_transfer_residual_pairing_random():
         assert abs(rb @ wb.coeffs - r @ w) < 1e-12
 
 
+def test_broken_rt_interpolant_is_the_gathered_conforming_one():
+    """Interpolating onto a broken RT space gives, bit for bit, the
+    conforming interpolant gathered onto the broken dofs."""
+    U = create_space(build_unit_square(3), RT(2))
+    Ud = break_space(U)
+    bt = broken_transfer(U, Ud)
+
+    def exact(x, y):
+        return np.stack([np.sin(x + 2 * y), x * y**2], axis=-1)
+
+    want = interpolate(U, exact).coeffs[bt.conforming_of_broken]
+    assert interpolate(Ud, exact).coeffs.tobytes() == want.tobytes()
+
+
 def test_transfer_share_is_the_division_bit_for_bit():
     """Multiplying by the stored share gives the bits of dividing by the
     gathered incidence, which is 1 or 2."""

@@ -81,6 +81,16 @@ def test_l2_error_oracle():
     assert abs(off - 1.0) < 1e-12
 
 
+def test_l2_error_rejects_an_unsupported_rule():
+    """An error rule beyond the tabulated ones is refused, not clamped to
+    the highest one."""
+    fn = interpolate(create_space(build_unit_square(2), DG(1)), lambda x, y: x)
+    assert l2_error(fn, lambda x, y: x, exactness=12) < 1e-14
+    for exactness in (13, 40):
+        with pytest.raises(ValueError, match=f"unsupported cell quadrature exactness {exactness}"):
+            l2_error(fn, lambda x, y: x, exactness=exactness)
+
+
 def test_blocked_l2_errors_match_single_pass():
     """The error norms, summed over cell blocks, equal one pass over all
     cells at once."""
