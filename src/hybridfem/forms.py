@@ -738,14 +738,14 @@ def _cell_basis(space: FunctionSpace, deriv: str, ctx) -> tuple[np.ndarray, bool
     if fam.kind in ("DG", "CG") and deriv == "value":
         return el.tabulate(pts), False
     if fam.kind in ("DG", "CG") and deriv == "grad":
-        return el.tabulate_grad(pts) @ geo.inv_jt[c].T, True
+        return el.tabulate_grad(pts) @ geo.inv_jt(c).T, True
     if fam.kind == "VectorDG" and deriv == "value":
         sval = el.tabulate(pts)
         zero = np.zeros_like(sval)
         return np.concatenate([np.stack([sval, zero], axis=-1),
                                np.stack([zero, sval], axis=-1)], axis=1), True
     if fam.kind == "VectorDG" and deriv == "div":
-        grads = el.tabulate_grad(pts) @ geo.inv_jt[c].T  # (nq, ns, 2)
+        grads = el.tabulate_grad(pts) @ geo.inv_jt(c).T  # (nq, ns, 2)
         return np.concatenate([grads[..., 0], grads[..., 1]], axis=1), False
     if fam.kind == "RT" and deriv == "value":
         return el.tabulate(pts) @ geo.jacobians[c].T / geo.det_j[c], True

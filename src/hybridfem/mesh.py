@@ -35,15 +35,16 @@ class Mesh:
 
     Interior facets store both incident cells in increasing cell order
     (the first entry is the "+" side); exterior facets store one cell and
-    ``-1``.  ``exterior_label`` is empty for interior facets.
+    ``-1``.  ``exterior_label`` is empty for interior facets.  Index
+    arrays are int32, and ``facet_local_index`` is int8.
     """
 
     vertex_coords: np.ndarray      # (n_vertices, 2)
-    cell_vertices: np.ndarray      # (n_cells, 3), ascending; read-only (CG(1) dofs share it)
-    facet_vertices: np.ndarray     # (n_facets, 2), lower vertex index first
-    facet_cells: np.ndarray        # (n_facets, 2), -1 where absent
-    facet_local_index: np.ndarray  # (n_facets, 2), local edge in each cell
-    cell_facets: np.ndarray        # (n_cells, 3)
+    cell_vertices: np.ndarray      # (n_cells, 3) int32, ascending; read-only (CG(1) dofs share it)
+    facet_vertices: np.ndarray     # (n_facets, 2) int32, lower vertex index first
+    facet_cells: np.ndarray        # (n_facets, 2) int32, -1 where absent
+    facet_local_index: np.ndarray  # (n_facets, 2) int8, local edge in each cell
+    cell_facets: np.ndarray        # (n_cells, 3) int32
     exterior_label: np.ndarray     # (n_facets,), DIRICHLET / NEUMANN / ""
 
     @property
@@ -82,12 +83,10 @@ class Mesh:
         return coords.mean(axis=1)
 
     def geometry(self) -> MeshGeometry:
-        """Per-cell affine map data; computed once and cached."""
-        geo = getattr(self, "_geometry", None)
-        if geo is None:
-            geo = _compute_geometry(self)
-            object.__setattr__(self, "_geometry", geo)
-        return geo
+        """Per-cell affine map data; computed once, as the mesh is built."""
+        if not hasattr(self, "_geometry"):  # e.g. made by ``dataclasses.replace``
+            self._geometry = _compute_geometry(self)
+        return self._geometry
 
 
 @dataclass
@@ -107,8 +106,9 @@ class MeshGeometry:
 
     The per-cell fields are computed with the geometry; ``det_j`` keeps
     its sign, as the Piola map needs it, and measures take its absolute
-    value.  The per-edge fields ``edge_normals`` and ``edge_lengths`` are
-    computed together on first access and cached, so a solve that reads
+    value; :meth:`inv_jt` computes inverse transposes on each call.  The
+    per-edge fields ``edge_normals`` and ``edge_lengths`` are computed
+    together on first access and cached, so a solve that reads
     none of them (primal CG(1)) never pays for them; for this the
     geometry keeps the mesh's own vertex arrays, not the mesh.  No array
     pins a larger one: ``origins`` is a copy, not a view of the vertex
@@ -118,7 +118,6 @@ class MeshGeometry:
     origins: np.ndarray        # (n_cells, 2), coordinates of local vertex 0
     jacobians: np.ndarray      # (n_cells, 2, 2)
     det_j: np.ndarray          # (n_cells,), with its sign
-    inv_jt: np.ndarray         # (n_cells, 2, 2)
     vertex_coords: np.ndarray = field(repr=False)  # the mesh's arrays, read by _edges
     cell_vertices: np.ndarray = field(repr=False)
 
@@ -128,6 +127,13 @@ class MeshGeometry:
 
     edge_normals = property(lambda self: self._edges[0])  # (n_cells, 3, 2), outward unit
     edge_lengths = property(lambda self: self._edges[1])  # (n_cells, 3)
+
+    def inv_jt(self, cells=slice(None)) -> np.ndarray:
+        """Inverse transposes (ncs, 2, 2) of the Jacobians of ``cells``
+        ((2, 2) for one cell index): each cofactor divided by ``det J``."""
+        cof = self.jacobians[cells][..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
+        cof /= np.expand_dims(self.det_j[cells], (-2, -1))
+        return cof
 
     def physical_points(self, ref_pts: np.ndarray, cells=slice(None)) -> np.ndarray:
         """Images (ncs, nq, 2) of reference points under the cells' affine maps."""
@@ -147,7 +153,7 @@ def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} has vertices {cv[bad[0]].tolist()}, "
                          "not in ascending global order")
-    jac, inv = np.empty((n_cells, 2, 2)), np.empty((n_cells, 2, 2))
+    jac = np.empty((n_cells, 2, 2))
     x, y = np.take(mesh.vertex_coords.T, cv.T, axis=1)  # (3, n_cells) each
     for i, c in enumerate((x, y)):
         np.subtract(c[1], c[0], out=jac[:, i, 0])
@@ -160,11 +166,7 @@ def _compute_geometry(mesh: Mesh) -> MeshGeometry:
     bad = np.flatnonzero(quality < 1e-10)
     if len(bad):
         raise ValueError(f"mesh cell {bad[0]} is degenerate (det J / h^2 = {quality[bad[0]]:.3g})")
-    for (i, j), entry in zip(np.ndindex(2, 2), (j11, -j01, -j10, j00)):
-        np.divide(entry, det, out=inv[:, i, j])
-    origins = np.stack((x[0], y[0]), axis=1)
-    return MeshGeometry(origins, jac, det, np.swapaxes(inv, 1, 2),
-                        mesh.vertex_coords, cv)
+    return MeshGeometry(np.stack((x[0], y[0]), axis=1), jac, det, mesh.vertex_coords, cv)
 
 
 def _edge_geometry(coords: np.ndarray, cv: np.ndarray, det: np.ndarray):
@@ -193,18 +195,23 @@ def build_unit_square(n: int) -> Mesh:
     Each grid square is split along its lower-left to upper-right
     diagonal.  Exterior facets are labelled Dirichlet.
     """
+    return _mesh_from_cells(*_unit_square(n))
+
+
+def _unit_square(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates and counterclockwise cells of :func:`build_unit_square`."""
     if n < 1:
         raise ValueError(f"mesh subdivision must be >= 1, got {n}")
     grid = np.linspace(0.0, 1.0, n + 1)
     coords = np.empty((n + 1, n + 1, 2))  # vertex j*(n+1)+i sits at (grid[i], grid[j])
     coords[:, :, 0], coords[:, :, 1] = grid, grid[:, None]
-    v00 = np.arange(0, n * (n + 1), n + 1, dtype=np.int64)[:, None] + np.arange(n)
-    cells = np.empty((n, n, 2, 3), dtype=np.int64)  # square (j, i): lower, upper cell
+    v00 = np.arange(0, n * (n + 1), n + 1, dtype=np.int32)[:, None] + np.arange(n, dtype=np.int32)
+    cells = np.empty((n, n, 2, 3), dtype=np.int32)  # square (j, i): lower, upper cell
     cells[:, :, :, 0] = v00[:, :, None]
     cells[:, :, 0, 1] = v00 + 1
     cells[:, :, 0, 2] = cells[:, :, 1, 1] = v00 + (n + 2)
     cells[:, :, 1, 2] = v00 + (n + 1)
-    return _mesh_from_cells(coords.reshape(-1, 2), cells.reshape(-1, 3))
+    return coords.reshape(-1, 2), cells.reshape(-1, 3)
 
 
 def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
@@ -217,48 +224,44 @@ def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
     """
     if not 0.0 <= amplitude < 0.25:
         raise ValueError(f"jitter amplitude must lie in [0, 0.25), got {amplitude}")
-    mesh = build_unit_square(n)
-    j, i = np.divmod(np.arange(mesh.n_vertices), n + 1)
+    coords, cells = _unit_square(n)
+    j, i = np.divmod(np.arange(len(coords)), n + 1)
     interior = (i > 0) & (i < n) & (j > 0) & (j < n)
-    rng = np.random.default_rng(seed)
-    shift = rng.uniform(-amplitude / n, amplitude / n, size=(int(interior.sum()), 2))
-    coords = mesh.vertex_coords.copy()
-    coords[interior] += shift
-    return replace(mesh, vertex_coords=coords)  # same cells, same topology
+    coords[interior] += np.random.default_rng(seed).uniform(
+        -amplitude / n, amplitude / n, size=(int(interior.sum()), 2))
+    return _mesh_from_cells(coords, cells)  # the structured topology
 
 
 def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     """Facet topology of a triangulation of counterclockwise cells.
 
-    A clockwise or flat input cell is rejected; each cell's vertices are
-    then stored in ascending order by three in-place compare-exchange
-    passes over the vertex columns.  Facets are numbered in order of
-    first appearance over (cell, local edge); the first cell to reach a
-    facet is its "+" side.  One stable sort of the edge keys puts each
-    facet's second occurrence right after its first; the remaining first
-    occurrences, in order, number the facets.
+    Each cell's vertices are stored in ascending order by three in-place
+    compare-exchange passes, which record the cells they reverse, so the
+    input orientation is read from the geometry, computed here: ``det J``
+    negated where reversed must be positive.  Facets are numbered
+    in order of first appearance over (cell, local edge); the first cell
+    to reach a facet is its "+" side.  One stable sort of the int64 edge
+    keys (past 2^31 from n = 215) puts each facet's second occurrence
+    right after its first; the remaining first occurrences, in order,
+    number the facets.
     """
     coords = np.asarray(coords, dtype=float)
-    cell_vertices = np.array(cell_vertices, dtype=np.int64)  # a copy, sorted in place
+    cell_vertices = np.array(cell_vertices, dtype=np.int32)  # a copy, sorted in place
     n_cells = len(cell_vertices)
-    x, y = np.take(coords.T, cell_vertices.T, axis=1)  # (3, n_cells) each
-    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    bad = np.flatnonzero(det <= 0.0)
-    if len(bad):
-        raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
-    del x, y, det
-    low = np.empty(n_cells, dtype=np.int64)
+    low, reversed_by_sort = np.empty(n_cells, dtype=np.int32), np.zeros(n_cells, dtype=bool)
     for a, b in ((0, 1), (1, 2), (0, 1)):
+        reversed_by_sort ^= cell_vertices[:, a] > cell_vertices[:, b]  # a transposition
         np.minimum(cell_vertices[:, a], cell_vertices[:, b], out=low)
         np.maximum(cell_vertices[:, a], cell_vertices[:, b], out=cell_vertices[:, b])
         cell_vertices[:, a] = low
     del low
     cell_vertices.flags.writeable = False
-    lo, hi = np.empty((2, 3 * n_cells), dtype=np.int64)  # ends of occurrence 3 * cell + local edge
+    lo, hi = np.empty((2, 3 * n_cells), dtype=np.int32)  # ends of occurrence 3 * cell + local edge
     for loc, (a, b) in enumerate(EDGE_VERTICES):
         np.minimum(cell_vertices[:, a], cell_vertices[:, b], out=lo[loc::3])
         np.maximum(cell_vertices[:, a], cell_vertices[:, b], out=hi[loc::3])
-    key = lo * (int(cell_vertices.max()) + 1) + hi
+    key = lo * (np.int64(cell_vertices.max()) + 1)  # int32 * a Python int stays int32
+    key += hi
     order = np.argsort(key, kind="stable")
     key = key[order]
     triple = order[np.flatnonzero(key[2:] == key[:-2])]
@@ -266,26 +269,33 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
         raise ValueError(f"facet {int(lo[triple[0]]), int(hi[triple[0]])} "
                          "incident to more than two cells")
     dup = np.flatnonzero(key[1:] == key[:-1]) + 1  # second occurrences, in key order
-    del key
     second_occ, first_of_second = order[dup], order[dup - 1]
-    del order, dup  # freed before the facet arrays are built
+    del key, order, dup  # freed before the facet arrays are built
     is_first = np.ones(3 * n_cells, dtype=bool)
     is_first[second_occ] = False
     first_occ = np.flatnonzero(is_first)  # facet f first appears at first_occ[f]
     n_facets = len(first_occ)
-    occ_facet = np.empty(3 * n_cells, dtype=np.int64)  # facet of each (cell, local edge)
-    occ_facet[first_occ] = np.arange(n_facets)
+    occ_facet = np.empty(3 * n_cells, dtype=np.int32)  # facet of each (cell, local edge)
+    occ_facet[first_occ] = np.arange(n_facets, dtype=np.int32)
     f2 = occ_facet[second_occ] = occ_facet[first_of_second]
 
     facet_vertices = np.stack((lo[first_occ], hi[first_occ]), axis=1)
-    facet_cells, facet_local = (np.full((n_facets, 2), -1, dtype=np.int64) for _ in range(2))
+    facet_cells, facet_local = (np.full((n_facets, 2), -1, t) for t in (np.int32, np.int8))
     np.divmod(first_occ, 3, out=(facet_cells[:, 0], facet_local[:, 0]))
     facet_cells[f2, 1], facet_local[f2, 1] = np.divmod(second_occ, 3)
     label = np.empty(n_facets, dtype=object)
     label[:] = ""  # one str object per value, shared by every facet
     label[facet_cells[:, 1] < 0] = DIRICHLET
-    return Mesh(coords, cell_vertices, facet_vertices, facet_cells,
+    mesh = Mesh(coords, cell_vertices, facet_vertices, facet_cells,
                 facet_local, occ_facet.reshape(n_cells, 3), label)
+    del lo, hi, first_occ, second_occ, first_of_second, f2, is_first
+    geo = mesh._geometry = _compute_geometry(mesh)
+    det_in = np.where(reversed_by_sort, -geo.det_j, geo.det_j)
+    bad = np.flatnonzero(det_in <= 0.0)
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} is not positively oriented "
+                         f"(det J = {det_in[bad[0]]:.3g})")
+    return mesh
 
 
 def cell_geometry(mesh: Mesh, cell: int) -> CellGeometry:
@@ -296,7 +306,7 @@ def cell_geometry(mesh: Mesh, cell: int) -> CellGeometry:
     return CellGeometry(
         jacobian=geo.jacobians[cell].copy(),
         det_j=float(geo.det_j[cell]),
-        inv_jt=geo.inv_jt[cell].copy(),
+        inv_jt=geo.inv_jt(cell),
         facet_normals=geo.edge_normals[cell].copy(),
         facet_lengths=geo.edge_lengths[cell].copy(),
     )
@@ -315,4 +325,6 @@ def mark_boundary(mesh: Mesh, predicate: Callable[[float, float], str]) -> Mesh:
         if lab not in (DIRICHLET, NEUMANN):
             raise ValueError(f"predicate returned invalid label {lab!r} for facet {f}")
         labels[f] = lab
-    return replace(mesh, exterior_label=labels)
+    marked = replace(mesh, exterior_label=labels)
+    marked._geometry = mesh.geometry()  # the same cells and coordinates
+    return marked

@@ -142,6 +142,8 @@ class MixedSpace:
         return sum(s.local_dim for s in self.fields)
 
     def cell_dofs_global(self) -> np.ndarray:
+        if len(self.fields) == 1:  # the field's own map, read-only, neither copied nor widened
+            return np.broadcast_to(self.fields[0].cell_dofs, self.fields[0].cell_dofs.shape)
         return np.concatenate([s.cell_dofs + o for s, o in zip(self.fields, self.offsets)],
                               axis=1)
 
@@ -403,8 +405,8 @@ def _grid_p1_map(pts: np.ndarray, m: int):
 def _rows_csr(cols: np.ndarray, vals: np.ndarray, n_coarse: int):
     import scipy.sparse as sp  # on use: imported with the module it slowed `import hybridfem` 25 ms
     w = cols.shape[-1]  # entries per row, rows in order
-    P = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, w)),
-                      shape=(cols.size // w, n_coarse))
+    P = sp.csr_matrix((vals.ravel(), np.array(cols).ravel(), np.arange(0, cols.size + 1, w)),
+                      shape=(cols.size // w, n_coarse))  # a copy: eliminate_zeros writes them
     P.eliminate_zeros()
     return P
 
@@ -460,9 +462,9 @@ def ref_map(space: FunctionSpace, deriv: str, geo, cells):
     Piola map, whose ``det J`` keeps its sign."""
     kind = space.family.kind
     if kind in ("DG", "CG", "Trace"):
-        return np.ones((1, 1, 1)) if deriv == "value" else geo.inv_jt[cells]
+        return np.ones((1, 1, 1)) if deriv == "value" else geo.inv_jt(cells)
     if kind == "VectorDG":
-        return np.eye(2)[None] if deriv == "value" else geo.inv_jt[cells].reshape(-1, 1, 4)
+        return np.eye(2)[None] if deriv == "value" else geo.inv_jt(cells).reshape(-1, 1, 4)
     det = geo.det_j[cells][:, None, None]
     return geo.jacobians[cells] / det if deriv == "value" else 1.0 / det
 

@@ -159,6 +159,7 @@ def test_mark_boundary_left_edge_neumann():
         mesh, lambda x, y: NEUMANN if x < 1e-12 else DIRICHLET
     )
     assert len(marked.facets_with_label(NEUMANN)) == 2
+    assert marked.geometry() is mesh.geometry()  # the same cells and coordinates
     # original untouched, relabeling idempotent
     assert len(mesh.facets_with_label(NEUMANN)) == 0
     again = mark_boundary(
@@ -263,7 +264,8 @@ def test_geometry_matches_loop_oracle_bit_for_bit(mesh):
     tell them apart); the structured meshes have zero normal components."""
     geo = mesh.geometry()
     for name, want in _geometry_loop(mesh).items():
-        got, want = getattr(geo, name), np.array(want)
+        got = geo.inv_jt() if name == "inv_jt" else getattr(geo, name)
+        want = np.array(want)
         assert got.shape == want.shape and got.dtype == want.dtype, name
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
 
@@ -315,28 +317,46 @@ def test_jittered_square_moves_interior_vertices_only():
 
 
 def test_build_peak_and_geometry_memory():
-    """At n=128 building the mesh peaks at most 2.4 times what it keeps
-    (one stable sort numbers the facets).  Its geometry keeps at most 90
-    bytes a cell until edge data is read, and at most 170 after:
-    ``origins`` is its own array, not a view pinning the (n_cells, 3, 2)
-    vertex gather, and the edge fields are computed on demand."""
+    """At n=128 the mesh and its geometry keep at most 135 bytes a cell
+    (int32 indices, int8 local edges, no stored inverse Jacobians), their
+    build peaks at most 290 bytes a cell, and reading the edge data brings
+    what is kept to at most 205: ``origins`` is its own array, not a view
+    pinning the (n_cells, 3, 2) vertex gather, and the edge fields are
+    computed on demand."""
     import tracemalloc
 
     tracemalloc.start()
     try:
         mesh = build_unit_square(128)
-        kept, peak = tracemalloc.get_traced_memory()
         geo = mesh.geometry()
-        cell_kept = tracemalloc.get_traced_memory()[0] - kept
+        kept, peak = tracemalloc.get_traced_memory()
         geo.edge_normals
-        geo_kept = tracemalloc.get_traced_memory()[0] - kept
+        with_edges = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * kept, (peak / 1e6, kept / 1e6)
-    assert cell_kept <= 90 * mesh.n_cells, cell_kept / mesh.n_cells
-    assert geo_kept <= 170 * mesh.n_cells, geo_kept / mesh.n_cells
+    per_cell = np.array([kept, peak, with_edges]) / mesh.n_cells
+    assert (per_cell <= [135, 290, 205]).all(), per_cell
     assert geo.origins.base is None
     np.testing.assert_array_equal(geo.origins, mesh.vertex_coords[mesh.cell_vertices[:, 0]])
+
+
+def test_topology_at_facet_keys_past_int32():
+    """At n=256 the facet keys ``lo * n_vertices + hi`` pass 2^31, so
+    they are int64 while the stored topology is int32 (int8 local edges);
+    the facet count is 3 n^2 + 2 n, and both cells of each interior facet
+    hold both its vertices."""
+    n = 256
+    mesh = build_unit_square(n)
+    assert (mesh.n_vertices - 1) * mesh.n_vertices >= 2**31
+    assert mesh.n_facets == 3 * n * n + 2 * n
+    for name in ("cell_vertices", "facet_vertices", "facet_cells", "cell_facets"):
+        assert getattr(mesh, name).dtype == np.int32, name
+    assert mesh.facet_local_index.dtype == np.int8
+    f = mesh.interior_facets
+    for side in range(2):
+        cells = mesh.cell_vertices[mesh.facet_cells[f, side]]
+        for end in range(2):
+            assert (cells == mesh.facet_vertices[f, end, None]).any(axis=1).all()
 
 
 def test_cell_vertices_are_read_only_without_touching_the_input():
