@@ -1,18 +1,19 @@
 """Time and memory as the mesh grows.
 
 Each solve runs in a fresh Python process, started with BLAS on one
-thread, which caps its own address space with ``RLIMIT_AS`` before it
-imports numpy, so its ``ru_maxrss`` is that one solve's high-water mark
-and a solve that outgrows the cap fails with ``MemoryError``.  For each
-method and mesh size the table gives the solve's wall seconds
-(``t_total``: condensation or assembly, trace solve, back-substitution
-and post-processing; the mesh build and the error pass are left out),
-the same in microseconds per cell, the Krylov iterations, the child's
-``ru_maxrss`` and the bytes a cell kept by the mesh and by its geometry.
+thread, which caps its own address space at 3 GiB with ``RLIMIT_AS``
+before it imports numpy, so its ``ru_maxrss`` is that one solve's
+high-water mark and a solve that outgrows the cap fails with
+``MemoryError``.  For each method and mesh size the table gives the
+solve's wall seconds (``t_total``: condensation or assembly, trace
+solve, back-substitution and post-processing; the mesh build and the
+error pass are left out), the same in microseconds per cell, the Krylov
+iterations, the child's ``ru_maxrss`` and the bytes a cell kept by the
+mesh and by its geometry.
 
     PYTHONPATH=src python demos/07_scale.py
     PYTHONPATH=src python demos/07_scale.py --sizes 128,256,512 \\
-        --methods cg-primal:1,mixed-hybrid:1 --limit-gb 3
+        --methods cg-primal:1,mixed-hybrid:1
 """
 
 import argparse
@@ -23,6 +24,7 @@ import sys
 from dataclasses import fields
 
 METHODS = "cg-primal:1,mixed-hybrid:1,mixed-hybrid:2,ldgh:1"
+LIMIT = 3 * 2**30  # RLIMIT_AS of each solve, in bytes
 
 
 def bytes_per_cell(mesh) -> tuple[float, float]:
@@ -34,10 +36,10 @@ def bytes_per_cell(mesh) -> tuple[float, float]:
     return held[0] / mesh.n_cells, held[1] / mesh.n_cells
 
 
-def child(method: str, degree: int, n: int, limit: int) -> None:
+def child(method: str, degree: int, n: int) -> None:
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
     from hybridfem import build_unit_square
     from hybridfem.problems import manufactured
     from hybridfem.study import StudySpec, solve_hybridizable, solve_primal
@@ -55,13 +57,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="16,32,64", help="comma-separated mesh sizes n")
     ap.add_argument("--methods", default=METHODS, help="comma-separated method:degree pairs")
-    ap.add_argument("--limit-gb", type=float, default=2.0, help="RLIMIT_AS of each solve")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    limit = int(args.limit_gb * 2**30)
     if args.child:
         method, degree, n = args.child.split(":")
-        child(method, int(degree), int(n), limit)
+        child(method, int(degree), int(n))
         return
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     print(f"{'method':<16} {'n':>5} {'cells':>9} {'total s':>8} {'us/cell':>8} {'its':>4} "
@@ -69,8 +69,7 @@ def main() -> None:
     for pair in args.methods.split(","):
         method, degree = pair.split(":")
         for n in args.sizes.split(","):
-            proc = subprocess.run([sys.executable, __file__, "--child", f"{pair}:{n}",
-                                   "--limit-gb", str(args.limit_gb)],
+            proc = subprocess.run([sys.executable, __file__, "--child", f"{pair}:{n}"],
                                   env=env, stdout=subprocess.PIPE, text=True, check=True)
             r = json.loads(proc.stdout.splitlines()[-1])
             print(f"{method + ' k=' + degree:<16} {n:>5} {r['cells']:>9,} {r['total_s']:>8.3f} "

@@ -79,8 +79,7 @@ class Mesh:
         return exterior[self.exterior_label[exterior] == label]
 
     def facet_midpoints(self) -> np.ndarray:
-        coords = self.vertex_coords[self.facet_vertices]
-        return coords.mean(axis=1)
+        return self.vertex_coords[self.facet_vertices].mean(axis=1)
 
     def geometry(self) -> MeshGeometry:
         """Per-cell affine map data; computed once, as the mesh is built."""
@@ -235,19 +234,22 @@ def build_jittered_square(n: int, amplitude: float, seed: int) -> Mesh:
 def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
     """Facet topology of a triangulation of counterclockwise cells.
 
-    Each cell's vertices are stored in ascending order by three in-place
-    compare-exchange passes, which record the cells they reverse, so the
-    input orientation is read from the geometry, computed here: ``det J``
-    negated where reversed must be positive.  Facets are numbered
-    in order of first appearance over (cell, local edge); the first cell
-    to reach a facet is its "+" side.  One stable sort of the int64 edge
-    keys (past 2^31 from n = 215) puts each facet's second occurrence
-    right after its first; the remaining first occurrences, in order,
-    number the facets.
+    A cell that repeats a vertex is rejected.  Each cell's vertices are
+    stored in ascending order by three in-place compare-exchange passes,
+    which record the cells they reverse, so the input orientation is read
+    from the geometry, computed here: ``det J`` negated where reversed
+    must be positive.  Facets are numbered in order of first appearance
+    over (cell, local edge); the first cell to reach a facet is its "+"
+    side.  One stable sort of the int64 edge keys (past 2^31 from
+    n = 215) puts each facet's second occurrence right after its first;
+    the remaining first occurrences, in order, number the facets.
     """
     coords = np.asarray(coords, dtype=float)
     cell_vertices = np.array(cell_vertices, dtype=np.int32)  # a copy, sorted in place
     n_cells = len(cell_vertices)
+    bad = np.flatnonzero((cell_vertices == np.roll(cell_vertices, 1, axis=1)).any(axis=1))
+    if len(bad):
+        raise ValueError(f"mesh cell {bad[0]} repeats a vertex: {cell_vertices[bad[0]].tolist()}")
     low, reversed_by_sort = np.empty(n_cells, dtype=np.int32), np.zeros(n_cells, dtype=bool)
     for a, b in ((0, 1), (1, 2), (0, 1)):
         reversed_by_sort ^= cell_vertices[:, a] > cell_vertices[:, b]  # a transposition
@@ -290,11 +292,10 @@ def _mesh_from_cells(coords: np.ndarray, cell_vertices: np.ndarray) -> Mesh:
                 facet_local, occ_facet.reshape(n_cells, 3), label)
     del lo, hi, first_occ, second_occ, first_of_second, f2, is_first
     geo = mesh._geometry = _compute_geometry(mesh)
-    det_in = np.where(reversed_by_sort, -geo.det_j, geo.det_j)
-    bad = np.flatnonzero(det_in <= 0.0)
+    det = np.where(reversed_by_sort, -geo.det_j, geo.det_j)  # of the input cells
+    bad = np.flatnonzero(det <= 0.0)
     if len(bad):
-        raise ValueError(f"mesh cell {bad[0]} is not positively oriented "
-                         f"(det J = {det_in[bad[0]]:.3g})")
+        raise ValueError(f"mesh cell {bad[0]} is not positively oriented (det J = {det[bad[0]]:.3g})")
     return mesh
 
 

@@ -292,6 +292,9 @@ QUALITY_5E_11 = r"mesh cell 1 is degenerate \(det J / h\^2 = 5e-11\)"
     pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [1, 3, 2], QUALITY_5E_11, id="longest-edge-1"),
     pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [3, 2, 1], QUALITY_5E_11, id="longest-edge-0"),
     pytest.param((0.5 + 5e-11, 0.5 + 5e-11), [2, 1, 3], QUALITY_5E_11, id="longest-edge-2"),
+    # a repeated vertex is named as given, before the vertices are sorted
+    pytest.param((1.0, 1.0), [3, 1, 3], r"mesh cell 1 repeats a vertex: \[3, 1, 3\]",
+                 id="repeated-vertex"),
 ])
 def test_bad_cell_rejected_by_index(apex, second, message):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], apex])
